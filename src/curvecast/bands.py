@@ -14,7 +14,7 @@ import numpy as np
 from .curves import FunctionalDataset, Grid, _readonly
 from .errors import InsufficientDataError
 from .fpca import ScoreMatrix, eigensystem, reconstruct, scores
-from .multivar import fit_var_ols, predict_var
+from .multivar import _check_rows, _guarded_solve, _lag_rows
 
 # Grid points with essentially zero spread carry no band information.
 GAMMA_FLOOR_RTOL = 1e-12
@@ -28,6 +28,11 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
     the residual Y_k minus its prediction is recorded, giving n - L
     residual curves.  The default L is max(p, 10 d, n/4), large enough
     for the early fits to be stable.
+
+    The refits are those of :func:`fit_var_ols`, built from cumulative sums
+    of the lag rows (y_{t-1}, ..., y_{t-p}, y_t) and of their outer
+    products, which give every origin's Gram centred on its own mean.  All
+    origins are then rank-guarded, solved and reconstructed in one batch.
     """
     n = data.n
     if L is None:
@@ -38,12 +43,26 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
         raise InsufficientDataError(f"L={L} leaves fewer than two of n={n} curves")
     eig = eigensystem(data, d)
     smat = scores(data, eig).scores
-    resid = np.empty((n - L, data.T))
-    for i, k in enumerate(range(L, n)):
-        pred = predict_var(fit_var_ols(smat[:k], p), smat[:k][-max(p, 1) :], 1)
-        curve = reconstruct(ScoreMatrix(scores=pred[None, :]), eig).values[0]
-        resid[i] = data.values[k] - curve
-    return FunctionalDataset(grid=data.grid, values=resid)
+    # the smallest refit has the fewest rows, so only it can be too short
+    _check_rows(L, p, d)
+    origins = np.arange(L, n)
+    means = np.cumsum(smat, axis=0)[L - 1 : n - 1] / origins[:, None]
+    pred = means
+    if p > 0:
+        lags = np.hstack([_lag_rows(smat, p, p), smat[p:]])
+        sums = np.cumsum(lags, axis=0)[L - p - 1 : n - p - 1]
+        prods = np.cumsum(lags[:, :, None] * lags[:, None, :], axis=0)[L - p - 1 : n - p - 1]
+        centre = np.tile(means, p + 1)
+        # origin k fits equations t = p..k-1: with their prefix sums S (products) and s,
+        # sum (w - m)(w - m)' = S - s m' - m (s - N m)' over those N = k - p rows
+        dev = sums - (origins - p)[:, None] * centre
+        cross = prods - sums[:, :, None] * centre[:, None, :]
+        cross -= centre[:, :, None] * dev[:, None, :]
+        k = p * d
+        beta = _guarded_solve(cross[:, :k, :k], cross[:, :k, k:], context=f"VAR({p}) design")
+        pred = means + np.einsum("oi,oij->oj", lags[L - p :, :k] - centre[:, :k], beta)
+    curves = reconstruct(ScoreMatrix(scores=pred), eig).values
+    return FunctionalDataset(grid=data.grid, values=data.values[L:] - curves)
 
 
 @dataclass(frozen=True)

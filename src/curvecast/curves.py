@@ -141,16 +141,24 @@ def load_curves_csv(path) -> FunctionalDataset:
     non-numeric cells are rejected; use ingest() for raw files that
     need cleaning.
     """
+    values = _read_numeric_matrix(path)
+    return FunctionalDataset(grid=Grid(values.shape[1]), values=values)
+
+
+def _read_numeric_matrix(path) -> np.ndarray:
+    """Finite numbers below an optional header; errors count rows from 1 after it."""
     rows = _read_numeric_rows(path)
     if not rows:
-        raise IngestError(f"{path}: no curve rows found")
+        raise IngestError(f"{path}: no data rows found")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
     values = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise IngestError(f"{path}: file contains missing or non-finite cells")
-    return FunctionalDataset(grid=Grid(values.shape[1]), values=values)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise IngestError(f"{path}: row {row}, column {col} is missing or non-finite")
+    return values
 
 
 def _read_numeric_rows(path):
@@ -167,14 +175,12 @@ def _read_numeric_rows(path):
 
 
 def _looks_like_header(row) -> bool:
-    for cell in row:
-        cell = cell.strip()
-        if cell == "":
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return True
+    """True when some cell is neither a number nor a missing-value marker."""
+    try:
+        for cell in row:
+            _parse_cell(cell)
+    except ValueError:
+        return True
     return False
 
 

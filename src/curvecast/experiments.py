@@ -24,6 +24,7 @@ from .bands import prediction_band, rolling_residuals
 from .curves import (
     FunctionalDataset,
     Grid,
+    _read_numeric_matrix,
     load_curves_csv,
     make_fourier_basis,
     synthesize,
@@ -230,20 +231,11 @@ def _coupled_far1_coeffs(
 
 
 def load_numeric_csv(path) -> np.ndarray:
-    """Read a plain numeric matrix CSV, skipping one header row if present."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if rows and any(not _is_number(c) for c in rows[0]):
-        rows = rows[1:]
-    return np.array([[float(c) for c in row] for row in rows])
+    """Read a plain numeric matrix CSV, skipping one header row if present.
 
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+    Empty files, ragged rows and blank, NA or non-finite cells raise IngestError.
+    """
+    return _read_numeric_matrix(path)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +255,7 @@ def _eval_method_fixed(data, rmat, m, h, method):
             criterion = table.best_cell().value
         else:
             p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d)
+        eig = eigensystem(train, d) if criterion is None else table.eig.truncate(d)
         s_all = scores(data, eig).scores
         model = fit_var_ols(s_all[:m], p)
         errors = []
@@ -304,7 +296,7 @@ def _eval_method_fixed(data, rmat, m, h, method):
             criterion = table.best_cell().value
         else:
             p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d)
+        eig = eigensystem(train, d) if criterion is None else table.eig.truncate(d)
         s_all = scores(data, eig).scores
         model = fit_varx_ols(s_all[:m], rmat[:m], p)
         errors = []
@@ -755,9 +747,11 @@ def _pm10_analog_preset(reps=None, seed=None, n_days=175, eval_days=20, out_dir=
                         p_max=2, d_max=4):
     if reps not in (None, 1):
         raise ValueError("the ingestion demo runs a single replication")
+    if out_dir is None:
+        with tempfile.TemporaryDirectory(prefix="pm10_analog_") as tmp:
+            return _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
     start = time.perf_counter()
-    workdir = out_dir or tempfile.mkdtemp(prefix="pm10_analog_")
-    curves_path, cov_path = make_pm10_analog(workdir, n_days=n_days, seed=seed)
+    curves_path, cov_path = make_pm10_analog(out_dir, n_days=n_days, seed=seed)
     data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
     rmat = load_numeric_csv(cov_path)
     m = data.n - int(eval_days)

@@ -139,7 +139,7 @@ def predict_fts(
     if auto:
         table = select_pd(data, p_max, d_max)
         p, d = table.best
-    eig = eigensystem(data, d)
+    eig = table.eig.truncate(d) if auto else eigensystem(data, d)
     smat = scores(data, eig)
     pred = var_score_forecast(smat.scores, p, h)
     return _finish(eig, pred, "var", p)
@@ -250,7 +250,7 @@ def predict_with_covariates(
     if auto:
         table = select_pd(data, p_max, d_max, covariate_scores=rmat)
         p, d = table.best
-    eig = eigensystem(data, d)
+    eig = table.eig.truncate(d) if auto else eigensystem(data, d)
     smat = scores(data, eig)
     if solver == "ols":
         pred = varx_score_forecast(smat.scores, rmat, p)

@@ -13,6 +13,7 @@ import numpy as np
 from .curves import _readonly
 from .errors import (
     IllConditionedError,
+    IngestError,
     InsufficientDataError,
     NumericalDegeneracyError,
     RankDeficiencyError,
@@ -32,11 +33,12 @@ def _as_score_array(x) -> np.ndarray:
 
 
 def _guarded_solve(gram: np.ndarray, rhs: np.ndarray, context: str):
-    """Solve gram @ x = rhs, failing loudly near singularity."""
-    u, s, _ = np.linalg.svd(gram)
-    if s[0] <= 0.0 or s[-1] < PIVOT_RTOL * s[0]:
-        null = u[:, -1]
-        column = int(np.argmax(np.abs(null)))
+    """Solve gram @ x = rhs, or a stack of them, failing loudly at the first singular gram."""
+    s = np.linalg.svd(gram, compute_uv=False)
+    bad = (s[..., 0] <= 0.0) | (s[..., -1] < PIVOT_RTOL * s[..., 0])
+    if np.any(bad):
+        u, s, _ = np.linalg.svd(gram[bad][0])
+        column = int(np.argmax(np.abs(u[:, -1])))
         raise RankDeficiencyError(
             f"{context}: matrix is numerically singular "
             f"(smallest/largest singular value {s[-1]:.3e}/{s[0]:.3e}), "
@@ -44,6 +46,39 @@ def _guarded_solve(gram: np.ndarray, rhs: np.ndarray, context: str):
             column=column,
         )
     return np.linalg.solve(gram, rhs)
+
+
+def _check_rows(n: int, p: int, d: int, r: int = None) -> None:
+    """Raise where fit_var_ols (r None) or fit_varx_ols would find n rows too few."""
+    if r is None and (n < 2 or (p > 0 and n <= p * d + 1)):
+        raise InsufficientDataError(f"n={n} too small to fit p={p}, d={d}")
+    if r is not None and (n <= p * d + r + 1 or n - max(p, 1) < 2):
+        raise InsufficientDataError(f"n={n} too small to fit p={p}, d={d}, r={r}")
+
+
+def _lag_rows(c: np.ndarray, p: int, start: int, extra: np.ndarray = None) -> np.ndarray:
+    """Design rows (c_{t-1}, ..., c_{t-p}[, extra_{t-1}]) for t = start..n-1."""
+    n = c.shape[0]
+    blocks = [c[start - j : n - j] for j in range(1, p + 1)]
+    if extra is not None:
+        blocks.append(extra[start - 1 : n - 1])
+    return np.hstack(blocks) if blocks else np.empty((n - start, 0))
+
+
+def _covariate_block(covariates, n: int):
+    """Centred covariates, their mean and the indices of non-constant columns.
+
+    Non-finite cells raise: a NaN column would look constant and be dropped.
+    """
+    rmat = _as_score_array(covariates)
+    if rmat.shape[0] != n:
+        raise ValueError(f"covariates have {rmat.shape[0]} rows, scores have {n}")
+    bad = np.argwhere(~np.isfinite(rmat))
+    if bad.size:
+        raise IngestError(f"covariate row {bad[0][0]}, column {bad[0][1]} (0-based) is not finite")
+    rmean = rmat.mean(axis=0)
+    rc = rmat - rmean
+    return rc, rmean, np.nonzero(np.max(np.abs(rc), axis=0) > 0.0)[0]
 
 
 @dataclass(frozen=True)
@@ -132,14 +167,13 @@ def fit_var_ols(scores, p: int) -> VarModel:
     n, d = s.shape
     if p < 0:
         raise ValueError(f"order p must be >= 0, got {p}")
-    if n < 2 or (p > 0 and n <= p * d + 1):
-        raise InsufficientDataError(f"n={n} too small to fit p={p}, d={d}")
+    _check_rows(n, p, d)
     mean = s.mean(axis=0)
     c = s - mean
     if p == 0:
         sigma = c.T @ c / n
         return VarModel(p=0, coeffs=(), sigma_z=_readonly(sigma), mean=_readonly(mean))
-    design = np.hstack([c[p - j - 1 : n - j - 1] for j in range(p)])
+    design = _lag_rows(c, p, p)
     target = c[p:]
     gram = design.T @ design
     beta = _guarded_solve(gram, design.T @ target, context=f"VAR({p}) design")
@@ -155,27 +189,19 @@ def fit_varx_ols(scores, covariates, p: int) -> VarModel:
     Equation for y_k uses (y_{k-1}, ..., y_{k-p}, r_{k-1}), so stacking
     starts at k = max(p, 1) + 1.  Covariate columns that are exactly
     constant carry no information and are excluded from the solve; their
-    loadings are returned as zero.
+    loadings are returned as zero.  Non-finite covariates raise IngestError.
     """
     s = _as_score_array(scores)
-    rmat = _as_score_array(covariates)
     n, d = s.shape
-    if rmat.shape[0] != n:
-        raise ValueError(f"covariates have {rmat.shape[0]} rows, scores have {n}")
+    rc, rmean, keep = _covariate_block(covariates, n)
     if p < 0:
         raise ValueError(f"order p must be >= 0, got {p}")
-    r = rmat.shape[1]
+    r = rc.shape[1]
     start = max(p, 1)
-    if n <= p * d + r + 1 or n - start < 2:
-        raise InsufficientDataError(f"n={n} too small to fit p={p}, d={d}, r={r}")
+    _check_rows(n, p, d, r)
     mean = s.mean(axis=0)
-    rmean = rmat.mean(axis=0)
     c = s - mean
-    rc = rmat - rmean
-    keep = np.nonzero(np.max(np.abs(rc), axis=0) > 0.0)[0]
-    blocks = [c[start - j - 1 : n - j - 1] for j in range(p)]
-    blocks.append(rc[start - 1 : n - 1][:, keep])
-    design = np.hstack(blocks)
+    design = _lag_rows(c, p, start, rc[:, keep])
     target = c[start:]
     if design.shape[1] == 0:
         beta = np.zeros((0, d))

@@ -7,13 +7,13 @@ sweep picks p and d together.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError, RankDeficiencyError, SelectionError
-from .fpca import eigensystem, scores
-from .multivar import fit_var_ols, fit_varx_ols
+from .fpca import EigenSystem, eigensystem, scores
+from .multivar import _check_rows, _covariate_block, _guarded_solve, _lag_rows, fit_var_ols
 
 
 def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float) -> float:
@@ -62,12 +62,13 @@ class FfpeCell:
 
 @dataclass(frozen=True)
 class FfpeTable:
-    """Criterion values over the (p, d) grid plus the selected cell."""
+    """Criterion values over the (p, d) grid, the selected cell and the d_max eigensystem."""
 
     n: int
     cells: tuple
     p_best: int
     d_best: int
+    eig: EigenSystem = field(default=None, compare=False, repr=False)
 
     @property
     def best(self) -> tuple:
@@ -102,9 +103,12 @@ class FfpeTable:
 def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     """Sweep the criterion over p = 0..p_max and d = 1..d_max.
 
-    The eigensystem is computed once at d_max and sliced per cell.  Cells
-    that cannot be fitted (too few observations, or a rank-deficient
-    design) are recorded with a status instead of aborting the sweep.
+    The eigensystem is computed once at d_max and sliced per cell.  Each p
+    forms X'X, X'Y and Y'Y once at d_max; each d solves an index submatrix
+    and takes tr(Y'Y) - sum(beta * X'Y) over the direct fit's divisor.
+    Order-zero VAR cells, whose criterion is constant in d up to rounding,
+    call :func:`fit_var_ols`.  Unfittable cells (too few observations, or
+    a rank-deficient design) get a status instead of aborting the sweep.
     Ties in the criterion prefer smaller d, then smaller p.
 
     Parameters
@@ -114,7 +118,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     p_max, d_max : int
         Upper corners of the sweep grid.
     covariate_scores : array_like, optional
-        (n, r) numeric covariate rows; when given the fits include the
+        (n, r) finite covariate rows; when given the fits include the
         previous covariate row and the criterion charges r parameters.
 
     Returns
@@ -126,35 +130,33 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     n = data.n
     eig = eigensystem(data, d_max)
     smat = scores(data, eig).scores
-    r = 0
+    c = smat - smat.mean(axis=0)
+    r = extra = None
     if covariate_scores is not None:
-        covariate_scores = np.asarray(covariate_scores, dtype=float)
-        if covariate_scores.ndim == 1:
-            covariate_scores = covariate_scores[:, None]
-        if covariate_scores.shape[0] != n:
-            raise ValueError(
-                f"covariate rows ({covariate_scores.shape[0]}) must match n={n}"
-            )
-        r = covariate_scores.shape[1]
+        rc, _, keep = _covariate_block(covariate_scores, n)
+        r, extra = rc.shape[1], rc[:, keep]
+    moments = []
+    for p in range(p_max + 1):
+        start = p if r is None else max(p, 1)
+        x = _lag_rows(c, p, start, extra)
+        y = c[start:]
+        moments.append((start, x.T @ x, x.T @ y, np.einsum("ij,ij->j", y, y)))
     cells = []
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
-        cols = smat[:, :d]
         for p in range(0, p_max + 1):
-            if n <= p * d + r:
+            if n <= p * d + (r or 0):
                 cells.append(
                     FfpeCell(p, d, math.nan, math.nan, math.nan, "invalid", f"n={n} <= p*d+r")
                 )
                 continue
             try:
-                if covariate_scores is None:
-                    model = fit_var_ols(cols, p)
-                    trace = float(model.sigma_z.trace())
-                    value = ffpe(n, p, d, trace, tail)
+                if r is None and p == 0:
+                    trace = float(fit_var_ols(smat[:, :d], 0).sigma_z.trace())
                 else:
-                    model = fit_varx_ols(cols, covariate_scores, p)
-                    trace = float(model.sigma_z.trace())
-                    value = ffpex(n, p, d, r, trace, tail)
+                    _check_rows(n, p, d, r)
+                    trace = _cell_trace(n, p, d, d_max, r, *moments[p])
+                value = ffpe(n, p, d, trace, tail) if r is None else ffpex(n, p, d, r, trace, tail)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
                 cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, status, str(err)))
@@ -166,4 +168,17 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
             f"no (p, d) cell could be fitted for p_max={p_max}, d_max={d_max}, n={n}"
         )
     winner = min(fitted, key=lambda c: (c.value, c.d, c.p))
-    return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d)
+    return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig)
+
+
+def _cell_trace(n, p, d, d_max, r, start, xx, xy, yy):
+    """Innovation trace of the (p, d) fit from the d_max cross-products."""
+    col = np.arange(xx.shape[0])
+    idx = col[(col % d_max < d) | (col >= p * d_max)]  # d components of each lag, all covariates
+    rss = yy[:d].sum()
+    if idx.size:
+        rhs = xy[idx, :d]
+        context = f"{'VAR' if r is None else 'VARX'}({p}) design"
+        beta = _guarded_solve(xx[idx[:, None], idx], rhs, context=context)
+        rss -= np.vdot(beta, rhs)
+    return max(float(rss), 0.0) / (n - start)  # an exact fit can round below zero

@@ -7,6 +7,7 @@ from curvecast import (
     FunctionalDataset,
     Grid,
     InsufficientDataError,
+    RankDeficiencyError,
     eigensystem,
     fit_var_ols,
     predict_var,
@@ -15,6 +16,8 @@ from curvecast import (
     rolling_residuals,
     scores,
     ScoreMatrix,
+    make_fourier_basis,
+    synthesize,
 )
 
 
@@ -160,3 +163,46 @@ def test_rolling_residuals_guards(make_far1):
         rolling_residuals(data, d=2, p=1, L=10)  # below 10 d
     with pytest.raises(InsufficientDataError):
         rolling_residuals(data, d=2, p=1, L=49)
+
+
+def rolling_residuals_loop(data, d, p, L):
+    """Reference: one fit_var_ols, predict_var and reconstruct per origin."""
+    eig = eigensystem(data, d)
+    smat = scores(data, eig).scores
+    rows = []
+    for k in range(L, data.n):
+        pred = predict_var(fit_var_ols(smat[:k], p), smat[k - max(p, 1) : k], 1)
+        curve = reconstruct(ScoreMatrix(scores=pred[None, :]), eig).values[0]
+        rows.append(data.values[k] - curve)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_rolling_residuals_match_per_origin_refits(make_far1, p):
+    data = make_far1(n=150, seed=20 + p)
+    resid = rolling_residuals(data, d=3, p=p, L=40)
+    expected = rolling_residuals_loop(data, 3, p, 40)
+    assert resid.values.shape == expected.shape
+    assert np.max(np.abs(resid.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_rolling_residuals_rank_deficient_origin_names_column():
+    # curves of rank two: the third score column is rounding noise
+    rng = np.random.default_rng(5)
+    grid = Grid(32)
+    coeffs = np.zeros((90, 3))
+    for k in range(1, 90):
+        coeffs[k, :2] = 0.5 * coeffs[k - 1, :2] + rng.normal(size=2)
+    data = synthesize(coeffs, make_fourier_basis(3, grid))
+    with pytest.raises(RankDeficiencyError) as loop:
+        rolling_residuals_loop(data, 3, 1, 30)
+    with pytest.raises(RankDeficiencyError) as batched:
+        rolling_residuals(data, d=3, p=1, L=30)
+    assert batched.value.column == loop.value.column
+    assert str(batched.value).startswith("VAR(1) design: matrix is numerically singular")
+
+
+def test_rolling_residuals_too_short_first_fit(make_far1):
+    data = make_far1(n=60, seed=12)
+    with pytest.raises(InsufficientDataError, match="n=20 too small to fit p=20, d=1"):
+        rolling_residuals(data, d=1, p=20, L=20)

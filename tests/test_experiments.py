@@ -1,10 +1,12 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
 
 from curvecast import (
     Grid,
+    IngestError,
     ProcessSpec,
     RunReport,
     ingest,
@@ -307,3 +309,35 @@ def test_preset_reruns_are_identical():
     b = run_benchmark("order-selection", reps=2, seed=9, n=60, D=5, grid_T=48,
                       p_max=2, d_max=3)
     assert a.replications == b.replications
+
+
+def test_load_numeric_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(IngestError, match="no data rows"):
+        load_numeric_csv(path)
+
+
+def test_load_numeric_csv_rejects_nan_and_na_cells(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("x_1,x_2\n1.0,2.0\n3.0,nan\n")
+    with pytest.raises(IngestError, match="row 2, column 2"):
+        load_numeric_csv(path)
+    # without a header an NA marker in the first row is data, not a header
+    path.write_text("1.0,na\n3.0,4.0\n")
+    with pytest.raises(IngestError, match="row 1, column 2"):
+        load_numeric_csv(path)
+
+
+def test_load_numeric_csv_rejects_blank_cells(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x_1,x_2\n1.0,2.0\n,4.0\n")
+    with pytest.raises(IngestError, match="row 2, column 1"):
+        load_numeric_csv(path)
+
+
+def test_pm10_preset_removes_its_temporary_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    report = run_benchmark("pm10-analog", seed=4, n_days=42, eval_days=5, p_max=1, d_max=2)
+    assert len(report.replications[0]["errors"]["covariate"]) == 5
+    assert list(tmp_path.iterdir()) == []

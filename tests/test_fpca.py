@@ -137,3 +137,14 @@ def test_pve_dimension_thresholds():
         pve_dimension(data, 0.0)
     with pytest.raises(ValueError):
         pve_dimension(data, 1.2)
+
+
+def test_truncate_equals_direct_eigensystem(make_far1):
+    data = make_far1(n=90, T=40, seed=8)
+    full = eigensystem(data, 6)
+    for d in range(1, 7):
+        cut, direct = full.truncate(d), eigensystem(data, d)
+        assert np.array_equal(cut.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(cut.eigenfunctions, direct.eigenfunctions)
+        assert np.array_equal(cut.mean, direct.mean)
+        assert cut.total_variance == direct.total_variance

@@ -3,6 +3,7 @@ import pytest
 
 from curvecast import (
     AcvfSequence,
+    IngestError,
     InsufficientDataError,
     NumericalDegeneracyError,
     RankDeficiencyError,
@@ -229,3 +230,16 @@ def test_innovations_lag_guard():
     acvf, _ = stable_var1_acvf(2, seed=7, max_lag=2)
     with pytest.raises(ValueError):
         innovations(acvf, 3)
+
+
+def test_varx_rejects_non_finite_covariates():
+    rng = np.random.default_rng(4)
+    smat = rng.normal(size=(30, 2))
+    rmat = rng.normal(size=(30, 2))
+    rmat[7, 1] = np.nan
+    with pytest.raises(IngestError, match="row 7, column 1"):
+        fit_varx_ols(smat, rmat, 1)
+    rmat[7, 1] = 0.0
+    rmat[3, 0] = np.inf
+    with pytest.raises(IngestError, match="row 3, column 0"):
+        fit_varx_ols(smat, rmat, 1)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    IngestError,
+    InsufficientDataError,
+    RankDeficiencyError,
     SelectionError,
     eigensystem,
     ffpe,
     ffpex,
+    fit_var_ols,
     fit_varx_ols,
     scores,
     select_pd,
@@ -107,3 +111,71 @@ def test_argument_validation(noise_dataset):
         select_pd(data, -1, 3)
     with pytest.raises(ValueError):
         select_pd(data, 2, 0)
+
+
+def direct_cells(data, p_max, d_max, rmat=None):
+    """Reference sweep: one fit_var_ols / fit_varx_ols per (p, d) cell."""
+    n = data.n
+    eig = eigensystem(data, d_max)
+    smat = scores(data, eig).scores
+    r = 0 if rmat is None else rmat.shape[1]
+    cells = {}
+    for d in range(1, d_max + 1):
+        tail = eig.tail_variance(d)
+        for p in range(p_max + 1):
+            if n <= p * d + r:
+                cells[p, d] = ("invalid", None, None)
+                continue
+            try:
+                if rmat is None:
+                    model = fit_var_ols(smat[:, :d], p)
+                else:
+                    model = fit_varx_ols(smat[:, :d], rmat, p)
+            except InsufficientDataError:
+                cells[p, d] = ("invalid", None, None)
+                continue
+            except RankDeficiencyError:
+                cells[p, d] = ("singular", None, None)
+                continue
+            trace = float(model.sigma_z.trace())
+            value = ffpe(n, p, d, trace, tail) if rmat is None else ffpex(n, p, d, r, trace, tail)
+            cells[p, d] = ("ok", trace, value)
+    return cells
+
+
+@pytest.mark.parametrize("with_covariates", [False, True])
+@pytest.mark.parametrize("n, p_max, d_max", [(200, 3, 6), (25, 3, 8)])
+def test_sweep_matches_per_cell_fits(make_far1, with_covariates, n, p_max, d_max):
+    data = make_far1(n=n, T=48, seed=n + p_max)
+    rmat = np.random.default_rng(n).normal(size=(n, 2)) if with_covariates else None
+    table = select_pd(data, p_max, d_max, covariate_scores=rmat)
+    expected = direct_cells(data, p_max, d_max, rmat)
+    assert [(c.p, c.d) for c in table.cells] == list(expected)
+    for cell in table.cells:
+        status, trace, value = expected[cell.p, cell.d]
+        assert cell.status == status
+        if status != "ok":
+            continue
+        if cell.p == 0 and rmat is None:
+            assert cell.trace == trace and cell.value == value
+        else:
+            assert cell.trace == pytest.approx(trace, rel=1e-12, abs=0)
+            assert cell.value == pytest.approx(value, rel=1e-12, abs=0)
+    ok = [(v[2], d, p) for (p, d), v in expected.items() if v[0] == "ok"]
+    _, d_best, p_best = min(ok)
+    assert table.best == (p_best, d_best)
+
+
+def test_sweep_carries_its_eigensystem(make_far1):
+    data = make_far1(n=120, T=32, seed=2)
+    table = select_pd(data, 2, 4)
+    assert table.eig.d == 4
+    assert np.array_equal(table.eig.eigenfunctions, eigensystem(data, 4).eigenfunctions)
+
+
+def test_sweep_rejects_non_finite_covariates(make_far1):
+    data = make_far1(n=80, T=32, seed=6)
+    rmat = np.random.default_rng(6).normal(size=(80, 2))
+    rmat[11, 1] = np.nan
+    with pytest.raises(IngestError, match="row 11, column 1"):
+        select_pd(data, 2, 3, covariate_scores=rmat)
