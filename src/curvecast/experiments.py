@@ -29,6 +29,7 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
+from .errors import InsufficientDataError
 from .forecast import (
     EIGENVALUE_RTOL,
     equivalence_gap,
@@ -40,7 +41,7 @@ from .forecast import (
 )
 from .fpca import eigensystem, pve_dimension, scores
 from .ingest import ingest
-from .multivar import fit_var_ols, fit_varx_ols, predict_var
+from .multivar import fit_var_ols, fit_varx_ols
 from .selection import select_pd
 from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
 
@@ -113,9 +114,24 @@ def _slice(data: FunctionalDataset, upto: int) -> FunctionalDataset:
     return FunctionalDataset(grid=data.grid, values=data.values[:upto])
 
 
-def _sq_err(data: FunctionalDataset, target: int, curve: np.ndarray) -> float:
-    diff = data.values[target] - curve
-    return float(diff @ diff) / data.T
+def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
+    """Squared errors of curves against data rows m..n-1, one per row."""
+    diff = data.values[m:] - curves
+    return (np.einsum("ij,ij->i", diff, diff) / data.T).tolist()
+
+
+def _rolling_var_predict(s_all, coeffs, mean, m, h):
+    """Predictions of score rows m..n-1 from the rows h steps back, as predict_var makes them."""
+    c = s_all - mean
+    n, p = c.shape[0], len(coeffs)
+    if m - h + 1 < p:
+        raise InsufficientDataError(f"need at least p={p} history rows, got {max(m - h + 1, 0)}")
+    lags = [c[m - h - j : n - h - j] for j in range(p)]  # lags[j] holds lag j + 1 of every origin
+    pred = np.zeros((n - m, c.shape[1]))
+    for _ in range(h):
+        pred = sum((lag @ phi.T for lag, phi in zip(lags, coeffs)), np.zeros_like(pred))
+        lags = [pred] + lags[:-1]
+    return pred + mean
 
 
 def _resolve_train(train, n: int) -> int:
@@ -243,39 +259,44 @@ def load_numeric_csv(path) -> np.ndarray:
 
 
 def _eval_method_fixed(data, rmat, m, h, method):
-    """Fit once on the first m curves, then roll one prediction per step."""
+    """Fit once on the first m curves, then predict every later curve from that fit."""
     name = method["name"]
-    n = data.n
     train = _slice(data, m)
-    if name in ("ffpe-var", "fixed-var"):
-        criterion = None
-        if name == "ffpe-var":
-            table = select_pd(train, method["p_max"], method["d_max"])
+    if name in ("ffpe-var", "fixed-var", "covariate"):
+        cov = None
+        if name == "covariate":
+            if h != 1:
+                raise ValueError("covariate prediction is defined for h = 1 only")
+            if rmat is None:
+                raise ValueError("source provides no covariates for the covariate method")
+            cov = rmat[:m]
+        table = None
+        if name == "ffpe-var" or (cov is not None and "p_max" in method):
+            table = select_pd(train, method["p_max"], method["d_max"], covariate_scores=cov)
             p, d = table.best
-            criterion = table.best_cell().value
         else:
             p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d) if criterion is None else table.eig.truncate(d)
+        eig = eigensystem(train, d) if table is None else table.eig.truncate(d)
         s_all = scores(data, eig).scores
-        model = fit_var_ols(s_all[:m], p)
-        errors = []
-        for t in range(m, n):
-            hist = s_all[max(0, t - h - max(p, 1) + 1) : t - h + 1]
-            pred = predict_var(model, hist, h)
-            errors.append(_sq_err(data, t, eig.mean + pred @ eig.eigenfunctions))
-        return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": criterion}
+        model = fit_var_ols(s_all[:m], p) if cov is None else fit_varx_ols(s_all[:m], cov, p)
+        pred = _rolling_var_predict(s_all, model.coeffs, model.mean, m, h)
+        if cov is not None:
+            pred += (rmat[m - 1 : data.n - 1] - model.covariate_mean) @ model.theta.T
+        return {
+            "errors": _sq_errs(data, m, eig.mean + pred @ eig.eigenfunctions),
+            "selected": {"p": p, "d": d},
+            "criterion": None if table is None else table.best_cell().value,
+        }
     if name == "scalar":
         p, d = int(method["p"]), int(method["d"])
         eig = eigensystem(train, d)
         s_all = scores(data, eig).scores
         models = [fit_var_ols(s_all[:m, j : j + 1], p) for j in range(d)]
-        errors = []
-        for t in range(m, n):
-            pred = np.empty(d)
-            for j, mod in enumerate(models):
-                hist = s_all[max(0, t - h - max(p, 1) + 1) : t - h + 1, j : j + 1]
-                pred[j] = predict_var(mod, hist, h)[0]
-            errors.append(_sq_err(data, t, eig.mean + pred @ eig.eigenfunctions))
+        # d univariate recursions run as one VAR with diagonal coefficients
+        coeffs = [np.diag([mod.coeffs[j][0, 0] for mod in models]) for j in range(p)]
+        mean = np.array([mod.mean[0] for mod in models])
+        pred = _rolling_var_predict(s_all, coeffs, mean, m, h)
+        errors = _sq_errs(data, m, eig.mean + pred @ eig.eigenfunctions)
         return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": None}
     if name == "bosq":
         if h != 1:
@@ -284,46 +305,12 @@ def _eval_method_fixed(data, rmat, m, h, method):
         d = method.get("d")
         d = int(d) if d is not None else pve_dimension(train, float(method.get("pve", 0.8)))
         return _eval_bosq_fixed(data, m, p, d)
-    if name == "covariate":
-        if h != 1:
-            raise ValueError("covariate prediction is defined for h = 1 only")
-        if rmat is None:
-            raise ValueError("source provides no covariates for the covariate method")
-        criterion = None
-        if "p_max" in method:
-            table = select_pd(train, method["p_max"], method["d_max"], covariate_scores=rmat[:m])
-            p, d = table.best
-            criterion = table.best_cell().value
-        else:
-            p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d) if criterion is None else table.eig.truncate(d)
-        s_all = scores(data, eig).scores
-        model = fit_varx_ols(s_all[:m], rmat[:m], p)
-        errors = []
-        for t in range(m, n):
-            hist = s_all[max(0, t - max(p, 1)) : t]
-            pred = predict_var(model, hist, 1, covariate=rmat[t - 1])
-            errors.append(_sq_err(data, t, eig.mean + pred @ eig.eigenfunctions))
-        return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": criterion}
     raise ValueError(f"unknown method {name!r}")
 
 
 def _eval_bosq_fixed(data, m, p, d):
+    """Benchmark on blocks of p consecutive curves, fitted on the first m curves."""
     n, T = data.n, data.T
-    if p == 1:
-        train = _slice(data, m)
-        eig = eigensystem(train, d)
-        lams = eig.eigenvalues
-        if lams[-1] <= EIGENVALUE_RTOL * lams[0]:
-            raise ValueError(f"benchmark dimension d={d} hits a negligible eigenvalue")
-        s_all = scores(data, eig).scores
-        s_tr = s_all[:m]
-        op = (s_tr[1:].T @ s_tr[:-1] / (m - 1)) / lams[None, :]
-        errors = []
-        for t in range(m, n):
-            pred = op @ s_all[t - 1]
-            errors.append(_sq_err(data, t, eig.mean + pred @ eig.eigenfunctions))
-        return {"errors": errors, "selected": {"p": 1, "d": d}, "criterion": None}
     big = Grid(p * T)
     stacked_train = FunctionalDataset(
         grid=big, values=np.hstack([data.values[p - 1 - j : m - j] for j in range(p)])
@@ -334,23 +321,18 @@ def _eval_bosq_fixed(data, m, p, d):
         raise ValueError(f"benchmark dimension d={d} hits a negligible eigenvalue")
     s_tr = scores(stacked_train, eig).scores
     op = (s_tr[1:].T @ s_tr[:-1] / (s_tr.shape[0] - 1)) / lams[None, :]
-    errors = []
-    for t in range(m, n):
-        x = np.concatenate([data.values[t - 1 - j] for j in range(p)])
-        sc = (x - eig.mean) @ eig.eigenfunctions.T / (p * T)
-        pred = op @ sc
-        errors.append(_sq_err(data, t, (eig.mean + pred @ eig.eigenfunctions)[:T]))
+    x = np.hstack([data.values[m - 1 - j : n - 1 - j] for j in range(p)])
+    pred = (x - eig.mean) @ eig.eigenfunctions.T / (p * T) @ op.T
+    errors = _sq_errs(data, m, (eig.mean + pred @ eig.eigenfunctions)[:, :T])
     return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": None}
 
 
 def _eval_method_expanding(data, rmat, m, h, method):
     """Refit everything on all data before each evaluation index."""
     name = method["name"]
-    n = data.n
-    errors = []
+    curves = []
     selected = None
-    criterion = None
-    for t in range(m, n):
+    for t in range(m, data.n):
         cut = t - h + 1
         sub = _slice(data, cut)
         if name == "ffpe-var":
@@ -378,8 +360,8 @@ def _eval_method_expanding(data, rmat, m, h, method):
         else:
             raise ValueError(f"unknown method {name!r}")
         selected = {"p": res.p, "d": res.d}
-        errors.append(_sq_err(data, t, res.curve))
-    return {"errors": errors, "selected": selected, "criterion": criterion}
+        curves.append(res.curve)
+    return {"errors": _sq_errs(data, m, np.array(curves)), "selected": selected, "criterion": None}
 
 
 def _method_key(method: dict) -> str:

@@ -32,10 +32,15 @@ def _as_score_array(x) -> np.ndarray:
     return x
 
 
+def _is_singular(gram: np.ndarray, rtol: float = PIVOT_RTOL):
+    """Whether a matrix (or each of a stack) fails the relative pivot test at rtol."""
+    s = np.linalg.svd(gram, compute_uv=False)
+    return (s[..., 0] <= 0.0) | (s[..., -1] < rtol * s[..., 0])
+
+
 def _guarded_solve(gram: np.ndarray, rhs: np.ndarray, context: str):
     """Solve gram @ x = rhs, or a stack of them, failing loudly at the first singular gram."""
-    s = np.linalg.svd(gram, compute_uv=False)
-    bad = (s[..., 0] <= 0.0) | (s[..., -1] < PIVOT_RTOL * s[..., 0])
+    bad = _is_singular(gram)
     if np.any(bad):
         u, s, _ = np.linalg.svd(gram[bad][0])
         column = int(np.argmax(np.abs(u[:, -1])))
@@ -317,8 +322,7 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
             big[m * d :, i * d : (i + 1) * d] = cross[i + 1].T
         big[m * d :, m * d :] = gamma_rr
         rhs[:, m * d :] = cross[0]
-    sing = np.linalg.svd(big, compute_uv=False)
-    if sing[0] <= 0.0 or sing[-1] < PIVOT_RTOL * sing[0]:
+    if _is_singular(big):
         raise IllConditionedError(
             "stacked covariance matrix is numerically singular; reduce m or drop covariates"
         )
@@ -381,16 +385,16 @@ def innovations(acvf: AcvfSequence, m: int) -> InnovationsState:
     v = [acvf.gamma(0)]
     rows = []
     for k in range(1, m + 1):
+        # V_{k-1} is first inverted in this row; V_m never is
+        if _is_singular(v[k - 1]):
+            raise NumericalDegeneracyError(
+                f"innovation covariance V_{k - 1} is numerically singular", step=k - 1
+            )
         row = [None] * k
         for j in range(k):
             acc = acvf.gamma(k - j).copy()
             for i in range(j):
                 acc -= row[k - i - 1] @ v[i] @ rows[j - 1][j - i - 1].T
-            sing = np.linalg.svd(v[j], compute_uv=False)
-            if sing[0] <= 0.0 or sing[-1] < PIVOT_RTOL * sing[0]:
-                raise NumericalDegeneracyError(
-                    f"innovation covariance V_{j} is numerically singular", step=j
-                )
             # row index k - j in one-based notation is slot k - j - 1
             row[k - j - 1] = np.linalg.solve(v[j].T, acc.T).T
         vk = acvf.gamma(0).copy()

@@ -13,7 +13,15 @@ import numpy as np
 
 from .errors import InsufficientDataError, RankDeficiencyError, SelectionError
 from .fpca import EigenSystem, eigensystem, scores
-from .multivar import _check_rows, _covariate_block, _guarded_solve, _lag_rows, fit_var_ols
+from .multivar import (
+    PIVOT_RTOL,
+    _check_rows,
+    _covariate_block,
+    _guarded_solve,
+    _is_singular,
+    _lag_rows,
+    fit_var_ols,
+)
 
 
 def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float) -> float:
@@ -103,13 +111,15 @@ class FfpeTable:
 def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     """Sweep the criterion over p = 0..p_max and d = 1..d_max.
 
-    The eigensystem is computed once at d_max and sliced per cell.  Each p
-    forms X'X, X'Y and Y'Y once at d_max; each d solves an index submatrix
-    and takes tr(Y'Y) - sum(beta * X'Y) over the direct fit's divisor.
-    Order-zero VAR cells, whose criterion is constant in d up to rounding,
-    call :func:`fit_var_ols`.  Unfittable cells (too few observations, or
-    a rank-deficient design) get a status instead of aborting the sweep.
-    Ties in the criterion prefer smaller d, then smaller p.
+    The eigensystem is computed once at d_max, or at min(n - 1, T) when
+    d_max exceeds it, and sliced per cell.  Each p forms X'X, X'Y and Y'Y
+    once at that width; each d solves an index submatrix and takes
+    tr(Y'Y) - sum(beta * X'Y) over the direct fit's divisor.  Order-zero
+    VAR cells, whose criterion is constant in d up to rounding, call
+    :func:`fit_var_ols`.  Unfittable cells (d above min(n - 1, T), too few
+    observations, or a rank-deficient design) get a status instead of
+    aborting the sweep.  Ties in the criterion prefer smaller d, then
+    smaller p.
 
     Parameters
     ----------
@@ -128,7 +138,8 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     if p_max < 0 or d_max < 1:
         raise ValueError(f"need p_max >= 0 and d_max >= 1, got {p_max}, {d_max}")
     n = data.n
-    eig = eigensystem(data, d_max)
+    ceiling = min(n - 1, data.T)
+    eig = eigensystem(data, min(d_max, ceiling))
     smat = scores(data, eig).scores
     c = smat - smat.mean(axis=0)
     r = extra = None
@@ -140,22 +151,26 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
         start = p if r is None else max(p, 1)
         x = _lag_rows(c, p, start, extra)
         y = c[start:]
-        moments.append((start, x.T @ x, x.T @ y, np.einsum("ij,ij->j", y, y)))
+        xx = x.T @ x
+        # Each cell solves a principal submatrix of the positive semidefinite xx;
+        # by eigenvalue interlacing its condition number is at most xx's, so an
+        # xx passing the pivot test with a factor 2 to spare passes it in every cell.
+        guard = bool(xx.size) and _is_singular(xx, 2 * PIVOT_RTOL)
+        moments.append((start, xx, x.T @ y, np.einsum("ij,ij->j", y, y), guard))
     cells = []
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
         for p in range(0, p_max + 1):
-            if n <= p * d + (r or 0):
-                cells.append(
-                    FfpeCell(p, d, math.nan, math.nan, math.nan, "invalid", f"n={n} <= p*d+r")
-                )
+            if d > eig.d or n <= p * d + (r or 0):
+                why = f"d={d} > min(n - 1, T)={ceiling}" if d > eig.d else f"n={n} <= p*d+r"
+                cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, "invalid", why))
                 continue
             try:
                 if r is None and p == 0:
                     trace = float(fit_var_ols(smat[:, :d], 0).sigma_z.trace())
                 else:
                     _check_rows(n, p, d, r)
-                    trace = _cell_trace(n, p, d, d_max, r, *moments[p])
+                    trace = _cell_trace(n, p, d, eig.d, r, *moments[p])
                 value = ffpe(n, p, d, trace, tail) if r is None else ffpex(n, p, d, r, trace, tail)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
@@ -171,14 +186,18 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig)
 
 
-def _cell_trace(n, p, d, d_max, r, start, xx, xy, yy):
-    """Innovation trace of the (p, d) fit from the d_max cross-products."""
+def _cell_trace(n, p, d, width, r, start, xx, xy, yy, guard):
+    """Innovation trace of the (p, d) fit from cross-products of the first width scores."""
     col = np.arange(xx.shape[0])
-    idx = col[(col % d_max < d) | (col >= p * d_max)]  # d components of each lag, all covariates
+    idx = col[(col % width < d) | (col >= p * width)]  # d components of each lag, all covariates
     rss = yy[:d].sum()
     if idx.size:
         rhs = xy[idx, :d]
-        context = f"{'VAR' if r is None else 'VARX'}({p}) design"
-        beta = _guarded_solve(xx[idx[:, None], idx], rhs, context=context)
+        gram = xx[idx[:, None], idx]
+        if guard:
+            context = f"{'VAR' if r is None else 'VARX'}({p}) design"
+            beta = _guarded_solve(gram, rhs, context=context)
+        else:
+            beta = np.linalg.solve(gram, rhs)
         rss -= np.vdot(beta, rhs)
     return max(float(rss), 0.0) / (n - start)  # an exact fit can round below zero

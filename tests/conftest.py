@@ -24,3 +24,17 @@ def noise_dataset():
         return FunctionalDataset(grid=Grid(T), values=rng.normal(size=(n, T)))
 
     return make
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.svd during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

@@ -5,19 +5,32 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    FunctionalDataset,
     Grid,
     IngestError,
+    InsufficientDataError,
     ProcessSpec,
     RunReport,
+    eigensystem,
+    fit_var_ols,
+    fit_varx_ols,
     ingest,
     load_numeric_csv,
     make_pm10_analog,
+    predict_var,
     run_benchmark,
     run_forecast_experiment,
     save_curves_csv,
+    scores,
     simulate,
 )
-from curvecast.experiments import THREADS_ENV, _rep_rng, _worker_count
+from curvecast.experiments import (
+    THREADS_ENV,
+    _eval_method_fixed,
+    _rep_rng,
+    _source_factory,
+    _worker_count,
+)
 
 SPEC_PAYLOAD = {
     "kind": "far",
@@ -341,3 +354,73 @@ def test_pm10_preset_removes_its_temporary_directory(tmp_path, monkeypatch):
     report = run_benchmark("pm10-analog", seed=4, n_days=42, eval_days=5, p_max=1, d_max=2)
     assert len(report.replications[0]["errors"]["covariate"]) == 5
     assert list(tmp_path.iterdir()) == []
+
+
+def covariate_far1(n):
+    return _source_factory({"type": "covariate-far1"})(np.random.default_rng(4), n, Grid(32))
+
+
+def per_step_errors(data, rmat, m, h, name, p, d):
+    """Out-of-sample errors from one predict_var call per origin, the batched path's oracle."""
+    eig = eigensystem(FunctionalDataset(grid=data.grid, values=data.values[:m]), d)
+    s_all = scores(data, eig).scores
+    if name == "scalar":
+        models = [fit_var_ols(s_all[:m, j : j + 1], p) for j in range(d)]
+    elif name == "covariate":
+        model = fit_varx_ols(s_all[:m], rmat[:m], p)
+    else:
+        model = fit_var_ols(s_all[:m], p)
+    errors = []
+    for t in range(m, data.n):
+        hist = s_all[max(0, t - h - max(p, 1) + 1) : t - h + 1]
+        if name == "scalar":
+            pred = np.array(
+                [predict_var(mod, hist[:, j : j + 1], h)[0] for j, mod in enumerate(models)]
+            )
+        elif name == "covariate":
+            pred = predict_var(model, hist, 1, covariate=rmat[t - 1])
+        else:
+            pred = predict_var(model, hist, h)
+        diff = data.values[t] - (eig.mean + pred @ eig.eigenfunctions)
+        errors.append(float(diff @ diff) / data.T)
+    return errors
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [("fixed-var", 1), ("fixed-var", 2), ("scalar", 1), ("scalar", 2), ("covariate", 1)],
+)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_batched_errors_match_per_step_predictions(name, h, p):
+    data, rmat = covariate_far1(160)
+    out = _eval_method_fixed(data, rmat, 120, h, {"name": name, "p": p, "d": 3})
+    want = per_step_errors(data, rmat, 120, h, name, p, 3)
+    np.testing.assert_allclose(out["errors"], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_batched_benchmark_errors_match_per_step_predictions(p):
+    data, _ = covariate_far1(160)
+    T = data.T
+    blocks = np.hstack([data.values[p - 1 - j : 120 - j] for j in range(p)])
+    train = FunctionalDataset(grid=Grid(p * T), values=blocks)
+    eig = eigensystem(train, 3)
+    s_tr = scores(train, eig).scores
+    op = (s_tr[1:].T @ s_tr[:-1] / (s_tr.shape[0] - 1)) / eig.eigenvalues[None, :]
+    want = []
+    for t in range(120, data.n):
+        x = np.concatenate([data.values[t - 1 - j] for j in range(p)])
+        pred = op @ ((x - eig.mean) @ eig.eigenfunctions.T / (p * T))
+        diff = data.values[t] - (eig.mean + pred @ eig.eigenfunctions)[:T]
+        want.append(float(diff @ diff) / T)
+    out = _eval_method_fixed(data, None, 120, 1, {"name": "bosq", "p": p, "d": 3})
+    np.testing.assert_allclose(out["errors"], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("h, p, rows", [(5, 2, 1), (13, 1, 0)])
+def test_batched_errors_keep_the_short_history_error(h, p, rows):
+    # the first origin, h steps before curve 5, holds 5 - h + 1 rows of history; a
+    # horizon beyond the training set must not wrap around to the last rows
+    data, _ = covariate_far1(12)
+    with pytest.raises(InsufficientDataError, match=f"p={p} history rows, got {rows}"):
+        _eval_method_fixed(data, None, 5, h, {"name": "fixed-var", "p": p, "d": 1})

@@ -226,6 +226,21 @@ def test_innovations_degenerate_acvf():
     assert info.value.step == 0
 
 
+def test_innovations_guards_each_covariance_once(svd_calls):
+    acvf, _ = stable_var1_acvf(2, seed=4)
+    innovations(acvf, 6)
+    assert svd_calls == [(2, 2)] * 6  # V_0..V_5; V_6 is never inverted
+
+
+def test_innovations_singular_covariance_reports_its_step():
+    # gamma(1) = gamma(0) makes V_1 = 0, first inverted in the second row
+    gammas = np.ones((3, 1, 1))
+    assert innovations(AcvfSequence(gammas=gammas), 1).v[1][0, 0] == 0.0
+    with pytest.raises(NumericalDegeneracyError) as info:
+        innovations(AcvfSequence(gammas=gammas), 2)
+    assert info.value.step == 1
+
+
 def test_innovations_lag_guard():
     acvf, _ = stable_var1_acvf(2, seed=7, max_lag=2)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import curvecast.selection
 from curvecast import (
     IngestError,
     InsufficientDataError,
@@ -179,3 +180,45 @@ def test_sweep_rejects_non_finite_covariates(make_far1):
     rmat[11, 1] = np.nan
     with pytest.raises(IngestError, match="row 11, column 1"):
         select_pd(data, 2, 3, covariate_scores=rmat)
+
+
+def cell_fields(cell):
+    return cell.p, cell.d, cell.status, cell.message, repr(cell.trace), repr(cell.value)
+
+
+@pytest.mark.parametrize("with_covariates", [False, True])
+@pytest.mark.parametrize(
+    "n, d_max, full_gram_passes", [(200, 3, True), (200, 6, False), (25, 8, False)]
+)
+def test_one_guard_per_order_matches_per_cell_guards(
+    monkeypatch, svd_calls, make_far1, with_covariates, n, d_max, full_gram_passes
+):
+    p_max = 3
+    data = make_far1(n=n, T=48, seed=n + p_max)
+    rmat = np.random.default_rng(n).normal(size=(n, 2)) if with_covariates else None
+    table = select_pd(data, p_max, d_max, covariate_scores=rmat)
+    guards = len(svd_calls)
+    # a failed full-Gram test sends every cell through _guarded_solve
+    monkeypatch.setattr(curvecast.selection, "_is_singular", lambda gram, rtol: True)
+    reference = select_pd(data, p_max, d_max, covariate_scores=rmat)
+    assert [cell_fields(c) for c in table.cells] == [cell_fields(c) for c in reference.cells]
+    assert table.best == reference.best
+    orders_with_gram = p_max + (rmat is not None)  # a VAR(0) cell has no design
+    if full_gram_passes:
+        assert guards == orders_with_gram
+    else:
+        assert guards > orders_with_gram
+
+
+def test_d_max_above_ceiling_marks_cells_invalid(make_far1):
+    data = make_far1(n=6, T=48, seed=1)
+    table = select_pd(data, 1, 10)
+    capped = select_pd(data, 1, 5)
+    assert table.eig.d == 5
+    high = [c for c in table.cells if c.d > 5]
+    assert len(high) == 10
+    for cell in high:
+        assert cell.status == "invalid" and "min(n - 1, T)=5" in cell.message
+    low = [cell_fields(c) for c in table.cells if c.d <= 5]
+    assert low == [cell_fields(c) for c in capped.cells]
+    assert table.best == capped.best

@@ -53,6 +53,14 @@ def test_spectral_norm_matches_numpy():
         assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_norm_rejects_non_finite(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norm(a)
+
+
 def test_random_operator_unit_norm_and_deterministic():
     sig = sigma_scheme("s1", 8)
     a = random_operator(8, sig, np.random.default_rng(5))
@@ -100,6 +108,50 @@ def test_simulate_shape_and_determinism():
     b = simulate(spec, 50, Grid(32), np.random.default_rng(3))
     assert a.values.shape == (50, 32)
     assert np.array_equal(a.values, b.values)
+
+
+def loop_simulate(spec, n, grid, rng):
+    """Curve values from the per-step recursion simulate replaced, kept as its oracle."""
+    basis = make_fourier_basis(spec.D, grid)
+    p = spec.p
+    ma_lags = sorted(spec.ma)
+    q = max(ma_lags) if ma_lags else 0
+    steps = spec.burn_in + n
+    noise = rng.normal(size=(steps + q, spec.D)) * spec.sigma
+    coeffs = np.zeros((steps + p, spec.D))
+    for k in range(steps):
+        c = noise[k + q].copy()
+        for j, psi in enumerate(spec.ar, start=1):
+            c += psi @ coeffs[k + p - j]
+        for lag in ma_lags:
+            c += spec.ma[lag] @ noise[k + q - lag]
+        coeffs[k + p] = c
+    return coeffs[p + spec.burn_in :] @ basis.values
+
+
+@pytest.mark.parametrize(
+    "ar, ma",
+    [
+        ((0.0, 0.8), {}),  # zero operator at lag 1
+        ((0.8, 0.0), {}),  # zero operator at lag 2
+        ((0.4, 0.4), {}),
+        ((), {2: 0.8}),
+        ((0.1,), {1: 0.1, 2: 0.9}),
+        ((0.5,), {1: 0.0, 2: 0.9}),  # zero moving-average operator
+    ],
+)
+def test_simulate_bitwise_equals_per_step_recursion(ar, ma):
+    D = 7
+    sig = sigma_scheme("s1", D)
+    psi = random_operator(D, sig, np.random.default_rng(3))
+    kind = "farma" if ar and ma else ("far" if ar else "fma")
+    spec = ProcessSpec(
+        kind=kind, D=D, sigma=sig, ar=tuple(k * psi for k in ar),
+        ma={lag: s * psi for lag, s in ma.items()}, burn_in=60,
+    )
+    got = simulate(spec, 150, Grid(64), np.random.default_rng(9)).values
+    want = loop_simulate(spec, 150, Grid(64), np.random.default_rng(9))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_burn_in_changes_draws():
