@@ -7,22 +7,18 @@ import sys
 import numpy as np
 
 from .bands import prediction_band, rolling_residuals
-from .curves import Grid, load_curves_csv, save_curves_csv
+from .curves import Grid, load_curves_csv, load_numeric_csv, save_curves_csv
 from .errors import CurvecastError
-from .experiments import PRESETS, load_numeric_csv, run_benchmark
-from .forecast import (
-    bosq_predict,
-    bosq_predict_state_space,
-    predict_fts,
-    predict_with_covariates,
-    scalar_predict,
-)
-from .fpca import pve_dimension
+from .experiments import PRESETS, run_benchmark
+from .forecast import _forecast
 from .ingest import ingest
 from .selection import select_pd
 from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
 
 CANONICAL_THETAS = {"fma": [0.0, 0.8], "farma": [0.1, 0.9]}
+# forecast --method choices in the method vocabulary of run_forecast_experiment
+_FORECAST_METHODS = {"vector": "fixed-var", "bosq": "bosq", "scalar": "scalar",
+                    "covariate": "covariate"}
 
 
 def _sigma_vector(name: str, D: int) -> np.ndarray:
@@ -104,31 +100,10 @@ def _cmd_select(args) -> int:
 
 def _cmd_forecast(args) -> int:
     data = load_curves_csv(args.input)
-    fixed = args.p is not None and args.d is not None
-    auto = args.pmax is not None and args.dmax is not None
-    if args.method == "vector":
-        if fixed == auto:
-            raise ValueError("pass exactly one of (--p, --d) or (--pmax, --dmax)")
-        kw = {"p": args.p, "d": args.d} if fixed else {"p_max": args.pmax, "d_max": args.dmax}
-        res = predict_fts(data, h=args.horizon, **kw)
-    elif args.method == "bosq":
-        d = args.d if args.d is not None else pve_dimension(data, args.pve)
-        p = args.p if args.p is not None else 1
-        if args.horizon != 1:
-            raise ValueError("the first-order benchmark predicts one step only")
-        res = bosq_predict(data, d) if p == 1 else bosq_predict_state_space(data, d, p)
-    elif args.method == "scalar":
-        if args.p is None or args.d is None:
-            raise ValueError("scalar forecasting needs --p and --d")
-        res = scalar_predict(data, args.d, args.p, h=args.horizon)
-    else:
-        if not args.covariates:
-            raise ValueError("covariate forecasting needs --covariates")
-        if fixed == auto:
-            raise ValueError("pass exactly one of (--p, --d) or (--pmax, --dmax)")
-        rmat = load_numeric_csv(args.covariates)
-        kw = {"p": args.p, "d": args.d} if fixed else {"p_max": args.pmax, "d_max": args.dmax}
-        res = predict_with_covariates(data, rmat, h=args.horizon, **kw)
+    rmat = load_numeric_csv(args.covariates) if args.covariates else None
+    method = {"name": _FORECAST_METHODS[args.method], "p": args.p, "d": args.d,
+              "p_max": args.pmax, "d_max": args.dmax, "pve": args.pve}
+    res = _forecast(data, method, rmat, args.horizon)
     payload = res.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -222,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fc = sub.add_parser("forecast", help="predict the next curve from a curves CSV")
     fc.add_argument("--input", required=True)
-    fc.add_argument("--method", choices=["vector", "bosq", "scalar", "covariate"],
-                    default="vector")
+    fc.add_argument("--method", choices=list(_FORECAST_METHODS), default="vector")
     fc.add_argument("--p", type=int)
     fc.add_argument("--d", type=int)
     fc.add_argument("--pmax", type=int)

@@ -145,9 +145,20 @@ def load_curves_csv(path) -> FunctionalDataset:
     return FunctionalDataset(grid=Grid(values.shape[1]), values=values)
 
 
+def load_numeric_csv(path) -> np.ndarray:
+    """Read a plain numeric matrix CSV, skipping one header row if present.
+
+    Empty files, ragged rows and blank, NA, non-finite or non-numeric cells
+    raise IngestError; rows and columns count from 1 below the header.
+    """
+    return _read_numeric_matrix(path)
+
+
+# load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
 def _read_numeric_matrix(path) -> np.ndarray:
-    """Finite numbers below an optional header; errors count rows from 1 after it."""
-    rows = _read_numeric_rows(path)
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if row]
+    rows = _parse_rows(raw[1:] if raw and _text_column(raw[0]) else raw, path)
     if not rows:
         raise IngestError(f"{path}: no data rows found")
     widths = {len(r) for r in rows}
@@ -161,27 +172,26 @@ def _read_numeric_matrix(path) -> np.ndarray:
     return values
 
 
-def _read_numeric_rows(path):
-    with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
-    if not raw:
-        return []
-    if _looks_like_header(raw[0]):
-        raw = raw[1:]
+def _parse_rows(rows, path) -> list:
+    """Each row's cells as floats, missing markers as nan; rows count from 1."""
     out = []
-    for row in raw:
-        out.append([_parse_cell(c) for c in row])
+    for i, row in enumerate(rows, start=1):
+        try:
+            out.append([_parse_cell(c) for c in row])
+        except ValueError:
+            column = _text_column(row)
+            raise IngestError(f"{path}: row {i}, column {column} is non-numeric") from None
     return out
 
 
-def _looks_like_header(row) -> bool:
-    """True when some cell is neither a number nor a missing-value marker."""
-    try:
-        for cell in row:
+def _text_column(row):
+    """1-based column of the first cell neither a number nor a missing marker, else None."""
+    for j, cell in enumerate(row, start=1):
+        try:
             _parse_cell(cell)
-    except ValueError:
-        return True
-    return False
+        except ValueError:
+            return j
+    return None
 
 
 def _parse_cell(cell: str) -> float:

@@ -24,24 +24,13 @@ from .bands import prediction_band, rolling_residuals
 from .curves import (
     FunctionalDataset,
     Grid,
-    _read_numeric_matrix,
     load_curves_csv,
+    load_numeric_csv,
     make_fourier_basis,
     synthesize,
 )
-from .errors import InsufficientDataError
-from .forecast import (
-    EIGENVALUE_RTOL,
-    equivalence_gap,
-    predict_fts,
-    predict_with_covariates,
-    bosq_predict,
-    bosq_predict_state_space,
-    scalar_predict,
-)
-from .fpca import eigensystem, pve_dimension, scores
+from .forecast import _fit, _predict, equivalence_gap, predict_fts
 from .ingest import ingest
-from .multivar import fit_var_ols, fit_varx_ols
 from .selection import select_pd
 from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
 
@@ -110,28 +99,17 @@ class RunReport:
         )
 
 
-def _slice(data: FunctionalDataset, upto: int) -> FunctionalDataset:
-    return FunctionalDataset(grid=data.grid, values=data.values[:upto])
-
-
 def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
     """Squared errors of curves against data rows m..n-1, one per row."""
     diff = data.values[m:] - curves
     return (np.einsum("ij,ij->i", diff, diff) / data.T).tolist()
 
 
-def _rolling_var_predict(s_all, coeffs, mean, m, h):
-    """Predictions of score rows m..n-1 from the rows h steps back, as predict_var makes them."""
-    c = s_all - mean
-    n, p = c.shape[0], len(coeffs)
-    if m - h + 1 < p:
-        raise InsufficientDataError(f"need at least p={p} history rows, got {max(m - h + 1, 0)}")
-    lags = [c[m - h - j : n - h - j] for j in range(p)]  # lags[j] holds lag j + 1 of every origin
-    pred = np.zeros((n - m, c.shape[1]))
-    for _ in range(h):
-        pred = sum((lag @ phi.T for lag, phi in zip(lags, coeffs)), np.zeros_like(pred))
-        lags = [pred] + lags[:-1]
-    return pred + mean
+def _report(command: str, config: dict, count: int, worker, start: float) -> RunReport:
+    """Run worker over count replications into a report timed from start, aggregates empty."""
+    records = _run_replications(count, worker)
+    return RunReport(command=command, config=config, replications=records, aggregates={},
+                     frequencies={}, wall_clock=time.perf_counter() - start)
 
 
 def _resolve_train(train, n: int) -> int:
@@ -246,122 +224,26 @@ def _coupled_far1_coeffs(
     return coeffs[1 + burn_in :], rvals[1 + burn_in :]
 
 
-def load_numeric_csv(path) -> np.ndarray:
-    """Read a plain numeric matrix CSV, skipping one header row if present.
-
-    Empty files, ragged rows and blank, NA or non-finite cells raise IngestError.
-    """
-    return _read_numeric_matrix(path)
-
-
 # ---------------------------------------------------------------------------
 # per-method evaluation
 
 
 def _eval_method_fixed(data, rmat, m, h, method):
     """Fit once on the first m curves, then predict every later curve from that fit."""
-    name = method["name"]
-    train = _slice(data, m)
-    if name in ("ffpe-var", "fixed-var", "covariate"):
-        cov = None
-        if name == "covariate":
-            if h != 1:
-                raise ValueError("covariate prediction is defined for h = 1 only")
-            if rmat is None:
-                raise ValueError("source provides no covariates for the covariate method")
-            cov = rmat[:m]
-        table = None
-        if name == "ffpe-var" or (cov is not None and "p_max" in method):
-            table = select_pd(train, method["p_max"], method["d_max"], covariate_scores=cov)
-            p, d = table.best
-        else:
-            p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d) if table is None else table.eig.truncate(d)
-        s_all = scores(data, eig).scores
-        model = fit_var_ols(s_all[:m], p) if cov is None else fit_varx_ols(s_all[:m], cov, p)
-        pred = _rolling_var_predict(s_all, model.coeffs, model.mean, m, h)
-        if cov is not None:
-            pred += (rmat[m - 1 : data.n - 1] - model.covariate_mean) @ model.theta.T
-        return {
-            "errors": _sq_errs(data, m, eig.mean + pred @ eig.eigenfunctions),
-            "selected": {"p": p, "d": d},
-            "criterion": None if table is None else table.best_cell().value,
-        }
-    if name == "scalar":
-        p, d = int(method["p"]), int(method["d"])
-        eig = eigensystem(train, d)
-        s_all = scores(data, eig).scores
-        models = [fit_var_ols(s_all[:m, j : j + 1], p) for j in range(d)]
-        # d univariate recursions run as one VAR with diagonal coefficients
-        coeffs = [np.diag([mod.coeffs[j][0, 0] for mod in models]) for j in range(p)]
-        mean = np.array([mod.mean[0] for mod in models])
-        pred = _rolling_var_predict(s_all, coeffs, mean, m, h)
-        errors = _sq_errs(data, m, eig.mean + pred @ eig.eigenfunctions)
-        return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": None}
-    if name == "bosq":
-        if h != 1:
-            raise ValueError("the first-order benchmark predicts one step only")
-        p = int(method.get("p", 1))
-        d = method.get("d")
-        d = int(d) if d is not None else pve_dimension(train, float(method.get("pve", 0.8)))
-        return _eval_bosq_fixed(data, m, p, d)
-    raise ValueError(f"unknown method {name!r}")
-
-
-def _eval_bosq_fixed(data, m, p, d):
-    """Benchmark on blocks of p consecutive curves, fitted on the first m curves."""
-    n, T = data.n, data.T
-    big = Grid(p * T)
-    stacked_train = FunctionalDataset(
-        grid=big, values=np.hstack([data.values[p - 1 - j : m - j] for j in range(p)])
-    )
-    eig = eigensystem(stacked_train, d)
-    lams = eig.eigenvalues
-    if lams[-1] <= EIGENVALUE_RTOL * lams[0]:
-        raise ValueError(f"benchmark dimension d={d} hits a negligible eigenvalue")
-    s_tr = scores(stacked_train, eig).scores
-    op = (s_tr[1:].T @ s_tr[:-1] / (s_tr.shape[0] - 1)) / lams[None, :]
-    x = np.hstack([data.values[m - 1 - j : n - 1 - j] for j in range(p)])
-    pred = (x - eig.mean) @ eig.eigenfunctions.T / (p * T) @ op.T
-    errors = _sq_errs(data, m, (eig.mean + pred @ eig.eigenfunctions)[:, :T])
-    return {"errors": errors, "selected": {"p": p, "d": d}, "criterion": None}
+    fit = _fit(data, m, method, rmat, h)
+    _, curves = _predict(fit, np.arange(m - h, data.n - h), h)
+    return {"errors": _sq_errs(data, m, curves), "selected": {"p": fit.p, "d": fit.d},
+            "criterion": fit.criterion}
 
 
 def _eval_method_expanding(data, rmat, m, h, method):
     """Refit everything on all data before each evaluation index."""
-    name = method["name"]
     curves = []
-    selected = None
-    for t in range(m, data.n):
-        cut = t - h + 1
-        sub = _slice(data, cut)
-        if name == "ffpe-var":
-            res = predict_fts(sub, h=h, p_max=method["p_max"], d_max=method["d_max"])
-        elif name == "fixed-var":
-            res = predict_fts(sub, h=h, p=int(method["p"]), d=int(method["d"]))
-        elif name == "scalar":
-            res = scalar_predict(sub, int(method["d"]), int(method["p"]), h=h)
-        elif name == "bosq":
-            if h != 1:
-                raise ValueError("the first-order benchmark predicts one step only")
-            p = int(method.get("p", 1))
-            d = method.get("d")
-            d = int(d) if d is not None else pve_dimension(sub, float(method.get("pve", 0.8)))
-            res = bosq_predict(sub, d) if p == 1 else bosq_predict_state_space(sub, d, p)
-        elif name == "covariate":
-            if rmat is None:
-                raise ValueError("source provides no covariates for the covariate method")
-            kw = (
-                {"p_max": method["p_max"], "d_max": method["d_max"]}
-                if "p_max" in method
-                else {"p": int(method["p"]), "d": int(method["d"])}
-            )
-            res = predict_with_covariates(sub, rmat[:cut], h=h, **kw)
-        else:
-            raise ValueError(f"unknown method {name!r}")
-        selected = {"p": res.p, "d": res.d}
-        curves.append(res.curve)
-    return {"errors": _sq_errs(data, m, np.array(curves)), "selected": selected, "criterion": None}
+    for end in range(m - h, data.n - h):
+        fit = _fit(data, end + 1, method, rmat, h)
+        curves.append(_predict(fit, [end], h)[1][0])
+    return {"errors": _sq_errs(data, m, np.array(curves)), "selected": {"p": fit.p, "d": fit.d},
+            "criterion": None}
 
 
 def _method_key(method: dict) -> str:
@@ -422,16 +304,9 @@ def run_forecast_experiment(config: dict) -> RunReport:
                 rec.setdefault("criterion", {})[key] = out["criterion"]
         return rec
 
-    records = _run_replications(reps, worker)
-    aggregates, frequencies = _aggregate(records, keys)
-    return RunReport(
-        command="run_forecast_experiment",
-        config=echo,
-        replications=records,
-        aggregates=aggregates,
-        frequencies=frequencies,
-        wall_clock=time.perf_counter() - start,
-    )
+    report = _report("run_forecast_experiment", echo, reps, worker, start)
+    report.aggregates, report.frequencies = _aggregate(report.replications, keys)
+    return report
 
 
 def _aggregate(records, keys):
@@ -580,14 +455,11 @@ def _order_selection_preset(reps=None, seed=None, kappa=(0.8, 0.0), sigma="s1", 
             "selected": {"ffpe-var": {"p": table.p_best, "d": table.d_best}},
         }
 
-    records = _run_replications(reps, worker)
-    _, frequencies = _aggregate(records, ["ffpe-var"])
     config = {"kappa": list(kappa), "sigma": sigma, "n": n, "D": D, "grid_T": grid_T,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": reps}
-    return RunReport(
-        command="benchmark:order-selection", config=config, replications=records,
-        aggregates={}, frequencies=frequencies, wall_clock=time.perf_counter() - start,
-    )
+    report = _report("benchmark:order-selection", config, reps, worker, start)
+    _, report.frequencies = _aggregate(report.replications, ["ffpe-var"])
+    return report
 
 
 def _far2_table_preset(reps=None, seed=None, kappa=(0.8, 0.0), sigma="s1", n=1000,
@@ -654,17 +526,15 @@ def _equivalence_rate_preset(reps=None, seed=None, ns=(100, 200, 400, 800), d=3,
         return {"idx": idx, "seed": [seed, idx], "n": n, "errors": {"gap": [gap]},
                 "selected": {}}
 
-    records = _run_replications(reps * len(ns), worker)
+    config = {"ns": ns, "d": d, "grid_T": grid_T, "seed": seed, "reps": reps}
+    report = _report("benchmark:equivalence-rate", config, reps * len(ns), worker, start)
+    records = report.replications
     medians = {}
     for j, n in enumerate(ns):
         gaps = [rec["errors"]["gap"][0] for rec in records[j * reps : (j + 1) * reps]]
         medians[str(n)] = float(np.median(gaps))
-    config = {"ns": ns, "d": d, "grid_T": grid_T, "seed": seed, "reps": reps}
-    return RunReport(
-        command="benchmark:equivalence-rate", config=config, replications=records,
-        aggregates={"median_gap": medians}, frequencies={},
-        wall_clock=time.perf_counter() - start,
-    )
+    report.aggregates["median_gap"] = medians
+    return report
 
 
 def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
@@ -679,7 +549,7 @@ def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
     def worker(idx):
         rng = _rep_rng(seed, idx)
         full = simulate(spec, n + 1, grid, rng)
-        fit = _slice(full, n)
+        fit = FunctionalDataset(grid=grid, values=full.values[:n])
         resid = rolling_residuals(fit, d, p, L)
         band = prediction_band(resid, alpha)
         fc = predict_fts(fit, p=p, d=d)
@@ -693,16 +563,15 @@ def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
             "in_sample_coverage": float(np.mean(inside)),
         }
 
-    records = _run_replications(reps, worker)
-    coverage = float(np.mean([rec["errors"]["bands"][0] for rec in records]))
-    in_sample = float(min(rec["in_sample_coverage"] for rec in records))
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
-    return RunReport(
-        command="benchmark:bands-coverage", config=config, replications=records,
-        aggregates={"coverage": coverage, "min_in_sample_coverage": in_sample},
-        frequencies={}, wall_clock=time.perf_counter() - start,
-    )
+    report = _report("benchmark:bands-coverage", config, reps, worker, start)
+    records = report.replications
+    report.aggregates = {
+        "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),
+        "min_in_sample_coverage": float(min(rec["in_sample_coverage"] for rec in records)),
+    }
+    return report
 
 
 def _covariate_gain_preset(reps=None, seed=None, n=300, train=250, grid_T=64, p=1, d=3):

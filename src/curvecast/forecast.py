@@ -11,9 +11,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import IllConditionedError, InsufficientDataError
-from .fpca import EigenSystem, ScoreMatrix, eigensystem, pve_dimension, reconstruct, scores
-from .multivar import fit_var_ols, fit_varx_ols, predict_var, sample_acvf, solve_blp_with_covariates
+from .errors import DimensionMismatchError, IllConditionedError, InsufficientDataError
+from .fpca import EigenSystem, eigensystem, pve_dimension, scores
+from .multivar import (
+    AcvfSequence,
+    VarModel,
+    _covariate_block,
+    fit_var_ols,
+    fit_varx_ols,
+    predict_var,
+    sample_acvf,
+    solve_blp_with_covariates,
+)
 from .selection import select_pd
 
 EIGENVALUE_RTOL = 1e-12
@@ -69,12 +78,7 @@ def var_score_forecast(score_rows, p: int, h: int = 1) -> np.ndarray:
 def scalar_score_forecast(score_rows, p: int, h: int = 1) -> np.ndarray:
     """Predict each score column with its own univariate AR(p)."""
     s = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    out = np.empty(s.shape[1])
-    for j in range(s.shape[1]):
-        col = s[:, j : j + 1]
-        model = fit_var_ols(col, p)
-        out[j] = predict_var(model, col[-max(p, 1) :], h)[0]
-    return out
+    return predict_var(_scalar_var(s, p), s[-max(p, 1) :], h)
 
 
 def bosq_score_forecast(score_rows, eigenvalues) -> np.ndarray:
@@ -84,19 +88,7 @@ def bosq_score_forecast(score_rows, eigenvalues) -> np.ndarray:
     / lambda_l in score coordinates to the last observation.
     """
     s = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    lams = np.asarray(eigenvalues, dtype=float)
-    if s.shape[1] != lams.shape[0]:
-        raise ValueError(f"{s.shape[1]} score columns but {lams.shape[0]} eigenvalues")
-    if s.shape[0] < 2:
-        raise InsufficientDataError("need at least two score rows")
-    if lams[-1] <= EIGENVALUE_RTOL * lams[0]:
-        raise IllConditionedError(
-            f"eigenvalue {lams.shape[0]} is below {EIGENVALUE_RTOL} of the leading one; "
-            "reduce d"
-        )
-    n = s.shape[0]
-    lag_cov = s[1:].T @ s[:-1] / (n - 1)
-    return (lag_cov / lams[None, :]) @ s[-1]
+    return predict_var(_bosq_var(s, np.asarray(eigenvalues, dtype=float)), s[-1:])
 
 
 def varx_score_forecast(score_rows, covariate_rows, p: int) -> np.ndarray:
@@ -107,11 +99,173 @@ def varx_score_forecast(score_rows, covariate_rows, p: int) -> np.ndarray:
     return predict_var(model, s[-max(p, 1) :], 1, covariate=r[-1])
 
 
-def _finish(eig: EigenSystem, pred_scores: np.ndarray, method: str, p: int) -> ForecastResult:
-    curve = reconstruct(ScoreMatrix(scores=pred_scores[None, :]), eig).values[0]
-    return ForecastResult(
-        method=method, p=p, d=eig.d, scores=pred_scores, curve=curve, grid=eig.grid
-    )
+def _scalar_var(s: np.ndarray, p: int) -> VarModel:
+    """d univariate AR(p) fits, one per score column, as one VAR with diagonal coefficients."""
+    fits = [fit_var_ols(s[:, j : j + 1], p) for j in range(s.shape[1])]
+    coeffs = tuple(np.diag([f.coeffs[i][0, 0] for f in fits]) for i in range(p))
+    sigma = np.diag([f.sigma_z[0, 0] for f in fits])
+    return VarModel(p=p, coeffs=coeffs, sigma_z=sigma, mean=np.array([f.mean[0] for f in fits]))
+
+
+def _bosq_var(s: np.ndarray, lams: np.ndarray) -> VarModel:
+    """The benchmark's eigenvalue-weighted lag-1 operator as a VAR(1) on uncentred scores."""
+    if s.shape[1] != lams.shape[0]:
+        raise ValueError(f"{s.shape[1]} score columns but {lams.shape[0]} eigenvalues")
+    if s.shape[0] < 2:
+        raise InsufficientDataError("need at least two score rows")
+    if lams[-1] <= EIGENVALUE_RTOL * lams[0]:
+        raise IllConditionedError(
+            f"eigenvalue {lams.shape[0]} is below {EIGENVALUE_RTOL} of the leading one; "
+            "reduce d"
+        )
+    n = s.shape[0]
+    op = (s[1:].T @ s[:-1] / (n - 1)) / lams[None, :]
+    resid = s[1:] - s[:-1] @ op.T
+    return VarModel(p=1, coeffs=(op,), sigma_z=resid.T @ resid / (n - 1), mean=np.zeros(s.shape[1]))
+
+
+def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
+    """Best linear predictor from the last m score rows and covariate row, from sample moments."""
+    if m < 1:
+        raise ValueError("solver 'blp' needs p >= 1")
+    d = s.shape[1]
+    _covariate_block(rmat, s.shape[0])  # rejects non-finite covariates
+    # autocovariances of the joint sequence (Y, R): the Y block of lag k is Gamma_Y(k) and
+    # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block
+    joint = sample_acvf(np.hstack([s, rmat]), m)
+    acvf = AcvfSequence(gammas=joint.gammas[:, :d, :d], mean=joint.mean[:d])
+    cross = np.array([joint.gamma(1 - k)[:d, d:] for k in range(m + 1)])
+    phis, theta = solve_blp_with_covariates(acvf, cross, joint.gamma(0)[d:, d:], m)
+    # one-step error covariance Gamma(0) - C R' of the solved normal equations C B = R
+    sigma = acvf.gamma(0) - theta @ cross[0].T
+    sigma -= sum(phi @ acvf.gamma(i).T for i, phi in enumerate(phis, start=1))
+    return VarModel(p=m, coeffs=tuple(phis), sigma_z=sigma, mean=acvf.mean, theta=theta,
+                    covariate_mean=joint.mean[d:])
+
+
+# method name -> ForecastResult.method
+_METHODS = {"ffpe-var": "var", "fixed-var": "var", "scalar": "scalar", "bosq": "bosq",
+            "covariate": "covariate"}
+
+
+def _head(data: FunctionalDataset, m: int) -> FunctionalDataset:
+    """The first m curves of data; data itself when m = n, which saves a copy."""
+    return data if m == data.n else FunctionalDataset(grid=data.grid, values=data.values[:m])
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """A score model fitted on the first curves of a dataset, with every curve's scores."""
+
+    method: str
+    p: int
+    d: int
+    eig: EigenSystem
+    scores: np.ndarray
+    model: VarModel
+    covariates: np.ndarray = None
+    lag: int = 0  # the benchmark's score row i stacks curves i + lag down to i
+    criterion: float = None
+
+
+def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -> _Fit:
+    """Fit one method on the first m curves of data and project all n curves.
+
+    method holds a name (ffpe-var, fixed-var, scalar, bosq or covariate) and
+    p and d, or p_max and d_max to select both by the criterion; None counts
+    as absent.  Scalar needs p and d; the benchmark takes p (default 1) and d,
+    or pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
+    'blp' and needs rmat, one row per curve.  h is the horizon to predict at.
+    """
+    name = method["name"]
+    if name not in _METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
+    train = _head(data, m)
+    p, d = method.get("p"), method.get("d")
+    if name == "bosq":
+        p = 1 if p is None else int(p)
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+        if h != 1:
+            raise ValueError("the first-order benchmark predicts one step only")
+        d = int(d) if d is not None else pve_dimension(train, float(method.get("pve", 0.8)))
+        if m - p + 1 < 2:
+            raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
+        stacked = data
+        if p > 1:
+            blocks = np.hstack([data.values[p - 1 - j : data.n - j] for j in range(p)])
+            stacked = FunctionalDataset(grid=Grid(p * data.T), values=blocks)
+        eig = eigensystem(_head(stacked, m - p + 1), d)
+        s = scores(stacked, eig).scores
+        return _Fit("bosq", p, d, eig, s, _bosq_var(s[: m - p + 1], eig.eigenvalues), lag=p - 1)
+    cov = None
+    if name == "covariate":
+        if h != 1:
+            raise ValueError("covariate prediction is defined for h = 1 only")
+        solver = method.get("solver", "ols")
+        if solver not in ("ols", "blp"):
+            raise ValueError(f"solver must be 'ols' or 'blp', got {solver!r}")
+        if rmat is None:
+            raise ValueError("source provides no covariates for the covariate method")
+        if len(rmat) != data.n:
+            raise DimensionMismatchError(f"{len(rmat)} covariate rows for {data.n} curves")
+        cov = rmat[:m]
+    fixed = p is not None and d is not None
+    auto = method.get("p_max") is not None and method.get("d_max") is not None
+    if name == "scalar" and not fixed:
+        raise ValueError("scalar forecasting needs p and d")
+    if fixed == auto:
+        raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
+    table = select_pd(train, method["p_max"], method["d_max"], cov) if auto else None
+    p, d = table.best if auto else (int(p), int(d))
+    eig = table.eig.truncate(d) if auto else eigensystem(train, d)
+    s = scores(data, eig).scores
+    if name == "scalar":
+        model = _scalar_var(s[:m], p)
+    elif cov is None:
+        model = fit_var_ols(s[:m], p)
+    elif solver == "ols":
+        model = fit_varx_ols(s[:m], cov, p)
+    else:
+        model = _blp_var(s[:m], cov, p)
+    criterion = table.best_cell().value if auto else None
+    return _Fit(_METHODS[name], p, d, eig, s, model, rmat, criterion=criterion)
+
+
+def _predict(fit: _Fit, ends, h: int = 1):
+    """Scores and curves h steps after each curve index in ends, from the curves up to it.
+
+    One batched recursion serves every end; each row is what predict_var makes of its history.
+    """
+    model = fit.model
+    rows = np.asarray(ends) - fit.lag
+    c = fit.scores - model.mean
+    have = int(rows.min()) + 1
+    if have < model.p:
+        raise InsufficientDataError(f"need at least p={model.p} history rows, got {max(have, 0)}")
+    lags = [c[rows - j] for j in range(model.p)]  # lags[j] holds lag j + 1 of every end
+    pred = np.zeros((rows.size, c.shape[1]))
+    for _ in range(h):
+        pred = sum((lag @ phi.T for lag, phi in zip(lags, model.coeffs)), np.zeros_like(pred))
+        lags = [pred] + lags[:-1]
+    if model.theta is not None:
+        pred = pred + (fit.covariates[ends] - model.covariate_mean) @ model.theta.T
+    pred = pred + model.mean
+    curves = fit.eig.mean + pred @ fit.eig.eigenfunctions
+    return pred, curves[:, : fit.eig.grid.T // (fit.lag + 1)]
+
+
+def _result(fit: _Fit, h: int = 1) -> ForecastResult:
+    """The curve h steps past the last curve whose scores fit holds."""
+    pred, curves = _predict(fit, [fit.lag + len(fit.scores) - 1], h)
+    return ForecastResult(method=fit.method, p=fit.p, d=fit.d, scores=pred[0], curve=curves[0])
+
+
+def _forecast(data: FunctionalDataset, method: dict, rmat=None, h: int = 1) -> ForecastResult:
+    """Fit method on every curve of data and predict the curve h steps past the last."""
+    return _result(_fit(data, data.n, method, rmat, h), h)
 
 
 def predict_fts(
@@ -132,25 +286,13 @@ def predict_fts(
     ForecastResult
         The h-step-ahead curve prediction.
     """
-    fixed = p is not None and d is not None
-    auto = p_max is not None and d_max is not None
-    if fixed == auto:
-        raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
-    if auto:
-        table = select_pd(data, p_max, d_max)
-        p, d = table.best
-    eig = table.eig.truncate(d) if auto else eigensystem(data, d)
-    smat = scores(data, eig)
-    pred = var_score_forecast(smat.scores, p, h)
-    return _finish(eig, pred, "var", p)
+    method = {"name": "fixed-var", "p": p, "d": d, "p_max": p_max, "d_max": d_max}
+    return _forecast(data, method, h=h)
 
 
 def bosq_predict(data: FunctionalDataset, d: int) -> ForecastResult:
     """One-step prediction with the classical first-order benchmark."""
-    eig = eigensystem(data, d)
-    smat = scores(data, eig)
-    pred = bosq_score_forecast(smat.scores, eig.eigenvalues)
-    return _finish(eig, pred, "bosq", 1)
+    return bosq_predict_state_space(data, d, 1)
 
 
 def bosq_predict_state_space(data: FunctionalDataset, d: int, p: int) -> ForecastResult:
@@ -160,28 +302,12 @@ def bosq_predict_state_space(data: FunctionalDataset, d: int, p: int) -> Forecas
     first-order predictor there, and returns the leading block.  With
     p = 1 this is exactly :func:`bosq_predict`.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p == 1:
-        return bosq_predict(data, d)
-    n, T = data.n, data.T
-    if n - p + 1 < 3:
-        raise InsufficientDataError(f"n={n} too small for p={p} stacked blocks")
-    blocks = [data.values[p - 1 - j : n - j] for j in range(p)]
-    stacked = FunctionalDataset(grid=Grid(p * T), values=np.hstack(blocks))
-    eig = eigensystem(stacked, d)
-    smat = scores(stacked, eig)
-    pred = bosq_score_forecast(smat.scores, eig.eigenvalues)
-    curve = reconstruct(ScoreMatrix(scores=pred[None, :]), eig).values[0][:T]
-    return ForecastResult(method="bosq", p=p, d=d, scores=pred, curve=curve, grid=data.grid)
+    return _forecast(data, {"name": "bosq", "p": p, "d": d})
 
 
 def scalar_predict(data: FunctionalDataset, d: int, p: int, h: int = 1) -> ForecastResult:
     """Forecast with d decoupled univariate autoregressions on the scores."""
-    eig = eigensystem(data, d)
-    smat = scores(data, eig)
-    pred = scalar_score_forecast(smat.scores, p, h)
-    return _finish(eig, pred, "scalar", p)
+    return _forecast(data, {"name": "scalar", "p": p, "d": d}, h=h)
 
 
 def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
@@ -238,48 +364,10 @@ def predict_with_covariates(
     regression form; 'blp' solves the stacked covariance equations built
     from sample moments.
     """
-    if h != 1:
-        raise ValueError("covariate prediction is defined for h = 1 only")
-    if solver not in ("ols", "blp"):
-        raise ValueError(f"solver must be 'ols' or 'blp', got {solver!r}")
     rmat = covariate_matrix(covariates, data.n, dims=covariate_dims, pve=covariate_pve)
-    fixed = p is not None and d is not None
-    auto = p_max is not None and d_max is not None
-    if fixed == auto:
-        raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
-    if auto:
-        table = select_pd(data, p_max, d_max, covariate_scores=rmat)
-        p, d = table.best
-    eig = table.eig.truncate(d) if auto else eigensystem(data, d)
-    smat = scores(data, eig)
-    if solver == "ols":
-        pred = varx_score_forecast(smat.scores, rmat, p)
-    else:
-        if p < 1:
-            raise ValueError("solver 'blp' needs p >= 1")
-        pred = _blp_score_forecast(smat.scores, rmat, p)
-    return _finish(eig, pred, "covariate", p)
-
-
-def _blp_score_forecast(s: np.ndarray, rmat: np.ndarray, m: int) -> np.ndarray:
-    n = s.shape[0]
-    acvf = sample_acvf(s, m)
-    ybar = s.mean(axis=0)
-    rbar = rmat.mean(axis=0)
-    yc = s - ybar
-    rc = rmat - rbar
-    cross = np.empty((m + 1, s.shape[1], rmat.shape[1]))
-    for k in range(m + 1):
-        lag = 1 - k
-        if lag >= 0:
-            cross[k] = yc[lag:].T @ rc[: n - lag] / n
-        else:
-            cross[k] = yc[: n + lag].T @ rc[-lag:] / n
-    phis, theta = solve_blp_with_covariates(acvf, cross, rc.T @ rc / n, m)
-    pred = np.zeros(s.shape[1])
-    for i, phi in enumerate(phis, start=1):
-        pred = pred + phi @ yc[-i]
-    return pred + theta @ rc[-1] + ybar
+    method = {"name": "covariate", "p": p, "d": d, "p_max": p_max, "d_max": d_max,
+              "solver": solver}
+    return _forecast(data, method, rmat, h)
 
 
 @dataclass(frozen=True)
@@ -301,15 +389,11 @@ class EquivalenceReport:
 def equivalence_gap(data: FunctionalDataset, d: int) -> EquivalenceReport:
     """Compare the first-order score regression against the benchmark."""
     eig = eigensystem(data, d)
-    smat = scores(data, eig)
-    s = smat.scores
-    n = s.shape[0]
-    var_pred = var_score_forecast(s, 1, 1)
-    bosq_pred = bosq_score_forecast(s, eig.eigenvalues)
-    var_res = _finish(eig, var_pred, "var", 1)
-    bosq_res = _finish(eig, bosq_pred, "bosq", 1)
+    s = scores(data, eig).scores
+    var_res = _result(_Fit("var", 1, d, eig, s, fit_var_ols(s, 1)))
+    bosq_res = _result(_Fit("bosq", 1, d, eig, s, _bosq_var(s, eig.eigenvalues)))
     gap = l2_norm(var_res.curve - bosq_res.curve, data.grid)
-    gamma_hat = s[: n - 1].T @ s[: n - 1] / (n - 1)
+    gamma_hat = s[:-1].T @ s[:-1] / (len(s) - 1)
     return EquivalenceReport(
         gap=gap,
         gamma_hat=_readonly(gamma_hat),

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly
-from .errors import DimensionMismatchError, InsufficientDataError
+from .errors import DimensionMismatchError, InsufficientDataError, NumericalDegeneracyError
 
 
 def sample_mean(data: FunctionalDataset) -> np.ndarray:
@@ -26,8 +26,12 @@ def sample_covariance_kernel(data: FunctionalDataset) -> np.ndarray:
     """
     if data.n < 2:
         raise InsufficientDataError(f"covariance needs n >= 2 curves, got n={data.n}")
-    centered = data.values - sample_mean(data)
-    return centered.T @ centered / data.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data.values - sample_mean(data)
+        kernel = centered.T @ centered / data.n
+    if not np.all(np.isfinite(kernel)):
+        raise NumericalDegeneracyError("the covariance kernel overflows; rescale the curves")
+    return kernel
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _looks_like_header, _parse_cell
+from .curves import FunctionalDataset, Grid, _parse_rows, _text_column
 from .errors import IngestError
 
 
@@ -85,13 +85,11 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
         li = header.index(weekday_adjust)
         body = raw[1:]
         labels = [row[li].strip() for row in body]
-        body = [[c for i, c in enumerate(row) if i != li] for row in body]
+        # blank the label cell while parsing so that error columns count as in the file
+        cells = _parse_rows([row[:li] + [""] + row[li + 1 :] for row in body], path)
+        cells = [row[:li] + row[li + 1 :] for row in cells]
     else:
-        body = raw[1:] if _looks_like_header(raw[0]) else raw
-    try:
-        cells = [[_parse_cell(c) for c in row] for row in body]
-    except ValueError as err:
-        raise IngestError(f"{path}: non-numeric cell ({err})") from None
+        cells = _parse_rows(raw[1:] if _text_column(raw[0]) else raw, path)
     if rows_per_curve is not None:
         if rows_per_curve < 2:
             raise IngestError(f"rows_per_curve must be >= 2, got {rows_per_curve}")

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,3 +264,17 @@ def test_console_script_from_installed_distribution():
     exe = shutil.which("curvecast")
     assert exe is not None
     _assert_help_runs(exe)
+
+
+def test_select_reports_bad_cells_and_huge_scales(tmp_path, capsys):
+    text = tmp_path / "text.csv"
+    text.write_text("t_1,t_2\n1.0,2.0\n3.0,abc\n")
+    assert main(["select", "--input", str(text), "--pmax", "1", "--dmax", "1"]) == 1
+    assert "row 2, column 2 is non-numeric" in capsys.readouterr().err
+    huge = tmp_path / "huge.csv"
+    rows = np.random.default_rng(1).normal(size=(30, 16)) * 1e200
+    np.savetxt(huge, rows, delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["select", "--input", str(huge), "--pmax", "1", "--dmax", "2"]) == 1
+    assert "error: the covariance kernel overflows; rescale the curves" in capsys.readouterr().err

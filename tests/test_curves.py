@@ -10,6 +10,7 @@ from curvecast import (
     inner_product,
     l2_norm,
     load_curves_csv,
+    load_numeric_csv,
     make_fourier_basis,
     save_curves_csv,
     synthesize,
@@ -110,3 +111,19 @@ def test_load_rejects_ragged_rows(tmp_path):
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(IngestError):
         load_curves_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("t_1,t_2\n1.0,2.0\n3.0,abc\n", "row 2, column 2"),
+        ("1.0,2.0\n3.0,4.0\n x ,6.0\n", "row 3, column 1"),
+    ],
+)
+def test_load_rejects_non_numeric_cells_with_their_position(tmp_path, text, where):
+    path = tmp_path / "text.csv"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=f"{where} is non-numeric"):
+        load_curves_csv(path)
+    with pytest.raises(IngestError, match=f"{where} is non-numeric"):
+        load_numeric_csv(path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from curvecast import (
     FunctionalDataset,
     Grid,
     InsufficientDataError,
+    NumericalDegeneracyError,
     eigensystem,
     l2_norm,
     make_fourier_basis,
@@ -148,3 +151,13 @@ def test_truncate_equals_direct_eigensystem(make_far1):
         assert np.array_equal(cut.eigenfunctions, direct.eigenfunctions)
         assert np.array_equal(cut.mean, direct.mean)
         assert cut.total_variance == direct.total_variance
+
+
+def test_huge_scale_fails_early_without_warnings():
+    rng = np.random.default_rng(0)
+    data = FunctionalDataset(grid=Grid(16), values=rng.normal(size=(30, 16)) * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: eigensystem(data, 2), lambda: pve_dimension(data, 0.9)):
+            with pytest.raises(NumericalDegeneracyError, match="overflows; rescale"):
+                call()

@@ -123,3 +123,17 @@ def test_sqrt_runs_before_weekday_centering(tmp_path):
     data = ingest(path, transform="sqrt", weekday_adjust="day")
     # sqrt first gives (2,4) and (4,6); centering leaves +/-1 deviations
     assert np.allclose(data.values, [[-1.0, -1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "text, weekday, where",
+    [
+        ("1.0,2.0\n3.0,oops\n", None, "row 2, column 2"),
+        ("day,t_1,t_2\nmon,1.0,2.0\ntue,3.0,oops\n", "day", "row 2, column 3"),
+        ("t_1,day,t_2\n1.0,mon,oops\n", "day", "row 1, column 3"),
+    ],
+)
+def test_non_numeric_cell_position_counts_file_columns(tmp_path, text, weekday, where):
+    path = write_csv(tmp_path / "raw.csv", text)
+    with pytest.raises(IngestError, match=f"{where} is non-numeric"):
+        ingest(path, weekday_adjust=weekday)
