@@ -125,13 +125,11 @@ def synthesize(coeffs, basis: FourierBasis) -> FunctionalDataset:
 
 
 def save_curves_csv(data: FunctionalDataset, path, header: bool = True) -> None:
-    """Write one curve per row; optional header row t_1,...,t_T."""
+    """Write one curve per row of repr'd floats; optional header row t_1,...,t_T."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow([f"t_{i + 1}" for i in range(data.T)])
-        for row in data.values:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(f"t_{i + 1}" for i in range(data.T)) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in data.values.tolist())
 
 
 def load_curves_csv(path) -> FunctionalDataset:
@@ -157,10 +155,21 @@ def load_numeric_csv(path) -> np.ndarray:
 # load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
 def _read_numeric_matrix(path) -> np.ndarray:
     with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
-    rows = _parse_rows(raw[1:] if raw and _text_column(raw[0]) else raw, path)
-    if not rows:
+        reader = csv.reader(fh)
+        first = next(filter(None, reader), [])
+        skip = reader.line_num if _is_header(first) else 0
+        data = next(filter(None, reader), None) if skip else first
+    if not data:
         raise IngestError(f"{path}: no data rows found")
+    try:
+        # numpy's C reader; only the per-cell path maps NA markers and names a bad cell
+        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raw, has_header = _read_rows(path)
+    rows = _parse_rows(raw[1:] if has_header else raw, path)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
@@ -172,30 +181,36 @@ def _read_numeric_matrix(path) -> np.ndarray:
     return values
 
 
+def _read_rows(path):
+    """The non-empty rows of a CSV file and whether the first is a header."""
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if row]
+    return raw, bool(raw) and _is_header(raw[0])
+
+
+def _is_header(row) -> bool:
+    """A header holds text and no number; blank and NA cells count as neither."""
+    cells = [_parse_cell(c) for c in row]
+    return None in cells and all(c is None or np.isnan(c) for c in cells)
+
+
 def _parse_rows(rows, path) -> list:
     """Each row's cells as floats, missing markers as nan; rows count from 1."""
     out = []
     for i, row in enumerate(rows, start=1):
-        try:
-            out.append([_parse_cell(c) for c in row])
-        except ValueError:
-            column = _text_column(row)
-            raise IngestError(f"{path}: row {i}, column {column} is non-numeric") from None
+        cells = [_parse_cell(c) for c in row]
+        if None in cells:
+            raise IngestError(f"{path}: row {i}, column {cells.index(None) + 1} is non-numeric")
+        out.append(cells)
     return out
 
 
-def _text_column(row):
-    """1-based column of the first cell neither a number nor a missing marker, else None."""
-    for j, cell in enumerate(row, start=1):
-        try:
-            _parse_cell(cell)
-        except ValueError:
-            return j
-    return None
-
-
-def _parse_cell(cell: str) -> float:
+def _parse_cell(cell: str) -> float | None:
+    """A cell as a float, a missing marker as nan, text as None."""
     cell = cell.strip()
     if cell == "" or cell.lower() in ("na", "nan"):
         return np.nan
-    return float(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return None

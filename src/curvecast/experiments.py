@@ -600,7 +600,9 @@ def _pm10_analog_preset(reps=None, seed=None, n_days=175, eval_days=20, out_dir=
         raise ValueError("the ingestion demo runs a single replication")
     if out_dir is None:
         with tempfile.TemporaryDirectory(prefix="pm10_analog_") as tmp:
-            return _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
+            report = _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
+        report.config.update(curves_csv=None, covariates_csv=None)  # the files are gone
+        return report
     start = time.perf_counter()
     curves_path, cov_path = make_pm10_analog(out_dir, n_days=n_days, seed=seed)
     data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")

@@ -5,11 +5,9 @@ interpolation of missing cells within a curve, a square-root variance
 stabilization, and removal of weekday mean profiles.
 """
 
-import csv
-
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _parse_rows, _text_column
+from .curves import FunctionalDataset, Grid, _parse_rows, _read_rows
 from .errors import IngestError
 
 
@@ -56,7 +54,7 @@ def ingest(
         if not interpolate_missing:
             rows = sorted(set(np.nonzero(missing)[0].tolist()))
             raise IngestError(f"{path}: missing cells in rows {rows} and interpolation is off")
-        values = _interpolate(values, path)
+        _interpolate(values, path)
     if transform == "sqrt":
         neg = np.nonzero(np.any(values < 0.0, axis=1))[0]
         if neg.size:
@@ -65,7 +63,6 @@ def ingest(
             )
         values = np.sqrt(values)
     if labels is not None:
-        values = values.copy()
         for label in sorted(set(labels)):
             mask = np.array([lab == label for lab in labels])
             values[mask] -= values[mask].mean(axis=0)
@@ -73,8 +70,7 @@ def ingest(
 
 
 def _read_raw(path, weekday_adjust, rows_per_curve):
-    with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
+    raw, has_header = _read_rows(path)
     if not raw:
         raise IngestError(f"{path}: file is empty")
     labels = None
@@ -84,12 +80,15 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
             raise IngestError(f"{path}: no column named {weekday_adjust!r} in the header")
         li = header.index(weekday_adjust)
         body = raw[1:]
+        for i, row in enumerate(body, start=1):
+            if len(row) <= li:
+                raise IngestError(f"{path}: row {i} ends before the {weekday_adjust!r} column")
         labels = [row[li].strip() for row in body]
         # blank the label cell while parsing so that error columns count as in the file
         cells = _parse_rows([row[:li] + [""] + row[li + 1 :] for row in body], path)
         cells = [row[:li] + row[li + 1 :] for row in cells]
     else:
-        cells = _parse_rows(raw[1:] if _text_column(raw[0]) else raw, path)
+        cells = _parse_rows(raw[1:] if has_header else raw, path)
     if rows_per_curve is not None:
         if rows_per_curve < 2:
             raise IngestError(f"rows_per_curve must be >= 2, got {rows_per_curve}")
@@ -105,15 +104,14 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
     return np.array(cells, dtype=float), labels
 
 
-def _interpolate(values: np.ndarray, path) -> np.ndarray:
-    out = values.copy()
+def _interpolate(values: np.ndarray, path) -> None:
+    """Fill the missing cells of each curve in place."""
     idx = np.arange(values.shape[1])
-    for i, row in enumerate(out):
+    for i, row in enumerate(values):
         good = ~np.isnan(row)
         if not good.any():
             raise IngestError(f"{path}: curve row {i} is entirely missing")
         if good.all():
             continue
         # np.interp holds the first/last finite value flat past the ends
-        out[i] = np.interp(idx, idx[good], row[good])
-    return out
+        values[i] = np.interp(idx, idx[good], row[good])

@@ -278,3 +278,18 @@ def test_select_reports_bad_cells_and_huge_scales(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["select", "--input", str(huge), "--pmax", "1", "--dmax", "2"]) == 1
     assert "error: the covariance kernel overflows; rescale the curves" in capsys.readouterr().err
+
+
+def test_csv_input_errors_exit_one(tmp_path, capsys):
+    typo = tmp_path / "typo.csv"
+    typo.write_text("1.0,abc\n2.0,3.0\n4.0,5.0\n")
+    assert main(["select", "--input", str(typo), "--pmax", "1", "--dmax", "1"]) == 1
+    assert "row 1, column 2 is non-numeric" in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text("a,day\n1.0,mon\n2.0\n")
+    out = tmp_path / "out.csv"
+    argv = ["ingest", "--input", str(short), "--out", str(out), "--weekday-adjust", "day"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "row 2 ends before the 'day' column" in err
+    assert not out.exists()

@@ -118,6 +118,7 @@ def test_load_rejects_ragged_rows(tmp_path):
     [
         ("t_1,t_2\n1.0,2.0\n3.0,abc\n", "row 2, column 2"),
         ("1.0,2.0\n3.0,4.0\n x ,6.0\n", "row 3, column 1"),
+        ("1.0,abc\n2.0,3.0\n4.0,5.0\n", "row 1, column 2"),
     ],
 )
 def test_load_rejects_non_numeric_cells_with_their_position(tmp_path, text, where):

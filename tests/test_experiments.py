@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -310,6 +311,8 @@ def test_pm10_preset_single_replication(tmp_path):
         p_max=1, d_max=2,
     )
     assert report.config["synthetic_analog"] is True
+    assert os.path.isfile(report.config["curves_csv"])
+    assert os.path.isfile(report.config["covariates_csv"])
     assert {"ffpe-var", "covariate"} <= set(report.aggregates)
     assert len(report.replications[0]["errors"]["covariate"]) == 5
     with pytest.raises(ValueError, match="single"):
@@ -354,6 +357,7 @@ def test_pm10_preset_removes_its_temporary_directory(tmp_path, monkeypatch):
     report = run_benchmark("pm10-analog", seed=4, n_days=42, eval_days=5, p_max=1, d_max=2)
     assert len(report.replications[0]["errors"]["covariate"]) == 5
     assert list(tmp_path.iterdir()) == []
+    assert report.config["curves_csv"] is None and report.config["covariates_csv"] is None
 
 
 def covariate_far1(n):

@@ -131,9 +131,16 @@ def test_sqrt_runs_before_weekday_centering(tmp_path):
         ("1.0,2.0\n3.0,oops\n", None, "row 2, column 2"),
         ("day,t_1,t_2\nmon,1.0,2.0\ntue,3.0,oops\n", "day", "row 2, column 3"),
         ("t_1,day,t_2\n1.0,mon,oops\n", "day", "row 1, column 3"),
+        ("1.0,abc\n2.0,3.0\n4.0,5.0\n", None, "row 1, column 2"),
     ],
 )
 def test_non_numeric_cell_position_counts_file_columns(tmp_path, text, weekday, where):
     path = write_csv(tmp_path / "raw.csv", text)
     with pytest.raises(IngestError, match=f"{where} is non-numeric"):
         ingest(path, weekday_adjust=weekday)
+
+
+def test_weekday_label_missing_from_a_short_row(tmp_path):
+    path = write_csv(tmp_path / "raw.csv", "a,day\n1.0,mon\n2.0\n")
+    with pytest.raises(IngestError, match="row 2 ends before the 'day' column"):
+        ingest(path, weekday_adjust="day")
