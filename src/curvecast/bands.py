@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly
-from .errors import InsufficientDataError
-from .fpca import ScoreMatrix, eigensystem, reconstruct, scores
+from .errors import DimensionMismatchError, InsufficientDataError
+from .fpca import EigenSystem, ScoreMatrix, eigensystem, reconstruct, scores
 from .multivar import _check_rows, _guarded_solve, _lag_rows
 
 # Grid points with essentially zero spread carry no band information.
@@ -34,17 +34,28 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
     products, which give every origin's Gram centred on its own mean.  All
     origins are then rank-guarded, solved and reconstructed in one batch.
     """
-    n = data.n
+    L = _warm_up(data.n, d, p, L)
+    eig = eigensystem(data, d)
+    return _rolling_residuals(data, eig, scores(data, eig).scores, p, L)
+
+
+def _warm_up(n: int, d: int, p: int, L) -> int:
+    """The first refit's row count: the default max(p, 10 d, n/4), or L checked."""
     if L is None:
         L = max(p, 10 * d, round(n / 4))
     if L < max(p, 10 * d):
         raise ValueError(f"L={L} below the warm-up floor max(p, 10*d)={max(p, 10 * d)}")
     if L >= n - 1:
         raise InsufficientDataError(f"L={L} leaves fewer than two of n={n} curves")
-    eig = eigensystem(data, d)
-    smat = scores(data, eig).scores
     # the smallest refit has the fewest rows, so only it can be too short
     _check_rows(L, p, d)
+    return L
+
+
+def _rolling_residuals(data: FunctionalDataset, eig: EigenSystem, smat: np.ndarray, p: int,
+                       L: int) -> FunctionalDataset:
+    """rolling_residuals from the full-sample eigensystem and scores, L already checked."""
+    n, d = data.n, eig.d
     origins = np.arange(L, n)
     means = np.cumsum(smat, axis=0)[L - 1 : n - 1] / origins[:, None]
     pred = means
@@ -87,14 +98,24 @@ class PredictionBand:
             for t, g, lo, up in zip(self.grid.points, self.gamma, lower, upper):
                 writer.writerow([repr(float(v)) for v in (t, g, lo, up)])
 
-    def contains(self, center, curve) -> bool:
-        """Whole-grid check of center - lower <= curve <= center + upper."""
+    def contains(self, center, curve):
+        """Whole-grid check of center - lower <= curve <= center + upper.
+
+        center is one curve on the band's grid.  curve is one such curve,
+        giving a bool, or an (M, T) stack of them, giving one bool per row.
+        """
         center = np.asarray(center, dtype=float)
         curve = np.asarray(curve, dtype=float)
+        T = self.grid.T
+        if center.shape != (T,) or curve.shape[-1:] != (T,):
+            raise DimensionMismatchError(
+                f"band has T={T} points; center has shape {center.shape}, curve {curve.shape}"
+            )
         lower, upper = self.offsets()
-        return bool(
-            np.all(curve >= center - lower - 1e-12) and np.all(curve <= center + upper + 1e-12)
+        inside = np.all(curve >= center - lower - 1e-12, axis=-1) & np.all(
+            curve <= center + upper + 1e-12, axis=-1
         )
+        return bool(inside) if curve.ndim == 1 else inside
 
 
 def _order_statistic(values: np.ndarray, alpha: float) -> float:

@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IngestError, ResolutionError
 
+# UTF-8 that drops a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write one
+CSV_ENCODING = "utf-8-sig"
+
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -154,7 +157,7 @@ def load_numeric_csv(path) -> np.ndarray:
 
 # load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
 def _read_numeric_matrix(path) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
         reader = csv.reader(fh)
         first = next(filter(None, reader), [])
         skip = reader.line_num if _is_header(first) else 0
@@ -163,7 +166,8 @@ def _read_numeric_matrix(path) -> np.ndarray:
         raise IngestError(f"{path}: no data rows found")
     try:
         # numpy's C reader; only the per-cell path maps NA markers and names a bad cell
-        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                            encoding=CSV_ENCODING)
         if np.isfinite(values).all():
             return values
     except ValueError:
@@ -183,7 +187,7 @@ def _read_numeric_matrix(path) -> np.ndarray:
 
 def _read_rows(path):
     """The non-empty rows of a CSV file and whether the first is a header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=CSV_ENCODING) as fh:
         raw = [row for row in csv.reader(fh) if row]
     return raw, bool(raw) and _is_header(raw[0])
 

@@ -4,9 +4,9 @@ A run draws replications with per-replication generators seeded from
 (seed, index), evaluates one or more prediction methods out of sample
 with a rolling origin, and collects everything into a serializable
 report.  Canned presets reproduce the simulation studies used to vet
-the pipeline.  Replications can run on a small thread pool capped by
-the FTSP_THREADS environment variable; records are merged in index
-order so reports do not depend on scheduling.
+the pipeline.  Replications can run on a small thread pool sized by
+the FTSP_THREADS environment variable and capped at the CPU count;
+records are merged in index order so reports do not depend on scheduling.
 """
 
 import csv
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import prediction_band, rolling_residuals
+from .bands import _rolling_residuals, _warm_up, prediction_band
 from .curves import (
     FunctionalDataset,
     Grid,
@@ -29,7 +29,7 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .forecast import _fit, _predict, equivalence_gap, predict_fts
+from .forecast import _fit, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
 from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
@@ -38,13 +38,13 @@ THREADS_ENV = "FTSP_THREADS"
 
 
 def _worker_count() -> int:
+    """FTSP_THREADS as a worker count between 1 and the CPU count; 1 if unset or not a number."""
     raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
     try:
-        return max(int(raw), 1)
+        limit = int(raw)
     except ValueError:
         return 1
+    return max(min(limit, os.cpu_count() or 1), 1)
 
 
 def _rep_rng(seed: int, idx: int) -> np.random.Generator:
@@ -549,13 +549,14 @@ def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
     def worker(idx):
         rng = _rep_rng(seed, idx)
         full = simulate(spec, n + 1, grid, rng)
-        fit = FunctionalDataset(grid=grid, values=full.values[:n])
-        resid = rolling_residuals(fit, d, p, L)
+        data = FunctionalDataset(grid=grid, values=full.values[:n])
+        lookback = _warm_up(n, d, p, L)
+        # one fit serves both the rolling residuals and the forecast
+        fit = _fit(data, n, {"name": "fixed-var", "p": p, "d": d})
+        resid = _rolling_residuals(data, fit.eig, fit.scores, p, lookback)
         band = prediction_band(resid, alpha)
-        fc = predict_fts(fit, p=p, d=d)
-        covered = band.contains(fc.curve, full.values[n])
-        zeros = np.zeros(grid.T)
-        inside = [band.contains(zeros, row) for row in resid.values]
+        covered = band.contains(_result(fit).curve, full.values[n])
+        inside = band.contains(np.zeros(grid.T), resid.values)
         return {
             "idx": idx, "seed": [seed, idx],
             "errors": {"bands": [float(covered)]},
@@ -605,26 +606,28 @@ def _pm10_analog_preset(reps=None, seed=None, n_days=175, eval_days=20, out_dir=
         return report
     start = time.perf_counter()
     curves_path, cov_path = make_pm10_analog(out_dir, n_days=n_days, seed=seed)
-    data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
-    rmat = load_numeric_csv(cov_path)
-    m = data.n - int(eval_days)
-    rec = {"idx": 0, "seed": [seed, 0], "errors": {}, "selected": {}}
-    for meth in (
-        {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
-        {"name": "covariate", "p_max": p_max, "d_max": d_max},
-    ):
-        out = _eval_method_fixed(data, rmat, m, 1, meth)
-        rec["errors"][meth["name"]] = out["errors"]
-        rec["selected"][meth["name"]] = out["selected"]
-    aggregates, frequencies = _aggregate([rec], ["ffpe-var", "covariate"])
+
+    def worker(idx):
+        data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
+        rmat = load_numeric_csv(cov_path)
+        m = data.n - int(eval_days)
+        rec = {"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {}}
+        for meth in (
+            {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
+            {"name": "covariate", "p_max": p_max, "d_max": d_max},
+        ):
+            out = _eval_method_fixed(data, rmat, m, 1, meth)
+            rec["errors"][meth["name"]] = out["errors"]
+            rec["selected"][meth["name"]] = out["selected"]
+        return rec
+
     config = {"synthetic_analog": True, "n_days": n_days, "eval_days": eval_days,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": 1,
               "curves_csv": curves_path, "covariates_csv": cov_path}
-    return RunReport(
-        command="benchmark:pm10-analog", config=config, replications=[rec],
-        aggregates=aggregates, frequencies=frequencies,
-        wall_clock=time.perf_counter() - start,
-    )
+    report = _report("benchmark:pm10-analog", config, 1, worker, start)
+    report.aggregates, report.frequencies = _aggregate(report.replications,
+                                                       ["ffpe-var", "covariate"])
+    return report
 
 
 PRESETS = {

@@ -4,21 +4,28 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    DimensionMismatchError,
     FunctionalDataset,
     Grid,
     InsufficientDataError,
+    ProcessSpec,
     RankDeficiencyError,
     eigensystem,
     fit_var_ols,
+    fixed_psi,
+    predict_fts,
     predict_var,
     prediction_band,
     reconstruct,
     rolling_residuals,
+    run_benchmark,
     scores,
     ScoreMatrix,
     make_fourier_basis,
+    simulate,
     synthesize,
 )
+from curvecast import fpca
 
 
 def scaled_profile_residuals(c, T=16):
@@ -206,3 +213,143 @@ def test_rolling_residuals_too_short_first_fit(make_far1):
     data = make_far1(n=60, seed=12)
     with pytest.raises(InsufficientDataError, match="n=20 too small to fit p=20, d=1"):
         rolling_residuals(data, d=1, p=20, L=20)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid checks of one curve or a stack of curves
+
+
+def ref_contains(band, center, curve):
+    """PredictionBand.contains as it was for one curve at a time, kept as the oracle."""
+    center = np.asarray(center, dtype=float)
+    curve = np.asarray(curve, dtype=float)
+    lower, upper = band.offsets()
+    return bool(
+        np.all(curve >= center - lower - 1e-12) and np.all(curve <= center + upper + 1e-12)
+    )
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_stacked_contains_equals_the_row_loop(symmetric):
+    rng = np.random.default_rng(12)
+    T = 9
+    band = prediction_band(
+        FunctionalDataset(grid=Grid(T), values=np.exp(rng.normal(size=(30, T))) - 1.0),
+        0.8, symmetric=symmetric,
+    )
+    center = rng.normal(size=T)
+    lower, upper = band.offsets()
+    hi = center + upper + 1e-12
+    lo = center - lower - 1e-12
+    mixed = np.where(np.arange(T) % 2 == 0, hi, lo)
+    rows = [hi, lo, mixed, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf), center]
+    for j in (0, T // 2, T - 1):
+        rows += [np.where(np.arange(T) == j, np.nextafter(hi, np.inf), hi),
+                 np.where(np.arange(T) == j, np.nextafter(lo, -np.inf), mixed)]
+    rows += list(center + band.gamma * rng.normal(scale=band.xi_upper, size=(40, T)))
+    stack = np.array(rows)
+    expected = [ref_contains(band, center, row) for row in stack]
+    assert expected[:3] == [True, True, True] and not any(expected[3:5])
+    inside = band.contains(center, stack)
+    assert inside.dtype == bool and inside.shape == (len(rows),)
+    assert inside.tolist() == expected
+    for row, want in zip(stack, expected):
+        got = band.contains(center, row)
+        assert type(got) is bool and got == want
+
+
+def test_contains_rejects_curves_off_the_band_grid():
+    rng = np.random.default_rng(13)
+    band = prediction_band(FunctionalDataset(grid=Grid(4), values=rng.normal(size=(12, 4))), 0.8)
+    # a length-1 curve or center used to broadcast against every grid point
+    with pytest.raises(DimensionMismatchError, match="T=4"):
+        band.contains(np.zeros(4), [0.5])
+    with pytest.raises(DimensionMismatchError, match="T=4"):
+        band.contains([0.0], np.zeros(4))
+    for center, curve in [(np.zeros(4), np.zeros((3, 5))), (np.zeros(4), 0.0),
+                          (np.zeros((1, 4)), np.zeros(4)), (np.zeros(5), np.zeros((3, 4)))]:
+        with pytest.raises(DimensionMismatchError):
+            band.contains(center, curve)
+    assert band.contains(np.zeros(4), np.zeros((3, 4))).tolist() == [True] * 3
+
+
+# ---------------------------------------------------------------------------
+# the bands-coverage preset against its two-fit form
+
+
+def ref_bands_coverage(reps, seed, n=400, alpha=0.8, p=1, d=3, L=None, grid_T=256):
+    """The preset's records and aggregates as computed with one fit for the residuals
+    and another for the forecast, and one containment check per residual curve."""
+    grid = Grid(grid_T)
+    spec = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(fixed_psi("psi1"),), burn_in=200)
+    records = []
+    for idx in range(reps):
+        rng = np.random.default_rng([seed, idx])
+        full = simulate(spec, n + 1, grid, rng)
+        fit = FunctionalDataset(grid=grid, values=full.values[:n])
+        resid = rolling_residuals(fit, d, p, L)
+        band = prediction_band(resid, alpha)
+        fc = predict_fts(fit, p=p, d=d)
+        covered = ref_contains(band, fc.curve, full.values[n])
+        zeros = np.zeros(grid.T)
+        inside = [ref_contains(band, zeros, row) for row in resid.values]
+        records.append({
+            "idx": idx, "seed": [seed, idx],
+            "errors": {"bands": [float(covered)]},
+            "selected": {},
+            "in_sample_coverage": float(np.mean(inside)),
+        })
+    aggregates = {
+        "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),
+        "min_in_sample_coverage": float(min(rec["in_sample_coverage"] for rec in records)),
+    }
+    return records, aggregates
+
+
+@pytest.mark.parametrize("seed", [4, 31])
+@pytest.mark.parametrize("p, L", [(1, None), (1, 40), (0, None), (0, 35), (2, 45)])
+def test_bands_preset_matches_the_two_fit_reference(seed, p, L):
+    kw = dict(n=90, alpha=0.8, p=p, d=3, L=L, grid_T=48)
+    report = run_benchmark("bands-coverage", reps=3, seed=seed, **kw)
+    records, aggregates = ref_bands_coverage(3, seed, **kw)
+    assert report.replications == records
+    assert report.aggregates == aggregates
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Number of covariance kernels built during the test."""
+    calls = []
+    original = fpca.sample_covariance_kernel
+
+    def count(data):
+        calls.append(data.n)
+        return original(data)
+
+    monkeypatch.setattr(fpca, "sample_covariance_kernel", count)
+    return calls
+
+
+def test_bands_preset_builds_one_kernel_per_replication(kernel_calls):
+    run_benchmark("bands-coverage", reps=2, seed=4, n=80, grid_T=48, L=40)
+    assert kernel_calls == [80, 80]
+
+
+@pytest.mark.parametrize(
+    "kw, error, message",
+    [
+        ({"L": 20}, ValueError, "L=20 below the warm-up floor max(p, 10*d)=30"),
+        ({"L": 79}, InsufficientDataError, "L=79 leaves fewer than two of n=80 curves"),
+        ({"L": 30, "p": 10}, InsufficientDataError, "n=30 too small to fit p=10, d=3"),
+    ],
+)
+def test_bands_preset_rejects_a_bad_lookback_before_any_fit(kernel_calls, kw, error, message):
+    kw = dict(dict(n=80, grid_T=48, p=1, d=3), **kw)
+    with pytest.raises(error) as ref:
+        ref_bands_coverage(1, 4, **kw)
+    assert str(ref.value) == message
+    kernel_calls.clear()
+    with pytest.raises(error) as got:
+        run_benchmark("bands-coverage", reps=1, seed=4, **kw)
+    assert str(got.value) == message
+    assert kernel_calls == []

@@ -293,3 +293,16 @@ def test_csv_input_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "row 2 ends before the 'day' column" in err
     assert not out.exists()
+
+
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, capsys):
+    text = "weekday,t_1,t_2\nMon,1.0,4.0\nTue,2.0,2.0\nMon,5.0,3.0\n"
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        raw = tmp_path / f"{name}.csv"
+        raw.write_bytes((prefix + text).encode("utf-8"))
+        out = tmp_path / f"{name}_curves.csv"
+        argv = ["ingest", "--input", str(raw), "--out", str(out), "--weekday-adjust", "weekday"]
+        assert main(argv) == 0, capsys.readouterr().err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

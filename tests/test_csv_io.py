@@ -155,3 +155,24 @@ def test_save_writes_the_csv_writer_bytes(tmp_path, header):
     save_curves_csv(data, tmp_path / "new.csv", header=header)
     csv_writer_reference(data, tmp_path / "old.csv", header=header)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports start with
+BOM = "\ufeff"
+
+
+def test_headerless_file_with_a_byte_order_mark_reads_in_bulk(tmp_path, read):
+    values, fell_back = read(write(tmp_path, BOM + "1,2\n3,4\n"))
+    assert not fell_back
+    assert same_bits(values, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("text", ["t_1,t_2\n1.0,2.0\n3.0,4.0\n", '"t\n1",t_2\n1.0,2.0\n'])
+def test_header_after_a_byte_order_mark_reads_as_without_it(tmp_path, read, text):
+    plain, _ = read(write(tmp_path, text))
+    path = write(tmp_path, BOM + text)
+    values, fell_back = read(path)
+    assert not fell_back
+    assert same_bits(values, plain)
+    header = _read_rows(path)[0][0]
+    assert not header[0].startswith(BOM)

@@ -89,6 +89,7 @@ def test_thread_pool_matches_serial(monkeypatch):
 
 
 def test_worker_count_parsing(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv(THREADS_ENV, raising=False)
     assert _worker_count() == 1
     monkeypatch.setenv(THREADS_ENV, "4")
@@ -97,6 +98,17 @@ def test_worker_count_parsing(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.setenv(THREADS_ENV, "0")
     assert _worker_count() == 1
+
+
+@pytest.mark.parametrize(
+    "cpus, raw, expected",
+    [(2, "4", 2), (2, "2", 2), (8, "3", 3), (3, "64", 3), (None, "4", 1), (1, "2", 1),
+     (4, "0", 1), (4, "", 1), (4, "many", 1)],
+)
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, raw, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv(THREADS_ENV, raw)
+    assert _worker_count() == expected
 
 
 def test_replication_seed_streams():

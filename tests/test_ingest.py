@@ -144,3 +144,12 @@ def test_weekday_label_missing_from_a_short_row(tmp_path):
     path = write_csv(tmp_path / "raw.csv", "a,day\n1.0,mon\n2.0\n")
     with pytest.raises(IngestError, match="row 2 ends before the 'day' column"):
         ingest(path, weekday_adjust="day")
+
+
+def test_byte_order_mark_before_a_first_label_column(tmp_path):
+    text = "weekday,t_1,t_2\nMon,1.0,2.0\nTue,4.0,3.0\nMon,3.0,6.0\n"
+    plain = ingest(write_csv(tmp_path / "plain.csv", text), weekday_adjust="weekday")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    data = ingest(path, weekday_adjust="weekday")
+    assert data.values.tobytes() == plain.values.tobytes()
