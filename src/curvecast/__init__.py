@@ -6,15 +6,17 @@ predictions are mapped back to curves.  Order and dimension can be
 picked jointly by a prediction-error criterion, covariates can enter
 the score regression, and uniform prediction bands come from rolling
 out-of-sample residuals.
+
+The package namespace holds the documented API.  Score-level building
+blocks and result types stay importable from their modules, for example
+``curvecast.multivar.fit_var_ols`` or ``curvecast.selection.FfpeTable``.
 """
 
-from .bands import PredictionBand, prediction_band, rolling_residuals
+from .bands import prediction_band, rolling_residuals
 from .curves import (
-    FourierBasis,
     FunctionalDataset,
     Grid,
     inner_product,
-    l2_norm,
     load_curves_csv,
     make_fourier_basis,
     save_curves_csv,
@@ -33,131 +35,66 @@ from .errors import (
     SelectionError,
 )
 from .experiments import (
-    RunReport,
     load_numeric_csv,
     make_pm10_analog,
     run_benchmark,
     run_forecast_experiment,
 )
 from .forecast import (
-    EquivalenceReport,
-    ForecastResult,
     bosq_predict,
-    bosq_predict_state_space,
-    bosq_score_forecast,
-    covariate_matrix,
     equivalence_gap,
     predict_fts,
     predict_with_covariates,
     scalar_predict,
-    scalar_score_forecast,
-    var_score_forecast,
-    varx_score_forecast,
 )
-from .fpca import (
-    EigenSystem,
-    ScoreMatrix,
-    eigensystem,
-    pve_dimension,
-    reconstruct,
-    sample_covariance_kernel,
-    sample_mean,
-    scores,
-)
+from .fpca import ScoreMatrix, eigensystem, pve_dimension, reconstruct, scores
 from .ingest import ingest
-from .multivar import (
-    AcvfSequence,
-    InnovationsState,
-    VarModel,
-    fit_var_ols,
-    fit_varx_ols,
-    innovations,
-    predict_var,
-    sample_acvf,
-    solve_blp_with_covariates,
-)
-from .selection import FfpeCell, FfpeTable, ffpe, ffpex, select_pd
-from .simulate import (
-    ProcessSpec,
-    bias_bound,
-    fixed_psi,
-    random_operator,
-    sigma_scheme,
-    simulate,
-    spectral_norm,
-)
+from .selection import ffpe, select_pd
+from .simulate import ProcessSpec, bias_bound, fixed_psi, random_operator, sigma_scheme, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcvfSequence",
     "CurvecastError",
     "DimensionMismatchError",
-    "EigenSystem",
-    "EquivalenceReport",
-    "FfpeCell",
-    "FfpeTable",
-    "ForecastResult",
-    "FourierBasis",
     "FunctionalDataset",
     "Grid",
     "IllConditionedError",
     "IngestError",
-    "InnovationsState",
     "InsufficientDataError",
     "NonstationaryError",
     "NumericalDegeneracyError",
-    "PredictionBand",
     "ProcessSpec",
     "RankDeficiencyError",
     "ResolutionError",
-    "RunReport",
     "ScoreMatrix",
     "SelectionError",
-    "VarModel",
     "bias_bound",
     "bosq_predict",
-    "bosq_predict_state_space",
-    "bosq_score_forecast",
-    "covariate_matrix",
     "eigensystem",
     "equivalence_gap",
     "ffpe",
-    "ffpex",
-    "fit_var_ols",
-    "fit_varx_ols",
     "fixed_psi",
     "ingest",
     "inner_product",
-    "innovations",
-    "l2_norm",
     "load_curves_csv",
     "load_numeric_csv",
     "make_fourier_basis",
     "make_pm10_analog",
-    "pve_dimension",
     "predict_fts",
-    "predict_var",
     "predict_with_covariates",
     "prediction_band",
+    "pve_dimension",
     "random_operator",
     "reconstruct",
     "rolling_residuals",
     "run_benchmark",
     "run_forecast_experiment",
-    "sample_acvf",
-    "sample_covariance_kernel",
-    "sample_mean",
     "save_curves_csv",
     "scalar_predict",
-    "scalar_score_forecast",
     "scores",
     "select_pd",
     "sigma_scheme",
     "simulate",
-    "solve_blp_with_covariates",
-    "spectral_norm",
     "synthesize",
-    "var_score_forecast",
-    "varx_score_forecast",
 ]

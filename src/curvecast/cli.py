@@ -139,6 +139,9 @@ def _parse_override(raw: str):
 
 def _cmd_benchmark(args) -> int:
     overrides = dict(_parse_override(item) for item in args.set or [])
+    clash = sorted({"reps", "seed"} & overrides.keys())
+    if clash:
+        raise ValueError(f"--set {clash[0]}=... is not a preset key; pass --{clash[0]}")
     report = run_benchmark(args.preset, reps=args.reps, seed=args.seed, **overrides)
     if args.out:
         report.save(args.out)

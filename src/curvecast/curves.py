@@ -101,6 +101,7 @@ class FourierBasis:
 
 
 def make_fourier_basis(D: int, grid: Grid) -> FourierBasis:
+    """The first D Fourier basis functions (see FourierBasis) on grid; needs T >= 8 D."""
     if D < 1:
         raise ValueError(f"basis size must be >= 1, got {D}")
     if grid.T < 8 * D:

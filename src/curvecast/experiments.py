@@ -10,6 +10,7 @@ records are merged in index order so reports do not depend on scheduling.
 """
 
 import csv
+import inspect
 import json
 import os
 import tempfile
@@ -398,49 +399,39 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
 # canned presets
 
 
-def _finish_report(report: RunReport, name: str) -> RunReport:
+def _study(name, source, methods, reps, seed, n, grid_T, train) -> RunReport:
+    """A fixed-mode one-step run_forecast_experiment, reported as benchmark:name."""
+    config = {"source": source, "n": n, "grid_T": grid_T, "train": train, "horizon": 1,
+              "fit_mode": "fixed", "seed": seed, "reps": reps, "methods": methods}
+    report = run_forecast_experiment(config)
     report.command = f"benchmark:{name}"
     return report
 
 
-def _ratio_preset(name: str, psi_name: str):
-    def build(reps=None, seed=None, n=200, train=180, grid_T=256, p_max=3, d_max=3,
+def _mean_errors(report: RunReport, key: str) -> np.ndarray:
+    """Each replication's mean squared error of method key."""
+    return np.array([np.mean(rec["errors"][key]) for rec in report.replications])
+
+
+def _ratio_preset(psi_name: str):
+    def build(reps=200, seed=None, n=200, train=180, grid_T=256, p_max=3, d_max=3,
               scalar_p=1, scalar_d=3):
-        reps = 200 if reps is None else int(reps)
-        payload = {
-            "kind": "far",
-            "D": 3,
-            "sigma": [1.0, 1.0, 1.0],
-            "ar": [fixed_psi(psi_name).tolist()],
-            "ma": {},
-            "burn_in": 200,
-        }
-        config = {
-            "source": {"type": "process", "spec": payload},
-            "n": n, "grid_T": grid_T, "train": train, "horizon": 1,
-            "fit_mode": "fixed", "seed": seed, "reps": reps,
-            "methods": [
-                {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
-                {"name": "scalar", "p": scalar_p, "d": scalar_d},
-            ],
-        }
-        report = run_forecast_experiment(config)
-        ratios = [
-            float(np.mean(rec["errors"]["ffpe-var"]) / np.mean(rec["errors"]["scalar"]))
-            for rec in report.replications
-        ]
-        report.aggregates["ratio"] = {
-            "median": float(np.median(ratios)),
-            "frac_below_one": float(np.mean([r < 1.0 for r in ratios])),
-        }
-        return _finish_report(report, name)
+        spec = {"kind": "far", "D": 3, "sigma": [1.0, 1.0, 1.0],
+                "ar": [fixed_psi(psi_name).tolist()], "ma": {}, "burn_in": 200}
+        methods = [{"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
+                   {"name": "scalar", "p": scalar_p, "d": scalar_d}]
+        report = _study(f"{psi_name}-ratio", {"type": "process", "spec": spec}, methods,
+                        reps, seed, n, grid_T, train)
+        ratios = _mean_errors(report, "ffpe-var") / _mean_errors(report, "scalar")
+        report.aggregates["ratio"] = {"median": float(np.median(ratios)),
+                                      "frac_below_one": float(np.mean(ratios < 1.0))}
+        return report
 
     return build
 
 
-def _order_selection_preset(reps=None, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
+def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
-    reps = 100 if reps is None else int(reps)
     start = time.perf_counter()
     sig = sigma_scheme(sigma, D)
     grid = Grid(grid_T)
@@ -462,25 +453,17 @@ def _order_selection_preset(reps=None, seed=None, kappa=(0.8, 0.0), sigma="s1", 
     return report
 
 
-def _far2_table_preset(reps=None, seed=None, kappa=(0.8, 0.0), sigma="s1", n=1000,
+def _far2_table_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=1000,
                        D=21, grid_T=256, train=0.9, p_max=3, d_max=10,
                        bosq_p=1, bosq_pve=0.8):
-    reps = 100 if reps is None else int(reps)
-    config = {
-        "source": {"type": "kappa-far", "kappa": list(kappa), "sigma_scheme": sigma, "D": D},
-        "n": n, "grid_T": grid_T, "train": train, "horizon": 1,
-        "fit_mode": "fixed", "seed": seed, "reps": reps,
-        "methods": [
-            {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
-            {"name": "bosq", "p": bosq_p, "pve": bosq_pve},
-        ],
-    }
-    return _finish_report(run_forecast_experiment(config), "far2-table")
+    source = {"type": "kappa-far", "kappa": list(kappa), "sigma_scheme": sigma, "D": D}
+    methods = [{"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
+               {"name": "bosq", "p": bosq_p, "pve": bosq_pve}]
+    return _study("far2-table", source, methods, reps, seed, n, grid_T, train)
 
 
-def _fma_farma_preset(reps=None, seed=None, kind="farma", sigma="s1", n=1000, D=21,
+def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21,
                       grid_T=256, train=0.9, p_max=10, d_max=10, bosq_p=1, bosq_pve=0.8):
-    reps = 50 if reps is None else int(reps)
     if kind == "farma":
         source = {"type": "farma", "kappa": 0.1, "theta_scales": [0.1, 0.9],
                   "sigma_scheme": sigma, "D": D}
@@ -488,29 +471,17 @@ def _fma_farma_preset(reps=None, seed=None, kind="farma", sigma="s1", n=1000, D=
         source = {"type": "fma", "theta_scale": 0.8, "sigma_scheme": sigma, "D": D}
     else:
         raise ValueError(f"kind must be 'fma' or 'farma', got {kind!r}")
-    config = {
-        "source": source, "n": n, "grid_T": grid_T, "train": train, "horizon": 1,
-        "fit_mode": "fixed", "seed": seed, "reps": reps,
-        "methods": [
-            {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
-            {"name": "bosq", "p": bosq_p, "pve": bosq_pve},
-        ],
-    }
-    report = run_forecast_experiment(config)
-    wins = [
-        float(np.mean(rec["errors"]["ffpe-var"]) < np.mean(rec["errors"]["bosq"]))
-        for rec in report.replications
-    ]
+    methods = [{"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
+               {"name": "bosq", "p": bosq_p, "pve": bosq_pve}]
+    report = _study("fma-farma", source, methods, reps, seed, n, grid_T, train)
+    wins = _mean_errors(report, "ffpe-var") < _mean_errors(report, "bosq")
     orders = [rec["selected"]["ffpe-var"]["p"] for rec in report.replications]
-    report.aggregates["comparison"] = {
-        "frac_ffpe_wins": float(np.mean(wins)),
-        "mean_selected_p": float(np.mean(orders)),
-    }
-    return _finish_report(report, "fma-farma")
+    report.aggregates["comparison"] = {"frac_ffpe_wins": float(np.mean(wins)),
+                                       "mean_selected_p": float(np.mean(orders))}
+    return report
 
 
-def _equivalence_rate_preset(reps=None, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
-    reps = 100 if reps is None else int(reps)
+def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
     grid = Grid(grid_T)
     spec = ProcessSpec(
@@ -537,9 +508,8 @@ def _equivalence_rate_preset(reps=None, seed=None, ns=(100, 200, 400, 800), d=3,
     return report
 
 
-def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
+def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
-    reps = 100 if reps is None else int(reps)
     start = time.perf_counter()
     grid = Grid(grid_T)
     spec = ProcessSpec(
@@ -575,29 +545,18 @@ def _bands_coverage_preset(reps=None, seed=None, n=400, alpha=0.8, p=1, d=3,
     return report
 
 
-def _covariate_gain_preset(reps=None, seed=None, n=300, train=250, grid_T=64, p=1, d=3):
-    reps = 50 if reps is None else int(reps)
-    config = {
-        "source": {"type": "covariate-far1"},
-        "n": n, "grid_T": grid_T, "train": train, "horizon": 1,
-        "fit_mode": "fixed", "seed": seed, "reps": reps,
-        "methods": [
-            {"name": "fixed-var", "p": p, "d": d},
-            {"name": "covariate", "p": p, "d": d},
-        ],
-    }
-    report = run_forecast_experiment(config)
-    gains = [
-        float(np.mean(rec["errors"]["covariate"]) <= np.mean(rec["errors"]["fixed-var"]))
-        for rec in report.replications
-    ]
+def _covariate_gain_preset(reps=50, seed=None, n=300, train=250, grid_T=64, p=1, d=3):
+    methods = [{"name": "fixed-var", "p": p, "d": d}, {"name": "covariate", "p": p, "d": d}]
+    report = _study("covariate-gain", {"type": "covariate-far1"}, methods, reps, seed, n,
+                    grid_T, train)
+    gains = _mean_errors(report, "covariate") <= _mean_errors(report, "fixed-var")
     report.aggregates["frac_improved"] = float(np.mean(gains))
-    return _finish_report(report, "covariate-gain")
+    return report
 
 
-def _pm10_analog_preset(reps=None, seed=None, n_days=175, eval_days=20, out_dir=None,
+def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=None,
                         p_max=2, d_max=4):
-    if reps not in (None, 1):
+    if reps != 1:
         raise ValueError("the ingestion demo runs a single replication")
     if out_dir is None:
         with tempfile.TemporaryDirectory(prefix="pm10_analog_") as tmp:
@@ -631,8 +590,8 @@ def _pm10_analog_preset(reps=None, seed=None, n_days=175, eval_days=20, out_dir=
 
 
 PRESETS = {
-    "psi1-ratio": _ratio_preset("psi1-ratio", "psi1"),
-    "psi2-ratio": _ratio_preset("psi2-ratio", "psi2"),
+    "psi1-ratio": _ratio_preset("psi1"),
+    "psi2-ratio": _ratio_preset("psi2"),
     "order-selection": _order_selection_preset,
     "far2-table": _far2_table_preset,
     "fma-farma": _fma_farma_preset,
@@ -641,12 +600,28 @@ PRESETS = {
     "covariate-gain": _covariate_gain_preset,
     "pm10-analog": _pm10_analog_preset,
 }
+# the keys --set may override in each preset, read once from its signature
+_PRESET_KEYS = {name: sorted(inspect.signature(build).parameters.keys() - {"reps", "seed"})
+                for name, build in PRESETS.items()}
 
 
 def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) -> RunReport:
-    """Run one of the canned studies; seed is mandatory."""
+    """Run one of the canned studies; seed is mandatory.
+
+    reps defaults to the preset's own count.  overrides may name only the
+    preset's keyword arguments other than reps and seed; bad keys and
+    reps below 1 raise ValueError before any replication runs.
+    """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if seed is None:
         raise ValueError("seed is required for benchmark runs")
-    return PRESETS[preset](reps=reps, seed=int(seed), **overrides)
+    unknown = sorted(overrides.keys() - _PRESET_KEYS[preset])
+    if unknown:
+        raise ValueError(f"preset {preset!r} has no key {', '.join(map(repr, unknown))}; "
+                         f"its keys are {_PRESET_KEYS[preset]}")
+    if reps is not None:
+        if int(reps) < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
+        overrides["reps"] = int(reps)
+    return PRESETS[preset](seed=int(seed), **overrides)

@@ -19,7 +19,6 @@ from .multivar import (
     _covariate_block,
     fit_var_ols,
     fit_varx_ols,
-    predict_var,
     sample_acvf,
     solve_blp_with_covariates,
 )
@@ -66,37 +65,6 @@ class ForecastResult:
             scores=np.array(raw["scores"], dtype=float),
             curve=np.array(raw["curve"], dtype=float),
         )
-
-
-def var_score_forecast(score_rows, p: int, h: int = 1) -> np.ndarray:
-    """Fit a VAR(p) on the score rows and predict h steps ahead."""
-    model = fit_var_ols(score_rows, p)
-    hist = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    return predict_var(model, hist[-max(p, 1) :], h)
-
-
-def scalar_score_forecast(score_rows, p: int, h: int = 1) -> np.ndarray:
-    """Predict each score column with its own univariate AR(p)."""
-    s = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    return predict_var(_scalar_var(s, p), s[-max(p, 1) :], h)
-
-
-def bosq_score_forecast(score_rows, eigenvalues) -> np.ndarray:
-    """One-step prediction with the eigenvalue-weighted lag-1 operator.
-
-    Applies (n-1)^{-1} sum_{k=2}^n <., v_l> <Y_{k-1}, v_l> <Y_k, v_l'>
-    / lambda_l in score coordinates to the last observation.
-    """
-    s = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    return predict_var(_bosq_var(s, np.asarray(eigenvalues, dtype=float)), s[-1:])
-
-
-def varx_score_forecast(score_rows, covariate_rows, p: int) -> np.ndarray:
-    """One-step prediction from a VAR(p) with the last covariate row appended."""
-    s = np.asarray(getattr(score_rows, "scores", score_rows), dtype=float)
-    r = np.asarray(covariate_rows, dtype=float)
-    model = fit_varx_ols(s, r, p)
-    return predict_var(model, s[-max(p, 1) :], 1, covariate=r[-1])
 
 
 def _scalar_var(s: np.ndarray, p: int) -> VarModel:
@@ -290,17 +258,12 @@ def predict_fts(
     return _forecast(data, method, h=h)
 
 
-def bosq_predict(data: FunctionalDataset, d: int) -> ForecastResult:
-    """One-step prediction with the classical first-order benchmark."""
-    return bosq_predict_state_space(data, d, 1)
+def bosq_predict(data: FunctionalDataset, d: int, p: int = 1) -> ForecastResult:
+    """One-step prediction with the classical first-order benchmark.
 
-
-def bosq_predict_state_space(data: FunctionalDataset, d: int, p: int) -> ForecastResult:
-    """First-order benchmark applied to blocks of p consecutive curves.
-
-    Stacks (Y_k, ..., Y_{k-p+1}) into curves on a p-fold grid, runs the
-    first-order predictor there, and returns the leading block.  With
-    p = 1 this is exactly :func:`bosq_predict`.
+    With p > 1 the benchmark runs on blocks of p consecutive curves:
+    (Y_k, ..., Y_{k-p+1}) are stacked into curves on a p-fold grid, the
+    first-order predictor runs there, and the leading block is returned.
     """
     return _forecast(data, {"name": "bosq", "p": p, "d": d})
 

@@ -156,10 +156,6 @@ class VarModel:
     def d(self) -> int:
         return self.sigma_z.shape[0]
 
-    @property
-    def r(self) -> int:
-        return 0 if self.theta is None else self.theta.shape[1]
-
 
 def fit_var_ols(scores, p: int) -> VarModel:
     """Least-squares VAR(p) fit on centered score rows.

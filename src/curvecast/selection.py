@@ -24,31 +24,20 @@ from .multivar import (
 )
 
 
-def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float) -> float:
-    """Final prediction error (n + p d)/(n - p d) * tr(Sigma_Z) + tail."""
-    _check_criterion_args(n, p, d, trace_sigma_z, tail)
-    if n <= p * d:
-        raise SelectionError(f"criterion undefined: n={n} <= p*d={p * d}")
-    return (n + p * d) / (n - p * d) * trace_sigma_z + tail
+def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float, r: int = 0) -> float:
+    """Final prediction error (n + p d + r)/(n - p d - r) * tr(Sigma_Z) + tail.
 
-
-def ffpex(n: int, p: int, d: int, r: int, trace_sigma_z: float, tail: float) -> float:
-    """Criterion variant charging r extra parameters for a covariate block."""
-    _check_criterion_args(n, p, d, trace_sigma_z, tail)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if n <= p * d + r:
-        raise SelectionError(f"criterion undefined: n={n} <= p*d + r={p * d + r}")
-    return (n + p * d + r) / (n - p * d - r) * trace_sigma_z + tail
-
-
-def _check_criterion_args(n, p, d, trace_sigma_z, tail):
-    if n < 2 or p < 0 or d < 1:
-        raise ValueError(f"need n >= 2, p >= 0, d >= 1; got n={n}, p={p}, d={d}")
+    r counts the extra parameters of a covariate block; r = 0 is the plain criterion.
+    """
+    if n < 2 or p < 0 or d < 1 or r < 0:
+        raise ValueError(f"need n >= 2, p >= 0, d >= 1, r >= 0; got n={n}, p={p}, d={d}, r={r}")
     if not (math.isfinite(trace_sigma_z) and trace_sigma_z >= 0.0):
         raise ValueError(f"trace_sigma_z must be finite and >= 0, got {trace_sigma_z}")
     if not (math.isfinite(tail) and tail >= 0.0):
         raise ValueError(f"tail must be finite and >= 0, got {tail}")
+    if n <= p * d + r:
+        raise SelectionError(f"criterion undefined: n={n} <= p*d + r={p * d + r}")
+    return (n + p * d + r) / (n - p * d - r) * trace_sigma_z + tail
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                 else:
                     _check_rows(n, p, d, r)
                     trace = _cell_trace(n, p, d, eig.d, r, *moments[p])
-                value = ffpe(n, p, d, trace, tail) if r is None else ffpex(n, p, d, r, trace, tail)
+                value = ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
                 cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, status, str(err)))

@@ -1,0 +1,80 @@
+"""The package namespace holds the documented API, and the names the tracer rebinds resolve.
+
+``perfbench/spans.py`` times a fixed list of functions by rebinding them in
+their modules, so a function that moves or is renamed breaks the benchmark's
+trace without failing any other test.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import curvecast
+from curvecast.errors import CurvecastError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def own_docstring(obj):
+    """The docstring written in obj's source (dataclasses invent one when it has none)."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+    return ast.get_docstring(node)
+
+
+def is_error(obj):
+    return isinstance(obj, type) and issubclass(obj, CurvecastError)
+
+
+def documented_text():
+    paths = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    return "\n".join(path.read_text(encoding="utf-8") for path in paths)
+
+
+def traced_functions():
+    """perfbench's TRACED table, read from the file without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            table = ast.literal_eval(node.value)
+            return [(module, fn) for module, fns in table.items() for fn in fns]
+    raise AssertionError("perfbench/spans.py defines no TRACED table")
+
+
+def test_namespace_is_small():
+    assert len(curvecast.__all__) <= 45
+    assert len(set(curvecast.__all__)) == len(curvecast.__all__)
+    assert sorted(curvecast.__all__) == curvecast.__all__
+
+
+@pytest.mark.parametrize("name", curvecast.__all__)
+def test_public_name_has_a_docstring(name):
+    assert own_docstring(getattr(curvecast, name))
+
+
+@pytest.mark.parametrize("name", [n for n in curvecast.__all__
+                                  if not is_error(getattr(curvecast, n))])
+def test_public_name_is_documented(name):
+    assert re.search(rf"\b{name}\b", documented_text()), f"{name} is in no README or demo"
+
+
+@pytest.mark.parametrize("module, fn", traced_functions())
+def test_traced_function_resolves(module, fn):
+    assert callable(getattr(importlib.import_module(f"curvecast.{module}"), fn))
+
+
+@pytest.mark.parametrize("module, attr", [
+    ("experiments", "_run_replications"),
+    ("experiments", "THREADS_ENV"),
+    ("experiments", "make_pm10_analog"),
+    ("bands", "prediction_band"),
+    ("multivar", "innovations"),
+])
+def test_benchmark_and_acceptance_attributes_resolve(module, attr):
+    assert hasattr(importlib.import_module(f"curvecast.{module}"), attr)

@@ -11,10 +11,8 @@ from curvecast import (
     ProcessSpec,
     RankDeficiencyError,
     eigensystem,
-    fit_var_ols,
     fixed_psi,
     predict_fts,
-    predict_var,
     prediction_band,
     reconstruct,
     rolling_residuals,
@@ -26,6 +24,7 @@ from curvecast import (
     synthesize,
 )
 from curvecast import fpca
+from curvecast.multivar import fit_var_ols, predict_var
 
 
 def scaled_profile_residuals(c, T=16):

@@ -221,6 +221,24 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "preset, extra, message",
+    [
+        ("psi1-ratio", ["--set", "foo=1"], "has no key 'foo'"),
+        ("psi1-ratio", ["--set", "reps=2"], "pass --reps"),
+        ("order-selection", ["--set", "seed=3"], "pass --seed"),
+        ("bands-coverage", ["--reps", "0"], "reps must be >= 1, got 0"),
+        ("equivalence-rate", ["--reps", "0"], "reps must be >= 1, got 0"),
+        ("order-selection", ["--reps", "0"], "reps must be >= 1, got 0"),
+    ],
+)
+def test_benchmark_bad_overrides_exit_one(capsys, preset, extra, message):
+    assert main(["benchmark", "--preset", preset, "--seed", "1", "--reps", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["forecast"]) == 2  # missing --input

@@ -8,13 +8,13 @@ from curvecast import (
     IngestError,
     ResolutionError,
     inner_product,
-    l2_norm,
     load_curves_csv,
     load_numeric_csv,
     make_fourier_basis,
     save_curves_csv,
     synthesize,
 )
+from curvecast.curves import l2_norm
 
 
 def test_grid_midpoints():

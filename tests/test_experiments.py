@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,27 +13,27 @@ from curvecast import (
     IngestError,
     InsufficientDataError,
     ProcessSpec,
-    RunReport,
     eigensystem,
-    fit_var_ols,
-    fit_varx_ols,
     ingest,
     load_numeric_csv,
     make_pm10_analog,
-    predict_var,
     run_benchmark,
     run_forecast_experiment,
     save_curves_csv,
     scores,
     simulate,
 )
+from curvecast import experiments
 from curvecast.experiments import (
+    PRESETS,
     THREADS_ENV,
+    RunReport,
     _eval_method_fixed,
     _rep_rng,
     _source_factory,
     _worker_count,
 )
+from curvecast.multivar import fit_var_ols, fit_varx_ols, predict_var
 
 SPEC_PAYLOAD = {
     "kind": "far",
@@ -258,6 +260,48 @@ def test_benchmark_requires_known_preset_and_seed():
         run_benchmark("psi9-ratio", seed=0)
     with pytest.raises(ValueError, match="seed"):
         run_benchmark("psi1-ratio")
+
+
+PRESET_REPS = {"psi1-ratio": 200, "psi2-ratio": 200, "order-selection": 100,
+               "far2-table": 100, "fma-farma": 50, "equivalence-rate": 100,
+               "bands-coverage": 100, "covariate-gain": 50, "pm10-analog": 1}
+
+
+def test_preset_default_reps():
+    assert {name: inspect.signature(build).parameters["reps"].default
+            for name, build in PRESETS.items()} == PRESET_REPS
+
+
+@pytest.fixture
+def no_replications(monkeypatch):
+    """Replications run through _run_replications; record any call and run nothing."""
+    calls = []
+    monkeypatch.setattr(experiments, "_run_replications", lambda reps, worker: calls.append(reps))
+    return calls
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_REPS))
+def test_benchmark_rejects_unknown_keys_before_running(no_replications, preset):
+    keys = sorted(inspect.signature(PRESETS[preset]).parameters.keys() - {"reps", "seed"})
+    with pytest.raises(ValueError) as err:
+        run_benchmark(preset, reps=1, seed=1, bogus=1, n_dayz=2)
+    assert str(err.value) == (f"preset {preset!r} has no key 'bogus', 'n_dayz'; "
+                              f"its keys are {keys}")
+    assert no_replications == []
+
+
+def test_benchmark_lists_the_preset_keys():
+    with pytest.raises(ValueError, match=re.escape(
+            "its keys are ['d_max', 'grid_T', 'n', 'p_max', 'scalar_d', 'scalar_p', 'train']")):
+        run_benchmark("psi1-ratio", seed=1, foo=1)
+
+
+@pytest.mark.parametrize("reps", [0, -2])
+@pytest.mark.parametrize("preset", sorted(PRESET_REPS))
+def test_benchmark_rejects_reps_below_one(no_replications, preset, reps):
+    with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+        run_benchmark(preset, reps=reps, seed=1)
+    assert no_replications == []
 
 
 def test_ratio_preset_small():

@@ -4,28 +4,37 @@ import numpy as np
 import pytest
 
 from curvecast import (
-    ForecastResult,
     FunctionalDataset,
     Grid,
     IllConditionedError,
     bosq_predict,
-    bosq_predict_state_space,
-    bosq_score_forecast,
-    covariate_matrix,
     eigensystem,
     equivalence_gap,
     predict_fts,
     predict_with_covariates,
     reconstruct,
-    sample_acvf,
     scalar_predict,
-    scalar_score_forecast,
     scores,
     select_pd,
-    solve_blp_with_covariates,
-    var_score_forecast,
     ScoreMatrix,
 )
+from curvecast.forecast import ForecastResult, _bosq_var, _scalar_var, covariate_matrix
+from curvecast.multivar import fit_var_ols, predict_var, sample_acvf, solve_blp_with_covariates
+
+
+# score-level forecasts: each fits one score model and predicts from the last rows
+
+
+def var_score_forecast(s, p, h=1):
+    return predict_var(fit_var_ols(s, p), s[-max(p, 1) :], h)
+
+
+def scalar_score_forecast(s, p, h=1):
+    return predict_var(_scalar_var(s, p), s[-max(p, 1) :], h)
+
+
+def bosq_score_forecast(s, eigenvalues):
+    return predict_var(_bosq_var(s, eigenvalues), s[-1:])
 
 
 def test_var_score_forecast_hand_value():
@@ -115,7 +124,7 @@ def test_forecasts_invariant_to_component_sign_flips(make_far1):
 def test_bosq_state_space_reduces_to_plain():
     data = far_like(seed=3)
     a = bosq_predict(data, 2)
-    b = bosq_predict_state_space(data, 2, 1)
+    b = bosq_predict(data, 2, 1)
     assert np.array_equal(a.curve, b.curve)
 
 
@@ -127,7 +136,7 @@ def far_like(seed, n=90, T=48):
 
 def test_bosq_state_space_higher_order(make_far1):
     data = make_far1(n=100, seed=13)
-    res = bosq_predict_state_space(data, 3, 2)
+    res = bosq_predict(data, 3, 2)
     assert res.p == 2 and res.curve.shape == (64,)
     assert np.all(np.isfinite(res.curve))
 

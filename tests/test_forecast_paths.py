@@ -16,33 +16,41 @@ from curvecast import (
     IllConditionedError,
     ScoreMatrix,
     bosq_predict,
-    bosq_predict_state_space,
     eigensystem,
-    fit_var_ols,
     load_curves_csv,
     load_numeric_csv,
     predict_fts,
-    predict_var,
     predict_with_covariates,
     pve_dimension,
     reconstruct,
-    sample_acvf,
     save_curves_csv,
     scalar_predict,
     scores,
     select_pd,
-    solve_blp_with_covariates,
-    var_score_forecast,
-    varx_score_forecast,
 )
 from curvecast.cli import main
 from curvecast.experiments import _eval_method_expanding, _eval_method_fixed, _source_factory
+from curvecast.multivar import (
+    fit_var_ols,
+    fit_varx_ols,
+    predict_var,
+    sample_acvf,
+    solve_blp_with_covariates,
+)
 
 RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def var_score_forecast(s, p, h=1):
+    return predict_var(fit_var_ols(s, p), s[-max(p, 1) :], h)
+
+
+def varx_score_forecast(s, rmat, p):
+    return predict_var(fit_varx_ols(s, rmat, p), s[-max(p, 1) :], 1, covariate=rmat[-1])
 
 
 def ref_finish(eig, pred):
@@ -186,7 +194,7 @@ def test_scalar_predict_matches_reference(make_far1, p, h):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_bosq_state_space_matches_reference(make_far1, p):
     data = make_far1(n=120, seed=24)
-    res = bosq_predict_state_space(data, 3, p)
+    res = bosq_predict(data, 3, p)
     assert (res.method, res.p, res.d) == ("bosq", p, 3)
     assert res.curve.shape == (data.T,)
     assert_close(res.curve, ref_bosq_state_space(data, 3, p))
@@ -249,7 +257,7 @@ def forecast_inputs(tmp_path, make_far1):
         (["--method", "bosq", "--pve", "0.9"],
          lambda data, rmat: bosq_predict(data, pve_dimension(data, 0.9))),
         (["--method", "bosq", "--p", "2", "--d", "3"],
-         lambda data, rmat: bosq_predict_state_space(data, 3, 2)),
+         lambda data, rmat: bosq_predict(data, 3, 2)),
         (["--method", "scalar", "--p", "2", "--d", "2"],
          lambda data, rmat: scalar_predict(data, 2, 2)),
         (["--method", "covariate", "--p", "1", "--d", "2"],

@@ -9,15 +9,14 @@ from curvecast import (
     InsufficientDataError,
     NumericalDegeneracyError,
     eigensystem,
-    l2_norm,
     make_fourier_basis,
     pve_dimension,
     reconstruct,
-    sample_covariance_kernel,
-    sample_mean,
     scores,
     synthesize,
 )
+from curvecast.curves import l2_norm
+from curvecast.fpca import sample_covariance_kernel, sample_mean
 
 
 def rank3_dataset(T=48):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from curvecast import (
-    AcvfSequence,
     IngestError,
     InsufficientDataError,
     NumericalDegeneracyError,
     RankDeficiencyError,
+)
+from curvecast.multivar import (
+    AcvfSequence,
     VarModel,
     fit_var_ols,
     fit_varx_ols,

@@ -11,12 +11,10 @@ from curvecast import (
     SelectionError,
     eigensystem,
     ffpe,
-    ffpex,
-    fit_var_ols,
-    fit_varx_ols,
     scores,
     select_pd,
 )
+from curvecast.multivar import fit_var_ols, fit_varx_ols
 
 
 def test_ffpe_frozen_value():
@@ -24,7 +22,12 @@ def test_ffpe_frozen_value():
 
 
 def test_ffpex_frozen_value():
-    assert ffpex(100, 1, 3, 2, 1.5, 0.2) == pytest.approx(1.8578947368421053, abs=1e-12)
+    assert ffpe(100, 1, 3, 1.5, 0.2, r=2) == pytest.approx(1.8578947368421053, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, p, d, trace, tail", [(100, 1, 2, 2.0, 0.5), (37, 3, 5, 0.7, 1e-3)])
+def test_ffpe_without_covariates_is_the_plain_formula(n, p, d, trace, tail):
+    assert ffpe(n, p, d, trace, tail) == (n + p * d) / (n - p * d) * trace + tail
 
 
 def test_ffpe_reduces_to_trace_plus_tail_at_p0():
@@ -34,8 +37,10 @@ def test_ffpe_reduces_to_trace_plus_tail_at_p0():
 def test_criterion_guards():
     with pytest.raises(SelectionError):
         ffpe(10, 5, 2, 1.0, 0.0)  # n <= p d
-    with pytest.raises(SelectionError):
-        ffpex(10, 2, 2, 6, 1.0, 0.0)  # n <= p d + r
+    with pytest.raises(SelectionError, match=r"n=10 <= p\*d \+ r=10"):
+        ffpe(10, 2, 2, 1.0, 0.0, r=6)  # n <= p d + r
+    with pytest.raises(ValueError):
+        ffpe(100, 1, 2, 1.0, 0.0, r=-1)
     with pytest.raises(ValueError):
         ffpe(100, 1, 2, -1.0, 0.0)
     with pytest.raises(ValueError):
@@ -100,9 +105,7 @@ def test_covariate_cells_match_direct_fit(make_far1):
     eig = eigensystem(data, 2)
     smat = scores(data, eig).scores
     model = fit_varx_ols(smat, rmat, 1)
-    expected = ffpex(
-        200, 1, 2, 2, float(np.trace(model.sigma_z)), eig.tail_variance()
-    )
+    expected = ffpe(200, 1, 2, float(np.trace(model.sigma_z)), eig.tail_variance(), r=2)
     assert cell.value == pytest.approx(expected, rel=1e-10)
 
 
@@ -139,7 +142,7 @@ def direct_cells(data, p_max, d_max, rmat=None):
                 cells[p, d] = ("singular", None, None)
                 continue
             trace = float(model.sigma_z.trace())
-            value = ffpe(n, p, d, trace, tail) if rmat is None else ffpex(n, p, d, r, trace, tail)
+            value = ffpe(n, p, d, trace, tail, r)
             cells[p, d] = ("ok", trace, value)
     return cells
 

@@ -13,8 +13,8 @@ from curvecast import (
     random_operator,
     sigma_scheme,
     simulate,
-    spectral_norm,
 )
+from curvecast.simulate import spectral_norm
 
 
 def coefficients_of(data, D):
