@@ -41,6 +41,8 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
 
 def _warm_up(n: int, d: int, p: int, L) -> int:
     """The first refit's row count: the default max(p, 10 d, n/4), or L checked."""
+    if p < 0:
+        raise ValueError(f"order p must be >= 0, got {p}")
     if L is None:
         L = max(p, 10 * d, round(n / 4))
     if L < max(p, 10 * d):
@@ -60,7 +62,7 @@ def _rolling_residuals(data: FunctionalDataset, eig: EigenSystem, smat: np.ndarr
     means = np.cumsum(smat, axis=0)[L - 1 : n - 1] / origins[:, None]
     pred = means
     if p > 0:
-        lags = np.hstack([_lag_rows(smat, p, p), smat[p:]])
+        lags = np.hstack(_lag_rows(smat, p))
         sums = np.cumsum(lags, axis=0)[L - p - 1 : n - p - 1]
         prods = np.cumsum(lags[:, :, None] * lags[:, None, :], axis=0)[L - p - 1 : n - p - 1]
         centre = np.tile(means, p + 1)

@@ -21,17 +21,11 @@ _FORECAST_METHODS = {"vector": "fixed-var", "bosq": "bosq", "scalar": "scalar",
                     "covariate": "covariate"}
 
 
-def _sigma_vector(name: str, D: int) -> np.ndarray:
-    if name == "ones":
-        return np.ones(D)
-    return sigma_scheme(name, D)
-
-
 def _build_spec(args, rng) -> ProcessSpec:
     if args.spec:
         with open(args.spec) as fh:
             return ProcessSpec.from_json(fh.read())
-    sigma = _sigma_vector(args.sigma, args.dim)
+    sigma = np.ones(args.dim) if args.sigma == "ones" else sigma_scheme(args.sigma, args.dim)
     if args.operator == "random":
         psi = random_operator(args.dim, sigma, rng)
     else:

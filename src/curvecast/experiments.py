@@ -12,6 +12,7 @@ records are merged in index order so reports do not depend on scheduling.
 import csv
 import inspect
 import json
+import numbers
 import os
 import tempfile
 import time
@@ -72,15 +73,7 @@ class RunReport:
     wall_clock: float
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "replications": self.replications,
-            "aggregates": self.aggregates,
-            "frequencies": self.frequencies,
-            "wall_clock": self.wall_clock,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -89,15 +82,7 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        return cls(
-            command=raw["command"],
-            config=raw["config"],
-            replications=raw["replications"],
-            aggregates=raw["aggregates"],
-            frequencies=raw["frequencies"],
-            wall_clock=raw["wall_clock"],
-        )
+        return cls(**json.loads(text))
 
 
 def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
@@ -106,9 +91,18 @@ def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
     return (np.einsum("ij,ij->i", diff, diff) / data.T).tolist()
 
 
-def _report(command: str, config: dict, count: int, worker, start: float) -> RunReport:
-    """Run worker over count replications into a report timed from start, aggregates empty."""
-    records = _run_replications(count, worker)
+def _report(command: str, config: dict, count: int, seed, worker, start: float) -> RunReport:
+    """Run count replications into a report timed from start, aggregates empty.
+
+    Record idx holds idx, [seed, idx] and empty errors and selected, with the
+    fields that worker(idx, replication generator) returns laid over them.
+    """
+
+    def replication(idx):
+        return {"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {},
+                **worker(idx, _rep_rng(seed, idx))}
+
+    records = _run_replications(count, replication)
     return RunReport(command=command, config=config, replications=records, aggregates={},
                      frequencies={}, wall_clock=time.perf_counter() - start)
 
@@ -124,30 +118,12 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-def _spec_from_payload(payload: dict) -> ProcessSpec:
-    return ProcessSpec.from_json(json.dumps(payload))
-
-
-def _scaled_family(rng, D, sig, kappas, theta_scales, burn_in):
-    """Draw one unit-norm operator and scale it into AR and MA terms."""
-    psi = random_operator(D, sig, rng)
-    ar = tuple(float(k) * psi for k in kappas)
-    ma = {lag: float(s) * psi for lag, s in theta_scales.items()}
-    if ar and ma:
-        kind = "farma"
-    elif ar:
-        kind = "far"
-    else:
-        kind = "fma"
-    return ProcessSpec(kind=kind, D=D, sigma=sig, ar=ar, ma=ma, burn_in=burn_in)
-
-
 def _source_factory(source: dict):
     """Return make(rng, n, grid) -> (dataset, covariate matrix or None)."""
     kind = source.get("type")
     burn_in = int(source.get("burn_in", 200))
     if kind == "process":
-        spec = _spec_from_payload(source["spec"])
+        spec = ProcessSpec.from_json(json.dumps(source["spec"]))
 
         def make(rng, n, grid):
             return simulate(spec, n, grid, rng), None
@@ -168,7 +144,11 @@ def _source_factory(source: dict):
             thetas = {1: float(pair[0]), 2: float(pair[1])}
 
         def make(rng, n, grid):
-            spec = _scaled_family(rng, D, sig, kappas, thetas, burn_in)
+            psi = random_operator(D, sig, rng)  # one unit-norm operator scaled into every term
+            ar = tuple(k * psi for k in kappas)
+            ma = {lag: s * psi for lag, s in thetas.items()}
+            spec = ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
+                               burn_in=burn_in)
             return simulate(spec, n, grid, rng), None
 
         return make
@@ -247,17 +227,29 @@ def _eval_method_expanding(data, rmat, m, h, method):
             "criterion": None}
 
 
+def _by_method(outs: dict) -> dict:
+    """A record's errors and selected fields from each method's evaluation, keyed by method."""
+    return {field: {key: out[field] for key, out in outs.items()}
+            for field in ("errors", "selected")}
+
+
 def _method_key(method: dict) -> str:
     return method.get("label", method["name"])
+
+
+_METHOD_KEYS = ("name", "label", "p", "d", "p_max", "d_max", "pve", "solver")
 
 
 def run_forecast_experiment(config: dict) -> RunReport:
     """Rolling-origin one-step (or h-step) evaluation over replications.
 
-    config keys: source (see _source_factory), n, grid_T, train (count
-    or fraction), horizon, fit_mode ('fixed' refits nothing after the
-    training origin; 'expanding' refits on all prior data at each
-    step), methods (list of method dicts), seed, reps.
+    config keys: source (see _source_factory), n (required unless the
+    source is a file), grid_T, train (count or fraction), horizon,
+    fit_mode ('fixed' refits nothing after the training origin;
+    'expanding' refits on all prior data at each step), methods (list
+    of method dicts), seed, reps.  A method dict may hold only the keys
+    name, label, p, d, p_max, d_max, pve and solver; any other key
+    raises ValueError before a replication runs.
 
     Returns
     -------
@@ -283,29 +275,30 @@ def run_forecast_experiment(config: dict) -> RunReport:
     keys = [_method_key(mm) for mm in methods]
     if len(set(keys)) != len(keys):
         raise ValueError(f"method keys must be unique, got {keys}")
+    for key, meth in zip(keys, methods):
+        unknown = sorted(meth.keys() - set(_METHOD_KEYS))
+        if unknown:
+            raise ValueError(f"method {key!r} has no key {unknown[0]!r}; "
+                             f"its keys are {', '.join(_METHOD_KEYS)}")
     make = _source_factory(config["source"])
-    if config["source"].get("type") == "file" and reps != 1:
+    kind = config["source"].get("type")
+    if kind == "file" and reps != 1:
         raise ValueError("a file source is deterministic; use reps=1")
+    n = config.get("n")
+    if n is None and kind != "file":
+        raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     grid = Grid(int(config.get("grid_T", 256)))
     evaluate = _eval_method_fixed if fit_mode == "fixed" else _eval_method_expanding
 
-    n_cfg = config.get("n")
-
-    def worker(idx):
-        rng = _rep_rng(seed, idx)
-        data, rmat = make(rng, None if n_cfg is None else int(n_cfg), grid)
+    def worker(idx, rng):
+        data, rmat = make(rng, None if n is None else int(n), grid)
         m = _resolve_train(config.get("train", 0.9), data.n)
-        rec = {"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {}}
-        for meth in methods:
-            out = evaluate(data, rmat, m, h, meth)
-            key = _method_key(meth)
-            rec["errors"][key] = out["errors"]
-            rec["selected"][key] = out["selected"]
-            if out.get("criterion") is not None:
-                rec.setdefault("criterion", {})[key] = out["criterion"]
-        return rec
+        outs = {key: evaluate(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
+        criteria = {key: out["criterion"] for key, out in outs.items()
+                    if out["criterion"] is not None}
+        return {**_by_method(outs), "criterion": criteria} if criteria else _by_method(outs)
 
-    report = _report("run_forecast_experiment", echo, reps, worker, start)
+    report = _report("run_forecast_experiment", echo, reps, seed, worker, start)
     report.aggregates, report.frequencies = _aggregate(report.replications, keys)
     return report
 
@@ -433,22 +426,16 @@ def _ratio_preset(psi_name: str):
 def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
     start = time.perf_counter()
-    sig = sigma_scheme(sigma, D)
+    make = _source_factory({"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D})
     grid = Grid(grid_T)
 
-    def worker(idx):
-        rng = _rep_rng(seed, idx)
-        spec = _scaled_family(rng, D, sig, [float(k) for k in kappa], {}, 200)
-        data = simulate(spec, n, grid, rng)
-        table = select_pd(data, p_max, d_max)
-        return {
-            "idx": idx, "seed": [seed, idx], "errors": {},
-            "selected": {"ffpe-var": {"p": table.p_best, "d": table.d_best}},
-        }
+    def worker(idx, rng):
+        table = select_pd(make(rng, n, grid)[0], p_max, d_max)
+        return {"selected": {"ffpe-var": {"p": table.p_best, "d": table.d_best}}}
 
     config = {"kappa": list(kappa), "sigma": sigma, "n": n, "D": D, "grid_T": grid_T,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": reps}
-    report = _report("benchmark:order-selection", config, reps, worker, start)
+    report = _report("benchmark:order-selection", config, reps, seed, worker, start)
     _, report.frequencies = _aggregate(report.replications, ["ffpe-var"])
     return report
 
@@ -481,24 +468,24 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
     return report
 
 
+def _psi1_far() -> ProcessSpec:
+    """The first-order process on three components with the dense operator psi1."""
+    return ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(fixed_psi("psi1"),), burn_in=200)
+
+
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
     grid = Grid(grid_T)
-    spec = ProcessSpec(
-        kind="far", D=3, sigma=np.ones(3), ar=(fixed_psi("psi1"),), burn_in=200
-    )
+    spec = _psi1_far()
     ns = [int(v) for v in ns]
 
-    def worker(idx):
-        rng = _rep_rng(seed, idx)
+    def worker(idx, rng):
         n = ns[idx // reps]
-        data = simulate(spec, n, grid, rng)
-        gap = equivalence_gap(data, d).gap
-        return {"idx": idx, "seed": [seed, idx], "n": n, "errors": {"gap": [gap]},
-                "selected": {}}
+        gap = equivalence_gap(simulate(spec, n, grid, rng), d).gap
+        return {"n": n, "errors": {"gap": [gap]}}
 
     config = {"ns": ns, "d": d, "grid_T": grid_T, "seed": seed, "reps": reps}
-    report = _report("benchmark:equivalence-rate", config, reps * len(ns), worker, start)
+    report = _report("benchmark:equivalence-rate", config, reps * len(ns), seed, worker, start)
     records = report.replications
     medians = {}
     for j, n in enumerate(ns):
@@ -512,12 +499,9 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
     start = time.perf_counter()
     grid = Grid(grid_T)
-    spec = ProcessSpec(
-        kind="far", D=3, sigma=np.ones(3), ar=(fixed_psi("psi1"),), burn_in=200
-    )
+    spec = _psi1_far()
 
-    def worker(idx):
-        rng = _rep_rng(seed, idx)
+    def worker(idx, rng):
         full = simulate(spec, n + 1, grid, rng)
         data = FunctionalDataset(grid=grid, values=full.values[:n])
         lookback = _warm_up(n, d, p, L)
@@ -527,16 +511,11 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
         band = prediction_band(resid, alpha)
         covered = band.contains(_result(fit).curve, full.values[n])
         inside = band.contains(np.zeros(grid.T), resid.values)
-        return {
-            "idx": idx, "seed": [seed, idx],
-            "errors": {"bands": [float(covered)]},
-            "selected": {},
-            "in_sample_coverage": float(np.mean(inside)),
-        }
+        return {"errors": {"bands": [float(covered)]}, "in_sample_coverage": float(np.mean(inside))}
 
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
-    report = _report("benchmark:bands-coverage", config, reps, worker, start)
+    report = _report("benchmark:bands-coverage", config, reps, seed, worker, start)
     records = report.replications
     report.aggregates = {
         "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),
@@ -566,24 +545,18 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
     start = time.perf_counter()
     curves_path, cov_path = make_pm10_analog(out_dir, n_days=n_days, seed=seed)
 
-    def worker(idx):
+    def worker(idx, rng):
         data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
         rmat = load_numeric_csv(cov_path)
         m = data.n - int(eval_days)
-        rec = {"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {}}
-        for meth in (
-            {"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
-            {"name": "covariate", "p_max": p_max, "d_max": d_max},
-        ):
-            out = _eval_method_fixed(data, rmat, m, 1, meth)
-            rec["errors"][meth["name"]] = out["errors"]
-            rec["selected"][meth["name"]] = out["selected"]
-        return rec
+        methods = [{"name": name, "p_max": p_max, "d_max": d_max}
+                   for name in ("ffpe-var", "covariate")]
+        return _by_method({mm["name"]: _eval_method_fixed(data, rmat, m, 1, mm) for mm in methods})
 
     config = {"synthetic_analog": True, "n_days": n_days, "eval_days": eval_days,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": 1,
               "curves_csv": curves_path, "covariates_csv": cov_path}
-    report = _report("benchmark:pm10-analog", config, 1, worker, start)
+    report = _report("benchmark:pm10-analog", config, 1, seed, worker, start)
     report.aggregates, report.frequencies = _aggregate(report.replications,
                                                        ["ffpe-var", "covariate"])
     return report
@@ -600,26 +573,42 @@ PRESETS = {
     "covariate-gain": _covariate_gain_preset,
     "pm10-analog": _pm10_analog_preset,
 }
-# the keys --set may override in each preset, read once from its signature
-_PRESET_KEYS = {name: sorted(inspect.signature(build).parameters.keys() - {"reps", "seed"})
-                for name, build in PRESETS.items()}
+# the keys --set may override in each preset and their defaults, read once from its signature
+_PRESET_DEFAULTS = {name: {key: param.default
+                           for key, param in inspect.signature(build).parameters.items()
+                           if key not in ("reps", "seed")}
+                    for name, build in PRESETS.items()}
+
+
+def _kind(value) -> str:
+    """The kind an override must share with its preset default: number, list or str."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return "number"
+    return "list" if isinstance(value, (list, tuple)) else type(value).__name__
 
 
 def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) -> RunReport:
     """Run one of the canned studies; seed is mandatory.
 
     reps defaults to the preset's own count.  overrides may name only the
-    preset's keyword arguments other than reps and seed; bad keys and
+    preset's keyword arguments other than reps and seed, each with a value
+    of the same kind as its default (a number, a list or a str; any value
+    where the default is None).  Bad keys, values of the wrong kind and
     reps below 1 raise ValueError before any replication runs.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if seed is None:
         raise ValueError("seed is required for benchmark runs")
-    unknown = sorted(overrides.keys() - _PRESET_KEYS[preset])
+    defaults = _PRESET_DEFAULTS[preset]
+    unknown = sorted(overrides.keys() - defaults.keys())
     if unknown:
         raise ValueError(f"preset {preset!r} has no key {', '.join(map(repr, unknown))}; "
-                         f"its keys are {_PRESET_KEYS[preset]}")
+                         f"its keys are {sorted(defaults)}")
+    for key, value in overrides.items():
+        if defaults[key] is not None and _kind(value) != _kind(defaults[key]):
+            raise ValueError(f"preset {preset!r} key {key!r} takes a {_kind(defaults[key])} "
+                             f"like its default {defaults[key]!r}, got {value!r}")
     if reps is not None:
         if int(reps) < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")

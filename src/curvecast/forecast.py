@@ -6,7 +6,7 @@ expansion.  They differ only in how the score prediction is formed.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +36,18 @@ class ForecastResult:
     d: int
     scores: np.ndarray
     curve: np.ndarray
-    grid: Grid = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, dtype=float)))
-        curve = np.asarray(self.curve, dtype=float)
-        object.__setattr__(self, "curve", _readonly(curve))
-        if self.grid is None:
-            object.__setattr__(self, "grid", Grid(curve.shape[0]))
+        object.__setattr__(self, "curve", _readonly(np.asarray(self.curve, dtype=float)))
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "p": self.p,
-            "d": self.d,
-            "scores": self.scores.tolist(),
-            "curve": self.curve.tolist(),
-        }
+        payload = dict(vars(self), scores=self.scores.tolist(), curve=self.curve.tolist())
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastResult":
-        raw = json.loads(text)
-        return cls(
-            method=raw["method"],
-            p=int(raw["p"]),
-            d=int(raw["d"]),
-            scores=np.array(raw["scores"], dtype=float),
-            curve=np.array(raw["curve"], dtype=float),
-        )
+        return cls(**json.loads(text))
 
 
 def _scalar_var(s: np.ndarray, p: int) -> VarModel:

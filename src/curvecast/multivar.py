@@ -6,7 +6,7 @@ and the closed-form best linear predictor built from covariance blocks.
 All functions operate on plain (n, d) arrays in time order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,13 +61,17 @@ def _check_rows(n: int, p: int, d: int, r: int = None) -> None:
         raise InsufficientDataError(f"n={n} too small to fit p={p}, d={d}, r={r}")
 
 
-def _lag_rows(c: np.ndarray, p: int, start: int, extra: np.ndarray = None) -> np.ndarray:
-    """Design rows (c_{t-1}, ..., c_{t-p}[, extra_{t-1}]) for t = start..n-1."""
+def _lag_rows(c: np.ndarray, p: int, extra: np.ndarray = None):
+    """Design rows (c_{t-1}, ..., c_{t-p}[, extra_{t-1}]) and targets c_t, t = start..n-1.
+
+    start is p, or max(p, 1) with an extra block, whose row enters at lag one.
+    """
     n = c.shape[0]
+    start = p if extra is None else max(p, 1)
     blocks = [c[start - j : n - j] for j in range(1, p + 1)]
     if extra is not None:
         blocks.append(extra[start - 1 : n - 1])
-    return np.hstack(blocks) if blocks else np.empty((n - start, 0))
+    return (np.hstack(blocks) if blocks else np.empty((n - start, 0))), c[start:]
 
 
 def _covariate_block(covariates, n: int):
@@ -157,6 +161,38 @@ class VarModel:
         return self.sigma_z.shape[0]
 
 
+def _fit_ols(scores, p: int, covariates=None) -> VarModel:
+    """Least-squares VAR(p) on centred scores, with the previous covariate row if given."""
+    s = _as_score_array(scores)
+    n, d = s.shape
+    extra = r = None
+    if covariates is not None:
+        rc, rmean, keep = _covariate_block(covariates, n)
+        extra, r = rc[:, keep], rc.shape[1]
+    if p < 0:
+        raise ValueError(f"order p must be >= 0, got {p}")
+    _check_rows(n, p, d, r)
+    mean = s.mean(axis=0)
+    c = s - mean
+    design, target = _lag_rows(c, p, extra)
+    if design.shape[1] == 0:
+        beta = np.zeros((0, d))
+        resid = target
+    else:
+        gram = design.T @ design
+        context = f"{'VAR' if r is None else 'VARX'}({p}) design"
+        beta = _guarded_solve(gram, design.T @ target, context=context)
+        resid = target - design @ beta
+    sigma = resid.T @ resid / len(target)
+    coeffs = tuple(_readonly(beta[j * d : (j + 1) * d].T) for j in range(p))
+    model = VarModel(p=p, coeffs=coeffs, sigma_z=_readonly(sigma), mean=_readonly(mean))
+    if r is None:
+        return model
+    theta = np.zeros((d, r))
+    theta[:, keep] = beta[p * d :].T
+    return replace(model, theta=_readonly(theta), covariate_mean=_readonly(rmean))
+
+
 def fit_var_ols(scores, p: int) -> VarModel:
     """Least-squares VAR(p) fit on centered score rows.
 
@@ -164,24 +200,7 @@ def fit_var_ols(scores, p: int) -> VarModel:
     (y_{k-1}, ..., y_{k-p}); no intercept is estimated beyond removing
     the sample mean.  The innovation covariance uses divisor n - p.
     """
-    s = _as_score_array(scores)
-    n, d = s.shape
-    if p < 0:
-        raise ValueError(f"order p must be >= 0, got {p}")
-    _check_rows(n, p, d)
-    mean = s.mean(axis=0)
-    c = s - mean
-    if p == 0:
-        sigma = c.T @ c / n
-        return VarModel(p=0, coeffs=(), sigma_z=_readonly(sigma), mean=_readonly(mean))
-    design = _lag_rows(c, p, p)
-    target = c[p:]
-    gram = design.T @ design
-    beta = _guarded_solve(gram, design.T @ target, context=f"VAR({p}) design")
-    resid = target - design @ beta
-    sigma = resid.T @ resid / (n - p)
-    coeffs = tuple(_readonly(beta[j * d : (j + 1) * d].T) for j in range(p))
-    return VarModel(p=p, coeffs=coeffs, sigma_z=_readonly(sigma), mean=_readonly(mean))
+    return _fit_ols(scores, p)
 
 
 def fit_varx_ols(scores, covariates, p: int) -> VarModel:
@@ -192,37 +211,7 @@ def fit_varx_ols(scores, covariates, p: int) -> VarModel:
     constant carry no information and are excluded from the solve; their
     loadings are returned as zero.  Non-finite covariates raise IngestError.
     """
-    s = _as_score_array(scores)
-    n, d = s.shape
-    rc, rmean, keep = _covariate_block(covariates, n)
-    if p < 0:
-        raise ValueError(f"order p must be >= 0, got {p}")
-    r = rc.shape[1]
-    start = max(p, 1)
-    _check_rows(n, p, d, r)
-    mean = s.mean(axis=0)
-    c = s - mean
-    design = _lag_rows(c, p, start, rc[:, keep])
-    target = c[start:]
-    if design.shape[1] == 0:
-        beta = np.zeros((0, d))
-        resid = target
-    else:
-        gram = design.T @ design
-        beta = _guarded_solve(gram, design.T @ target, context=f"VARX({p}) design")
-        resid = target - design @ beta
-    sigma = resid.T @ resid / (n - start)
-    coeffs = tuple(_readonly(beta[j * d : (j + 1) * d].T) for j in range(p))
-    theta = np.zeros((d, r))
-    theta[:, keep] = beta[p * d :].T
-    return VarModel(
-        p=p,
-        coeffs=coeffs,
-        sigma_z=_readonly(sigma),
-        mean=_readonly(mean),
-        theta=_readonly(theta),
-        covariate_mean=_readonly(rmean),
-    )
+    return _fit_ols(scores, p, covariates)
 
 
 def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndarray:

@@ -72,10 +72,7 @@ class FfpeTable:
         return self.p_best, self.d_best
 
     def best_cell(self) -> FfpeCell:
-        for cell in self.cells:
-            if cell.p == self.p_best and cell.d == self.d_best:
-                return cell
-        raise LookupError("selected cell missing from table")
+        return self.cell(self.p_best, self.d_best)
 
     def cell(self, p: int, d: int) -> FfpeCell:
         for c in self.cells:
@@ -137,15 +134,13 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
         r, extra = rc.shape[1], rc[:, keep]
     moments = []
     for p in range(p_max + 1):
-        start = p if r is None else max(p, 1)
-        x = _lag_rows(c, p, start, extra)
-        y = c[start:]
+        x, y = _lag_rows(c, p, extra)
         xx = x.T @ x
         # Each cell solves a principal submatrix of the positive semidefinite xx;
         # by eigenvalue interlacing its condition number is at most xx's, so an
         # xx passing the pivot test with a factor 2 to spare passes it in every cell.
         guard = bool(xx.size) and _is_singular(xx, 2 * PIVOT_RTOL)
-        moments.append((start, xx, x.T @ y, np.einsum("ij,ij->j", y, y), guard))
+        moments.append((len(y), xx, x.T @ y, np.einsum("ij,ij->j", y, y), guard))
     cells = []
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
@@ -159,7 +154,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                     trace = float(fit_var_ols(smat[:, :d], 0).sigma_z.trace())
                 else:
                     _check_rows(n, p, d, r)
-                    trace = _cell_trace(n, p, d, eig.d, r, *moments[p])
+                    trace = _cell_trace(p, d, eig.d, r, *moments[p])
                 value = ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
@@ -175,7 +170,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig)
 
 
-def _cell_trace(n, p, d, width, r, start, xx, xy, yy, guard):
+def _cell_trace(p, d, width, r, rows, xx, xy, yy, guard):
     """Innovation trace of the (p, d) fit from cross-products of the first width scores."""
     col = np.arange(xx.shape[0])
     idx = col[(col % width < d) | (col >= p * width)]  # d components of each lag, all covariates
@@ -189,4 +184,4 @@ def _cell_trace(n, p, d, width, r, start, xx, xy, yy, guard):
         else:
             beta = np.linalg.solve(gram, rhs)
         rss -= np.vdot(beta, rhs)
-    return max(float(rss), 0.0) / (n - start)  # an exact fit can round below zero
+    return max(float(rss), 0.0) / rows  # an exact fit can round below zero

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import re
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,16 @@ def test_traced_function_resolves(module, fn):
 ])
 def test_benchmark_and_acceptance_attributes_resolve(module, attr):
     assert hasattr(importlib.import_module(f"curvecast.{module}"), attr)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "curvecast").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_source_lines_are_not_packed(path):
+    """Line counts stay comparable: no line over 106 characters, no ';' joining statements."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [number for number, line in enumerate(lines, start=1) if len(line) > 106]
+    assert not long, f"{path.name} lines {long} are longer than 106 characters"
+    with path.open("rb") as fh:
+        joins = [tok.start[0] for tok in tokenize.tokenize(fh.readline)
+                 if tok.type == tokenize.OP and tok.string == ";"]
+    assert not joins, f"{path.name} lines {joins} join statements with ';'"

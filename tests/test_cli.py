@@ -196,6 +196,16 @@ def test_bands_command(curves_csv, tmp_path, capsys):
     assert len(lines) == 1 + 32
 
 
+def test_bands_rejects_negative_order(curves_csv, tmp_path, capsys):
+    out = tmp_path / "band.csv"
+    assert main([
+        "bands", "--input", str(curves_csv), "--p", "-1", "--d", "2", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "order p must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_benchmark_stdout_and_overrides(capsys):
     assert main([
         "benchmark", "--preset", "order-selection", "--reps", "1", "--seed", "2",
@@ -230,6 +240,8 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
         ("bands-coverage", ["--reps", "0"], "reps must be >= 1, got 0"),
         ("equivalence-rate", ["--reps", "0"], "reps must be >= 1, got 0"),
         ("order-selection", ["--reps", "0"], "reps must be >= 1, got 0"),
+        ("order-selection", ["--set", "kappa=0.5"], "key 'kappa' takes a list"),
+        ("bands-coverage", ["--set", "alpha=high"], "key 'alpha' takes a number"),
     ],
 )
 def test_benchmark_bad_overrides_exit_one(capsys, preset, extra, message):

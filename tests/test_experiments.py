@@ -215,8 +215,8 @@ def test_file_source_reproduces_process_run(tmp_path):
     data = simulate(spec, 40, Grid(32), np.random.default_rng([5, 0]))
     path = tmp_path / "curves.csv"
     save_curves_csv(data, path)
-    file_run = run_forecast_experiment(
-        tiny_config(source={"type": "file", "path": str(path)}, reps=1, seed=5)
+    file_run = run_forecast_experiment(  # a file source needs no n
+        tiny_config(source={"type": "file", "path": str(path)}, reps=1, seed=5, n=None)
     )
     assert file_run.replications[0]["errors"] == process.replications[0]["errors"]
 
@@ -290,6 +290,41 @@ def test_benchmark_rejects_unknown_keys_before_running(no_replications, preset):
     assert no_replications == []
 
 
+@pytest.mark.parametrize("preset, key, value, kind", [
+    ("order-selection", "kappa", 0.5, "list"),
+    ("bands-coverage", "alpha", "high", "number"),
+    ("psi1-ratio", "n", True, "number"),
+    ("equivalence-rate", "ns", "100", "list"),
+    ("fma-farma", "kind", 1, "str"),
+])
+def test_benchmark_rejects_overrides_of_another_kind(no_replications, preset, key, value, kind):
+    with pytest.raises(ValueError, match=f"key {key!r} takes a {kind} like its default"):
+        run_benchmark(preset, reps=1, seed=1, **{key: value})
+    assert no_replications == []
+
+
+def test_method_dict_rejects_unknown_keys_before_running(no_replications):
+    config = tiny_config(methods=[{"name": "covariate", "p": 1, "d": 2, "solvr": "blp"}])
+    with pytest.raises(ValueError) as err:
+        run_forecast_experiment(config)
+    assert str(err.value) == ("method 'covariate' has no key 'solvr'; its keys are "
+                              "name, label, p, d, p_max, d_max, pve, solver")
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("source", [
+    {"type": "process", "spec": SPEC_PAYLOAD},
+    {"type": "kappa-far", "kappa": [0.5], "D": 3},
+    {"type": "covariate-far1"},
+])
+def test_simulated_source_needs_n_before_running(no_replications, source):
+    config = tiny_config(source=source)
+    del config["n"]
+    with pytest.raises(ValueError, match=f"a {source['type']!r} source needs n"):
+        run_forecast_experiment(config)
+    assert no_replications == []
+
+
 def test_benchmark_lists_the_preset_keys():
     with pytest.raises(ValueError, match=re.escape(
             "its keys are ['d_max', 'grid_T', 'n', 'p_max', 'scalar_d', 'scalar_p', 'train']")):
@@ -351,7 +386,8 @@ def test_equivalence_rate_preset_small():
 
 
 def test_bands_coverage_preset_small():
-    report = run_benchmark("bands-coverage", reps=2, seed=4, n=80, grid_T=48, L=40)
+    # a numpy integer passes for the number n defaults to
+    report = run_benchmark("bands-coverage", reps=2, seed=4, n=np.int64(80), grid_T=48, L=40)
     assert 0.0 <= report.aggregates["coverage"] <= 1.0
     assert 0.0 <= report.aggregates["min_in_sample_coverage"] <= 1.0
 
