@@ -75,7 +75,7 @@ def _rolling_residuals(data: FunctionalDataset, eig: EigenSystem, smat: np.ndarr
         beta = _guarded_solve(cross[:, :k, :k], cross[:, :k, k:], context=f"VAR({p}) design")
         pred = means + np.einsum("oi,oij->oj", lags[L - p :, :k] - centre[:, :k], beta)
     curves = reconstruct(ScoreMatrix(scores=pred), eig).values
-    return FunctionalDataset(grid=data.grid, values=data.values[L:] - curves)
+    return FunctionalDataset._own(data.grid, data.values[L:] - curves)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ class FunctionalDataset:
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+    def __post_init__(self, copy: bool = True):
+        vals = np.array(self.values, dtype=float) if copy else self.values
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise ValueError(f"values must be a nonempty (n, T) array, got shape {vals.shape}")
         if vals.shape[1] != self.grid.T:
@@ -74,7 +74,17 @@ class FunctionalDataset:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("curve values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray) -> "FunctionalDataset":
+        """A dataset over a fresh float array that nothing else writes: read-only, not copied."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "grid", grid)
+        object.__setattr__(data, "values", values)
+        data.__post_init__(copy=False)
+        return data
 
     @property
     def n(self) -> int:
@@ -125,7 +135,7 @@ def synthesize(coeffs, basis: FourierBasis) -> FunctionalDataset:
         raise DimensionMismatchError(
             f"coefficient rows have length {coeffs.shape[1]}, basis has D={basis.D}"
         )
-    return FunctionalDataset(grid=basis.grid, values=coeffs @ basis.values)
+    return FunctionalDataset._own(basis.grid, coeffs @ basis.values)
 
 
 def save_curves_csv(data: FunctionalDataset, path, header: bool = True) -> None:
@@ -144,7 +154,7 @@ def load_curves_csv(path) -> FunctionalDataset:
     need cleaning.
     """
     values = _read_numeric_matrix(path)
-    return FunctionalDataset(grid=Grid(values.shape[1]), values=values)
+    return FunctionalDataset._own(Grid(values.shape[1]), values)
 
 
 def load_numeric_csv(path) -> np.ndarray:
@@ -158,23 +168,14 @@ def load_numeric_csv(path) -> np.ndarray:
 
 # load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
 def _read_numeric_matrix(path) -> np.ndarray:
-    with open(path, newline="", encoding=CSV_ENCODING) as fh:
-        reader = csv.reader(fh)
-        first = next(filter(None, reader), [])
-        skip = reader.line_num if _is_header(first) else 0
-        data = next(filter(None, reader), None) if skip else first
-    if not data:
-        raise IngestError(f"{path}: no data rows found")
-    try:
-        # numpy's C reader; only the per-cell path maps NA markers and names a bad cell
-        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
-                            encoding=CSV_ENCODING)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    parsed = _bulk_parse(path)
+    if parsed is not None and np.isfinite(parsed[0]).all():
+        return parsed[0]
     raw, has_header = _read_rows(path)
-    rows = _parse_rows(raw[1:] if has_header else raw, path)
+    body = raw[1:] if has_header else raw
+    if not body:
+        raise IngestError(f"{path}: no data rows found")
+    rows = _parse_rows(body, path)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
@@ -184,6 +185,46 @@ def _read_numeric_matrix(path) -> np.ndarray:
         row, col = bad[0] + 1
         raise IngestError(f"{path}: row {row}, column {col} is missing or non-finite")
     return values
+
+
+def _bulk_parse(path, raw: bool = False, label: str = None):
+    """A CSV parsed by numpy's C reader: (values, labels), or None for the per-cell reader.
+
+    A raw file is read once: blank cells read as nan, and a label names the header
+    column whose stripped cells are the labels.  None means no data rows, ragged rows,
+    a missing label column, a cell numpy rejects (NA, spaces, text) or a quote in a
+    raw file, where a quoted comma would shift the columns.
+    """
+    with open(path, newline=None if raw else "", encoding=CSV_ENCODING) as fh:
+        text = fh.read() if raw else ""  # numpy reads a clean file itself
+        lines = text.split("\n")
+        reader = csv.reader(lines if raw else fh)
+        first = [c.strip() for c in next(filter(None, reader), [])]
+        skip = reader.line_num if label is not None or _is_header(first) else 0
+        data = next(filter(None, reader), None) if skip else first
+    if not data or '"' in text:
+        return None
+    source, usecols, labels = path, None, None
+    if raw:
+        body = [line for line in lines[skip:] if line]
+        # usecols drops surplus cells without an error, so ragged rows are caught here
+        widths = {line.count(",") + 1 for line in body}
+        col = first.index(label) if label in first else None
+        if len(widths) != 1 or label is not None and (col is None or col >= min(widths)):
+            return None
+        if col is not None:
+            labels = [line.split(",", col + 1)[col].strip() for line in body]
+            usecols = [c for c in range(widths.pop()) if c != col]
+        # blank cells as nan: a run of commas leaves every other gap to the second pass
+        source, skip = [f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+                        if ",," in line or line[0] == "," or line[-1] == "," else line
+                        for line in body], 0
+    try:
+        values = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                            usecols=usecols, encoding=CSV_ENCODING)
+    except ValueError:
+        return None
+    return values, labels
 
 
 def _read_rows(path):

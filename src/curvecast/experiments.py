@@ -133,15 +133,14 @@ def _source_factory(source: dict):
         D = int(source.get("D", 21))
         sig = sigma_scheme(source.get("sigma_scheme", "s1"), D)
         if kind == "kappa-far":
-            kappas = [float(k) for k in source["kappa"]]
+            kappas = _float_list(source, "kappa")
             thetas = {}
         elif kind == "fma":
             kappas = []
             thetas = {2: float(source.get("theta_scale", 0.8))}
         else:
             kappas = [float(source.get("kappa", 0.1))]
-            pair = source.get("theta_scales", [0.1, 0.9])
-            thetas = {1: float(pair[0]), 2: float(pair[1])}
+            thetas = dict(enumerate(_float_list(source, "theta_scales", 2, [0.1, 0.9]), start=1))
 
         def make(rng, n, grid):
             psi = random_operator(D, sig, rng)  # one unit-norm operator scaled into every term
@@ -171,6 +170,14 @@ def _source_factory(source: dict):
 
         return make
     raise ValueError(f"unknown source type {kind!r}")
+
+
+def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
+    """source[key] as floats; a ValueError names the key unless it lists size (or 1+) numbers."""
+    value = source.get(key, default)
+    if np.ndim(value) != 1 or len(value) == 0 or size and len(value) != size:
+        raise ValueError(f"source key {key!r} must list {size or 'one or more'} numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def _coupled_far1_coeffs(
@@ -503,7 +510,7 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
 
     def worker(idx, rng):
         full = simulate(spec, n + 1, grid, rng)
-        data = FunctionalDataset(grid=grid, values=full.values[:n])
+        data = FunctionalDataset._own(grid, full.values[:n])
         lookback = _warm_up(n, d, p, L)
         # one fit serves both the rolling residuals and the forecast
         fit = _fit(data, n, {"name": "fixed-var", "p": p, "d": d})

@@ -100,8 +100,8 @@ _METHODS = {"ffpe-var": "var", "fixed-var": "var", "scalar": "scalar", "bosq": "
 
 
 def _head(data: FunctionalDataset, m: int) -> FunctionalDataset:
-    """The first m curves of data; data itself when m = n, which saves a copy."""
-    return data if m == data.n else FunctionalDataset(grid=data.grid, values=data.values[:m])
+    """The first m curves of data, as a view of its read-only values."""
+    return data if m == data.n else FunctionalDataset._own(data.grid, data.values[:m])
 
 
 @dataclass(frozen=True)

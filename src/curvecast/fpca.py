@@ -172,4 +172,4 @@ def reconstruct(score_matrix: ScoreMatrix, eig: EigenSystem) -> FunctionalDatase
         raise DimensionMismatchError(
             f"scores have d={s.shape[1]} columns but the eigensystem holds {eig.d}"
         )
-    return FunctionalDataset(grid=eig.grid, values=eig.mean + s @ eig.eigenfunctions)
+    return FunctionalDataset._own(eig.grid, eig.mean + s @ eig.eigenfunctions)

@@ -7,7 +7,7 @@ stabilization, and removal of weekday mean profiles.
 
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _parse_rows, _read_rows
+from .curves import FunctionalDataset, Grid, _bulk_parse, _parse_rows, _read_rows
 from .errors import IngestError
 
 
@@ -63,13 +63,18 @@ def ingest(
             )
         values = np.sqrt(values)
     if labels is not None:
+        groups = np.array(labels)
         for label in sorted(set(labels)):
-            mask = np.array([lab == label for lab in labels])
+            mask = groups == label
             values[mask] -= values[mask].mean(axis=0)
-    return FunctionalDataset(grid=Grid(values.shape[1]), values=values)
+    return FunctionalDataset._own(Grid(values.shape[1]), values)
 
 
 def _read_raw(path, weekday_adjust, rows_per_curve):
+    # rows_per_curve streams are rare enough to keep to the per-cell reader
+    parsed = None if rows_per_curve is not None else _bulk_parse(path, raw=True, label=weekday_adjust)
+    if parsed is not None:
+        return parsed
     raw, has_header = _read_rows(path)
     if not raw:
         raise IngestError(f"{path}: file is empty")

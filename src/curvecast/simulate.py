@@ -139,6 +139,9 @@ class ProcessSpec:
     @classmethod
     def from_json(cls, text: str) -> "ProcessSpec":
         raw = json.loads(text)
+        missing = [key for key in ("kind", "D", "sigma") if key not in raw]
+        if missing:
+            raise ValueError(f"process spec has no {missing[0]!r} key")
         return cls(
             kind=raw["kind"],
             D=int(raw["D"]),
@@ -180,13 +183,14 @@ def simulate(spec: ProcessSpec, n: int, grid: Grid, rng: np.random.Generator) ->
     ar = [(j, psi) for j, psi in enumerate(spec.ar, start=1) if psi.any()]
     ma = [(lag, theta) for lag, theta in sorted(spec.ma.items()) if theta.any()]
     rows = list(coeffs)  # row views: each step adds its terms in place
+    term = np.empty(spec.D)  # every product lands here, so the loop allocates nothing
     # np.dot runs the same gemv as @ with less dispatch per call
     for k in range(steps):
         c = rows[k + p]
         for j, psi in ar:
-            c += np.dot(psi, rows[k + p - j])
+            c += np.dot(psi, rows[k + p - j], out=term)
         for lag, theta in ma:
-            c += np.dot(theta, noise[k + q - lag])
+            c += np.dot(theta, noise[k + q - lag], out=term)
     return synthesize(coeffs[p + spec.burn_in :], basis)
 
 

@@ -336,3 +336,15 @@ def test_ingest_reads_past_a_byte_order_mark(tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("key", ["kind", "D", "sigma"])
+def test_simulate_spec_missing_a_key_fails_loud(tmp_path, capsys, key):
+    spec = {"kind": "far", "D": 1, "sigma": [1.0], "ar": [[[0.5]]]}
+    del spec[key]
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(spec))
+    code = main(["simulate", "--spec", str(spec_path), "--n", "10", "--grid", "32",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"error: process spec has no {key!r} key" in capsys.readouterr().err

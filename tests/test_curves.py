@@ -15,6 +15,7 @@ from curvecast import (
     synthesize,
 )
 from curvecast.curves import l2_norm
+from curvecast.forecast import _head
 
 
 def test_grid_midpoints():
@@ -128,3 +129,38 @@ def test_load_rejects_non_numeric_cells_with_their_position(tmp_path, text, wher
         load_curves_csv(path)
     with pytest.raises(IngestError, match=f"{where} is non-numeric"):
         load_numeric_csv(path)
+
+
+def test_public_constructor_copies_the_callers_array():
+    values = np.arange(8.0).reshape(2, 4)
+    data = FunctionalDataset(grid=Grid(4), values=values)
+    values[0, 0] = 99.0
+    assert data.values[0, 0] == 0.0
+    assert not data.values.flags.writeable
+    assert values.flags.writeable
+
+
+def test_owned_arrays_are_read_only_and_not_copied():
+    values = np.arange(12.0).reshape(3, 4)
+    data = FunctionalDataset._own(Grid(4), values)
+    assert data.values is values
+    assert not data.values.flags.writeable
+    assert not synthesize(np.ones((2, 3)), make_fourier_basis(3, Grid(24))).values.flags.writeable
+
+
+def test_head_is_a_view_of_its_parent():
+    data = synthesize(np.arange(15.0).reshape(5, 3), make_fourier_basis(3, Grid(24)))
+    head = _head(data, 3)
+    assert np.shares_memory(head.values, data.values)
+    assert head.n == 3 and not head.values.flags.writeable
+    assert np.array_equal(head.values, data.values[:3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_owned_arrays_are_still_checked(bad):
+    values = np.ones((2, 4))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FunctionalDataset._own(Grid(4), values)
+    with pytest.raises(DimensionMismatchError):
+        FunctionalDataset._own(Grid(5), np.ones((2, 4)))

@@ -325,6 +325,19 @@ def test_simulated_source_needs_n_before_running(no_replications, source):
     assert no_replications == []
 
 
+@pytest.mark.parametrize("source, key", [
+    ({"type": "kappa-far", "kappa": 0.5, "D": 3}, "kappa"),
+    ({"type": "kappa-far", "D": 3}, "kappa"),
+    ({"type": "kappa-far", "kappa": [], "D": 3}, "kappa"),
+    ({"type": "farma", "theta_scales": 0.5, "D": 3}, "theta_scales"),
+    ({"type": "farma", "theta_scales": [0.1, 0.2, 0.3], "D": 3}, "theta_scales"),
+])
+def test_source_list_values_are_checked_before_running(no_replications, source, key):
+    with pytest.raises(ValueError, match=f"source key {key!r} must list"):
+        run_forecast_experiment(tiny_config(source=source))
+    assert no_replications == []
+
+
 def test_benchmark_lists_the_preset_keys():
     with pytest.raises(ValueError, match=re.escape(
             "its keys are ['d_max', 'grid_T', 'n', 'p_max', 'scalar_d', 'scalar_p', 'train']")):

@@ -1,7 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from curvecast import IngestError, ingest
+from curvecast.curves import _read_rows
+from curvecast.experiments import make_pm10_analog
 
 
 def write_csv(path, text):
@@ -153,3 +157,96 @@ def test_byte_order_mark_before_a_first_label_column(tmp_path):
     path.write_bytes(("\ufeff" + text).encode("utf-8"))
     data = ingest(path, weekday_adjust="weekday")
     assert data.values.tobytes() == plain.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the bulk parse and the per-cell reader give the same rows, labels and errors
+
+raw_reader = importlib.import_module("curvecast.ingest")
+
+
+def read_raw(path, label, monkeypatch, per_cell):
+    """_read_raw's (values, labels) and whether the per-cell reader ran."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(raw_reader, "_read_rows", lambda p: calls.append(p) or _read_rows(p))
+        if per_cell:
+            patch.setattr(raw_reader, "_bulk_parse", lambda *args, **kwargs: None)
+        values, labels = raw_reader._read_raw(path, label, None)
+    return values, labels, bool(calls)
+
+
+def ingest_per_cell(path, label, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(raw_reader, "_bulk_parse", lambda *args, **kwargs: None)
+        return ingest(path, weekday_adjust=label)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# name -> (text, label column, whether the bulk parse takes the file)
+RAW_FILES = {
+    "blank first, last and consecutive cells": ("t_1,t_2,t_3,t_4\n,2,3,\n1,,,4\n,,,8\n", None, True),
+    "NaN marker": ("1,NaN,3\n4,5,nan\n", None, True),
+    "NA marker": ("1,NA,3\n4,5,6\n", None, False),
+    "na marker": ("day,t_1,t_2\nMon,na,3\nTue,5,6\n", "day", False),
+    "whitespace-only cell": ("1, ,3\n4,5,6\n", None, False),
+    "quoted label holding a comma": ('day,t_1,t_2\n"Mon, wk1",1,2\n"Tue, wk1",3,\n', "day", False),
+    # split at commas and line ends, this file has three rows of equal width that all parse
+    "quoted label holding commas and a line end": ('day,t_1,t_2\n"Mon,1,\nwk",5,6\nTue,7,8\n', "day", False),
+    "byte-order mark": ("\ufeffday,t_1,t_2\nMon,1,2\nTue,,4\n", "day", True),
+    "label column in the middle": ("t_1,day,t_2\n1,Mon,2\n,Tue,4\n3, Mon ,\n", "day", True),
+    "blank label cell": ("day,t_1,t_2\n,1,2\nMon,3,\n", "day", True),
+    "no header": ("1,2,3\n,5,6\n7,8,\n", None, True),
+    "LF endings": ("day,t_1,t_2\nMon,1,\nTue,,4\nMon,5,6\n", "day", True),
+    "CRLF endings": ("day,t_1,t_2\r\nMon,1,\r\nTue,,4\r\nMon,5,6\r\n", "day", True),
+    "blank lines": ("\n\nday,t_1,t_2\n\nMon,1,\n\n\nTue,,4\n\n", "day", True),
+    "header and blank cells, no label": ("t_1,t_2,t_3\n1,,3\n,5,6\n", None, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_FILES))
+def test_bulk_parse_equals_per_cell_reader(tmp_path, monkeypatch, name):
+    text, label, bulk = RAW_FILES[name]
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode("utf-8"))
+    values, labels, fell_back = read_raw(path, label, monkeypatch, per_cell=False)
+    expected, expected_labels, _ = read_raw(path, label, monkeypatch, per_cell=True)
+    assert fell_back != bulk
+    assert same_bits(values, expected)
+    assert labels == expected_labels
+    assert same_bits(ingest(path, weekday_adjust=label).values,
+                     ingest_per_cell(path, label, monkeypatch).values)
+
+
+# bad files, some of whose columns a bulk parse with usecols could shift or drop unnoticed
+@pytest.mark.parametrize("text, label, message", [
+    ("day,t_1,t_2\nMon,1,2\nTue,3,4,5\n", "day", "inconsistent row lengths \\[2, 3\\]"),
+    ("t_1,t_2,day\n1,2,Mon\n3,4\n", "day", "row 2 ends before the 'day' column"),
+    ("t_1,t_2\n1,2\n3,4\n", "day", "no column named 'day' in the header"),
+    ('day,t_1,t_2\n"Mon,1",2,3\n"Tue,3",4,x\n', "day", "row 2, column 3 is non-numeric"),
+    ("day,t_1,t_2\nMon,1,abc\n", "day", "row 1, column 3 is non-numeric"),
+    ("1,2\n3\n", None, "inconsistent row lengths \\[1, 2\\]"),
+])
+def test_bad_files_keep_their_per_cell_error(tmp_path, monkeypatch, text, label, message):
+    path = write_csv(tmp_path / "raw.csv", text)
+    with pytest.raises(IngestError, match=message):
+        ingest(path, weekday_adjust=label)
+    with pytest.raises(IngestError, match=message):
+        ingest_per_cell(path, label, monkeypatch)
+
+
+def test_pm10_analog_file_reads_without_the_per_cell_reader(tmp_path, monkeypatch):
+    raw, _ = make_pm10_analog(tmp_path, n_days=60, seed=3)
+    expected = ingest_per_cell(raw, "weekday", monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the per-cell reader ran")
+
+    monkeypatch.setattr(raw_reader, "_read_rows", refuse)
+    monkeypatch.setattr(raw_reader, "_parse_rows", refuse)
+    data = ingest(raw, transform="sqrt", weekday_adjust="weekday")
+    assert data.values.shape == (60, 48)
+    assert same_bits(ingest(raw, weekday_adjust="weekday").values, expected.values)
