@@ -5,8 +5,10 @@ A run draws replications with per-replication generators seeded from
 with a rolling origin, and collects everything into a serializable
 report.  Canned presets reproduce the simulation studies used to vet
 the pipeline.  Replications can run on a small thread pool sized by
-the FTSP_THREADS environment variable and capped at the CPU count;
-records are merged in index order so reports do not depend on scheduling.
+the FTSP_THREADS environment variable and capped at the CPU count.
+Each pool task takes a chunk of consecutive replications and steps their
+simulated recursions together; records are merged in index order, so
+reports depend neither on the chunking nor on scheduling.
 """
 
 import csv
@@ -34,9 +36,10 @@ from .curves import (
 from .forecast import _fit, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
-from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
+from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme, simulate
 
 THREADS_ENV = "FTSP_THREADS"
+CHUNK = 16  # most replications one pool task steps together
 
 
 def _worker_count() -> int:
@@ -91,18 +94,28 @@ def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
     return (np.einsum("ij,ij->i", diff, diff) / data.T).tolist()
 
 
-def _report(command: str, config: dict, count: int, seed, worker, start: float) -> RunReport:
+def _report(command: str, config: dict, count: int, seed, worker, start: float,
+            draw=iter, width: int = 1) -> RunReport:
     """Run count replications into a report timed from start, aggregates empty.
 
-    Record idx holds idx, [seed, idx] and empty errors and selected, with the
-    fields that worker(idx, replication generator) returns laid over them.
+    Pool tasks take consecutive indices in chunks of up to width, fewer when
+    that would leave a worker idle.  draw(generators) turns a chunk's
+    replication generators into one input per index, made as they are
+    taken; by default the input is the generator.  Record idx holds idx,
+    [seed, idx] and empty errors and selected, with the fields that
+    worker(idx, input) returns laid over them.
     """
+    size = max(min(width, -(-count // _worker_count())), 1)
+    firsts = range(0, count, size)
 
-    def replication(idx):
-        return {"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {},
-                **worker(idx, _rep_rng(seed, idx))}
+    def chunk(c):
+        idxs = range(firsts[c], min(firsts[c] + size, count))
+        inputs = iter(draw([_rep_rng(seed, idx) for idx in idxs]))
+        # an input is dropped once its worker returns, so a chunk holds one at a time
+        return [{"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {},
+                 **worker(idx, next(inputs))} for idx in idxs]
 
-    records = _run_replications(count, replication)
+    records = [rec for recs in _run_replications(len(firsts), chunk) for rec in recs]
     return RunReport(command=command, config=config, replications=records, aggregates={},
                      frequencies={}, wall_clock=time.perf_counter() - start)
 
@@ -118,58 +131,86 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-def _source_factory(source: dict):
-    """Return make(rng, n, grid) -> (dataset, covariate matrix or None)."""
+def _source_factory(source: dict, n: int, grid: Grid):
+    """Return (draw, width): draw(rngs) yields (n curves on grid, covariates or None) per rng.
+
+    Simulated recursions are stepped together, width CHUNK at a time; other
+    sources are drawn one replication per pool task.  Bad values raise
+    ValueError naming their key, before anything is drawn.
+    """
     kind = source.get("type")
-    burn_in = int(source.get("burn_in", 200))
+    burn_in = _number(source, "burn_in", 200, int)
+    if burn_in < 0:
+        raise ValueError(f"source key 'burn_in' must be >= 0, got {burn_in}")
     if kind == "process":
         spec = ProcessSpec.from_json(json.dumps(source["spec"]))
 
-        def make(rng, n, grid):
-            return simulate(spec, n, grid, rng), None
+        def draw(rngs):
+            return ((data, None) for data in _simulated([spec] * len(rngs), n, grid, rngs))
 
-        return make
+        return draw, CHUNK
     if kind in ("kappa-far", "fma", "farma"):
-        D = int(source.get("D", 21))
+        D = _number(source, "D", 21, int)
         sig = sigma_scheme(source.get("sigma_scheme", "s1"), D)
         if kind == "kappa-far":
             kappas = _float_list(source, "kappa")
             thetas = {}
         elif kind == "fma":
             kappas = []
-            thetas = {2: float(source.get("theta_scale", 0.8))}
+            thetas = {2: _number(source, "theta_scale", 0.8)}
         else:
-            kappas = [float(source.get("kappa", 0.1))]
+            kappas = [_number(source, "kappa", 0.1)]
             thetas = dict(enumerate(_float_list(source, "theta_scales", 2, [0.1, 0.9]), start=1))
 
-        def make(rng, n, grid):
+        def spec_from(rng):
             psi = random_operator(D, sig, rng)  # one unit-norm operator scaled into every term
             ar = tuple(k * psi for k in kappas)
             ma = {lag: s * psi for lag, s in thetas.items()}
-            spec = ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
+            return ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
                                burn_in=burn_in)
-            return simulate(spec, n, grid, rng), None
 
-        return make
+        def draw(rngs):
+            specs = [spec_from(rng) for rng in rngs]
+            return ((data, None) for data in _simulated(specs, n, grid, rngs))
+
+        return draw, CHUNK
     if kind == "covariate-far1":
 
-        def make(rng, n, grid):
-            coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
+        def draw(rngs):
             basis = make_fourier_basis(3, grid)
-            return synthesize(coeffs, basis), rmat
+            for rng in rngs:
+                coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
+                yield synthesize(coeffs, basis), rmat
 
-        return make
+        return draw, 1
     if kind == "file":
         data = load_curves_csv(source["path"])
         rmat = None
         if source.get("covariates_path"):
             rmat = load_numeric_csv(source["covariates_path"])
 
-        def make(rng, n, grid):
-            return data, rmat
+        def draw(rngs):
+            return ((data, rmat) for _ in rngs)
 
-        return make
+        return draw, 1
     raise ValueError(f"unknown source type {kind!r}")
+
+
+def _simulated(specs, n: int, grid: Grid, rngs):
+    """Yield each spec's n curves from its generator; the recursions step together."""
+    basis = make_fourier_basis(specs[0].D, grid)
+    blocks = _coefficients(specs, n, rngs)
+    while blocks:  # each block is dropped once its curves are made
+        yield synthesize(blocks.pop(0), basis)
+
+
+def _number(source: dict, key: str, default, kind=float):
+    """source[key] as a kind; a ValueError names the key unless it is one number of that kind."""
+    value = source.get(key, default)
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not np.isfinite(value) or kind(value) != value):
+        raise ValueError(f"source key {key!r} must be one finite {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
@@ -287,7 +328,6 @@ def run_forecast_experiment(config: dict) -> RunReport:
         if unknown:
             raise ValueError(f"method {key!r} has no key {unknown[0]!r}; "
                              f"its keys are {', '.join(_METHOD_KEYS)}")
-    make = _source_factory(config["source"])
     kind = config["source"].get("type")
     if kind == "file" and reps != 1:
         raise ValueError("a file source is deterministic; use reps=1")
@@ -295,17 +335,18 @@ def run_forecast_experiment(config: dict) -> RunReport:
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     grid = Grid(int(config.get("grid_T", 256)))
+    draw, width = _source_factory(config["source"], None if n is None else int(n), grid)
     evaluate = _eval_method_fixed if fit_mode == "fixed" else _eval_method_expanding
 
-    def worker(idx, rng):
-        data, rmat = make(rng, None if n is None else int(n), grid)
+    def worker(idx, drawn):
+        data, rmat = drawn
         m = _resolve_train(config.get("train", 0.9), data.n)
         outs = {key: evaluate(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
         criteria = {key: out["criterion"] for key, out in outs.items()
                     if out["criterion"] is not None}
         return {**_by_method(outs), "criterion": criteria} if criteria else _by_method(outs)
 
-    report = _report("run_forecast_experiment", echo, reps, seed, worker, start)
+    report = _report("run_forecast_experiment", echo, reps, seed, worker, start, draw, width)
     report.aggregates, report.frequencies = _aggregate(report.replications, keys)
     return report
 
@@ -433,16 +474,16 @@ def _ratio_preset(psi_name: str):
 def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
     start = time.perf_counter()
-    make = _source_factory({"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D})
-    grid = Grid(grid_T)
+    source = {"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D}
+    draw, width = _source_factory(source, n, Grid(grid_T))
 
-    def worker(idx, rng):
-        table = select_pd(make(rng, n, grid)[0], p_max, d_max)
+    def worker(idx, drawn):
+        table = select_pd(drawn[0], p_max, d_max)
         return {"selected": {"ffpe-var": {"p": table.p_best, "d": table.d_best}}}
 
     config = {"kappa": list(kappa), "sigma": sigma, "n": n, "D": D, "grid_T": grid_T,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": reps}
-    report = _report("benchmark:order-selection", config, reps, seed, worker, start)
+    report = _report("benchmark:order-selection", config, reps, seed, worker, start, draw, width)
     _, report.frequencies = _aggregate(report.replications, ["ffpe-var"])
     return report
 
@@ -508,8 +549,7 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
     grid = Grid(grid_T)
     spec = _psi1_far()
 
-    def worker(idx, rng):
-        full = simulate(spec, n + 1, grid, rng)
+    def worker(idx, full):
         data = FunctionalDataset._own(grid, full.values[:n])
         lookback = _warm_up(n, d, p, L)
         # one fit serves both the rolling residuals and the forecast
@@ -522,7 +562,8 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
 
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
-    report = _report("benchmark:bands-coverage", config, reps, seed, worker, start)
+    report = _report("benchmark:bands-coverage", config, reps, seed, worker, start,
+                     lambda rngs: _simulated([spec] * len(rngs), n + 1, grid, rngs), CHUNK)
     records = report.replications
     report.aggregates = {
         "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),

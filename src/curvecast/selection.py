@@ -83,15 +83,10 @@ class FfpeTable:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["p", "d", "trace", "tail", "ffpe", "status"])
+            writer.writerow(["p", "d", "trace", "tail", "ffpe", "status", "message"])
             for c in self.cells:
-                if c.ok:
-                    writer.writerow(
-                        [c.p, c.d, repr(float(c.trace)), repr(float(c.tail)),
-                         repr(float(c.value)), c.status]
-                    )
-                else:
-                    writer.writerow([c.p, c.d, "", "", "", c.status])
+                numbers = [repr(float(v)) for v in (c.trace, c.tail, c.value)] if c.ok else [""] * 3
+                writer.writerow([c.p, c.d, *numbers, c.status, c.message])
 
 
 def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:

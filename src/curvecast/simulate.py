@@ -170,28 +170,52 @@ def simulate(spec: ProcessSpec, n: int, grid: Grid, rng: np.random.Generator) ->
     with a_k having independent components scaled by spec.sigma, started
     from zeros.
     """
+    return synthesize(_coefficients([spec], n, [rng])[0], make_fourier_basis(spec.D, grid))
+
+
+def _coefficients(specs, n: int, rngs) -> list:
+    """The (n, D) coefficient vectors of B recursions stepped together, one generator each.
+
+    The specs must share D, the autoregressive and moving-average lags and
+    the burn-in.  Each generator draws its own innovations exactly as a
+    lone :func:`simulate` would, and each step makes one stacked product
+    per lag, so every recursion gets the same bits as on its own.  The B
+    results are separate arrays, so a caller can release each once used.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    basis = make_fourier_basis(spec.D, grid)
-    p = spec.p
-    q = max(spec.ma, default=0)
-    steps = spec.burn_in + n
-    noise = rng.normal(size=(steps + q, spec.D)) * spec.sigma
-    coeffs = np.zeros((steps + p, spec.D))
-    coeffs[p:] = noise[q:]
+    spec = specs[0]
+    D, p, lags, burn_in = spec.D, spec.p, sorted(spec.ma), spec.burn_in
+    if any((s.D, s.p, sorted(s.ma), s.burn_in) != (D, p, lags, burn_in) for s in specs):
+        raise ValueError("stacked specs must share D, their lags and burn_in")
+    q = max(lags, default=0)
+    steps = burn_in + n
+    # step-major, so each step's (B, D) rows are contiguous
+    coeffs = np.zeros((steps + p, len(specs), D))
+    # without moving-average terms the innovations are drawn straight into the coefficients
+    noise = np.empty((steps + q, len(specs), D)) if q else coeffs[p:]
+    for b, (s, rng) in enumerate(zip(specs, rngs)):
+        np.multiply(rng.normal(size=(steps + q, D)), s.sigma, out=noise[:, b])
+    if q:
+        coeffs[p:] = noise[q:]
+    if len(specs) == 1:
+        # one recursion steps 1-D rows with np.dot, which dispatches faster than np.matmul
+        mult, rows, shocks = np.dot, list(coeffs[:, 0]), noise[:, 0]
+    else:
+        # (B, D, 1) row views: one np.matmul runs every recursion's gemv for a lag
+        mult, rows, shocks = np.matmul, list(coeffs[..., None]), noise[..., None]
+    # (rows read, their offset from the step, operators) per lag, autoregressive terms first;
     # an all-zero operator adds exact zeros, so skipping it changes no bit
-    ar = [(j, psi) for j, psi in enumerate(spec.ar, start=1) if psi.any()]
-    ma = [(lag, theta) for lag, theta in sorted(spec.ma.items()) if theta.any()]
-    rows = list(coeffs)  # row views: each step adds its terms in place
-    term = np.empty(spec.D)  # every product lands here, so the loop allocates nothing
-    # np.dot runs the same gemv as @ with less dispatch per call
+    terms = [(rows, p - j, [s.ar[j - 1] for s in specs]) for j in range(1, p + 1)]
+    terms += [(shocks, q - lag, [s.ma[lag] for s in specs]) for lag in lags]
+    terms = [(seq, shift, ops[0] if len(ops) == 1 else np.stack(ops))
+             for seq, shift, ops in terms if np.any(ops)]
+    term = np.empty_like(rows[0])  # every product lands here, so the loop allocates nothing
     for k in range(steps):
         c = rows[k + p]
-        for j, psi in ar:
-            c += np.dot(psi, rows[k + p - j], out=term)
-        for lag, theta in ma:
-            c += np.dot(theta, noise[k + q - lag], out=term)
-    return synthesize(coeffs[p + spec.burn_in :], basis)
+        for seq, shift, op in terms:
+            c += mult(op, seq[k + shift], out=term)
+    return [np.ascontiguousarray(coeffs[p + burn_in :, b]) for b in range(len(specs))]
 
 
 def bias_bound(ar_operators, eigenvalues, d: int) -> float:

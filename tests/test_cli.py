@@ -123,7 +123,7 @@ def test_select_prints_choice_and_writes_table(curves_csv, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "selected p=" in out and "criterion" in out
     header = table.read_text().splitlines()[0]
-    assert header == "p,d,trace,tail,ffpe,status"
+    assert header == "p,d,trace,tail,ffpe,status,message"
 
 
 def test_forecast_vector_auto_stdout(curves_csv, capsys):

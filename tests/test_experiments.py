@@ -338,6 +338,69 @@ def test_source_list_values_are_checked_before_running(no_replications, source, 
     assert no_replications == []
 
 
+@pytest.mark.parametrize("source, key", [
+    ({"type": "farma", "kappa": [0.1], "D": 3}, "kappa"),
+    ({"type": "fma", "theta_scale": [0.8], "D": 3}, "theta_scale"),
+    ({"type": "kappa-far", "kappa": [0.5], "D": [3]}, "D"),
+    ({"type": "kappa-far", "kappa": [0.5], "D": 3, "burn_in": [3]}, "burn_in"),
+])
+def test_source_scalar_values_are_checked_before_running(no_replications, source, key):
+    with pytest.raises(ValueError, match=f"source key {key!r} must be one finite"):
+        run_forecast_experiment(tiny_config(source=source))
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("kind", ["covariate-far1", "kappa-far"])
+def test_negative_burn_in_is_rejected_before_running(no_replications, kind):
+    # a negative burn-in used to cut a covariate-far1 sample short without an error
+    with pytest.raises(ValueError, match="source key 'burn_in' must be >= 0, got -150"):
+        run_forecast_experiment(tiny_config(source={"type": kind, "kappa": [0.5], "D": 3,
+                                                    "burn_in": -150}))
+    assert no_replications == []
+
+
+def records_bytes(report):
+    return json.dumps(report.replications, sort_keys=True).encode()
+
+
+CHUNKED_RUNS = {
+    "run_forecast_experiment": lambda: run_forecast_experiment(tiny_config(
+        source={"type": "kappa-far", "kappa": [0.3, 0.2], "D": 4}, reps=17,
+        methods=[{"name": "ffpe-var", "p_max": 2, "d_max": 3}])),
+    "order-selection": lambda: run_benchmark("order-selection", reps=17, seed=3, n=60, D=5,
+                                             grid_T=48, p_max=2, d_max=3),
+    "bands-coverage": lambda: run_benchmark("bands-coverage", reps=17, seed=3, n=60,
+                                            grid_T=32, L=30),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CHUNKED_RUNS))
+def test_records_do_not_depend_on_chunks_or_workers(monkeypatch, run):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = set()
+    for chunk in (1, 7, 16):
+        monkeypatch.setattr(experiments, "CHUNK", chunk)
+        for workers in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, workers)
+            seen.add(records_bytes(CHUNKED_RUNS[run]()))
+    assert len(seen) == 1
+
+
+def test_a_chunk_steps_its_recursions_together(monkeypatch):
+    widths = []
+    stacked = experiments._coefficients
+    monkeypatch.setattr(experiments, "_coefficients",
+                        lambda specs, n, rngs: widths.append(len(specs)) or stacked(specs, n, rngs))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    CHUNKED_RUNS["run_forecast_experiment"]()
+    assert widths == [16, 1]
+    widths.clear()
+    monkeypatch.setenv(THREADS_ENV, "2")  # 17 replications on 2 workers: chunks of 9
+    CHUNKED_RUNS["bands-coverage"]()
+    assert sorted(widths) == [8, 9]
+
+
 def test_benchmark_lists_the_preset_keys():
     with pytest.raises(ValueError, match=re.escape(
             "its keys are ['d_max', 'grid_T', 'n', 'p_max', 'scalar_d', 'scalar_p', 'train']")):
@@ -466,7 +529,8 @@ def test_pm10_preset_removes_its_temporary_directory(tmp_path, monkeypatch):
 
 
 def covariate_far1(n):
-    return _source_factory({"type": "covariate-far1"})(np.random.default_rng(4), n, Grid(32))
+    draw, _ = _source_factory({"type": "covariate-far1"}, n, Grid(32))
+    return next(draw([np.random.default_rng(4)]))
 
 
 def per_step_errors(data, rmat, m, h, name, p, d):

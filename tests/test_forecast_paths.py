@@ -229,7 +229,8 @@ EXPANDING_CASES = [
 
 @pytest.mark.parametrize("method, h", EXPANDING_CASES)
 def test_expanding_mode_matches_reference_dispatch(method, h):
-    data, rmat = _source_factory({"type": "covariate-far1"})(np.random.default_rng(6), 70, Grid(32))
+    draw, _ = _source_factory({"type": "covariate-far1"}, 70, Grid(32))
+    data, rmat = next(draw([np.random.default_rng(6)]))
     out = _eval_method_expanding(data, rmat, 62, h, method)
     assert_close(out["errors"], ref_expanding_errors(data, rmat, 62, h, method))
     assert out["criterion"] is None

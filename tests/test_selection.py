@@ -90,10 +90,21 @@ def test_table_csv_shape(tmp_path, noise_dataset):
     table.to_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["p", "d", "trace", "tail", "ffpe", "status"]
+    assert rows[0] == ["p", "d", "trace", "tail", "ffpe", "status", "message"]
     assert len(rows) == 1 + 2 * 3
-    for row in rows[1:]:
+    for row, cell in zip(rows[1:], table.cells):
         assert row[5] in ("ok", "invalid", "singular")
+        assert row[6] == cell.message
+
+
+def test_table_csv_writes_each_rejection_message(tmp_path, noise_dataset):
+    table = select_pd(noise_dataset(n=8, T=24, seed=0), 3, 4)
+    path = tmp_path / "table.csv"
+    table.to_csv(path)
+    with open(path, newline="") as fh:
+        rows = {(int(r[0]), int(r[1])): r for r in list(csv.reader(fh))[1:]}
+    bad = table.cell(3, 4)
+    assert rows[(3, 4)][2:] == ["", "", "", "invalid", bad.message] and bad.message
 
 
 def test_covariate_cells_match_direct_fit(make_far1):

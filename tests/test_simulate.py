@@ -14,7 +14,7 @@ from curvecast import (
     sigma_scheme,
     simulate,
 )
-from curvecast.simulate import spectral_norm
+from curvecast.simulate import _coefficients, spectral_norm
 
 
 def coefficients_of(data, D):
@@ -129,17 +129,17 @@ def loop_simulate(spec, n, grid, rng):
     return coeffs[p + spec.burn_in :] @ basis.values
 
 
-@pytest.mark.parametrize(
-    "ar, ma",
-    [
-        ((0.0, 0.8), {}),  # zero operator at lag 1
-        ((0.8, 0.0), {}),  # zero operator at lag 2
-        ((0.4, 0.4), {}),
-        ((), {2: 0.8}),
-        ((0.1,), {1: 0.1, 2: 0.9}),
-        ((0.5,), {1: 0.0, 2: 0.9}),  # zero moving-average operator
-    ],
-)
+OPERATOR_CASES = [
+    ((0.0, 0.8), {}),  # zero operator at lag 1
+    ((0.8, 0.0), {}),  # zero operator at lag 2
+    ((0.4, 0.4), {}),
+    ((), {2: 0.8}),
+    ((0.1,), {1: 0.1, 2: 0.9}),
+    ((0.5,), {1: 0.0, 2: 0.9}),  # zero moving-average operator
+]
+
+
+@pytest.mark.parametrize("ar, ma", OPERATOR_CASES)
 def test_simulate_bitwise_equals_per_step_recursion(ar, ma):
     D = 7
     sig = sigma_scheme("s1", D)
@@ -152,6 +152,35 @@ def test_simulate_bitwise_equals_per_step_recursion(ar, ma):
     got = simulate(spec, 150, Grid(64), np.random.default_rng(9)).values
     want = loop_simulate(spec, 150, Grid(64), np.random.default_rng(9))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 3, 16])
+@pytest.mark.parametrize("ar, ma", OPERATOR_CASES)
+def test_stacked_coefficients_bitwise_equal_per_step_recursion(ar, ma, B):
+    D = 7
+    sig = sigma_scheme("s1", D)
+    kind = "farma" if ar and ma else ("far" if ar else "fma")
+    specs = []
+    for b in range(B):  # a distinct operator per replication, zero terms kept zero
+        psi = random_operator(D, sig, np.random.default_rng([3, b]))
+        specs.append(ProcessSpec(kind=kind, D=D, sigma=sig, ar=tuple(k * psi for k in ar),
+                                 ma={lag: s * psi for lag, s in ma.items()}, burn_in=60))
+    grid = Grid(64)
+    basis = make_fourier_basis(D, grid)
+    got = _coefficients(specs, 150, [np.random.default_rng([9, b]) for b in range(B)])
+    assert [block.shape for block in got] == [(150, D)] * B
+    for b, spec in enumerate(specs):
+        want = loop_simulate(spec, 150, grid, np.random.default_rng([9, b]))
+        assert (got[b] @ basis.values).tobytes() == want.tobytes()
+
+
+def test_stacked_specs_must_share_their_lags():
+    psi = fixed_psi("psi2")
+    far1 = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(psi,))
+    far2 = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(psi, 0.1 * psi))
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="share"):
+        _coefficients([far1, far2], 10, rngs)
 
 
 def test_burn_in_changes_draws():
