@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--pmax", type=int)
     fc.add_argument("--dmax", type=int)
     fc.add_argument("--horizon", type=int, default=1)
-    fc.add_argument("--pve", type=float, default=0.8,
-                    help="variance fraction fixing d for the benchmark method")
+    fc.add_argument("--pve", type=float,
+                    help="variance fraction fixing d, for the benchmark method only (default 0.8)")
     fc.add_argument("--covariates", help="numeric covariate CSV, one row per curve")
     fc.add_argument("--out", help="write the forecast JSON here instead of stdout")
     fc.set_defaults(func=_cmd_forecast)

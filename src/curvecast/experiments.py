@@ -33,7 +33,7 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .forecast import _fit, _predict, _result, equivalence_gap
+from .forecast import _check_keys, _check_method, _fit, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
 from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme, simulate
@@ -88,24 +88,20 @@ class RunReport:
         return cls(**json.loads(text))
 
 
-def _sq_errs(data: FunctionalDataset, m: int, curves: np.ndarray) -> list:
-    """Squared errors of curves against data rows m..n-1, one per row."""
-    diff = data.values[m:] - curves
-    return (np.einsum("ij,ij->i", diff, diff) / data.T).tolist()
-
-
 def _report(command: str, config: dict, count: int, seed, worker, start: float,
-            draw=iter, width: int = 1) -> RunReport:
+            draw=iter) -> RunReport:
     """Run count replications into a report timed from start, aggregates empty.
 
-    Pool tasks take consecutive indices in chunks of up to width, fewer when
-    that would leave a worker idle.  draw(generators) turns a chunk's
-    replication generators into one input per index, made as they are
-    taken; by default the input is the generator.  Record idx holds idx,
-    [seed, idx] and empty errors and selected, with the fields that
-    worker(idx, input) returns laid over them.
+    Pool tasks take consecutive indices in near-equal chunks of at most
+    CHUNK, as many as the smallest multiple of the worker count that keeps
+    them that small.  draw(generators) turns a chunk's replication generators into
+    one input per index, made as they are taken; by default the input is
+    the generator.  Record idx holds idx, [seed, idx] and empty errors and
+    selected, with the fields that worker(idx, input) returns laid over them.
     """
-    size = max(min(width, -(-count // _worker_count())), 1)
+    workers = _worker_count()
+    tasks = workers * -(-count // (workers * CHUNK))
+    size = -(-count // tasks) if count else 1
     firsts = range(0, count, size)
 
     def chunk(c):
@@ -131,24 +127,36 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-def _source_factory(source: dict, n: int, grid: Grid):
-    """Return (draw, width): draw(rngs) yields (n curves on grid, covariates or None) per rng.
+_SIMULATED = ("D", "sigma_scheme", "burn_in")
+# the keys besides type that each source type reads, and those it needs
+_SOURCE_KEYS = {"process": ("spec",), "kappa-far": ("kappa", *_SIMULATED),
+                "fma": ("theta_scale", *_SIMULATED), "farma": ("kappa", "theta_scales", *_SIMULATED),
+                "covariate-far1": ("burn_in",), "file": ("path", "covariates_path")}
+_SOURCE_NEEDS = {"process": ("spec",), "file": ("path",)}
 
-    Simulated recursions are stepped together, width CHUNK at a time; other
-    sources are drawn one replication per pool task.  Bad values raise
-    ValueError naming their key, before anything is drawn.
+
+def _source_factory(source: dict, n: int, grid: Grid):
+    """Return draw: draw(rngs) yields (n curves on grid, covariates or None) per rng.
+
+    A simulated source steps the recursions of all rngs together.  Bad
+    values, missing keys and keys the source type does not read raise
+    ValueError naming the key, before anything is drawn.
     """
     kind = source.get("type")
     burn_in = _number(source, "burn_in", 200, int)
     if burn_in < 0:
         raise ValueError(f"source key 'burn_in' must be >= 0, got {burn_in}")
+    if kind not in _SOURCE_KEYS:
+        raise ValueError(f"unknown source type {kind!r}")
+    _check_keys(source, ("type", *_SOURCE_KEYS[kind]), f"a {kind!r} source",
+                _SOURCE_NEEDS.get(kind, ()))
     if kind == "process":
         spec = ProcessSpec.from_json(json.dumps(source["spec"]))
 
         def draw(rngs):
             return ((data, None) for data in _simulated([spec] * len(rngs), n, grid, rngs))
 
-        return draw, CHUNK
+        return draw
     if kind in ("kappa-far", "fma", "farma"):
         D = _number(source, "D", 21, int)
         sig = sigma_scheme(source.get("sigma_scheme", "s1"), D)
@@ -173,7 +181,7 @@ def _source_factory(source: dict, n: int, grid: Grid):
             specs = [spec_from(rng) for rng in rngs]
             return ((data, None) for data in _simulated(specs, n, grid, rngs))
 
-        return draw, CHUNK
+        return draw
     if kind == "covariate-far1":
 
         def draw(rngs):
@@ -182,18 +190,14 @@ def _source_factory(source: dict, n: int, grid: Grid):
                 coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
                 yield synthesize(coeffs, basis), rmat
 
-        return draw, 1
-    if kind == "file":
-        data = load_curves_csv(source["path"])
-        rmat = None
-        if source.get("covariates_path"):
-            rmat = load_numeric_csv(source["covariates_path"])
+        return draw
+    data = load_curves_csv(source["path"])  # the type left is file
+    rmat = load_numeric_csv(source["covariates_path"]) if source.get("covariates_path") else None
 
-        def draw(rngs):
-            return ((data, rmat) for _ in rngs)
+    def draw(rngs):
+        return ((data, rmat) for _ in rngs)
 
-        return draw, 1
-    raise ValueError(f"unknown source type {kind!r}")
+    return draw
 
 
 def _simulated(specs, n: int, grid: Grid, rngs):
@@ -260,19 +264,9 @@ def _coupled_far1_coeffs(
 def _eval_method_fixed(data, rmat, m, h, method):
     """Fit once on the first m curves, then predict every later curve from that fit."""
     fit = _fit(data, m, method, rmat, h)
-    _, curves = _predict(fit, np.arange(m - h, data.n - h), h)
-    return {"errors": _sq_errs(data, m, curves), "selected": {"p": fit.p, "d": fit.d},
-            "criterion": fit.criterion}
-
-
-def _eval_method_expanding(data, rmat, m, h, method):
-    """Refit everything on all data before each evaluation index."""
-    curves = []
-    for end in range(m - h, data.n - h):
-        fit = _fit(data, end + 1, method, rmat, h)
-        curves.append(_predict(fit, [end], h)[1][0])
-    return {"errors": _sq_errs(data, m, np.array(curves)), "selected": {"p": fit.p, "d": fit.d},
-            "criterion": None}
+    diff = data.values[m:] - _predict(fit, np.arange(m - h, data.n - h), h)[1]
+    return {"errors": (np.einsum("ij,ij->i", diff, diff) / data.T).tolist(),
+            "selected": {"p": fit.p, "d": fit.d}, "criterion": fit.criterion}
 
 
 def _by_method(outs: dict) -> dict:
@@ -281,11 +275,7 @@ def _by_method(outs: dict) -> dict:
             for field in ("errors", "selected")}
 
 
-def _method_key(method: dict) -> str:
-    return method.get("label", method["name"])
-
-
-_METHOD_KEYS = ("name", "label", "p", "d", "p_max", "d_max", "pve", "solver")
+_CONFIG_KEYS = ("source", "n", "grid_T", "train", "horizon", "fit_mode", "methods", "seed", "reps")
 
 
 def run_forecast_experiment(config: dict) -> RunReport:
@@ -293,10 +283,10 @@ def run_forecast_experiment(config: dict) -> RunReport:
 
     config keys: source (see _source_factory), n (required unless the
     source is a file), grid_T, train (count or fraction), horizon,
-    fit_mode ('fixed' refits nothing after the training origin;
-    'expanding' refits on all prior data at each step), methods (list
-    of method dicts), seed, reps.  A method dict may hold only the keys
-    name, label, p, d, p_max, d_max, pve and solver; any other key
+    fit_mode (only 'fixed': each method is fitted once, on the training
+    curves), methods (list of method dicts), seed, reps.  A method dict
+    holds only keys its method reads, out of name, label, p, d, p_max,
+    d_max, pve and solver.  A missing required key or any other key
     raises ValueError before a replication runs.
 
     Returns
@@ -306,28 +296,21 @@ def run_forecast_experiment(config: dict) -> RunReport:
         with pooled aggregates and selection frequencies.
     """
     start = time.perf_counter()
+    _check_keys(config, _CONFIG_KEYS, "config", ("seed", "methods", "source"))
     echo = json.loads(json.dumps(config, sort_keys=True))
-    if "seed" not in config:
-        raise ValueError("config must carry a seed")
     seed = int(config["seed"])
     reps = int(config.get("reps", 1))
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     h = int(config.get("horizon", 1))
-    fit_mode = config.get("fit_mode", "fixed")
-    if fit_mode not in ("fixed", "expanding"):
-        raise ValueError(f"fit_mode must be 'fixed' or 'expanding', got {fit_mode!r}")
-    methods = config["methods"]
+    if config.get("fit_mode", "fixed") != "fixed":
+        raise ValueError(f"fit_mode must be 'fixed', got {config['fit_mode']!r}")
+    methods = [_check_method(meth, h) for meth in config["methods"]]
     if not methods:
         raise ValueError("config needs at least one method")
-    keys = [_method_key(mm) for mm in methods]
+    keys = [meth.get("label", meth["name"]) for meth in methods]
     if len(set(keys)) != len(keys):
         raise ValueError(f"method keys must be unique, got {keys}")
-    for key, meth in zip(keys, methods):
-        unknown = sorted(meth.keys() - set(_METHOD_KEYS))
-        if unknown:
-            raise ValueError(f"method {key!r} has no key {unknown[0]!r}; "
-                             f"its keys are {', '.join(_METHOD_KEYS)}")
     kind = config["source"].get("type")
     if kind == "file" and reps != 1:
         raise ValueError("a file source is deterministic; use reps=1")
@@ -335,18 +318,17 @@ def run_forecast_experiment(config: dict) -> RunReport:
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     grid = Grid(int(config.get("grid_T", 256)))
-    draw, width = _source_factory(config["source"], None if n is None else int(n), grid)
-    evaluate = _eval_method_fixed if fit_mode == "fixed" else _eval_method_expanding
+    draw = _source_factory(config["source"], None if n is None else int(n), grid)
 
     def worker(idx, drawn):
         data, rmat = drawn
         m = _resolve_train(config.get("train", 0.9), data.n)
-        outs = {key: evaluate(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
+        outs = {key: _eval_method_fixed(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
         criteria = {key: out["criterion"] for key, out in outs.items()
                     if out["criterion"] is not None}
         return {**_by_method(outs), "criterion": criteria} if criteria else _by_method(outs)
 
-    report = _report("run_forecast_experiment", echo, reps, seed, worker, start, draw, width)
+    report = _report("run_forecast_experiment", echo, reps, seed, worker, start, draw)
     report.aggregates, report.frequencies = _aggregate(report.replications, keys)
     return report
 
@@ -475,7 +457,7 @@ def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n
                             D=21, grid_T=256, p_max=3, d_max=10):
     start = time.perf_counter()
     source = {"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D}
-    draw, width = _source_factory(source, n, Grid(grid_T))
+    draw = _source_factory(source, n, Grid(grid_T))
 
     def worker(idx, drawn):
         table = select_pd(drawn[0], p_max, d_max)
@@ -483,7 +465,7 @@ def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n
 
     config = {"kappa": list(kappa), "sigma": sigma, "n": n, "D": D, "grid_T": grid_T,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": reps}
-    report = _report("benchmark:order-selection", config, reps, seed, worker, start, draw, width)
+    report = _report("benchmark:order-selection", config, reps, seed, worker, start, draw)
     _, report.frequencies = _aggregate(report.replications, ["ffpe-var"])
     return report
 
@@ -563,7 +545,7 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
     report = _report("benchmark:bands-coverage", config, reps, seed, worker, start,
-                     lambda rngs: _simulated([spec] * len(rngs), n + 1, grid, rngs), CHUNK)
+                     lambda rngs: _simulated([spec] * len(rngs), n + 1, grid, rngs))
     records = report.replications
     report.aggregates = {
         "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),

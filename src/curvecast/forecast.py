@@ -6,7 +6,7 @@ expansion.  They differ only in how the score prediction is formed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +60,6 @@ def _scalar_var(s: np.ndarray, p: int) -> VarModel:
 
 def _bosq_var(s: np.ndarray, lams: np.ndarray) -> VarModel:
     """The benchmark's eigenvalue-weighted lag-1 operator as a VAR(1) on uncentred scores."""
-    if s.shape[1] != lams.shape[0]:
-        raise ValueError(f"{s.shape[1]} score columns but {lams.shape[0]} eigenvalues")
-    if s.shape[0] < 2:
-        raise InsufficientDataError("need at least two score rows")
     if lams[-1] <= EIGENVALUE_RTOL * lams[0]:
         raise IllConditionedError(
             f"eigenvalue {lams.shape[0]} is below {EIGENVALUE_RTOL} of the leading one; "
@@ -94,9 +90,38 @@ def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
                     covariate_mean=joint.mean[d:])
 
 
-# method name -> ForecastResult.method
-_METHODS = {"ffpe-var": "var", "fixed-var": "var", "scalar": "scalar", "bosq": "bosq",
-            "covariate": "covariate"}
+_VAR_KEYS = ("name", "label", "p", "d", "p_max", "d_max")
+# method name -> (ForecastResult.method, the keys the method reads, whether it predicts one step only)
+_METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEYS, False),
+            "scalar": ("scalar", _VAR_KEYS[:4], False),
+            "bosq": ("bosq", (*_VAR_KEYS[:4], "pve"), True),
+            "covariate": ("covariate", (*_VAR_KEYS, "solver"), True)}
+
+
+def _check_keys(given, keys, owner: str, required=()) -> None:
+    """Raise a ValueError naming a required key that given lacks, or its first key outside keys."""
+    for key in required:
+        if key not in given:
+            raise ValueError(f"{owner} needs key {key!r}")
+    extra = sorted(set(given) - set(keys))
+    if extra:
+        raise ValueError(f"{owner} has no key {extra[0]!r}; its keys are {', '.join(keys)}")
+
+
+def _check_method(method: dict, h: int) -> dict:
+    """method without its None values, which count as absent, once its keys and h are valid."""
+    owner = f"method {method.get('label', method.get('name'))!r}"
+    _check_keys(method, (*_VAR_KEYS, "pve", "solver"), owner, ("name",))
+    given = {key: value for key, value in method.items() if value is not None}
+    name = given.get("name")
+    if name not in _METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    _check_keys(given, _METHODS[name][1], owner)
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
+    if h != 1 and _METHODS[name][2]:
+        raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
+    return given
 
 
 def _head(data: FunctionalDataset, m: int) -> FunctionalDataset:
@@ -114,9 +139,9 @@ class _Fit:
     eig: EigenSystem
     scores: np.ndarray
     model: VarModel
-    covariates: np.ndarray = None
-    lag: int = 0  # the benchmark's score row i stacks curves i + lag down to i
-    criterion: float = None
+    covariates: np.ndarray
+    lag: int  # the benchmark's score row i stacks curves i + lag down to i
+    criterion: float
 
 
 def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -> _Fit:
@@ -128,33 +153,24 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     or pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
     'blp' and needs rmat, one row per curve.  h is the horizon to predict at.
     """
+    method = _check_method(method, h)
     name = method["name"]
-    if name not in _METHODS:
-        raise ValueError(f"unknown method {name!r}")
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-    train = _head(data, m)
     p, d = method.get("p"), method.get("d")
+    lag, cov = 0, None
     if name == "bosq":
-        p = 1 if p is None else int(p)
+        p = int(method.get("p", 1))
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        if h != 1:
-            raise ValueError("the first-order benchmark predicts one step only")
-        d = int(d) if d is not None else pve_dimension(train, float(method.get("pve", 0.8)))
+        if d is None:
+            d = pve_dimension(_head(data, m), float(method.get("pve", 0.8)))
         if m - p + 1 < 2:
             raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
-        stacked = data
-        if p > 1:
+        if p > 1:  # the benchmark runs on blocks of p consecutive curves
             blocks = np.hstack([data.values[p - 1 - j : data.n - j] for j in range(p)])
-            stacked = FunctionalDataset(grid=Grid(p * data.T), values=blocks)
-        eig = eigensystem(_head(stacked, m - p + 1), d)
-        s = scores(stacked, eig).scores
-        return _Fit("bosq", p, d, eig, s, _bosq_var(s[: m - p + 1], eig.eigenvalues), lag=p - 1)
-    cov = None
-    if name == "covariate":
-        if h != 1:
-            raise ValueError("covariate prediction is defined for h = 1 only")
+            data = FunctionalDataset(grid=Grid(p * data.T), values=blocks)
+        lag = p - 1
+        m -= lag
+    elif name == "covariate":
         solver = method.get("solver", "ols")
         if solver not in ("ols", "blp"):
             raise ValueError(f"solver must be 'ols' or 'blp', got {solver!r}")
@@ -163,8 +179,9 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         if len(rmat) != data.n:
             raise DimensionMismatchError(f"{len(rmat)} covariate rows for {data.n} curves")
         cov = rmat[:m]
+    train = _head(data, m)
     fixed = p is not None and d is not None
-    auto = method.get("p_max") is not None and method.get("d_max") is not None
+    auto = "p_max" in method and "d_max" in method
     if name == "scalar" and not fixed:
         raise ValueError("scalar forecasting needs p and d")
     if fixed == auto:
@@ -173,7 +190,9 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     p, d = table.best if auto else (int(p), int(d))
     eig = table.eig.truncate(d) if auto else eigensystem(train, d)
     s = scores(data, eig).scores
-    if name == "scalar":
+    if name == "bosq":
+        model = _bosq_var(s[:m], eig.eigenvalues)
+    elif name == "scalar":
         model = _scalar_var(s[:m], p)
     elif cov is None:
         model = fit_var_ols(s[:m], p)
@@ -182,7 +201,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     else:
         model = _blp_var(s[:m], cov, p)
     criterion = table.best_cell().value if auto else None
-    return _Fit(_METHODS[name], p, d, eig, s, model, rmat, criterion=criterion)
+    return _Fit(_METHODS[name][0], p, d, eig, s, model, rmat, lag, criterion)
 
 
 def _predict(fit: _Fit, ends, h: int = 1):
@@ -266,9 +285,7 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     explicit entry of dims overrides the dimension.
     """
     items = covariates if isinstance(covariates, (list, tuple)) else [covariates]
-    if dims is None:
-        dims = [None] * len(items)
-    if isinstance(dims, int):
+    if dims is None or isinstance(dims, int):
         dims = [dims] * len(items)
     if len(dims) != len(items):
         raise ValueError(f"dims has {len(dims)} entries for {len(items)} covariates")
@@ -334,10 +351,10 @@ class EquivalenceReport:
 
 def equivalence_gap(data: FunctionalDataset, d: int) -> EquivalenceReport:
     """Compare the first-order score regression against the benchmark."""
-    eig = eigensystem(data, d)
-    s = scores(data, eig).scores
-    var_res = _result(_Fit("var", 1, d, eig, s, fit_var_ols(s, 1)))
-    bosq_res = _result(_Fit("bosq", 1, d, eig, s, _bosq_var(s, eig.eigenvalues)))
+    fit = _fit(data, data.n, {"name": "fixed-var", "p": 1, "d": d})
+    s, eig = fit.scores, fit.eig
+    var_res = _result(fit)
+    bosq_res = _result(replace(fit, method="bosq", model=_bosq_var(s, eig.eigenvalues)))
     gap = l2_norm(var_res.curve - bosq_res.curve, data.grid)
     gamma_hat = s[:-1].T @ s[:-1] / (len(s) - 1)
     return EquivalenceReport(

@@ -173,6 +173,13 @@ def test_forecast_bosq_and_scalar(curves_csv, capsys):
     assert methods == ["bosq", "scalar"]
 
 
+def test_forecast_pve_is_for_the_benchmark_only(curves_csv, capsys):
+    base = ["forecast", "--input", str(curves_csv), "--pve", "0.9"]
+    assert main(base + ["--p", "1", "--d", "2"]) == 1
+    assert "method 'fixed-var' has no key 'pve'" in capsys.readouterr().err
+    assert main(base + ["--method", "bosq"]) == 0
+
+
 def test_forecast_with_covariates(curves_csv, tmp_path, capsys):
     rng = np.random.default_rng(0)
     cov = tmp_path / "cov.csv"

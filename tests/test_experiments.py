@@ -180,33 +180,11 @@ def test_horizon_guards():
     assert len(report.replications[0]["errors"]["fixed-var"]) == 4
 
 
-def test_expanding_mode_refits_each_step():
-    config = tiny_config(
-        fit_mode="expanding",
-        methods=[
-            {"name": "fixed-var", "p": 1, "d": 2},
-            {"name": "scalar", "p": 1, "d": 2},
-            {"name": "bosq", "d": 2},
-        ],
-        reps=1,
-    )
-    report = run_forecast_experiment(config)
-    rec = report.replications[0]
-    for key in ("fixed-var", "scalar", "bosq"):
-        errs = rec["errors"][key]
-        assert len(errs) == 4 and all(np.isfinite(errs))
-
-
-def test_fixed_and_expanding_agree_on_single_step():
-    # with train = n - 1 there is one evaluation point and the fixed-fit
-    # model sees exactly the data an expanding refit would use
-    fixed = run_forecast_experiment(tiny_config(train=39, reps=1))
-    expanding = run_forecast_experiment(
-        tiny_config(train=39, reps=1, fit_mode="expanding")
-    )
-    a = fixed.replications[0]["errors"]["fixed-var"]
-    b = expanding.replications[0]["errors"]["fixed-var"]
-    assert a == pytest.approx(b, rel=1e-10)
+@pytest.mark.parametrize("fit_mode", ["expanding", "both", None])
+def test_fit_mode_takes_only_fixed(no_replications, fit_mode):
+    with pytest.raises(ValueError, match=f"fit_mode must be 'fixed', got {fit_mode!r}"):
+        run_forecast_experiment(tiny_config(fit_mode=fit_mode))
+    assert no_replications == []
 
 
 def test_file_source_reproduces_process_run(tmp_path):
@@ -312,6 +290,51 @@ def test_method_dict_rejects_unknown_keys_before_running(no_replications):
     assert no_replications == []
 
 
+@pytest.mark.parametrize("key, change", [
+    ("methods", lambda config: config.pop("methods")),
+    ("source", lambda config: config.pop("source")),
+    ("path", lambda config: config.update(source={"type": "file"}, reps=1)),
+    ("spec", lambda config: config.update(source={"type": "process"})),
+])
+def test_missing_required_keys_are_named_before_running(no_replications, key, change):
+    config = tiny_config()
+    change(config)
+    with pytest.raises(ValueError, match=f"needs key {key!r}$"):
+        run_forecast_experiment(config)
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"horizn": 3}, "config has no key 'horizn'; its keys are source, n, grid_T, train, "
+                    "horizon, fit_mode, methods, seed, reps"),
+    ({"trian": 0.5}, "config has no key 'trian'"),
+    ({"source": {"type": "kappa-far", "kappa": [0.5], "D": 3, "sigma_schem": "s2"}},
+     "a 'kappa-far' source has no key 'sigma_schem'; its keys are type, kappa, D, "
+     "sigma_scheme, burn_in"),
+    ({"source": {"type": "process", "spec": SPEC_PAYLOAD, "burn_in": 10}},
+     "a 'process' source has no key 'burn_in'; its keys are type, spec"),
+    ({"methods": [{"name": "bosq", "p_max": 2, "d_max": 2}]},
+     "method 'bosq' has no key 'd_max'; its keys are name, label, p, d, pve"),
+    ({"methods": [{"name": "fixed-var", "p": 1, "d": 2, "pve": 0.9}]},
+     "method 'fixed-var' has no key 'pve'; its keys are name, label, p, d, p_max, d_max"),
+    ({"methods": [{"name": "fixed-var", "p": 1, "d": 2, "solver": "ols", "label": "v"}]},
+     "method 'v' has no key 'solver'"),
+    ({"methods": [{"name": "scalar", "p_max": 2, "d_max": 2}]},
+     "method 'scalar' has no key 'd_max'; its keys are name, label, p, d"),
+])
+def test_keys_nothing_reads_are_rejected_before_running(no_replications, change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_forecast_experiment(tiny_config(**change))
+    assert no_replications == []
+
+
+def test_absent_values_do_not_count_as_keys():
+    # None marks a key as absent, as the Python predictors and the CLI pass it
+    methods = [{"name": "fixed-var", "p": 1, "d": 2, "pve": None, "solver": None}]
+    report = run_forecast_experiment(tiny_config(methods=methods))
+    assert report.replications == run_forecast_experiment(tiny_config()).replications
+
+
 @pytest.mark.parametrize("source", [
     {"type": "process", "spec": SPEC_PAYLOAD},
     {"type": "kappa-far", "kappa": [0.5], "D": 3},
@@ -394,11 +417,32 @@ def test_a_chunk_steps_its_recursions_together(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv(THREADS_ENV, "1")
     CHUNKED_RUNS["run_forecast_experiment"]()
-    assert widths == [16, 1]
+    assert widths == [9, 8]  # 17 replications on 1 worker: two chunks of at most 16
     widths.clear()
     monkeypatch.setenv(THREADS_ENV, "2")  # 17 replications on 2 workers: chunks of 9
     CHUNKED_RUNS["bands-coverage"]()
     assert sorted(widths) == [8, 9]
+
+
+@pytest.mark.parametrize("count, workers, sizes", [
+    (16, "2", [8, 8]), (1, "2", [1]), (17, "1", [9, 8]), (50, "1", [13, 13, 13, 11]),
+    (50, "2", [13, 13, 13, 11]),
+])
+@pytest.mark.parametrize("source", [{"type": "kappa-far", "kappa": [0.3], "D": 3},
+                                    {"type": "covariate-far1"}])
+def test_every_source_is_chunked_by_one_rule(monkeypatch, source, count, workers, sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(THREADS_ENV, workers)
+    factory = experiments._source_factory
+    seen = []
+
+    def recording_factory(*args):
+        draw = factory(*args)
+        return lambda rngs: seen.append(len(rngs)) or draw(rngs)
+
+    monkeypatch.setattr(experiments, "_source_factory", recording_factory)
+    run_forecast_experiment(tiny_config(source=source, reps=count))
+    assert sorted(seen, reverse=True) == sizes
 
 
 def test_benchmark_lists_the_preset_keys():
@@ -529,7 +573,7 @@ def test_pm10_preset_removes_its_temporary_directory(tmp_path, monkeypatch):
 
 
 def covariate_far1(n):
-    draw, _ = _source_factory({"type": "covariate-far1"}, n, Grid(32))
+    draw = _source_factory({"type": "covariate-far1"}, n, Grid(32))
     return next(draw([np.random.default_rng(4)]))
 
 

@@ -1,4 +1,5 @@
-"""Every predictor, both evaluation modes and `curvecast forecast` against reference code.
+"""Every predictor, the evaluation of run_forecast_experiment and `curvecast forecast` against
+reference code.
 
 Each reference function below fits one method's score model on its own and
 predicts with one ``predict_var`` call per forecast; the shared
@@ -29,7 +30,8 @@ from curvecast import (
     select_pd,
 )
 from curvecast.cli import main
-from curvecast.experiments import _eval_method_expanding, _eval_method_fixed, _source_factory
+from curvecast import forecast
+from curvecast.experiments import _eval_method_fixed, _source_factory
 from curvecast.multivar import (
     fit_var_ols,
     fit_varx_ols,
@@ -139,7 +141,7 @@ def ref_expanding_errors(data, rmat, m, h, method):
             d = method.get("d") or pve_dimension(sub, method.get("pve", 0.8))
             curve = ref_bosq_state_space(sub, d, method.get("p", 1))
         else:
-            kw = {k: method[k] for k in ("p", "d", "p_max", "d_max") if k in method}
+            kw = {k: method[k] for k in ("p", "d", "p_max", "d_max", "solver") if k in method}
             curve = ref_predict_with_covariates(sub, rmat[:cut], **kw)[2]
         diff = data.values[t] - curve
         errors.append(float(diff @ diff) / data.T)
@@ -211,10 +213,10 @@ def test_fixed_mode_benchmark_rejects_negligible_eigenvalue():
 
 
 # ---------------------------------------------------------------------------
-# expanding evaluation
+# evaluation against one refit per step
 
 
-EXPANDING_CASES = [
+EVAL_CASES = [
     ({"name": "ffpe-var", "p_max": 2, "d_max": 2}, 1),
     ({"name": "fixed-var", "p": 1, "d": 2}, 1),
     ({"name": "fixed-var", "p": 2, "d": 2}, 2),
@@ -224,16 +226,43 @@ EXPANDING_CASES = [
     ({"name": "bosq", "p": 2, "pve": 0.9}, 1),
     ({"name": "covariate", "p": 1, "d": 2}, 1),
     ({"name": "covariate", "p_max": 2, "d_max": 2}, 1),
+    ({"name": "covariate", "p": 2, "d": 2, "solver": "blp"}, 1),
+    ({"name": "covariate", "p_max": 2, "d_max": 2, "solver": "blp"}, 1),
 ]
 
 
-@pytest.mark.parametrize("method, h", EXPANDING_CASES)
-def test_expanding_mode_matches_reference_dispatch(method, h):
-    draw, _ = _source_factory({"type": "covariate-far1"}, 70, Grid(32))
-    data, rmat = next(draw([np.random.default_rng(6)]))
-    out = _eval_method_expanding(data, rmat, 62, h, method)
-    assert_close(out["errors"], ref_expanding_errors(data, rmat, 62, h, method))
-    assert out["criterion"] is None
+def eval_sample():
+    draw = _source_factory({"type": "covariate-far1"}, 70, Grid(32))
+    return next(draw([np.random.default_rng(6)]))
+
+
+@pytest.mark.parametrize("method, h", EVAL_CASES)
+def test_fixed_evaluation_matches_reference_dispatch(method, h):
+    # at m = n - h the one fit sees exactly the curves of the reference's last refit
+    data, rmat = eval_sample()
+    out = _eval_method_fixed(data, rmat, data.n - h, h, method)
+    want = ref_expanding_errors(data, rmat, data.n - 1, h, method)
+    assert len(out["errors"]) == h
+    assert_close(out["errors"][-1:], want)
+
+
+@pytest.mark.parametrize("method, h", EVAL_CASES + [({"name": "bosq", "p": 2, "d": 3}, 1)])
+def test_each_fit_makes_one_eigensystem_and_one_projection(monkeypatch, method, h):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigensystem", "scores", "select_pd"):
+        monkeypatch.setattr(forecast, name, counted(name, getattr(forecast, name)))
+    data, rmat = eval_sample()
+    _eval_method_fixed(data, rmat, data.n - h, h, method)
+    # a selected fit truncates the eigensystem that select_pd made
+    basis = "select_pd" if "p_max" in method else "eigensystem"
+    assert sorted(calls) == sorted([basis, "scores"])
 
 
 # ---------------------------------------------------------------------------
