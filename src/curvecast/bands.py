@@ -5,13 +5,12 @@ that a target fraction of historical standardized residuals fits inside
 over the whole grid at once.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _readonly
+from .curves import FunctionalDataset, Grid, _readonly, _write_csv
 from .errors import DimensionMismatchError, InsufficientDataError
 from .fpca import EigenSystem, ScoreMatrix, eigensystem, reconstruct, scores
 from .multivar import _check_rows, _guarded_solve, _lag_rows
@@ -93,12 +92,9 @@ class PredictionBand:
         return self.xi_lower * self.gamma, self.xi_upper * self.gamma
 
     def to_csv(self, path) -> None:
-        lower, upper = self.offsets()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "gamma", "lower_offset", "upper_offset"])
-            for t, g, lo, up in zip(self.grid.points, self.gamma, lower, upper):
-                writer.writerow([repr(float(v)) for v in (t, g, lo, up)])
+        rows = zip(self.grid.points, self.gamma, *self.offsets())
+        _write_csv(path, ["t", "gamma", "lower_offset", "upper_offset"],
+                   ([repr(float(v)) for v in row] for row in rows))
 
     def contains(self, center, curve):
         """Whole-grid check of center - lower <= curve <= center + upper.

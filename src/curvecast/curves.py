@@ -138,8 +138,17 @@ def synthesize(coeffs, basis: FourierBasis) -> FunctionalDataset:
     return FunctionalDataset._own(basis.grid, coeffs @ basis.values)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a header row and then rows with csv.writer: the one CSV format this package writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_curves_csv(data: FunctionalDataset, path, header: bool = True) -> None:
     """Write one curve per row of repr'd floats; optional header row t_1,...,t_T."""
+    # joined here for speed, in the bytes _write_csv would write
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(f"t_{i + 1}" for i in range(data.T)) + "\r\n")

@@ -11,10 +11,8 @@ simulated recursions together; records are merged in index order, so
 reports depend neither on the chunking nor on scheduling.
 """
 
-import csv
 import inspect
 import json
-import numbers
 import os
 import tempfile
 import time
@@ -28,15 +26,25 @@ from .bands import _rolling_residuals, _warm_up, prediction_band
 from .curves import (
     FunctionalDataset,
     Grid,
+    _write_csv,
     load_curves_csv,
     load_numeric_csv,
     make_fourier_basis,
     synthesize,
 )
-from .forecast import _check_keys, _check_method, _fit, _predict, _result, equivalence_gap
+from .forecast import (
+    _check_keys,
+    _check_method,
+    _fit,
+    _is_number,
+    _number,
+    _predict,
+    _result,
+    equivalence_gap,
+)
 from .ingest import ingest
 from .selection import select_pd
-from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme, simulate
+from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme
 
 THREADS_ENV = "FTSP_THREADS"
 CHUNK = 16  # most replications one pool task steps together
@@ -116,6 +124,11 @@ def _report(command: str, config: dict, count: int, seed, worker, start: float,
                      frequencies={}, wall_clock=time.perf_counter() - start)
 
 
+def _is_train(value) -> bool:
+    """Whether value is a training fraction in (0, 1) or an integer count."""
+    return isinstance(value, float) and 0.0 < value < 1.0 or _is_number(value, int)
+
+
 def _resolve_train(train, n: int) -> int:
     m = round(train * n) if isinstance(train, float) and 0.0 < train < 1.0 else int(train)
     if not 2 <= m < n:
@@ -150,14 +163,29 @@ def _source_factory(source: dict, n: int, grid: Grid):
         raise ValueError(f"unknown source type {kind!r}")
     _check_keys(source, ("type", *_SOURCE_KEYS[kind]), f"a {kind!r} source",
                 _SOURCE_NEEDS.get(kind, ()))
+    if kind == "covariate-far1":
+
+        def draw(rngs):
+            basis = make_fourier_basis(3, grid)
+            for rng in rngs:
+                coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
+                yield synthesize(coeffs, basis), rmat
+
+        return draw
+    if kind == "file":
+        data = load_curves_csv(source["path"])
+        rmat = load_numeric_csv(source["covariates_path"]) if source.get("covariates_path") else None
+
+        def draw(rngs):
+            return ((data, rmat) for _ in rngs)
+
+        return draw
     if kind == "process":
         spec = ProcessSpec.from_json(json.dumps(source["spec"]))
 
-        def draw(rngs):
-            return ((data, None) for data in _simulated([spec] * len(rngs), n, grid, rngs))
-
-        return draw
-    if kind in ("kappa-far", "fma", "farma"):
+        def spec_from(rng):
+            return spec
+    else:  # kappa-far, fma or farma: a random operator per replication
         D = _number(source, "D", 21, int)
         sig = sigma_scheme(source.get("sigma_scheme", "s1"), D)
         if kind == "kappa-far":
@@ -177,44 +205,21 @@ def _source_factory(source: dict, n: int, grid: Grid):
             return ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
                                burn_in=burn_in)
 
-        def draw(rngs):
-            specs = [spec_from(rng) for rng in rngs]
-            return ((data, None) for data in _simulated(specs, n, grid, rngs))
-
-        return draw
-    if kind == "covariate-far1":
-
-        def draw(rngs):
-            basis = make_fourier_basis(3, grid)
-            for rng in rngs:
-                coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
-                yield synthesize(coeffs, basis), rmat
-
-        return draw
-    data = load_curves_csv(source["path"])  # the type left is file
-    rmat = load_numeric_csv(source["covariates_path"]) if source.get("covariates_path") else None
-
     def draw(rngs):
-        return ((data, rmat) for _ in rngs)
+        specs = [spec_from(rng) for rng in rngs]
+        basis = make_fourier_basis(specs[0].D, grid)
+        blocks = _coefficients(specs, n, rngs)
+        while blocks:  # each block is dropped once its curves are made
+            yield synthesize(blocks.pop(0), basis), None
 
     return draw
 
 
-def _simulated(specs, n: int, grid: Grid, rngs):
-    """Yield each spec's n curves from its generator; the recursions step together."""
-    basis = make_fourier_basis(specs[0].D, grid)
-    blocks = _coefficients(specs, n, rngs)
-    while blocks:  # each block is dropped once its curves are made
-        yield synthesize(blocks.pop(0), basis)
-
-
-def _number(source: dict, key: str, default, kind=float):
-    """source[key] as a kind; a ValueError names the key unless it is one number of that kind."""
-    value = source.get(key, default)
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not np.isfinite(value) or kind(value) != value):
-        raise ValueError(f"source key {key!r} must be one finite {kind.__name__}, got {value!r}")
-    return kind(value)
+def _psi_source(name: str) -> dict:
+    """The 'process' source of the first-order process on three components with operator name."""
+    spec = {"kind": "far", "D": 3, "sigma": [1.0, 1.0, 1.0], "ar": [fixed_psi(name).tolist()],
+            "ma": {}, "burn_in": 200}
+    return {"type": "process", "spec": spec}
 
 
 def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
@@ -228,8 +233,8 @@ def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
 def _coupled_far1_coeffs(
     n: int,
     rng: np.random.Generator,
-    psi=None,
-    b=None,
+    psi=((0.6, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.4)),
+    b=((0.9, 0.0), (0.0, 0.7), (0.35, 0.35)),
     sigma_y=(1.0, 0.7, 0.5),
     rho: float = 0.5,
     sigma_r: float = 0.8,
@@ -240,13 +245,7 @@ def _coupled_far1_coeffs(
     c_k = Psi c_{k-1} + B r_{k-1} + a_k with an AR(1) covariate, so the
     covariate carries real predictive signal at lag one.
     """
-    psi = np.diag([0.6, 0.5, 0.4]) if psi is None else np.asarray(psi, dtype=float)
-    b = (
-        np.array([[0.9, 0.0], [0.0, 0.7], [0.35, 0.35]])
-        if b is None
-        else np.asarray(b, dtype=float)
-    )
-    sigma_y = np.asarray(sigma_y, dtype=float)
+    psi, b, sigma_y = (np.asarray(a, dtype=float) for a in (psi, b, sigma_y))
     D, r = b.shape
     steps = burn_in + n
     coeffs = np.zeros((steps + 1, D))
@@ -284,10 +283,12 @@ def run_forecast_experiment(config: dict) -> RunReport:
     config keys: source (see _source_factory), n (required unless the
     source is a file), grid_T, train (count or fraction), horizon,
     fit_mode (only 'fixed': each method is fitted once, on the training
-    curves), methods (list of method dicts), seed, reps.  A method dict
-    holds only keys its method reads, out of name, label, p, d, p_max,
-    d_max, pve and solver.  A missing required key or any other key
-    raises ValueError before a replication runs.
+    curves), methods (list of method dicts), seed, reps.  seed, reps, n,
+    grid_T and horizon must be integers; None counts as absent.  A method
+    dict holds only keys its method reads, out of name, label, p, d,
+    p_max, d_max, pve and solver (see forecast._check_method).  A missing
+    required key, any other key or a bad value raises ValueError before a
+    replication runs.
 
     Returns
     -------
@@ -298,11 +299,14 @@ def run_forecast_experiment(config: dict) -> RunReport:
     start = time.perf_counter()
     _check_keys(config, _CONFIG_KEYS, "config", ("seed", "methods", "source"))
     echo = json.loads(json.dumps(config, sort_keys=True))
-    seed = int(config["seed"])
-    reps = int(config.get("reps", 1))
+    seed, reps, h, grid_T = (_number(config, key, default, int, "config") for key, default in
+                             (("seed", None), ("reps", 1), ("horizon", 1), ("grid_T", 256)))
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    h = int(config.get("horizon", 1))
+    train = 0.9 if config.get("train") is None else config["train"]
+    if not _is_train(train):
+        raise ValueError(f"config key 'train' must be a fraction in (0, 1) or an integer count, "
+                         f"got {train!r}")
     if config.get("fit_mode", "fixed") != "fixed":
         raise ValueError(f"fit_mode must be 'fixed', got {config['fit_mode']!r}")
     methods = [_check_method(meth, h) for meth in config["methods"]]
@@ -317,12 +321,12 @@ def run_forecast_experiment(config: dict) -> RunReport:
     n = config.get("n")
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
-    grid = Grid(int(config.get("grid_T", 256)))
-    draw = _source_factory(config["source"], None if n is None else int(n), grid)
+    n = None if n is None else _number(config, "n", None, int, "config")
+    draw = _source_factory(config["source"], n, Grid(grid_T))
 
     def worker(idx, drawn):
         data, rmat = drawn
-        m = _resolve_train(config.get("train", 0.9), data.n)
+        m = _resolve_train(train, data.n)
         outs = {key: _eval_method_fixed(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
         criteria = {key: out["criterion"] for key, out in outs.items()
                     if out["criterion"] is not None}
@@ -403,18 +407,11 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
     raw = sqrt_scale**2
     mask = rng.random(raw.shape) < missing_rate
     curves_path = os.path.join(out_dir, "pm10_analog_raw.csv")
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["weekday"] + [f"t_{i + 1}" for i in range(48)])
-        for lab, row, hide in zip(labels, raw, mask):
-            cells = ["" if h else repr(float(v)) for v, h in zip(row, hide)]
-            writer.writerow([lab] + cells)
+    _write_csv(curves_path, ["weekday"] + [f"t_{i + 1}" for i in range(48)],
+               ([lab] + ["" if h else repr(float(v)) for v, h in zip(row, hide)]
+                for lab, row, hide in zip(labels, raw, mask)))
     covariates_path = os.path.join(out_dir, "pm10_analog_covariates.csv")
-    with open(covariates_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_1", "x_2"])
-        for row in rmat:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(covariates_path, ["x_1", "x_2"], ([repr(float(v)) for v in row] for row in rmat))
     return curves_path, covariates_path
 
 
@@ -439,12 +436,10 @@ def _mean_errors(report: RunReport, key: str) -> np.ndarray:
 def _ratio_preset(psi_name: str):
     def build(reps=200, seed=None, n=200, train=180, grid_T=256, p_max=3, d_max=3,
               scalar_p=1, scalar_d=3):
-        spec = {"kind": "far", "D": 3, "sigma": [1.0, 1.0, 1.0],
-                "ar": [fixed_psi(psi_name).tolist()], "ma": {}, "burn_in": 200}
         methods = [{"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
                    {"name": "scalar", "p": scalar_p, "d": scalar_d}]
-        report = _study(f"{psi_name}-ratio", {"type": "process", "spec": spec}, methods,
-                        reps, seed, n, grid_T, train)
+        report = _study(f"{psi_name}-ratio", _psi_source(psi_name), methods, reps, seed, n,
+                        grid_T, train)
         ratios = _mean_errors(report, "ffpe-var") / _mean_errors(report, "scalar")
         report.aggregates["ratio"] = {"median": float(np.median(ratios)),
                                       "frac_below_one": float(np.mean(ratios < 1.0))}
@@ -498,20 +493,15 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
     return report
 
 
-def _psi1_far() -> ProcessSpec:
-    """The first-order process on three components with the dense operator psi1."""
-    return ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(fixed_psi("psi1"),), burn_in=200)
-
-
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
-    grid = Grid(grid_T)
-    spec = _psi1_far()
     ns = [int(v) for v in ns]
+    draws = {n: _source_factory(_psi_source("psi1"), n, Grid(grid_T)) for n in ns}
 
     def worker(idx, rng):
         n = ns[idx // reps]
-        gap = equivalence_gap(simulate(spec, n, grid, rng), d).gap
+        data, _ = next(draws[n]([rng]))  # one recursion, as simulate steps it
+        gap = equivalence_gap(data, d).gap
         return {"n": n, "errors": {"gap": [gap]}}
 
     config = {"ns": ns, "d": d, "grid_T": grid_T, "seed": seed, "reps": reps}
@@ -529,9 +519,9 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
     start = time.perf_counter()
     grid = Grid(grid_T)
-    spec = _psi1_far()
 
-    def worker(idx, full):
+    def worker(idx, drawn):
+        full = drawn[0]
         data = FunctionalDataset._own(grid, full.values[:n])
         lookback = _warm_up(n, d, p, L)
         # one fit serves both the rolling residuals and the forecast
@@ -545,7 +535,7 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
     report = _report("benchmark:bands-coverage", config, reps, seed, worker, start,
-                     lambda rngs: _simulated([spec] * len(rngs), n + 1, grid, rngs))
+                     _source_factory(_psi_source("psi1"), n + 1, grid))
     records = report.replications
     report.aggregates = {
         "coverage": float(np.mean([rec["errors"]["bands"][0] for rec in records])),
@@ -610,11 +600,37 @@ _PRESET_DEFAULTS = {name: {key: param.default
                     for name, build in PRESETS.items()}
 
 
+# what --set may give the preset keys whose default is None
+_NONE_DEFAULTS = {"L": ("an integer or null", lambda value: _is_number(value, int)),
+                  "out_dir": ("a str or null", lambda value: isinstance(value, str))}
+
+
 def _kind(value) -> str:
     """The kind an override must share with its preset default: number, list or str."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if _is_number(value):
         return "number"
     return "list" if isinstance(value, (list, tuple)) else type(value).__name__
+
+
+def _check_override(preset: str, key: str, value, default) -> None:
+    """Raise a ValueError naming preset and key unless value keeps the type of key's default."""
+    where = f"preset {preset!r} key {key!r}"
+    if default is None:
+        takes, ok = _NONE_DEFAULTS[key]
+        if value is not None and not ok(value):
+            raise ValueError(f"{where} takes {takes}, got {value!r}")
+    elif _kind(value) != _kind(default):
+        raise ValueError(f"{where} takes a {_kind(default)} like its default {default!r}, "
+                         f"got {value!r}")
+    elif key == "train":
+        if not _is_train(value):
+            raise ValueError(f"{where} takes a fraction in (0, 1) or an integer count, "
+                             f"got {value!r}")
+    else:  # an integer default, or a list default of integers, takes integers only
+        want, got = (default, value) if _kind(default) == "list" else ([default], [value])
+        if all(isinstance(v, int) for v in want) and not all(_is_number(v, int) for v in got):
+            raise ValueError(f"{where} takes integers like its default {default!r}, "
+                             f"got {value!r}")
 
 
 def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) -> RunReport:
@@ -622,8 +638,10 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
 
     reps defaults to the preset's own count.  overrides may name only the
     preset's keyword arguments other than reps and seed, each with a value
-    of the same kind as its default (a number, a list or a str; any value
-    where the default is None).  Bad keys, values of the wrong kind and
+    of the same kind as its default: a number, a list or a str.  An integer
+    default and the entries of an integer list (ns) take integers only,
+    train a fraction in (0, 1) or an integer count, L an integer or None
+    and out_dir a str or None.  Bad keys, values of the wrong type and
     reps below 1 raise ValueError before any replication runs.
     """
     if preset not in PRESETS:
@@ -636,9 +654,7 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
         raise ValueError(f"preset {preset!r} has no key {', '.join(map(repr, unknown))}; "
                          f"its keys are {sorted(defaults)}")
     for key, value in overrides.items():
-        if defaults[key] is not None and _kind(value) != _kind(defaults[key]):
-            raise ValueError(f"preset {preset!r} key {key!r} takes a {_kind(defaults[key])} "
-                             f"like its default {defaults[key]!r}, got {value!r}")
+        _check_override(preset, key, value, defaults[key])
     if reps is not None:
         if int(reps) < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")

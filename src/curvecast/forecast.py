@@ -6,6 +6,8 @@ expansion.  They differ only in how the score prediction is formed.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,8 +110,35 @@ def _check_keys(given, keys, owner: str, required=()) -> None:
         raise ValueError(f"{owner} has no key {extra[0]!r}; its keys are {', '.join(keys)}")
 
 
+def _is_number(value, kind=float) -> bool:
+    """Whether value is one finite real number of kind, which int narrows to integers; no bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and kind(value) == value
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _number(given: dict, key: str, default, kind=float, owner: str = "source"):
+    """given[key] as a kind, default when it is absent or None.
+
+    A ValueError names owner's key unless the value is one finite number of that kind.
+    """
+    value = given.get(key)
+    value = default if value is None else value
+    if not _is_number(value, kind):
+        raise ValueError(f"{owner} key {key!r} must be one finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _check_method(method: dict, h: int) -> dict:
-    """method without its None values, which count as absent, once its keys and h are valid."""
+    """method without its None values, which count as absent, once its keys, values and h are valid.
+
+    p, d, p_max and d_max come back as ints and pve as a float in (0, 1]; solver must be
+    'ols' or 'blp'.  bosq needs p >= 1 (default 1), scalar needs p and d, and every other
+    method exactly one of (p, d) and (p_max, d_max).
+    """
     owner = f"method {method.get('label', method.get('name'))!r}"
     _check_keys(method, (*_VAR_KEYS, "pve", "solver"), owner, ("name",))
     given = {key: value for key, value in method.items() if value is not None}
@@ -121,6 +150,21 @@ def _check_method(method: dict, h: int) -> dict:
         raise ValueError(f"horizon must be >= 1, got {h}")
     if h != 1 and _METHODS[name][2]:
         raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
+    for key, kind in (("p", int), ("d", int), ("p_max", int), ("d_max", int), ("pve", float)):
+        if key in given:
+            given[key] = _number(given, key, None, kind, owner)
+    if not 0.0 < given.get("pve", 0.8) <= 1.0:
+        raise ValueError(f"{owner} key 'pve' must be in (0, 1], got {given['pve']!r}")
+    if given.get("solver", "ols") not in ("ols", "blp"):
+        raise ValueError(f"solver must be 'ols' or 'blp', got {given['solver']!r}")
+    fixed = "p" in given and "d" in given
+    if name == "bosq":
+        if given.get("p", 1) < 1:
+            raise ValueError(f"p must be >= 1, got {given['p']}")
+    elif name == "scalar" and not fixed:
+        raise ValueError("scalar forecasting needs p and d")
+    elif fixed == ("p_max" in given and "d_max" in given):
+        raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
     return given
 
 
@@ -152,17 +196,16 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     as absent.  Scalar needs p and d; the benchmark takes p (default 1) and d,
     or pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
     'blp' and needs rmat, one row per curve.  h is the horizon to predict at.
+    :func:`_check_method` checks the method; only the checks that need data run here.
     """
     method = _check_method(method, h)
     name = method["name"]
     p, d = method.get("p"), method.get("d")
     lag, cov = 0, None
     if name == "bosq":
-        p = int(method.get("p", 1))
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        p = method.get("p", 1)
         if d is None:
-            d = pve_dimension(_head(data, m), float(method.get("pve", 0.8)))
+            d = pve_dimension(_head(data, m), method.get("pve", 0.8))
         if m - p + 1 < 2:
             raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
         if p > 1:  # the benchmark runs on blocks of p consecutive curves
@@ -171,23 +214,16 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         lag = p - 1
         m -= lag
     elif name == "covariate":
-        solver = method.get("solver", "ols")
-        if solver not in ("ols", "blp"):
-            raise ValueError(f"solver must be 'ols' or 'blp', got {solver!r}")
         if rmat is None:
             raise ValueError("source provides no covariates for the covariate method")
         if len(rmat) != data.n:
             raise DimensionMismatchError(f"{len(rmat)} covariate rows for {data.n} curves")
         cov = rmat[:m]
     train = _head(data, m)
-    fixed = p is not None and d is not None
-    auto = "p_max" in method and "d_max" in method
-    if name == "scalar" and not fixed:
-        raise ValueError("scalar forecasting needs p and d")
-    if fixed == auto:
-        raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
+    auto = "p_max" in method
     table = select_pd(train, method["p_max"], method["d_max"], cov) if auto else None
-    p, d = table.best if auto else (int(p), int(d))
+    if auto:
+        p, d = table.best
     eig = table.eig.truncate(d) if auto else eigensystem(train, d)
     s = scores(data, eig).scores
     if name == "bosq":
@@ -196,7 +232,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         model = _scalar_var(s[:m], p)
     elif cov is None:
         model = fit_var_ols(s[:m], p)
-    elif solver == "ols":
+    elif method.get("solver", "ols") == "ols":
         model = fit_varx_ols(s[:m], cov, p)
     else:
         model = _blp_var(s[:m], cov, p)

@@ -49,6 +49,7 @@ def ingest(
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
     values, labels = _read_raw(path, weekday_adjust, rows_per_curve)
+    _reject_infinite(values, path, weekday_adjust, rows_per_curve)
     missing = np.isnan(values)
     if missing.any():
         if not interpolate_missing:
@@ -83,8 +84,11 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
         header = [c.strip() for c in raw[0]]
         if weekday_adjust not in header:
             raise IngestError(f"{path}: no column named {weekday_adjust!r} in the header")
+    body = raw[1:] if has_header or weekday_adjust is not None else raw
+    if not body:
+        raise IngestError(f"{path}: no data rows found")
+    if weekday_adjust is not None:
         li = header.index(weekday_adjust)
-        body = raw[1:]
         for i, row in enumerate(body, start=1):
             if len(row) <= li:
                 raise IngestError(f"{path}: row {i} ends before the {weekday_adjust!r} column")
@@ -93,7 +97,7 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
         cells = _parse_rows([row[:li] + [""] + row[li + 1 :] for row in body], path)
         cells = [row[:li] + row[li + 1 :] for row in cells]
     else:
-        cells = _parse_rows(raw[1:] if has_header else raw, path)
+        cells = _parse_rows(body, path)
     if rows_per_curve is not None:
         if rows_per_curve < 2:
             raise IngestError(f"rows_per_curve must be >= 2, got {rows_per_curve}")
@@ -107,6 +111,24 @@ def _read_raw(path, weekday_adjust, rows_per_curve):
     if len(widths) != 1:
         raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
     return np.array(cells, dtype=float), labels
+
+
+def _reject_infinite(values: np.ndarray, path, weekday_adjust, rows_per_curve) -> None:
+    """Raise an IngestError naming the first +-inf cell as the file places it.
+
+    Rows count from 1 below the header and columns as in the file, label
+    column included; a rows_per_curve stream names the curve and sample.
+    """
+    bad = np.argwhere(np.isinf(values))
+    if not bad.size:
+        return
+    row, col = bad[0].tolist()
+    if rows_per_curve is not None:
+        raise IngestError(f"{path}: curve {row + 1}, sample {col + 1} is infinite")
+    if weekday_adjust is not None:  # values hold every column but the label column
+        header = [c.strip() for c in _read_rows(path)[0][0]]
+        col += col >= header.index(weekday_adjust)
+    raise IngestError(f"{path}: row {row + 1}, column {col + 1} is infinite")
 
 
 def _interpolate(values: np.ndarray, path) -> None:

@@ -5,12 +5,12 @@ columns against the variance left outside the first d components, so one
 sweep picks p and d together.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import _write_csv
 from .errors import InsufficientDataError, RankDeficiencyError, SelectionError
 from .fpca import EigenSystem, eigensystem, scores
 from .multivar import (
@@ -81,12 +81,12 @@ class FfpeTable:
         raise LookupError(f"no cell for p={p}, d={d}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "d", "trace", "tail", "ffpe", "status", "message"])
-            for c in self.cells:
-                numbers = [repr(float(v)) for v in (c.trace, c.tail, c.value)] if c.ok else [""] * 3
-                writer.writerow([c.p, c.d, *numbers, c.status, c.message])
+        def row(c):
+            numbers = [repr(float(v)) for v in (c.trace, c.tail, c.value)] if c.ok else [""] * 3
+            return [c.p, c.d, *numbers, c.status, c.message]
+
+        _write_csv(path, ["p", "d", "trace", "tail", "ffpe", "status", "message"],
+                   map(row, self.cells))
 
 
 def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:

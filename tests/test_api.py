@@ -81,6 +81,32 @@ def test_benchmark_and_acceptance_attributes_resolve(module, attr):
     assert hasattr(importlib.import_module(f"curvecast.{module}"), attr)
 
 
+def imported_modules(path):
+    """The modules a source file imports by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names} | {node.module for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
+def test_only_curves_knows_the_csv_format():
+    # every other module reads and writes its CSVs through curves
+    users = [path.name for path in sorted((ROOT / "src" / "curvecast").glob("*.py"))
+             if "csv" in imported_modules(path)]
+    assert users == ["curves.py"]
+
+
+def test_studies_simulate_only_through_the_source_factory():
+    # one way in for every study's simulated curves: no spec or recursion built elsewhere
+    tree = ast.parse((ROOT / "src" / "curvecast" / "experiments.py").read_text(encoding="utf-8"))
+    outside = {node.id for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name != "_source_factory" for node in ast.walk(fn)
+               if isinstance(node, ast.Name)} & {"ProcessSpec", "simulate", "_coefficients"}
+    assert outside == set()
+    experiments = importlib.import_module("curvecast.experiments")
+    assert not hasattr(experiments, "simulate") and not hasattr(experiments, "_psi1_far")
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "curvecast").glob("*.py")),
                          ids=lambda path: path.name)
 def test_source_lines_are_not_packed(path):

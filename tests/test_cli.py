@@ -249,10 +249,19 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
         ("order-selection", ["--reps", "0"], "reps must be >= 1, got 0"),
         ("order-selection", ["--set", "kappa=0.5"], "key 'kappa' takes a list"),
         ("bands-coverage", ["--set", "alpha=high"], "key 'alpha' takes a number"),
+        ("bands-coverage", ["--set", "n=100.5"], "key 'n' takes integers like its default"),
+        ("bands-coverage", ["--set", "L=abc"], "key 'L' takes an integer or null, got 'abc'"),
+        ("bands-coverage", ["--set", "L=100.5"], "key 'L' takes an integer or null, got 100.5"),
+        ("pm10-analog", ["--set", "out_dir=5"], "key 'out_dir' takes a str or null, got 5"),
+        # not a preset: ingest of a file with an infinite cell
+        (None, ["ingest", "--input", "inf.csv", "--out", "out.csv"], "row 2, column 2 is infinite"),
     ],
 )
-def test_benchmark_bad_overrides_exit_one(capsys, preset, extra, message):
-    assert main(["benchmark", "--preset", preset, "--seed", "1", "--reps", "1", *extra]) == 1
+def test_benchmark_bad_overrides_exit_one(tmp_path, monkeypatch, capsys, preset, extra, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.csv").write_text("1,2,3\n4,inf,6\n")
+    head = ["benchmark", "--preset", preset, "--seed", "1", "--reps", "1"] if preset else []
+    assert main([*head, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""

@@ -281,6 +281,87 @@ def test_benchmark_rejects_overrides_of_another_kind(no_replications, preset, ke
     assert no_replications == []
 
 
+@pytest.mark.parametrize("preset, key, value, message", [
+    ("bands-coverage", "n", 100.5, "takes integers like its default 400, got 100.5"),
+    ("bands-coverage", "L", "abc", "takes an integer or null, got 'abc'"),
+    ("bands-coverage", "L", 100.5, "takes an integer or null, got 100.5"),
+    ("pm10-analog", "out_dir", 5, "takes a str or null, got 5"),
+    ("equivalence-rate", "ns", [40.7], "takes integers like its default (100, 200, 400, 800)"),
+    ("far2-table", "bosq_p", 1.5, "takes integers like its default 1, got 1.5"),
+    ("far2-table", "train", 100.5, "takes a fraction in (0, 1) or an integer count, got 100.5"),
+])
+def test_benchmark_overrides_keep_their_default_type(no_replications, preset, key, value, message):
+    # each of these used to end in a traceback or run with its value truncated
+    with pytest.raises(ValueError, match=re.escape(f"preset {preset!r} key {key!r} {message}")):
+        run_benchmark(preset, reps=1, seed=1, **{key: value})
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("bands-coverage", {"n": 400, "alpha": 0.8, "p": 1, "d": 3}),  # as perfbench's band-calibrate
+    ("bands-coverage", {"n": np.int64(80), "L": 40}),
+    ("bands-coverage", {"L": None}),
+    ("pm10-analog", {"out_dir": "here", "n_days": 42.0}),
+    ("equivalence-rate", {"ns": [30, 60.0]}),
+    ("far2-table", {"train": 0.5, "kappa": [0.4, 0.4], "bosq_pve": 1}),
+    ("psi1-ratio", {"train": 150}),
+])
+def test_benchmark_overrides_of_the_default_type_reach_the_preset(monkeypatch, preset, overrides):
+    monkeypatch.setitem(PRESETS, preset, lambda **kwargs: kwargs)
+    assert run_benchmark(preset, seed=1, **overrides) == {"seed": 1, **overrides}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("reps", 2.5, "config key 'reps' must be one finite int, got 2.5"),
+    ("reps", True, "config key 'reps' must be one finite int, got True"),
+    ("n", 120.7, "config key 'n' must be one finite int, got 120.7"),
+    ("n", 10**400, "config key 'n' must be one finite int, got 1000"),
+    ("grid_T", 32.9, "config key 'grid_T' must be one finite int, got 32.9"),
+    ("horizon", 1.5, "config key 'horizon' must be one finite int, got 1.5"),
+    ("seed", 3.9, "config key 'seed' must be one finite int, got 3.9"),
+    ("seed", None, "config key 'seed' must be one finite int, got None"),
+    ("train", 100.5, "config key 'train' must be a fraction in (0, 1) or an integer count, "
+                     "got 100.5"),
+    ("train", "0.9", "config key 'train' must be a fraction in (0, 1) or an integer count"),
+])
+def test_config_numbers_are_checked_before_running(no_replications, key, value, message):
+    # each of these used to run with its value truncated
+    source = {"type": "kappa-far", "kappa": [0.5], "D": 3}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_forecast_experiment(tiny_config(source=source, **{key: value}))
+    assert no_replications == []
+
+
+def test_config_numbers_may_be_whole_floats_or_absent():
+    config = tiny_config(reps=2.0, n=40.0, grid_T=32.0, train=36.0, horizon=None, seed=11.0)
+    assert records_bytes(run_forecast_experiment(config)) == records_bytes(
+        run_forecast_experiment(tiny_config()))
+
+
+@pytest.mark.parametrize("method, message", [
+    ({"name": "fixed-var", "p": 1.5, "d": 2}, "method 'fixed-var' key 'p' must be one finite int, "
+                                              "got 1.5"),
+    ({"name": "fixed-var", "p": "1", "d": 2}, "method 'fixed-var' key 'p' must be one finite int"),
+    ({"name": "bosq", "pve": "0.8"}, "method 'bosq' key 'pve' must be one finite float, got '0.8'"),
+    ({"name": "bosq", "pve": 1.5, "label": "b"}, "method 'b' key 'pve' must be in (0, 1], got 1.5"),
+    ({"name": "ffpe-var", "p_max": "2", "d_max": 3}, "method 'ffpe-var' key 'p_max' must be one "
+                                                     "finite int, got '2'"),
+    ({"name": "ffpe-var", "p_max": 2.5, "d_max": 3}, "key 'p_max' must be one finite int, got 2.5"),
+    ({"name": "covariate", "p": 1, "d": 2, "solver": "lasso"},
+     "solver must be 'ols' or 'blp', got 'lasso'"),
+    ({"name": "bosq", "p": 0, "d": 2}, "p must be >= 1, got 0"),
+    ({"name": "scalar", "p": 1}, "scalar forecasting needs p and d"),
+    ({"name": "fixed-var", "p": 1, "d_max": 2}, "pass exactly one of (p, d) or (p_max, d_max)"),
+    ({"name": "covariate", "p": 1, "d": 2, "p_max": 1, "d_max": 2},
+     "pass exactly one of (p, d) or (p_max, d_max)"),
+])
+def test_method_values_are_checked_before_running(no_replications, method, message):
+    # these used to be truncated, accepted as strings or raised inside the first replication
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_forecast_experiment(tiny_config(methods=[method]))
+    assert no_replications == []
+
+
 def test_method_dict_rejects_unknown_keys_before_running(no_replications):
     config = tiny_config(methods=[{"name": "covariate", "p": 1, "d": 2, "solvr": "blp"}])
     with pytest.raises(ValueError) as err:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_predict_fts_mode_exclusivity(make_far1):
         predict_fts(data)
     with pytest.raises(ValueError):
         predict_fts(data, p=1)
+
+
+@pytest.mark.parametrize("predict, kwargs, message", [
+    (predict_fts, {"p": 1.5, "d": 2}, "method 'fixed-var' key 'p' must be one finite int, got 1.5"),
+    (predict_fts, {"p_max": 2.5, "d_max": 2}, "key 'p_max' must be one finite int, got 2.5"),
+    (scalar_predict, {"p": 1, "d": 2.5}, "method 'scalar' key 'd' must be one finite int, got 2.5"),
+    (bosq_predict, {"p": 1, "d": "2"}, "method 'bosq' key 'd' must be one finite int, got '2'"),
+])
+def test_public_predictors_check_their_method_values(make_far1, predict, kwargs, message):
+    # the predictors fit through the one method check; 1.5 used to fit p = 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        predict(make_far1(n=60), **kwargs)
 
 
 def test_predict_fts_auto_matches_select(make_far1):

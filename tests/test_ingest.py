@@ -1,4 +1,6 @@
 import importlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -250,3 +252,44 @@ def test_pm10_analog_file_reads_without_the_per_cell_reader(tmp_path, monkeypatc
     data = ingest(raw, transform="sqrt", weekday_adjust="weekday")
     assert data.values.shape == (60, 48)
     assert same_bits(ingest(raw, weekday_adjust="weekday").values, expected.values)
+
+
+# infinite cells and header-only files are named on both read paths
+@pytest.mark.parametrize("text, label, where", [
+    ("1,2,3\n4,inf,6\n", None, "row 2, column 2"),
+    ("t_1,t_2,t_3\n1,,-inf\n3,4,5\n", None, "row 1, column 3"),
+    ("day,t_1,t_2\nMon,1,2\nTue,-inf,4\n", "day", "row 2, column 2"),
+    ("t_1,day,t_2\n1,Mon,2\n3,Tue,inf\n", "day", "row 2, column 3"),
+    ("day,t_1,t_2\nMon,NA,2\nTue,inf,4\n", "day", "row 2, column 2"),
+])
+def test_infinite_cells_are_named(tmp_path, monkeypatch, text, label, where):
+    path = write_csv(tmp_path / "raw.csv", text)
+    message = f"{re.escape(str(path))}: {where} is infinite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # centering an inf used to warn before the error
+        with pytest.raises(IngestError, match=message):
+            ingest(path, weekday_adjust=label)
+        with pytest.raises(IngestError, match=message):
+            ingest_per_cell(path, label, monkeypatch)
+        with pytest.raises(IngestError, match=message):
+            ingest(path, transform="sqrt", weekday_adjust=label)
+
+
+def test_infinite_cell_of_a_stream_names_curve_and_sample(tmp_path):
+    path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,inf,8\n")
+    with pytest.raises(IngestError, match="curve 4, sample 1 is infinite"):
+        ingest(path, rows_per_curve=2)
+
+
+@pytest.mark.parametrize("text, kwargs", [
+    ("t_1,t_2,t_3\n", {}),
+    ("t_1,t_2,t_3\n\n", {"rows_per_curve": 3}),
+    ("day,t_1,t_2\n", {"weekday_adjust": "day"}),
+])
+def test_header_only_file_has_no_data_rows(tmp_path, monkeypatch, text, kwargs):
+    path = write_csv(tmp_path / "raw.csv", text)
+    with pytest.raises(IngestError, match="no data rows found"):
+        ingest(path, **kwargs)
+    monkeypatch.setattr(raw_reader, "_bulk_parse", lambda *args, **kw: None)
+    with pytest.raises(IngestError, match="no data rows found"):
+        ingest(path, **kwargs)
