@@ -12,7 +12,8 @@ import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, _write_csv
 from .errors import DimensionMismatchError, InsufficientDataError
-from .fpca import EigenSystem, ScoreMatrix, eigensystem, reconstruct, scores
+from .forecast import _Fit, _check_method, _fit
+from .fpca import ScoreMatrix, reconstruct
 from .multivar import _check_rows, _guarded_solve, _lag_rows
 
 # Grid points with essentially zero spread carry no band information.
@@ -22,11 +23,11 @@ GAMMA_FLOOR_RTOL = 1e-12
 def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) -> FunctionalDataset:
     """One-step prediction residuals over the tail of the sample.
 
-    Eigenfunctions and scores come from the full sample; for each
-    k = L+1..n the score model is refitted on the first k - 1 rows and
-    the residual Y_k minus its prediction is recorded, giving n - L
-    residual curves.  The default L is max(p, 10 d, n/4), large enough
-    for the early fits to be stable.
+    Eigenfunctions and scores come from the full-sample fit a forecast
+    with the same p and d makes; for each k = L+1..n the score model is
+    refitted on the first k - 1 rows and the residual Y_k minus its
+    prediction is recorded, giving n - L residual curves.  The default L
+    is max(p, 10 d, n/4), large enough for the early fits to be stable.
 
     The refits are those of :func:`fit_var_ols`, built from cumulative sums
     of the lag rows (y_{t-1}, ..., y_{t-p}, y_t) and of their outer
@@ -34,14 +35,13 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
     origins are then rank-guarded, solved and reconstructed in one batch.
     """
     L = _warm_up(data.n, d, p, L)
-    eig = eigensystem(data, d)
-    return _rolling_residuals(data, eig, scores(data, eig).scores, p, L)
+    return _rolling_residuals(data, _fit(data, data.n, {"name": "fixed-var", "p": p, "d": d}), L)
 
 
 def _warm_up(n: int, d: int, p: int, L) -> int:
-    """The first refit's row count: the default max(p, 10 d, n/4), or L checked."""
-    if p < 0:
-        raise ValueError(f"order p must be >= 0, got {p}")
+    """The first refit's row count, p and d checked: the default max(p, 10 d, n/4), or L checked."""
+    method = _check_method({"name": "fixed-var", "p": p, "d": d}, 1)
+    p, d = method["p"], method["d"]
     if L is None:
         L = max(p, 10 * d, round(n / 4))
     if L < max(p, 10 * d):
@@ -53,10 +53,9 @@ def _warm_up(n: int, d: int, p: int, L) -> int:
     return L
 
 
-def _rolling_residuals(data: FunctionalDataset, eig: EigenSystem, smat: np.ndarray, p: int,
-                       L: int) -> FunctionalDataset:
-    """rolling_residuals from the full-sample eigensystem and scores, L already checked."""
-    n, d = data.n, eig.d
+def _rolling_residuals(data: FunctionalDataset, fit: _Fit, L: int) -> FunctionalDataset:
+    """rolling_residuals from the eigensystem, scores and order of a full-sample fit, L checked."""
+    n, d, p, smat = data.n, fit.d, fit.p, fit.scores
     origins = np.arange(L, n)
     means = np.cumsum(smat, axis=0)[L - 1 : n - 1] / origins[:, None]
     pred = means
@@ -73,7 +72,7 @@ def _rolling_residuals(data: FunctionalDataset, eig: EigenSystem, smat: np.ndarr
         k = p * d
         beta = _guarded_solve(cross[:, :k, :k], cross[:, :k, k:], context=f"VAR({p}) design")
         pred = means + np.einsum("oi,oij->oj", lags[L - p :, :k] - centre[:, :k], beta)
-    curves = reconstruct(ScoreMatrix(scores=pred), eig).values
+    curves = reconstruct(ScoreMatrix(scores=pred), fit.eig).values
     return FunctionalDataset._own(data.grid, data.values[L:] - curves)
 
 
@@ -154,32 +153,20 @@ def prediction_band(residuals: FunctionalDataset, alpha: float, symmetric: bool 
     if gmax == 0.0:
         if np.any(vals != 0.0):
             raise ValueError("pointwise spread is identically zero but residuals are not")
-        return PredictionBand(
-            grid=residuals.grid, gamma=_readonly(gamma), xi_lower=0.0, xi_upper=0.0,
-            alpha=alpha, M=m,
-        )
-    use = gamma >= GAMMA_FLOOR_RTOL * gmax
-    ratio = vals[:, use] / gamma[use]
-    if symmetric:
-        sup = np.max(np.abs(ratio), axis=1)
-        xi = _order_statistic(sup, alpha)
-        return PredictionBand(
-            grid=residuals.grid, gamma=_readonly(gamma), xi_lower=xi, xi_upper=xi,
-            alpha=alpha, M=m,
-        )
-    low = np.max(-ratio, axis=1)
-    high = np.max(ratio, axis=1)
-    q_low = max(_order_statistic(low, alpha), 0.0)
-    q_high = max(_order_statistic(high, alpha), 0.0)
-    if q_low == 0.0 and q_high == 0.0:
-        q_low = q_high = 1.0
-    elif q_low == 0.0:
-        q_low = q_high
-    elif q_high == 0.0:
-        q_high = q_low
-    scale_needed = np.maximum(low / q_low, high / q_high)
-    s = max(_order_statistic(scale_needed, alpha), 0.0)
-    return PredictionBand(
-        grid=residuals.grid, gamma=_readonly(gamma), xi_lower=s * q_low, xi_upper=s * q_high,
-        alpha=alpha, M=m,
-    )
+        xis = (0.0, 0.0)
+    else:
+        use = gamma >= GAMMA_FLOOR_RTOL * gmax
+        ratio = vals[:, use] / gamma[use]
+        if symmetric:
+            xi = _order_statistic(np.max(np.abs(ratio), axis=1), alpha)
+            xis = (xi, xi)
+        else:
+            low, high = np.max(-ratio, axis=1), np.max(ratio, axis=1)
+            q_low = max(_order_statistic(low, alpha), 0.0)
+            q_high = max(_order_statistic(high, alpha), 0.0)
+            # a side whose constant is zero takes the other side's; two zero sides take 1
+            q_low, q_high = q_low or q_high or 1.0, q_high or q_low or 1.0
+            s = max(_order_statistic(np.maximum(low / q_low, high / q_high), alpha), 0.0)
+            xis = (s * q_low, s * q_high)
+    return PredictionBand(grid=residuals.grid, gamma=_readonly(gamma), xi_lower=xis[0],
+                          xi_upper=xis[1], alpha=alpha, M=m)

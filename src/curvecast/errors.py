@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types, and the key and number checks that configs, method dicts
+and process specs share; this module imports nothing from the package."""
+
+import math
+import numbers
 
 
 class CurvecastError(Exception):
@@ -47,3 +51,35 @@ class SelectionError(CurvecastError, ValueError):
 
 class IngestError(CurvecastError, ValueError):
     """Raw data file cannot be turned into a curve dataset."""
+
+
+def _check_keys(given, keys, owner: str, required=()) -> None:
+    """Raise a ValueError naming a required key that given lacks, or its first key outside keys."""
+    for key in required:
+        if key not in given:
+            raise ValueError(f"{owner} needs key {key!r}")
+    extra = sorted(set(given) - set(keys))
+    if extra:
+        raise ValueError(f"{owner} has no key {extra[0]!r}; its keys are {', '.join(keys)}")
+
+
+def _is_number(value, kind=float) -> bool:
+    """Whether value is one finite real number of kind, which int narrows to integers; no bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and kind(value) == value
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _number(given: dict, key: str, default, kind=float, owner: str = "source"):
+    """given[key] as a kind, default when it is absent or None.
+
+    A ValueError names owner's key unless the value is one finite number of that kind.
+    """
+    value = given.get(key)
+    value = default if value is None else value
+    if not _is_number(value, kind):
+        raise ValueError(f"{owner} key {key!r} must be one finite {kind.__name__}, got {value!r}")
+    return kind(value)

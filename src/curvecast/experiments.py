@@ -24,7 +24,6 @@ import numpy as np
 
 from .bands import _rolling_residuals, _warm_up, prediction_band
 from .curves import (
-    FunctionalDataset,
     Grid,
     _write_csv,
     load_curves_csv,
@@ -32,16 +31,8 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .forecast import (
-    _check_keys,
-    _check_method,
-    _fit,
-    _is_number,
-    _number,
-    _predict,
-    _result,
-    equivalence_gap,
-)
+from .errors import _check_keys, _is_number, _number
+from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
 from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme
@@ -225,7 +216,8 @@ def _psi_source(name: str) -> dict:
 def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
     """source[key] as floats; a ValueError names the key unless it lists size (or 1+) numbers."""
     value = source.get(key, default)
-    if np.ndim(value) != 1 or len(value) == 0 or size and len(value) != size:
+    if (np.ndim(value) != 1 or len(value) == 0 or size and len(value) != size
+            or not all(map(_is_number, value))):
         raise ValueError(f"source key {key!r} must list {size or 'one or more'} numbers, got {value!r}")
     return [float(v) for v in value]
 
@@ -309,20 +301,25 @@ def run_forecast_experiment(config: dict) -> RunReport:
                          f"got {train!r}")
     if config.get("fit_mode", "fixed") != "fixed":
         raise ValueError(f"fit_mode must be 'fixed', got {config['fit_mode']!r}")
-    methods = [_check_method(meth, h) for meth in config["methods"]]
+    methods, source = config["methods"], config["source"]
+    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, dict) for m in methods):
+        raise ValueError(f"config key 'methods' must be a list of method dicts, got {methods!r}")
+    methods = [_check_method(meth, h) for meth in methods]
     if not methods:
         raise ValueError("config needs at least one method")
     keys = [meth.get("label", meth["name"]) for meth in methods]
     if len(set(keys)) != len(keys):
         raise ValueError(f"method keys must be unique, got {keys}")
-    kind = config["source"].get("type")
+    if not isinstance(source, dict):
+        raise ValueError(f"config key 'source' must be a dict, got {source!r}")
+    kind = source.get("type")
     if kind == "file" and reps != 1:
         raise ValueError("a file source is deterministic; use reps=1")
     n = config.get("n")
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     n = None if n is None else _number(config, "n", None, int, "config")
-    draw = _source_factory(config["source"], n, Grid(grid_T))
+    draw = _source_factory(source, n, Grid(grid_T))
 
     def worker(idx, drawn):
         data, rmat = drawn
@@ -451,6 +448,7 @@ def _ratio_preset(psi_name: str):
 def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
     start = time.perf_counter()
+    _check_method({"name": "ffpe-var", "p_max": p_max, "d_max": d_max}, 1)
     source = {"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D}
     draw = _source_factory(source, n, Grid(grid_T))
 
@@ -495,6 +493,7 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
 
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
+    _check_method({"name": "fixed-var", "p": 1, "d": d}, 1)  # the fit equivalence_gap makes
     ns = [int(v) for v in ns]
     draws = {n: _source_factory(_psi_source("psi1"), n, Grid(grid_T)) for n in ns}
 
@@ -519,14 +518,14 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
     start = time.perf_counter()
     grid = Grid(grid_T)
+    lookback = _warm_up(n, d, p, L)
 
     def worker(idx, drawn):
         full = drawn[0]
-        data = FunctionalDataset._own(grid, full.values[:n])
-        lookback = _warm_up(n, d, p, L)
+        data = _head(full, n)
         # one fit serves both the rolling residuals and the forecast
         fit = _fit(data, n, {"name": "fixed-var", "p": p, "d": d})
-        resid = _rolling_residuals(data, fit.eig, fit.scores, p, lookback)
+        resid = _rolling_residuals(data, fit, lookback)
         band = prediction_band(resid, alpha)
         covered = band.contains(_result(fit).curve, full.values[n])
         inside = band.contains(np.zeros(grid.T), resid.values)
@@ -557,6 +556,8 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
                         p_max=2, d_max=4):
     if reps != 1:
         raise ValueError("the ingestion demo runs a single replication")
+    methods = [_check_method({"name": name, "p_max": p_max, "d_max": d_max}, 1)
+               for name in ("ffpe-var", "covariate")]
     if out_dir is None:
         with tempfile.TemporaryDirectory(prefix="pm10_analog_") as tmp:
             report = _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
@@ -569,8 +570,6 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
         data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
         rmat = load_numeric_csv(cov_path)
         m = data.n - int(eval_days)
-        methods = [{"name": name, "p_max": p_max, "d_max": d_max}
-                   for name in ("ffpe-var", "covariate")]
         return _by_method({mm["name"]: _eval_method_fixed(data, rmat, m, 1, mm) for mm in methods})
 
     config = {"synthetic_analog": True, "n_days": n_days, "eval_days": eval_days,
@@ -641,13 +640,17 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     of the same kind as its default: a number, a list or a str.  An integer
     default and the entries of an integer list (ns) take integers only,
     train a fraction in (0, 1) or an integer count, L an integer or None
-    and out_dir a str or None.  Bad keys, values of the wrong type and
-    reps below 1 raise ValueError before any replication runs.
+    and out_dir a str or None.  reps and seed take integers; a whole float
+    such as 2.0 passes.  Bad keys, values of the wrong type, reps below 1
+    and values the study's own checks reject (such as p < 0 or an L that
+    leaves too few curves) raise ValueError before any replication runs.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if seed is None:
         raise ValueError("seed is required for benchmark runs")
+    given = {"reps": reps, "seed": seed}
+    seed = _number(given, "seed", None, int, f"preset {preset!r}")
     defaults = _PRESET_DEFAULTS[preset]
     unknown = sorted(overrides.keys() - defaults.keys())
     if unknown:
@@ -656,7 +659,7 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     for key, value in overrides.items():
         _check_override(preset, key, value, defaults[key])
     if reps is not None:
-        if int(reps) < 1:
+        reps = overrides["reps"] = _number(given, "reps", None, int, f"preset {preset!r}")
+        if reps < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")
-        overrides["reps"] = int(reps)
-    return PRESETS[preset](seed=int(seed), **overrides)
+    return PRESETS[preset](seed=seed, **overrides)

@@ -6,14 +6,18 @@ expansion.  They differ only in how the score prediction is formed.
 """
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import DimensionMismatchError, IllConditionedError, InsufficientDataError
+from .errors import (
+    DimensionMismatchError,
+    IllConditionedError,
+    InsufficientDataError,
+    _check_keys,
+    _number,
+)
 from .fpca import EigenSystem, eigensystem, pve_dimension, scores
 from .multivar import (
     AcvfSequence,
@@ -100,44 +104,13 @@ _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEY
             "covariate": ("covariate", (*_VAR_KEYS, "solver"), True)}
 
 
-def _check_keys(given, keys, owner: str, required=()) -> None:
-    """Raise a ValueError naming a required key that given lacks, or its first key outside keys."""
-    for key in required:
-        if key not in given:
-            raise ValueError(f"{owner} needs key {key!r}")
-    extra = sorted(set(given) - set(keys))
-    if extra:
-        raise ValueError(f"{owner} has no key {extra[0]!r}; its keys are {', '.join(keys)}")
-
-
-def _is_number(value, kind=float) -> bool:
-    """Whether value is one finite real number of kind, which int narrows to integers; no bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value) and kind(value) == value
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _number(given: dict, key: str, default, kind=float, owner: str = "source"):
-    """given[key] as a kind, default when it is absent or None.
-
-    A ValueError names owner's key unless the value is one finite number of that kind.
-    """
-    value = given.get(key)
-    value = default if value is None else value
-    if not _is_number(value, kind):
-        raise ValueError(f"{owner} key {key!r} must be one finite {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys, values and h are valid.
 
     p, d, p_max and d_max come back as ints and pve as a float in (0, 1]; solver must be
     'ols' or 'blp'.  bosq needs p >= 1 (default 1), scalar needs p and d, and every other
-    method exactly one of (p, d) and (p_max, d_max).
+    method exactly one of (p, d) and (p_max, d_max).  p and p_max must be at least 0, d and
+    d_max at least 1.
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
     _check_keys(method, (*_VAR_KEYS, "pve", "solver"), owner, ("name",))
@@ -145,6 +118,8 @@ def _check_method(method: dict, h: int) -> dict:
     name = given.get("name")
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
+    if not isinstance(given.get("label", ""), str):
+        raise ValueError(f"{owner} key 'label' must be a str, got {given['label']!r}")
     _check_keys(given, _METHODS[name][1], owner)
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
@@ -157,14 +132,20 @@ def _check_method(method: dict, h: int) -> dict:
         raise ValueError(f"{owner} key 'pve' must be in (0, 1], got {given['pve']!r}")
     if given.get("solver", "ols") not in ("ols", "blp"):
         raise ValueError(f"solver must be 'ols' or 'blp', got {given['solver']!r}")
-    fixed = "p" in given and "d" in given
+    pairs = {"p", "d", "p_max", "d_max"} & given.keys()
     if name == "bosq":
         if given.get("p", 1) < 1:
             raise ValueError(f"p must be >= 1, got {given['p']}")
-    elif name == "scalar" and not fixed:
+    elif name == "scalar" and pairs != {"p", "d"}:
         raise ValueError("scalar forecasting needs p and d")
-    elif fixed == ("p_max" in given and "d_max" in given):
+    elif pairs not in ({"p", "d"}, {"p_max", "d_max"}):
         raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
+    elif given.get("p", 0) < 0:
+        raise ValueError(f"order p must be >= 0, got {given['p']}")
+    if given.get("d", 1) < 1:
+        raise ValueError(f"dimension d must be >= 1, got {given['d']}")
+    if given.get("p_max", 0) < 0 or given.get("d_max", 1) < 1:
+        raise ValueError(f"need p_max >= 0 and d_max >= 1, got {given['p_max']}, {given['d_max']}")
     return given
 
 

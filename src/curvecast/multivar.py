@@ -294,19 +294,13 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
         r = cross.shape[2]
         if gamma_rr.shape != (r, r):
             raise ValueError(f"gamma_rr must be ({r}, {r}), got {gamma_rr.shape}")
-    size = m * d + r
-    big = np.empty((size, size))
-    rhs = np.empty((d, size))
-    for i in range(m):
-        for j in range(m):
-            big[i * d : (i + 1) * d, j * d : (j + 1) * d] = acvf.gamma(j - i)
-        rhs[:, i * d : (i + 1) * d] = acvf.gamma(i + 1)
+    blocks = [[acvf.gamma(j - i) for j in range(m)] for i in range(m)]
+    targets = [acvf.gamma(i + 1) for i in range(m)]
     if r > 0:
-        for i in range(m):
-            big[i * d : (i + 1) * d, m * d :] = cross[i + 1]
-            big[m * d :, i * d : (i + 1) * d] = cross[i + 1].T
-        big[m * d :, m * d :] = gamma_rr
-        rhs[:, m * d :] = cross[0]
+        blocks = [row + [cross[i + 1]] for i, row in enumerate(blocks)]
+        blocks.append([c.T for c in cross[1:]] + [gamma_rr])
+        targets.append(cross[0])
+    big, rhs = np.block(blocks), np.hstack(targets)
     if _is_singular(big):
         raise IllConditionedError(
             "stacked covariance matrix is numerically singular; reduce m or drop covariates"

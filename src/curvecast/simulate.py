@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError
+from .errors import NonstationaryError, _check_keys, _number
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -138,17 +138,31 @@ class ProcessSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ProcessSpec":
+        """The spec a to_json object describes; None counts as absent.
+
+        kind, D and sigma are required, and a key that is not a field is an
+        error.  D and burn_in must be integers (a whole float such as 3.0
+        passes) and every ma lag an integer; a ValueError names the key.
+        """
         raw = json.loads(text)
-        missing = [key for key in ("kind", "D", "sigma") if key not in raw]
+        missing = [key for key in ("kind", "D", "sigma") if raw.get(key) is None]
         if missing:
             raise ValueError(f"process spec has no {missing[0]!r} key")
+        _check_keys(raw, ("kind", "D", "sigma", "ar", "ma", "burn_in"), "process spec")
+        ma = {}
+        for lag, op in (raw.get("ma") or {}).items():
+            try:
+                lag = int(lag)
+            except ValueError:
+                raise ValueError(f"process spec ma lag {lag!r} must be an integer") from None
+            ma[lag] = np.array(op, dtype=float)
         return cls(
             kind=raw["kind"],
-            D=int(raw["D"]),
+            D=_number(raw, "D", None, int, "process spec"),
             sigma=np.array(raw["sigma"], dtype=float),
-            ar=tuple(np.array(m, dtype=float) for m in raw.get("ar", [])),
-            ma={int(k): np.array(v, dtype=float) for k, v in raw.get("ma", {}).items()},
-            burn_in=int(raw.get("burn_in", 200)),
+            ar=tuple(np.array(m, dtype=float) for m in raw.get("ar") or []),
+            ma=ma,
+            burn_in=_number(raw, "burn_in", 200, int, "process spec"),
         )
 
 

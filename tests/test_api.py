@@ -107,8 +107,33 @@ def test_studies_simulate_only_through_the_source_factory():
     assert not hasattr(experiments, "simulate") and not hasattr(experiments, "_psi1_far")
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "curvecast").glob("*.py")),
-                         ids=lambda path: path.name)
+def imported_names(tree):
+    """The names a module's import statements bind."""
+    return {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_bands_fit_through_the_forecast_fit():
+    # the band pipeline takes its eigensystem and scores from forecast._fit
+    tree = ast.parse((ROOT / "src" / "curvecast" / "bands.py").read_text(encoding="utf-8"))
+    assert not imported_names(tree) & {"eigensystem", "scores", "EigenSystem"}
+    assert "_fit" in imported_names(tree)
+
+
+SOURCES = sorted((ROOT / "src" / "curvecast").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_imports_are_used(path):
+    """Every imported name is read; the package namespace counts the names in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(curvecast.__all__)
+    assert sorted(imported_names(tree) - used) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_source_lines_are_not_packed(path):
     """Line counts stay comparable: no line over 106 characters, no ';' joining statements."""
     lines = path.read_text(encoding="utf-8").splitlines()

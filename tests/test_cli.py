@@ -255,6 +255,7 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
         ("pm10-analog", ["--set", "out_dir=5"], "key 'out_dir' takes a str or null, got 5"),
         # not a preset: ingest of a file with an infinite cell
         (None, ["ingest", "--input", "inf.csv", "--out", "out.csv"], "row 2, column 2 is infinite"),
+        ("bands-coverage", ["--set", "d=0"], "dimension d must be >= 1, got 0"),
     ],
 )
 def test_benchmark_bad_overrides_exit_one(tmp_path, monkeypatch, capsys, preset, extra, message):

@@ -305,10 +305,43 @@ def test_benchmark_overrides_keep_their_default_type(no_replications, preset, ke
     ("equivalence-rate", {"ns": [30, 60.0]}),
     ("far2-table", {"train": 0.5, "kappa": [0.4, 0.4], "bosq_pve": 1}),
     ("psi1-ratio", {"train": 150}),
+    ("psi1-ratio", {"reps": 2.0}),
 ])
 def test_benchmark_overrides_of_the_default_type_reach_the_preset(monkeypatch, preset, overrides):
     monkeypatch.setitem(PRESETS, preset, lambda **kwargs: kwargs)
     assert run_benchmark(preset, seed=1, **overrides) == {"seed": 1, **overrides}
+
+
+@pytest.mark.parametrize("reps, seed, message", [
+    (2.5, 1.7, "preset 'order-selection' key 'seed' must be one finite int, got 1.7"),
+    (2.5, 1, "preset 'order-selection' key 'reps' must be one finite int, got 2.5"),
+    (True, 1, "preset 'order-selection' key 'reps' must be one finite int, got True"),
+    (1, "3", "preset 'order-selection' key 'seed' must be one finite int, got '3'"),
+])
+def test_benchmark_reps_and_seed_are_integers(no_replications, reps, seed, message):
+    # these used to run truncated: 2 replications with seed 1, 1 replication, seed 3
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark("order-selection", reps=reps, seed=seed, n=60, D=5, grid_T=48, p_max=2,
+                      d_max=3)
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("bands-coverage", {"p": -1}, "order p must be >= 0, got -1"),
+    ("bands-coverage", {"L": 5}, "L=5 below the warm-up floor max(p, 10*d)=30"),
+    ("bands-coverage", {"d": 0}, "dimension d must be >= 1, got 0"),
+    ("bands-coverage", {"n": 30}, "L=30 leaves fewer than two of n=30 curves"),
+    ("order-selection", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 10"),
+    ("order-selection", {"d_max": 0}, "need p_max >= 0 and d_max >= 1, got 3, 0"),
+    ("psi1-ratio", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 3"),
+    ("pm10-analog", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 4"),
+    ("equivalence-rate", {"d": 0}, "dimension d must be >= 1, got 0"),
+])
+def test_preset_values_are_checked_before_running(no_replications, preset, overrides, message):
+    # each of these used to fail only inside the first replication
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(preset, reps=1, seed=1, **overrides)
+    assert no_replications == []
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -323,12 +356,27 @@ def test_benchmark_overrides_of_the_default_type_reach_the_preset(monkeypatch, p
     ("train", 100.5, "config key 'train' must be a fraction in (0, 1) or an integer count, "
                      "got 100.5"),
     ("train", "0.9", "config key 'train' must be a fraction in (0, 1) or an integer count"),
+    ("source", {"type": "process", "spec": {**SPEC_PAYLOAD, "D": 3.7}},
+     "process spec key 'D' must be one finite int, got 3.7"),
+    ("source", {"type": "kappa-far", "kappa": ["0.4"]},
+     "source key 'kappa' must list one or more numbers, got ['0.4']"),
+    ("source", {"type": "kappa-far", "kappa": [True, 0]},
+     "source key 'kappa' must list one or more numbers, got [True, 0]"),
+    ("source", {"type": "farma", "theta_scales": ["0.1", 0.5]},
+     "source key 'theta_scales' must list 2 numbers, got ['0.1', 0.5]"),
+    # and these raised a bare AttributeError or TypeError
+    ("source", "kappa-far", "config key 'source' must be a dict, got 'kappa-far'"),
+    ("methods", {"name": "fixed-var", "p": 1, "d": 2},
+     "config key 'methods' must be a list of method dicts, got {'name': 'fixed-var'"),
+    ("methods", ["fixed-var"], "config key 'methods' must be a list of method dicts, got "
+                               "['fixed-var']"),
+    ("methods", None, "config key 'methods' must be a list of method dicts, got None"),
 ])
 def test_config_numbers_are_checked_before_running(no_replications, key, value, message):
     # each of these used to run with its value truncated
     source = {"type": "kappa-far", "kappa": [0.5], "D": 3}
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_forecast_experiment(tiny_config(source=source, **{key: value}))
+        run_forecast_experiment(tiny_config(**{"source": source, key: value}))
     assert no_replications == []
 
 
@@ -354,6 +402,17 @@ def test_config_numbers_may_be_whole_floats_or_absent():
     ({"name": "fixed-var", "p": 1, "d_max": 2}, "pass exactly one of (p, d) or (p_max, d_max)"),
     ({"name": "covariate", "p": 1, "d": 2, "p_max": 1, "d_max": 2},
      "pass exactly one of (p, d) or (p_max, d_max)"),
+    # a stray half of the other pair raised a KeyError or was ignored
+    ({"name": "fixed-var", "p": 1, "d": 2, "p_max": 3}, "pass exactly one of (p, d) or (p_max, "
+                                                         "d_max)"),
+    ({"name": "fixed-var", "p": 1, "d": 2, "d_max": 3}, "pass exactly one of (p, d) or (p_max, "
+                                                         "d_max)"),
+    ({"name": "fixed-var", "p": -1, "d": 2}, "order p must be >= 0, got -1"),
+    ({"name": "scalar", "p": 1, "d": 0}, "dimension d must be >= 1, got 0"),
+    ({"name": "ffpe-var", "p_max": -1, "d_max": 2}, "need p_max >= 0 and d_max >= 1, got -1, 2"),
+    ({"name": "ffpe-var", "p_max": 1, "d_max": 0}, "need p_max >= 0 and d_max >= 1, got 1, 0"),
+    ({"name": "fixed-var", "p": 1, "d": 2, "label": ["x"]},
+     "method ['x'] key 'label' must be a str, got ['x']"),
 ])
 def test_method_values_are_checked_before_running(no_replications, method, message):
     # these used to be truncated, accepted as strings or raised inside the first replication

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,30 @@ def test_spec_json_round_trip():
     assert np.array_equal(back.ar[0], spec.ar[0])
     assert set(back.ma) == {1, 2}
     assert json.loads(spec.to_json())["D"] == 3
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"D": 3.7}, "process spec key 'D' must be one finite int, got 3.7"),
+    ({"D": "3"}, "process spec key 'D' must be one finite int, got '3'"),
+    ({"burn_in": 2.5}, "process spec key 'burn_in' must be one finite int, got 2.5"),
+    ({"burn_in": True}, "process spec key 'burn_in' must be one finite int, got True"),
+    ({"burnin": 50}, "process spec has no key 'burnin'; its keys are kind, D, sigma, ar, ma, "
+                     "burn_in"),
+    ({"kind": "fma", "ar": [], "ma": {"1.5": [[0.5]]}},
+     "process spec ma lag '1.5' must be an integer"),
+])
+def test_spec_json_takes_integers_and_only_its_fields(change, message):
+    # these used to be truncated, ignored or fail with int()'s own message
+    text = json.dumps({"kind": "far", "D": 1, "sigma": [1.0], "ar": [[[0.5]]], **change})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProcessSpec.from_json(text)
+
+
+def test_spec_json_takes_whole_floats_and_absent_values():
+    text = json.dumps({"kind": "far", "D": 1.0, "sigma": [1.0], "ar": [[[0.5]]], "ma": None,
+                       "burn_in": None})
+    spec = ProcessSpec.from_json(text)
+    assert (spec.D, spec.burn_in, spec.ma) == (1, 200, {}) and type(spec.D) is int
 
 
 def test_simulate_shape_and_determinism():
