@@ -1,6 +1,7 @@
 """Command-line front end: simulate, ingest, select, forecast, bands, benchmark."""
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,10 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

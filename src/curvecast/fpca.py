@@ -28,7 +28,8 @@ def sample_covariance_kernel(data: FunctionalDataset) -> np.ndarray:
         raise InsufficientDataError(f"covariance needs n >= 2 curves, got n={data.n}")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = data.values - sample_mean(data)
-        kernel = centered.T @ centered / data.n
+        kernel = centered.T @ centered
+        kernel /= data.n
     if not np.all(np.isfinite(kernel)):
         raise NumericalDegeneracyError("the covariance kernel overflows; rescale the curves")
     return kernel
@@ -101,7 +102,9 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
     if not 1 <= d <= ceiling:
         raise ValueError(f"d={d} outside valid range 1..{ceiling} for n={data.n}, T={data.T}")
     kernel = sample_covariance_kernel(data)
-    evals, evecs = np.linalg.eigh(kernel / data.T)
+    total = float(np.trace(kernel)) / data.T
+    kernel /= data.T
+    evals, evecs = np.linalg.eigh(kernel)
     order = np.argsort(evals)[::-1][:d]
     lams = np.maximum(evals[order], 0.0)
     # eigh vectors have unit Euclidean norm; rescale to unit grid norm
@@ -111,7 +114,7 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
         mean=_readonly(sample_mean(data)),
         eigenvalues=_readonly(lams),
         eigenfunctions=_readonly(funcs),
-        total_variance=float(np.trace(kernel)) / data.T,
+        total_variance=total,
     )
 
 
@@ -120,9 +123,9 @@ def pve_dimension(data: FunctionalDataset, threshold: float) -> int:
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     kernel = sample_covariance_kernel(data)
-    evals = np.sort(np.linalg.eigvalsh(kernel / data.T))[::-1]
-    evals = np.maximum(evals, 0.0)
     total = float(np.trace(kernel)) / data.T
+    kernel /= data.T
+    evals = np.maximum(np.sort(np.linalg.eigvalsh(kernel))[::-1], 0.0)
     if total <= 0.0:
         return 1
     ratio = np.cumsum(evals) / total

@@ -94,13 +94,14 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
 
     The eigensystem is computed once at d_max, or at min(n - 1, T) when
     d_max exceeds it, and sliced per cell.  Each p forms X'X, X'Y and Y'Y
-    once at that width; each d solves an index submatrix and takes
-    tr(Y'Y) - sum(beta * X'Y) over the direct fit's divisor.  Order-zero
-    VAR cells, whose criterion is constant in d up to rounding, call
-    :func:`fit_var_ols`.  Unfittable cells (d above min(n - 1, T), too few
-    observations, or a rank-deficient design) get a status instead of
-    aborting the sweep.  Ties in the criterion prefer smaller d, then
-    smaller p.
+    once at that width.  When X'X passes the pivot test, one Cholesky
+    factor of it gives the residual sums of every d; otherwise each d solves
+    an index submatrix through the guard that names a singular cell's
+    column.  Order-zero VAR cells, whose criterion is constant in d up to
+    rounding, call :func:`fit_var_ols`.  Unfittable cells (d above
+    min(n - 1, T), too few observations, or a rank-deficient design) get a
+    status instead of aborting the sweep.  Ties in the criterion prefer
+    smaller d, then smaller p.
 
     Parameters
     ----------
@@ -127,15 +128,15 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     if covariate_scores is not None:
         rc, _, keep = _covariate_block(covariate_scores, n)
         r, extra = rc.shape[1], rc[:, keep]
-    moments = []
-    for p in range(p_max + 1):
+    orders = {}
+    for p in range(r is None, p_max + 1):  # VAR(0) cells have no design
         x, y = _lag_rows(c, p, extra)
-        xx = x.T @ x
-        # Each cell solves a principal submatrix of the positive semidefinite xx;
-        # by eigenvalue interlacing its condition number is at most xx's, so an
-        # xx passing the pivot test with a factor 2 to spare passes it in every cell.
-        guard = bool(xx.size) and _is_singular(xx, 2 * PIVOT_RTOL)
-        moments.append((len(y), xx, x.T @ y, np.einsum("ij,ij->j", y, y), guard))
+        moments = (len(y), x.T @ x, x.T @ y, np.einsum("ij,ij->j", y, y))
+        # Each cell's Gram is a principal submatrix of the full one, so by eigenvalue
+        # interlacing no better conditioned: a full Gram passing the pivot test with a
+        # factor 2 to spare lets one Cholesky factor serve every d of the order.
+        singular = moments[1].size and _is_singular(moments[1], 2 * PIVOT_RTOL)
+        orders[p] = (None, moments) if singular else (_nested_traces(p, eig.d, *moments), None)
     cells = []
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
@@ -149,7 +150,9 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                     trace = float(fit_var_ols(smat[:, :d], 0).sigma_z.trace())
                 else:
                     _check_rows(n, p, d, r)
-                    trace = _cell_trace(p, d, eig.d, r, *moments[p])
+                    nested, moments = orders[p]
+                    trace = (float(nested[d - 1]) if moments is None
+                             else _cell_trace(p, d, eig.d, r, *moments))
                 value = ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
@@ -165,18 +168,27 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig)
 
 
-def _cell_trace(p, d, width, r, rows, xx, xy, yy, guard):
+def _nested_traces(p, width, rows, xx, xy, yy):
+    """Innovation traces of the (p, d) fits, d = 1..width, from one Cholesky factor.
+
+    Covariate columns first, then lags component-major: cell (p, d) is the leading
+    k = r' + p d columns, and with X'X = L L', z = L^-1 X'Y, rss_j = y_j'y_j - |z[:k, j]|^2.
+    """
+    kept = xx.shape[0] - p * width  # the covariate columns
+    order = np.r_[p * width : p * width + kept, np.arange(p * width).reshape(p, width).T.ravel()]
+    z = np.linalg.solve(np.linalg.cholesky(xx[order[:, None], order]), xy[order])
+    explained = np.cumsum(np.vstack([np.zeros(width), z * z]), axis=0)
+    rss = np.cumsum(yy - explained[kept + p * np.arange(1, width + 1)], axis=1).diagonal()
+    return np.maximum(rss, 0.0) / rows  # an exact fit can round below zero
+
+
+def _cell_trace(p, d, width, r, rows, xx, xy, yy):
     """Innovation trace of the (p, d) fit from cross-products of the first width scores."""
     col = np.arange(xx.shape[0])
     idx = col[(col % width < d) | (col >= p * width)]  # d components of each lag, all covariates
     rss = yy[:d].sum()
     if idx.size:
         rhs = xy[idx, :d]
-        gram = xx[idx[:, None], idx]
-        if guard:
-            context = f"{'VAR' if r is None else 'VARX'}({p}) design"
-            beta = _guarded_solve(gram, rhs, context=context)
-        else:
-            beta = np.linalg.solve(gram, rhs)
-        rss -= np.vdot(beta, rhs)
+        context = f"{'VAR' if r is None else 'VARX'}({p}) design"
+        rss -= np.vdot(_guarded_solve(xx[idx[:, None], idx], rhs, context=context), rhs)
     return max(float(rss), 0.0) / rows  # an exact fit can round below zero

@@ -6,6 +6,7 @@ assembled on a midpoint grid.  Includes the truncation bias bound for
 known-operator autoregressions.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -95,11 +96,8 @@ class ProcessSpec:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (self.D,) or np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
             raise ValueError(f"sigma must be {self.D} positive finite values")
-        ar = tuple(np.asarray(m, dtype=float) for m in self.ar)
-        ma = {int(k): np.asarray(v, dtype=float) for k, v in dict(self.ma).items()}
-        for mat in list(ar) + list(ma.values()):
-            if mat.shape != (self.D, self.D):
-                raise ValueError(f"operators must be {self.D} x {self.D}, got {mat.shape}")
+        ar = tuple(_operator("ar", m, self.D) for m in self.ar)
+        ma = {int(k): _operator("ma", v, self.D) for k, v in dict(self.ma).items()}
         for lag in ma:
             if lag < 1:
                 raise ValueError(f"moving-average lags must be >= 1, got {lag}")
@@ -149,21 +147,32 @@ class ProcessSpec:
         if missing:
             raise ValueError(f"process spec has no {missing[0]!r} key")
         _check_keys(raw, ("kind", "D", "sigma", "ar", "ma", "burn_in"), "process spec")
-        ma = {}
-        for lag, op in (raw.get("ma") or {}).items():
+        ar, ma, lags = raw.get("ar") or [], raw.get("ma") or {}, {}
+        for key, value, kind in (("ar", ar, list), ("ma", ma, dict)):
+            if not isinstance(value, kind):
+                raise ValueError(f"process spec key {key!r} must be a {kind.__name__}, got {value!r}")
+        for lag, op in ma.items():
             try:
-                lag = int(lag)
+                lags[int(lag)] = op
             except ValueError:
                 raise ValueError(f"process spec ma lag {lag!r} must be an integer") from None
-            ma[lag] = np.array(op, dtype=float)
         return cls(
             kind=raw["kind"],
             D=_number(raw, "D", None, int, "process spec"),
             sigma=np.array(raw["sigma"], dtype=float),
-            ar=tuple(np.array(m, dtype=float) for m in raw.get("ar") or []),
-            ma=ma,
+            ar=ar,
+            ma=lags,
             burn_in=_number(raw, "burn_in", 200, int, "process spec"),
         )
+
+
+def _operator(key: str, value, D: int) -> np.ndarray:
+    """An ar or ma entry as a D x D float matrix; a ValueError names the key otherwise."""
+    with contextlib.suppress(TypeError, ValueError):
+        mat = np.asarray(value, dtype=float)
+        if mat.shape == (D, D):
+            return mat
+    raise ValueError(f"process spec key {key!r} holds {value!r}, not a {D} x {D} matrix")
 
 
 def _companion_spectral_radius(ar) -> float:

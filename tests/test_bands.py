@@ -173,6 +173,19 @@ def test_rolling_residuals_guards(make_far1):
         rolling_residuals(data, d=2, p=-1)
 
 
+@pytest.mark.parametrize("L", [60.5, "60", True])
+def test_rolling_residuals_rejects_a_lookback_that_is_not_an_integer(make_far1, L):
+    data = make_far1(n=120, seed=10)
+    with pytest.raises(ValueError, match="key 'L' must be one finite int"):
+        rolling_residuals(data, d=2, p=1, L=L)
+
+
+def test_rolling_residuals_takes_a_whole_float_lookback(make_far1):
+    data = make_far1(n=120, seed=10)
+    whole = rolling_residuals(data, d=2, p=1, L=60.0)
+    assert np.array_equal(whole.values, rolling_residuals(data, d=2, p=1, L=60).values)
+
+
 def rolling_residuals_loop(data, d, p, L):
     """Reference: one fit_var_ols, predict_var and reconstruct per origin."""
     eig = eigensystem(data, d)

@@ -365,3 +365,33 @@ def test_simulate_spec_missing_a_key_fails_loud(tmp_path, capsys, key):
                  "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert f"error: process spec has no {key!r} key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("ma", [[[0.3]]]), ("ar", 5), ("ar", [[0.5]])])
+def test_simulate_spec_with_misshapen_operators_fails_loud(tmp_path, capsys, key, value):
+    spec = {"kind": "farma", "D": 1, "sigma": [1.0], "ar": [[[0.5]]], "ma": {"1": [[0.3]]}}
+    spec[key] = value
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(spec))
+    code = main(["simulate", "--spec", str(spec_path), "--n", "10", "--grid", "32",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"error: process spec key {key!r}" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
+    from curvecast.cli import _parser
+
+    def bench(*overrides):
+        args = ["benchmark", "--preset", "bands-coverage", "--seed", "1"]
+        return _parser().parse_args(args + [a for o in overrides for a in ("--set", o)])
+
+    first, second = bench("n=60", "p=1"), bench("alpha=0.5")
+    assert first.set == ["n=60", "p=1"] and second.set == ["alpha=0.5"]
+    assert bench().set is None
+    sim = ["simulate", "--n", "10", "--grid", "32", "--seed", "2", "--out"]
+    assert main(sim + [str(tmp_path / "a.csv")]) == 0
+    assert main(["simulate", "--n", "ten", "--seed", "2", "--out", "x.csv"]) == 2
+    assert "invalid int value: 'ten'" in capsys.readouterr().err
+    assert main(sim + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
