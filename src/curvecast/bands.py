@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, _write_csv
-from .errors import DimensionMismatchError, InsufficientDataError, _number
+from .errors import DimensionMismatchError, InsufficientDataError, _checked
 from .forecast import _Fit, _check_method, _fit
 from .fpca import ScoreMatrix, reconstruct
 from .multivar import _check_rows, _guarded_solve, _lag_rows
@@ -42,7 +42,7 @@ def _warm_up(n: int, d: int, p: int, L) -> int:
     """The first refit's row count, p and d checked: the default max(p, 10 d, n/4), or L checked."""
     method = _check_method({"name": "fixed-var", "p": p, "d": d}, 1)
     p, d = method["p"], method["d"]
-    L = _number({"L": L}, "L", max(p, 10 * d, round(n / 4)), int, "bands")
+    L = _checked({"L": L}, {"L": int}, "bands").get("L", max(p, 10 * d, round(n / 4)))
     if L < max(p, 10 * d):
         raise ValueError(f"L={L} below the warm-up floor max(p, 10*d)={max(p, 10 * d)}")
     if L >= n - 1:

@@ -1,8 +1,10 @@
-"""Exception types, and the key and number checks that configs, method dicts
-and process specs share; this module imports nothing from the package."""
+"""Exception types, and the one key checker that configs, sources, method dicts,
+process specs and presets share; this module imports nothing from the package."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class CurvecastError(Exception):
@@ -53,16 +55,6 @@ class IngestError(CurvecastError, ValueError):
     """Raw data file cannot be turned into a curve dataset."""
 
 
-def _check_keys(given, keys, owner: str, required=()) -> None:
-    """Raise a ValueError naming a required key that given lacks, or its first key outside keys."""
-    for key in required:
-        if key not in given:
-            raise ValueError(f"{owner} needs key {key!r}")
-    extra = sorted(set(given) - set(keys))
-    if extra:
-        raise ValueError(f"{owner} has no key {extra[0]!r}; its keys are {', '.join(keys)}")
-
-
 def _is_number(value, kind=float) -> bool:
     """Whether value is one finite real number of kind, which int narrows to integers; no bool."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -73,13 +65,43 @@ def _is_number(value, kind=float) -> bool:
         return False
 
 
-def _number(given: dict, key: str, default, kind=float, owner: str = "source"):
-    """given[key] as a kind, default when it is absent or None.
+def _numbers(size: int = None) -> tuple:
+    """The rule for a list of size finite numbers, or of one or more when size is None."""
+    return (object, lambda value: np.ndim(value) == 1 and 0 < len(value) == (size or len(value))
+            and all(map(_is_number, value)), f"list {size or 'one or more'} numbers")
 
-    A ValueError names owner's key unless the value is one finite number of that kind.
+
+def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dict:
+    """given's values parsed by rules, one rule per key, with the absent values left out.
+
+    A rule is int or float (one finite number; a whole float becomes an int and a bool is
+    neither), another type (checked with isinstance; object takes anything), or
+    (kind, test, takes): a value that passes the rule kind and for which test holds, takes
+    saying what test wants.  None counts as absent except for the keys in needs, which must
+    be given, and in required, which must hold a value.  A ValueError names owner and the
+    key: a missing key of needs first, then the first value in rules' order that breaks its
+    rule, then the first key that rules lack.
     """
-    value = given.get(key)
-    value = default if value is None else value
-    if not _is_number(value, kind):
-        raise ValueError(f"{owner} key {key!r} must be one finite {kind.__name__}, got {value!r}")
-    return kind(value)
+    for key in needs:
+        if key not in given:
+            raise ValueError(f"{owner} needs key {key!r}")
+    checked = {}
+    for key, rule in rules.items():
+        value = given.get(key)
+        if value is None and key not in needs and key not in required:
+            continue
+        kind, test, takes = rule if isinstance(rule, tuple) else (rule, None, None)
+        if kind in (int, float):
+            ok, must = _is_number(value, kind), f"be one finite {kind.__name__}"
+            value = kind(value) if ok else value
+        else:
+            ok, must = isinstance(value, kind), f"be a {kind.__name__}"
+        if ok and test is not None:
+            ok, must = test(value), takes
+        if not ok:
+            raise ValueError(f"{owner} key {key!r} must {must}, got {value!r}")
+        checked[key] = value
+    extra = given.keys() - rules.keys()
+    if extra:
+        raise ValueError(f"{owner} has no key {min(extra)!r}; its keys are {', '.join(rules)}")
+    return checked

@@ -31,7 +31,7 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .errors import _check_keys, _is_number, _number
+from .errors import _checked, _is_number, _numbers
 from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
@@ -131,12 +131,15 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-_SIMULATED = ("D", "sigma_scheme", "burn_in")
-# the keys besides type that each source type reads, and those it needs
-_SOURCE_KEYS = {"process": ("spec",), "kappa-far": ("kappa", *_SIMULATED),
-                "fma": ("theta_scale", *_SIMULATED), "farma": ("kappa", "theta_scales", *_SIMULATED),
-                "covariate-far1": ("burn_in",), "file": ("path", "covariates_path")}
-_SOURCE_NEEDS = {"process": ("spec",), "file": ("path",)}
+_SIMULATED = {"D": int, "sigma_scheme": str, "burn_in": (int, lambda b: b >= 0, "be >= 0")}
+_PATH = (object, lambda path: isinstance(path, (str, os.PathLike)), "be a str or os.PathLike")
+# each source type's keys with their rules, the keys it needs given and those it needs a value for
+_SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",), ()),
+            "kappa-far": ({"type": str, "kappa": _numbers(), **_SIMULATED}, (), ("kappa",)),
+            "fma": ({"type": str, "theta_scale": float, **_SIMULATED}, (), ()),
+            "farma": ({"type": str, "kappa": float, "theta_scales": _numbers(2), **_SIMULATED}, (), ()),
+            "covariate-far1": ({"type": str, "burn_in": _SIMULATED["burn_in"]}, (), ()),
+            "file": ({"type": str, "path": _PATH, "covariates_path": _PATH}, ("path",), ())}
 
 
 def _source_factory(source: dict, n: int, grid: Grid):
@@ -146,14 +149,12 @@ def _source_factory(source: dict, n: int, grid: Grid):
     values, missing keys and keys the source type does not read raise
     ValueError naming the key, before anything is drawn.
     """
-    kind = source.get("type")
-    burn_in = _number(source, "burn_in", 200, int)
-    if burn_in < 0:
-        raise ValueError(f"source key 'burn_in' must be >= 0, got {burn_in}")
-    if kind not in _SOURCE_KEYS:
+    kind = _checked({"type": source.get("type")}, {"type": str}, "source").get("type")
+    if kind not in _SOURCES:
         raise ValueError(f"unknown source type {kind!r}")
-    _check_keys(source, ("type", *_SOURCE_KEYS[kind]), f"a {kind!r} source",
-                _SOURCE_NEEDS.get(kind, ()))
+    rules, needs, required = _SOURCES[kind]
+    args = _checked(source, rules, f"a {kind!r} source", needs, required)
+    burn_in = args.get("burn_in", 200)
     if kind == "covariate-far1":
 
         def draw(rngs):
@@ -164,30 +165,30 @@ def _source_factory(source: dict, n: int, grid: Grid):
 
         return draw
     if kind == "file":
-        data = load_curves_csv(source["path"])
-        rmat = load_numeric_csv(source["covariates_path"]) if source.get("covariates_path") else None
+        data = load_curves_csv(args["path"])
+        rmat = load_numeric_csv(args["covariates_path"]) if args.get("covariates_path") else None
 
         def draw(rngs):
             return ((data, rmat) for _ in rngs)
 
         return draw
     if kind == "process":
-        spec = ProcessSpec.from_json(json.dumps(source["spec"]))
+        spec = ProcessSpec.from_json(json.dumps(args["spec"]))
 
         def spec_from(rng):
             return spec
     else:  # kappa-far, fma or farma: a random operator per replication
-        D = _number(source, "D", 21, int)
-        sig = sigma_scheme(source.get("sigma_scheme", "s1"), D)
+        D = args.get("D", 21)
+        sig = sigma_scheme(args.get("sigma_scheme", "s1"), D)
         if kind == "kappa-far":
-            kappas = _float_list(source, "kappa")
+            kappas = [float(k) for k in args["kappa"]]
             thetas = {}
         elif kind == "fma":
             kappas = []
-            thetas = {2: _number(source, "theta_scale", 0.8)}
+            thetas = {2: args.get("theta_scale", 0.8)}
         else:
-            kappas = [_number(source, "kappa", 0.1)]
-            thetas = dict(enumerate(_float_list(source, "theta_scales", 2, [0.1, 0.9]), start=1))
+            kappas = [args.get("kappa", 0.1)]
+            thetas = dict(enumerate(map(float, args.get("theta_scales", [0.1, 0.9])), start=1))
 
         def spec_from(rng):
             psi = random_operator(D, sig, rng)  # one unit-norm operator scaled into every term
@@ -211,15 +212,6 @@ def _psi_source(name: str) -> dict:
     spec = {"kind": "far", "D": 3, "sigma": [1.0, 1.0, 1.0], "ar": [fixed_psi(name).tolist()],
             "ma": {}, "burn_in": 200}
     return {"type": "process", "spec": spec}
-
-
-def _float_list(source: dict, key: str, size: int = None, default=None) -> list:
-    """source[key] as floats; a ValueError names the key unless it lists size (or 1+) numbers."""
-    value = source.get(key, default)
-    if (np.ndim(value) != 1 or len(value) == 0 or size and len(value) != size
-            or not all(map(_is_number, value))):
-        raise ValueError(f"source key {key!r} must list {size or 'one or more'} numbers, got {value!r}")
-    return [float(v) for v in value]
 
 
 def _coupled_far1_coeffs(
@@ -266,21 +258,24 @@ def _by_method(outs: dict) -> dict:
             for field in ("errors", "selected")}
 
 
-_CONFIG_KEYS = ("source", "n", "grid_T", "train", "horizon", "fit_mode", "methods", "seed", "reps")
+# every key a config may hold, with its rule (see errors._checked)
+_CONFIG = {"source": dict, "n": int, "grid_T": int,
+           "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
+           "horizon": int, "fit_mode": str,
+           "methods": (object, lambda methods: isinstance(methods, (list, tuple))
+                       and all(isinstance(m, dict) for m in methods), "be a list of method dicts"),
+           "seed": int, "reps": int}
 
 
 def run_forecast_experiment(config: dict) -> RunReport:
     """Rolling-origin one-step (or h-step) evaluation over replications.
 
-    config keys: source (see _source_factory), n (required unless the
-    source is a file), grid_T, train (count or fraction), horizon,
-    fit_mode (only 'fixed': each method is fitted once, on the training
-    curves), methods (list of method dicts), seed, reps.  seed, reps, n,
-    grid_T and horizon must be integers; None counts as absent.  A method
-    dict holds only keys its method reads, out of name, label, p, d,
-    p_max, d_max, pve and solver (see forecast._check_method).  A missing
-    required key, any other key or a bad value raises ValueError before a
-    replication runs.
+    config holds only keys of _CONFIG, each parsed by its rule there, and
+    needs seed, methods and source; None counts as absent.  n is required
+    unless the source is a file, and fit_mode takes only 'fixed': each
+    method is fitted once, on the training curves.  _source_factory checks
+    the source and forecast._check_method each method dict.  Every check
+    raises ValueError naming the key before a replication runs.
 
     Returns
     -------
@@ -289,37 +284,25 @@ def run_forecast_experiment(config: dict) -> RunReport:
         with pooled aggregates and selection frequencies.
     """
     start = time.perf_counter()
-    _check_keys(config, _CONFIG_KEYS, "config", ("seed", "methods", "source"))
-    echo = json.loads(json.dumps(config, sort_keys=True))
-    seed, reps, h, grid_T = (_number(config, key, default, int, "config") for key, default in
-                             (("seed", None), ("reps", 1), ("horizon", 1), ("grid_T", 256)))
+    args = _checked(config, _CONFIG, "config", needs=("seed", "methods", "source"))
+    echo = json.loads(json.dumps(config, sort_keys=True, default=os.fspath))
+    seed, source, h, reps = args["seed"], args["source"], args.get("horizon", 1), args.get("reps", 1)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    train = 0.9 if config.get("train") is None else config["train"]
-    if not _is_train(train):
-        raise ValueError(f"config key 'train' must be a fraction in (0, 1) or an integer count, "
-                         f"got {train!r}")
     if config.get("fit_mode", "fixed") != "fixed":
         raise ValueError(f"fit_mode must be 'fixed', got {config['fit_mode']!r}")
-    methods, source = config["methods"], config["source"]
-    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, dict) for m in methods):
-        raise ValueError(f"config key 'methods' must be a list of method dicts, got {methods!r}")
-    methods = [_check_method(meth, h) for meth in methods]
+    methods = [_check_method(meth, h) for meth in args["methods"]]
     if not methods:
         raise ValueError("config needs at least one method")
     keys = [meth.get("label", meth["name"]) for meth in methods]
     if len(set(keys)) != len(keys):
         raise ValueError(f"method keys must be unique, got {keys}")
-    if not isinstance(source, dict):
-        raise ValueError(f"config key 'source' must be a dict, got {source!r}")
-    kind = source.get("type")
+    kind, n, train = source.get("type"), args.get("n"), args.get("train", 0.9)
     if kind == "file" and reps != 1:
         raise ValueError("a file source is deterministic; use reps=1")
-    n = config.get("n")
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
-    n = None if n is None else _number(config, "n", None, int, "config")
-    draw = _source_factory(source, n, Grid(grid_T))
+    draw = _source_factory(source, n, Grid(args.get("grid_T", 256)))
 
     def worker(idx, drawn):
         data, rmat = drawn
@@ -645,12 +628,12 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     and values the study's own checks reject (such as p < 0 or an L that
     leaves too few curves) raise ValueError before any replication runs.
     """
+    args = _checked({"preset": preset, "seed": seed, "reps": reps},
+                    {"preset": str, "seed": int, "reps": int}, f"preset {preset!r}")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if seed is None:
         raise ValueError("seed is required for benchmark runs")
-    given = {"reps": reps, "seed": seed}
-    seed = _number(given, "seed", None, int, f"preset {preset!r}")
     defaults = _PRESET_DEFAULTS[preset]
     unknown = sorted(overrides.keys() - defaults.keys())
     if unknown:
@@ -659,7 +642,7 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     for key, value in overrides.items():
         _check_override(preset, key, value, defaults[key])
     if reps is not None:
-        reps = overrides["reps"] = _number(given, "reps", None, int, f"preset {preset!r}")
+        reps = overrides["reps"] = args["reps"]
         if reps < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")
-    return PRESETS[preset](seed=seed, **overrides)
+    return PRESETS[preset](seed=args["seed"], **overrides)

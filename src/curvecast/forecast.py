@@ -15,8 +15,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InsufficientDataError,
-    _check_keys,
-    _number,
+    _checked,
 )
 from .fpca import EigenSystem, eigensystem, pve_dimension, scores
 from .multivar import (
@@ -96,6 +95,9 @@ def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
                     covariate_mean=joint.mean[d:])
 
 
+# every key a method dict may hold, with its rule (see errors._checked)
+_RULES = {"name": str, "label": str, "p": int, "d": int, "p_max": int, "d_max": int,
+          "pve": (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]"), "solver": str}
 _VAR_KEYS = ("name", "label", "p", "d", "p_max", "d_max")
 # method name -> (ForecastResult.method, the keys the method reads, whether it predicts one step only)
 _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEYS, False),
@@ -107,29 +109,21 @@ _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEY
 def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys, values and h are valid.
 
-    p, d, p_max and d_max come back as ints and pve as a float in (0, 1]; solver must be
-    'ols' or 'blp'.  bosq needs p >= 1 (default 1), scalar needs p and d, and every other
-    method exactly one of (p, d) and (p_max, d_max).  p and p_max must be at least 0, d and
-    d_max at least 1.
+    Each key is parsed by its rule in _RULES, so p, d, p_max and d_max come back as ints and
+    pve as a float in (0, 1]; solver must be 'ols' or 'blp'.  bosq needs p >= 1 (default 1),
+    scalar needs p and d, and every other method exactly one of (p, d) and (p_max, d_max).
+    p and p_max must be at least 0, d and d_max at least 1.
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
-    _check_keys(method, (*_VAR_KEYS, "pve", "solver"), owner, ("name",))
-    given = {key: value for key, value in method.items() if value is not None}
-    name = given.get("name")
+    given = _checked(method, _RULES, owner, needs=("name",))
+    name = given["name"]
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
-    if not isinstance(given.get("label", ""), str):
-        raise ValueError(f"{owner} key 'label' must be a str, got {given['label']!r}")
-    _check_keys(given, _METHODS[name][1], owner)
+    _checked(given, {key: _RULES[key] for key in _METHODS[name][1]}, owner)
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     if h != 1 and _METHODS[name][2]:
         raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
-    for key, kind in (("p", int), ("d", int), ("p_max", int), ("d_max", int), ("pve", float)):
-        if key in given:
-            given[key] = _number(given, key, None, kind, owner)
-    if not 0.0 < given.get("pve", 0.8) <= 1.0:
-        raise ValueError(f"{owner} key 'pve' must be in (0, 1], got {given['pve']!r}")
     if given.get("solver", "ols") not in ("ols", "blp"):
         raise ValueError(f"solver must be 'ols' or 'blp', got {given['solver']!r}")
     pairs = {"p", "d", "p_max", "d_max"} & given.keys()

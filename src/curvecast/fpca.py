@@ -22,7 +22,8 @@ def sample_covariance_kernel(data: FunctionalDataset) -> np.ndarray:
     """Discretized covariance kernel K[i, j] = mean of centered products.
 
     Uses divisor n.  Requires at least two curves; a single curve has no
-    covariance structure to estimate.
+    covariance structure to estimate.  A kernel that overflows, or
+    underflows while the curves vary, raises NumericalDegeneracyError.
     """
     if data.n < 2:
         raise InsufficientDataError(f"covariance needs n >= 2 curves, got n={data.n}")
@@ -32,6 +33,8 @@ def sample_covariance_kernel(data: FunctionalDataset) -> np.ndarray:
         kernel /= data.n
     if not np.all(np.isfinite(kernel)):
         raise NumericalDegeneracyError("the covariance kernel overflows; rescale the curves")
+    if kernel.diagonal().max() < np.finfo(float).tiny and np.any(centered):
+        raise NumericalDegeneracyError("the covariance kernel underflows; rescale the curves")
     return kernel
 
 

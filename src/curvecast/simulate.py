@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError, _check_keys, _number
+from .errors import NonstationaryError, _checked, _numbers
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -69,6 +69,10 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
         norm = spectral_norm(a)
         if norm > 0.0:
             return a / norm
+
+
+# every key of a process spec's JSON, with its rule (see errors._checked)
+_SPEC = {"kind": str, "D": int, "sigma": _numbers(), "ar": list, "ma": dict, "burn_in": int}
 
 
 @dataclass(frozen=True)
@@ -139,31 +143,23 @@ class ProcessSpec:
         """The spec a to_json object describes; None counts as absent.
 
         kind, D and sigma are required, and a key that is not a field is an
-        error.  D and burn_in must be integers (a whole float such as 3.0
-        passes) and every ma lag an integer; a ValueError names the key.
+        error.  Each key is parsed by its rule in _SPEC: D and burn_in must be
+        integers (a whole float such as 3.0 passes), sigma a list of numbers,
+        ar a list and ma a dict, and every ma lag an integer; a ValueError
+        names the key.
         """
         raw = json.loads(text)
         missing = [key for key in ("kind", "D", "sigma") if raw.get(key) is None]
         if missing:
             raise ValueError(f"process spec has no {missing[0]!r} key")
-        _check_keys(raw, ("kind", "D", "sigma", "ar", "ma", "burn_in"), "process spec")
-        ar, ma, lags = raw.get("ar") or [], raw.get("ma") or {}, {}
-        for key, value, kind in (("ar", ar, list), ("ma", ma, dict)):
-            if not isinstance(value, kind):
-                raise ValueError(f"process spec key {key!r} must be a {kind.__name__}, got {value!r}")
-        for lag, op in ma.items():
+        args, lags = _checked(raw, _SPEC, "process spec"), {}
+        for lag, op in args.get("ma", {}).items():
             try:
                 lags[int(lag)] = op
             except ValueError:
                 raise ValueError(f"process spec ma lag {lag!r} must be an integer") from None
-        return cls(
-            kind=raw["kind"],
-            D=_number(raw, "D", None, int, "process spec"),
-            sigma=np.array(raw["sigma"], dtype=float),
-            ar=ar,
-            ma=lags,
-            burn_in=_number(raw, "burn_in", 200, int, "process spec"),
-        )
+        return cls(kind=args["kind"], D=args["D"], sigma=np.array(args["sigma"], dtype=float),
+                   ar=args.get("ar", []), ma=lags, burn_in=args.get("burn_in", 200))
 
 
 def _operator(key: str, value, D: int) -> np.ndarray:

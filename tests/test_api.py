@@ -96,6 +96,63 @@ def test_only_curves_knows_the_csv_format():
     assert users == ["curves.py"]
 
 
+def string_templates(tree):
+    """Every string literal of a module, each f-string field written as {}."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                          for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_errors_formats_key_checks():
+    # one key checker: no other module words a key rule or defines a key-check helper
+    for path in sorted((ROOT / "src" / "curvecast").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        worded = [text for text in string_templates(tree)
+                  if re.search(r"key \{\} must|one finite|needs key", text)]
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        helpers = defined & {"_checked", "_check_keys", "_number", "_float_list"}
+        if path.name == "errors.py":
+            assert worded and helpers == {"_checked"}
+        else:
+            assert (worded, helpers) == ([], set()), path.name
+
+
+def readme_tables():
+    """README's markdown tables, keyed by their first header cell, as rows of cells."""
+    tables, rows = {}, None
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [cell.replace("`", "").strip() for cell in line.strip("|").split("|")]
+        if rows is None:
+            rows = tables[cells[0]] = []
+        elif set(cells[0]) - set("-: "):
+            rows.append(cells)
+    return tables
+
+
+@pytest.mark.parametrize("header, module, table", [
+    ("config key", "experiments", "_CONFIG"),
+    ("method key", "forecast", "_RULES"),
+    ("spec key", "simulate", "_SPEC"),
+])
+def test_readme_key_tables_list_the_code_tables(header, module, table):
+    rules = getattr(importlib.import_module(f"curvecast.{module}"), table)
+    assert [row[0] for row in readme_tables()[header]] == list(rules)
+
+
+def test_readme_source_table_lists_each_source_types_keys():
+    sources = importlib.import_module("curvecast.experiments")._SOURCES
+    rows = readme_tables()["source type"]
+    listed = {kind: sorted(key for types, key, *_ in rows
+                           if types == "any" or kind in types.split(", ")) for kind in sources}
+    assert listed == {kind: sorted(rules) for kind, (rules, _, _) in sources.items()}
+
+
 def test_studies_simulate_only_through_the_source_factory():
     # one way in for every study's simulated curves: no spec or recursion built elsewhere
     tree = ast.parse((ROOT / "src" / "curvecast" / "experiments.py").read_text(encoding="utf-8"))

@@ -371,6 +371,10 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
     ("methods", ["fixed-var"], "config key 'methods' must be a list of method dicts, got "
                                "['fixed-var']"),
     ("methods", None, "config key 'methods' must be a list of method dicts, got None"),
+    # and these raised a bare TypeError or AttributeError
+    ("source", {"type": ["kappa-far"]}, "source key 'type' must be a str, got ['kappa-far']"),
+    ("source", {"type": "process", "spec": [1]}, "a 'process' source key 'spec' must be a dict, "
+                                                  "got [1]"),
 ])
 def test_config_numbers_are_checked_before_running(no_replications, key, value, message):
     # each of these used to run with its value truncated
@@ -413,6 +417,9 @@ def test_config_numbers_may_be_whole_floats_or_absent():
     ({"name": "ffpe-var", "p_max": 1, "d_max": 0}, "need p_max >= 0 and d_max >= 1, got 1, 0"),
     ({"name": "fixed-var", "p": 1, "d": 2, "label": ["x"]},
      "method ['x'] key 'label' must be a str, got ['x']"),
+    # this one raised a bare TypeError
+    ({"name": ["fixed-var"], "p": 1, "d": 2},
+     "method ['fixed-var'] key 'name' must be a str, got ['fixed-var']"),
 ])
 def test_method_values_are_checked_before_running(no_replications, method, message):
     # these used to be truncated, accepted as strings or raised inside the first replication
@@ -510,6 +517,34 @@ def test_source_list_values_are_checked_before_running(no_replications, source, 
 def test_source_scalar_values_are_checked_before_running(no_replications, source, key):
     with pytest.raises(ValueError, match=f"source key {key!r} must be one finite"):
         run_forecast_experiment(tiny_config(source=source))
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("key, value", [("path", 5), ("path", 0), ("covariates_path", 3)])
+def test_file_source_paths_are_checked_before_reading(no_replications, tmp_path, key, value):
+    # open() read an int as a file descriptor: 5 raised OSError and 0 would read stdin
+    source = {"type": "file", "path": str(tmp_path / "missing.csv"), key: value}
+    with pytest.raises(ValueError, match=re.escape(
+            f"a 'file' source key {key!r} must be a str or os.PathLike, got {value}")):
+        run_forecast_experiment(tiny_config(source=source, reps=1, n=None))
+    assert no_replications == []
+
+
+def test_file_source_takes_a_path_object(tmp_path):
+    path = tmp_path / "curves.csv"
+    save_curves_csv(simulate(ProcessSpec.from_json(json.dumps(SPEC_PAYLOAD)), 40, Grid(32),
+                             np.random.default_rng(0)), path)
+    config = tiny_config(reps=1, n=None)
+    by_path = run_forecast_experiment({**config, "source": {"type": "file", "path": path}})
+    by_text = run_forecast_experiment({**config, "source": {"type": "file", "path": str(path)}})
+    assert by_path.replications == by_text.replications
+
+
+def test_benchmark_preset_must_be_a_name(no_replications):
+    # a list used to raise a bare TypeError: unhashable type: 'list'
+    with pytest.raises(ValueError, match=re.escape(
+            "key 'preset' must be a str, got ['psi1-ratio']")):
+        run_benchmark(["psi1-ratio"], seed=1)
     assert no_replications == []
 
 

@@ -8,10 +8,13 @@ from curvecast import (
     Grid,
     InsufficientDataError,
     NumericalDegeneracyError,
+    RankDeficiencyError,
     eigensystem,
     make_fourier_basis,
+    predict_fts,
     pve_dimension,
     reconstruct,
+    rolling_residuals,
     scores,
     synthesize,
 )
@@ -160,3 +163,38 @@ def test_huge_scale_fails_early_without_warnings():
         for call in (lambda: eigensystem(data, 2), lambda: pve_dimension(data, 0.9)):
             with pytest.raises(NumericalDegeneracyError, match="overflows; rescale"):
                 call()
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-165])
+def test_tiny_scale_fails_early_without_warnings(make_far1, scale):
+    # a kernel below the smallest normal float used to give inf scores, a bare ValueError
+    # or a RankDeficiencyError that read 0.000e+00/0.000e+00
+    data = make_far1()
+    tiny = FunctionalDataset(grid=data.grid, values=data.values * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: predict_fts(tiny, p=1, d=2), lambda: rolling_residuals(tiny, 2, 1),
+                     lambda: eigensystem(tiny, 2), lambda: pve_dimension(tiny, 0.9)):
+            with pytest.raises(NumericalDegeneracyError, match="underflows; rescale"):
+                call()
+
+
+def test_small_scale_still_fits(make_far1):
+    data = make_far1()
+    small = FunctionalDataset(grid=data.grid, values=data.values * 1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = predict_fts(small, p=1, d=2)
+        assert rolling_residuals(small, 2, 1).n == rolling_residuals(data, 2, 1).n
+    want = predict_fts(data, p=1, d=2)
+    np.testing.assert_allclose(got.scores, want.scores * 1e-150, rtol=1e-6)
+    np.testing.assert_allclose(got.curve, want.curve * 1e-150, rtol=1e-6)
+
+
+def test_constant_curves_keep_a_zero_kernel():
+    # the underflow check leaves curves that do not vary as they were
+    data = FunctionalDataset(grid=Grid(16), values=np.full((30, 16), 2.5))
+    assert not np.any(sample_covariance_kernel(data))
+    assert eigensystem(data, 2).total_variance == 0.0
+    with pytest.raises(RankDeficiencyError, match="numerically singular"):
+        predict_fts(data, p=1, d=2)

@@ -112,6 +112,11 @@ def test_spec_json_round_trip():
                      "burn_in"),
     ({"kind": "fma", "ar": [], "ma": {"1.5": [[0.5]]}},
      "process spec ma lag '1.5' must be an integer"),
+    # these were taken as empty, or failed with numpy's message naming no key
+    ({"ar": 0}, "process spec key 'ar' must be a list, got 0"),
+    ({"ma": ""}, "process spec key 'ma' must be a dict, got ''"),
+    ({"ma": False}, "process spec key 'ma' must be a dict, got False"),
+    ({"sigma": "a"}, "process spec key 'sigma' must list one or more numbers, got 'a'"),
 ])
 def test_spec_json_takes_integers_and_only_its_fields(change, message):
     # these used to be truncated, ignored or fail with int()'s own message
