@@ -80,8 +80,10 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
     saying what test wants.  None counts as absent except for the keys in needs, which must
     be given, and in required, which must hold a value.  A ValueError names owner and the
     key: a missing key of needs first, then the first value in rules' order that breaks its
-    rule, then the first key that rules lack.
+    rule, then the first key that rules lack.  A given that is no dict is a ValueError too.
     """
+    if not isinstance(given, dict):
+        raise ValueError(f"{owner} must be a dict, got {given!r}")
     for key in needs:
         if key not in given:
             raise ValueError(f"{owner} needs key {key!r}")

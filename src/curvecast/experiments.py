@@ -156,9 +156,9 @@ def _source_factory(source: dict, n: int, grid: Grid):
     args = _checked(source, rules, f"a {kind!r} source", needs, required)
     burn_in = args.get("burn_in", 200)
     if kind == "covariate-far1":
+        basis = make_fourier_basis(3, grid)
 
         def draw(rngs):
-            basis = make_fourier_basis(3, grid)
             for rng in rngs:
                 coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
                 yield synthesize(coeffs, basis), rmat
@@ -174,6 +174,7 @@ def _source_factory(source: dict, n: int, grid: Grid):
         return draw
     if kind == "process":
         spec = ProcessSpec.from_json(json.dumps(args["spec"]))
+        D = spec.D
 
         def spec_from(rng):
             return spec
@@ -196,10 +197,10 @@ def _source_factory(source: dict, n: int, grid: Grid):
             ma = {lag: s * psi for lag, s in thetas.items()}
             return ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
                                burn_in=burn_in)
+    basis = make_fourier_basis(D, grid)  # a grid too coarse for D fails before any draw
 
     def draw(rngs):
         specs = [spec_from(rng) for rng in rngs]
-        basis = make_fourier_basis(specs[0].D, grid)
         blocks = _coefficients(specs, n, rngs)
         while blocks:  # each block is dropped once its curves are made
             yield synthesize(blocks.pop(0), basis), None
@@ -258,6 +259,11 @@ def _by_method(outs: dict) -> dict:
             for field in ("errors", "selected")}
 
 
+def _plain(value):
+    """A value json cannot write as the number or str it stands for: numpy scalar or path."""
+    return value.item() if isinstance(value, np.generic) else os.fspath(value)
+
+
 # every key a config may hold, with its rule (see errors._checked)
 _CONFIG = {"source": dict, "n": int, "grid_T": int,
            "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
@@ -285,7 +291,7 @@ def run_forecast_experiment(config: dict) -> RunReport:
     """
     start = time.perf_counter()
     args = _checked(config, _CONFIG, "config", needs=("seed", "methods", "source"))
-    echo = json.loads(json.dumps(config, sort_keys=True, default=os.fspath))
+    echo = json.loads(json.dumps(config, sort_keys=True, default=_plain))
     seed, source, h, reps = args["seed"], args["source"], args.get("horizon", 1), args.get("reps", 1)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

@@ -194,13 +194,16 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         if len(rmat) != data.n:
             raise DimensionMismatchError(f"{len(rmat)} covariate rows for {data.n} curves")
         cov = rmat[:m]
-    train = _head(data, m)
-    auto = "p_max" in method
-    table = select_pd(train, method["p_max"], method["d_max"], cov) if auto else None
-    if auto:
-        p, d = table.best
-    eig = table.eig.truncate(d) if auto else eigensystem(train, d)
-    s = scores(data, eig).scores
+    train, table = _head(data, m), None
+    if "p_max" in method:  # the training rows keep the sweep's scores; only later curves are projected
+        table = select_pd(train, method["p_max"], method["d_max"], cov)
+        (p, d), later = table.best, data.values[m:]
+        eig, s = table.eig.truncate(d), table.scores[:, :d]
+        if len(later):
+            s = np.vstack([s, scores(FunctionalDataset._own(data.grid, later), eig).scores])
+    else:
+        eig = eigensystem(train, d)
+        s = scores(data, eig).scores
     if name == "bosq":
         model = _bosq_var(s[:m], eig.eigenvalues)
     elif name == "scalar":
@@ -211,7 +214,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         model = fit_varx_ols(s[:m], cov, p)
     else:
         model = _blp_var(s[:m], cov, p)
-    criterion = table.best_cell().value if auto else None
+    criterion = None if table is None else table.best_cell().value
     return _Fit(_METHODS[name][0], p, d, eig, s, model, rmat, lag, criterion)
 
 

@@ -59,13 +59,14 @@ class FfpeCell:
 
 @dataclass(frozen=True)
 class FfpeTable:
-    """Criterion values over the (p, d) grid, the selected cell and the d_max eigensystem."""
+    """Criterion values over the (p, d) grid, the selected cell, the d_max eigensystem and scores."""
 
     n: int
     cells: tuple
     p_best: int
     d_best: int
     eig: EigenSystem = field(default=None, compare=False, repr=False)
+    scores: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def best(self) -> tuple:
@@ -93,15 +94,17 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     """Sweep the criterion over p = 0..p_max and d = 1..d_max.
 
     The eigensystem is computed once at d_max, or at min(n - 1, T) when
-    d_max exceeds it, and sliced per cell.  Each p forms X'X, X'Y and Y'Y
-    once at that width.  When X'X passes the pivot test, one Cholesky
-    factor of it gives the residual sums of every d; otherwise each d solves
-    an index submatrix through the guard that names a singular cell's
-    column.  Order-zero VAR cells, whose criterion is constant in d up to
-    rounding, call :func:`fit_var_ols`.  Unfittable cells (d above
-    min(n - 1, T), too few observations, or a rank-deficient design) get a
-    status instead of aborting the sweep.  Ties in the criterion prefer
-    smaller d, then smaller p.
+    d_max exceeds it, the curves are projected on it once, and both are
+    sliced per cell; the table keeps them as ``eig`` and the (n, eig.d)
+    ``scores``, so a fit at the selected d reuses the training scores.
+    Each p forms X'X, X'Y and Y'Y once at that width.  When X'X passes the
+    pivot test, one Cholesky factor of it gives the residual sums of every
+    d; otherwise each d solves an index submatrix through the guard that
+    names a singular cell's column.  Order-zero VAR cells, whose criterion
+    is constant in d up to rounding, call :func:`fit_var_ols`.  Unfittable
+    cells (d above min(n - 1, T), too few observations, or a rank-deficient
+    design) get a status instead of aborting the sweep.  Ties in the
+    criterion prefer smaller d, then smaller p.
 
     Parameters
     ----------
@@ -165,7 +168,8 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
             f"no (p, d) cell could be fitted for p_max={p_max}, d_max={d_max}, n={n}"
         )
     winner = min(fitted, key=lambda c: (c.value, c.d, c.p))
-    return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig)
+    return FfpeTable(n=n, cells=tuple(cells), p_best=winner.p, d_best=winner.d, eig=eig,
+                     scores=smat)
 
 
 def _nested_traces(p, width, rows, xx, xy, yy):

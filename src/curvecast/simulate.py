@@ -9,6 +9,7 @@ known-operator autoregressions.
 import contextlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -149,6 +150,8 @@ class ProcessSpec:
         names the key.
         """
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"process spec must be a dict, got {raw!r}")
         missing = [key for key in ("kind", "D", "sigma") if raw.get(key) is None]
         if missing:
             raise ValueError(f"process spec has no {missing[0]!r} key")
@@ -217,23 +220,23 @@ def _coefficients(specs, n: int, rngs) -> list:
         np.multiply(rng.normal(size=(steps + q, D)), s.sigma, out=noise[:, b])
     if q:
         coeffs[p:] = noise[q:]
-    if len(specs) == 1:
-        # one recursion steps 1-D rows with np.dot, which dispatches faster than np.matmul
-        mult, rows, shocks = np.dot, list(coeffs[:, 0]), noise[:, 0]
-    else:
-        # (B, D, 1) row views: one np.matmul runs every recursion's gemv for a lag
-        mult, rows, shocks = np.matmul, list(coeffs[..., None]), noise[..., None]
+    if len(specs) == 1:  # one recursion steps 1-D rows
+        rows, shocks = list(coeffs[:, 0]), noise[:, 0]
+    else:  # (B, D, 1) row views: one np.matmul runs every recursion's gemv for a lag
+        rows, shocks = list(coeffs[..., None]), noise[..., None]
     # (rows read, their offset from the step, operators) per lag, autoregressive terms first;
     # an all-zero operator adds exact zeros, so skipping it changes no bit
     terms = [(rows, p - j, [s.ar[j - 1] for s in specs]) for j in range(1, p + 1)]
     terms += [(shocks, q - lag, [s.ma[lag] for s in specs]) for lag in lags]
-    terms = [(seq, shift, ops[0] if len(ops) == 1 else np.stack(ops))
+    # each term's product is bound once: the operator's own dot (np.dot's product without its
+    # Python dispatcher) for one recursion, np.matmul on the stacked operators for several
+    terms = [(seq, shift, ops[0].dot if len(ops) == 1 else partial(np.matmul, np.stack(ops)))
              for seq, shift, ops in terms if np.any(ops)]
     term = np.empty_like(rows[0])  # every product lands here, so the loop allocates nothing
     for k in range(steps):
         c = rows[k + p]
-        for seq, shift, op in terms:
-            c += mult(op, seq[k + shift], out=term)
+        for seq, shift, product in terms:
+            c += product(seq[k + shift], out=term)
     return [np.ascontiguousarray(coeffs[p + burn_in :, b]) for b in range(len(specs))]
 
 

@@ -379,6 +379,17 @@ def test_simulate_spec_with_misshapen_operators_fails_loud(tmp_path, capsys, key
     assert f"error: process spec key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [[1], "far", None])
+def test_simulate_spec_that_is_no_object_fails_loud(tmp_path, capsys, spec):
+    # a list used to end in a traceback: 'list' object has no attribute 'get'
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(spec))
+    code = main(["simulate", "--spec", str(spec_path), "--n", "10", "--grid", "32",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"error: process spec must be a dict, got {spec!r}" in capsys.readouterr().err
+
+
 def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
     from curvecast.cli import _parser
 

@@ -13,6 +13,7 @@ from curvecast import (
     IngestError,
     InsufficientDataError,
     ProcessSpec,
+    ResolutionError,
     eigensystem,
     ingest,
     load_numeric_csv,
@@ -816,3 +817,35 @@ def test_batched_errors_keep_the_short_history_error(h, p, rows):
     data, _ = covariate_far1(12)
     with pytest.raises(InsufficientDataError, match=f"p={p} history rows, got {rows}"):
         _eval_method_fixed(data, None, 5, h, {"name": "fixed-var", "p": p, "d": 1})
+
+
+def test_config_that_is_no_dict_is_rejected(no_replications):
+    # it used to read as a dict without keys: "config needs key 'seed'"
+    with pytest.raises(ValueError, match=re.escape("config must be a dict, got [1]")):
+        run_forecast_experiment([1])
+    assert no_replications == []
+
+
+SPEC_D7 = {**SPEC_PAYLOAD, "D": 7, "sigma": [1.0] * 7, "ar": [(0.5 * np.eye(7)).tolist()]}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_benchmark("order-selection", seed=1, reps=1, D=7, grid_T=48),
+    lambda: run_forecast_experiment(tiny_config(
+        grid_T=48, source={"type": "kappa-far", "kappa": [0.5], "D": 7})),
+    lambda: run_forecast_experiment(tiny_config(
+        grid_T=48, source={"type": "process", "spec": SPEC_D7})),
+    lambda: run_forecast_experiment(tiny_config(grid_T=16, source={"type": "covariate-far1"})),
+], ids=["preset", "kappa-far", "process", "covariate-far1"])
+def test_grid_too_coarse_for_a_simulated_source_fails_before_any_replication(no_replications, run):
+    # the basis is built before the first draw, so no replication task starts
+    with pytest.raises(ResolutionError, match="is too coarse for D="):
+        run()
+    assert no_replications == []
+
+
+def test_config_echo_writes_numpy_scalars_as_numbers():
+    # the echo used to fail on a number of a numpy integer type with a bare TypeError
+    report = run_forecast_experiment(tiny_config(n=np.int64(40), reps=np.int32(2)))
+    assert report.config["n"] == 40 and type(report.config["n"]) is int
+    assert report.replications == run_forecast_experiment(tiny_config()).replications

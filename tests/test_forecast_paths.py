@@ -265,6 +265,38 @@ def test_each_fit_makes_one_eigensystem_and_one_projection(monkeypatch, method, 
     assert sorted(calls) == sorted([basis, "scores"])
 
 
+SELECTED = [{"name": "ffpe-var", "p_max": 2, "d_max": 3},
+            {"name": "fixed-var", "p_max": 2, "d_max": 3},
+            {"name": "covariate", "p_max": 2, "d_max": 3}]
+
+
+@pytest.mark.parametrize("m", [60, 70], ids=["m<n", "m=n"])
+@pytest.mark.parametrize("method", SELECTED, ids=lambda method: method["name"])
+def test_selected_fit_reuses_the_sweeps_training_scores(monkeypatch, method, m):
+    tables = []
+
+    def kept(*args):
+        tables.append(select_pd(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(forecast, "select_pd", kept)
+    data, rmat = eval_sample()
+    fit = forecast._fit(data, m, method, rmat)
+    head = FunctionalDataset(grid=data.grid, values=data.values[:m])
+    want = select_pd(head, 2, 3, rmat[:m] if method["name"] == "covariate" else None)
+    (table,) = tables
+    assert (fit.p, fit.d) == want.best and fit.criterion == want.best_cell().value
+    assert repr(table.cells) == repr(want.cells)  # repr keeps every bit, and nan equals nan
+    assert fit.scores[:m].tobytes() == want.scores[:, : fit.d].tobytes()
+    assert fit.scores.shape == (data.n, fit.d)
+    if m < data.n:
+        rest = FunctionalDataset(grid=data.grid, values=data.values[m:])
+        assert fit.scores[m:].tobytes() == scores(rest, fit.eig).scores.tobytes()
+    # the one projection of every curve at the chosen d rounds differently, and only just
+    all_n = scores(data, fit.eig).scores
+    assert np.abs(fit.scores - all_n).max() <= 1e-12 * np.abs(all_n).max()
+
+
 # ---------------------------------------------------------------------------
 # command line
 

@@ -204,6 +204,47 @@ def test_stacked_coefficients_bitwise_equal_per_step_recursion(ar, ma, B):
         assert (got[b] @ basis.values).tobytes() == want.tobytes()
 
 
+def dispatched_coefficients(specs, n, rngs):
+    """The recursion as it stepped through np.dot (B = 1) or np.matmul (B > 1) on each call."""
+    spec, B = specs[0], len(specs)
+    p, lags = spec.p, sorted(spec.ma)
+    q, steps = max(lags, default=0), spec.burn_in + n
+    noise = np.stack([rng.normal(size=(steps + q, spec.D)) * s.sigma
+                      for s, rng in zip(specs, rngs)], axis=1)
+    coeffs = np.zeros((steps + p, B, spec.D))
+    coeffs[p:] = noise[q:]
+    if B == 1:
+        mult, rows, shocks, ar, ma = np.dot, coeffs[:, 0], noise[:, 0], spec.ar, spec.ma
+    else:
+        mult, rows, shocks = np.matmul, coeffs[..., None], noise[..., None]
+        ar = [np.stack([s.ar[j] for s in specs]) for j in range(p)]
+        ma = {lag: np.stack([s.ma[lag] for s in specs]) for lag in lags}
+    for k in range(steps):
+        for j in range(1, p + 1):
+            if np.any(ar[j - 1]):
+                rows[k + p] += mult(ar[j - 1], rows[k + p - j])
+        for lag in lags:
+            if np.any(ma[lag]):
+                rows[k + p] += mult(ma[lag], shocks[k + q - lag])
+    return [coeffs[p + spec.burn_in :, b] for b in range(B)]
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("ar, ma", [((0.4, 0.4), {}), ((0.1,), {1: 0.1, 2: 0.9}), ((), {2: 0.8})])
+def test_bound_products_bitwise_equal_dispatched_products(ar, ma, B):
+    D = 7
+    sig = sigma_scheme("s1", D)
+    kind = "farma" if ar and ma else ("far" if ar else "fma")
+    specs = []
+    for b in range(B):
+        psi = random_operator(D, sig, np.random.default_rng([5, b]))
+        specs.append(ProcessSpec(kind=kind, D=D, sigma=sig, ar=tuple(k * psi for k in ar),
+                                 ma={lag: s * psi for lag, s in ma.items()}, burn_in=40))
+    got = _coefficients(specs, 120, [np.random.default_rng([2, b]) for b in range(B)])
+    want = dispatched_coefficients(specs, 120, [np.random.default_rng([2, b]) for b in range(B)])
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_stacked_specs_must_share_their_lags():
     psi = fixed_psi("psi2")
     far1 = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(psi,))
