@@ -65,10 +65,16 @@ def _is_number(value, kind=float) -> bool:
         return False
 
 
-def _numbers(size: int = None) -> tuple:
-    """The rule for a list of size finite numbers, or of one or more when size is None."""
+def _numbers(size: int = None, kind=float) -> tuple:
+    """The rule for a list of size finite numbers of kind, or of one or more when size is None."""
     return (object, lambda value: np.ndim(value) == 1 and 0 < len(value) == (size or len(value))
-            and all(map(_is_number, value)), f"list {size or 'one or more'} numbers")
+            and all(_is_number(v, kind) for v in value),
+            f"list {size or 'one or more'} {'integers' if kind is int else 'numbers'}")
+
+
+def _at_least(low: int) -> tuple:
+    """The rule for one integer no smaller than low."""
+    return (int, lambda value: value >= low, f"be >= {low}")
 
 
 def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dict:

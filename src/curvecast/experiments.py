@@ -31,7 +31,7 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .errors import _checked, _is_number, _numbers
+from .errors import _at_least, _checked, _is_number, _numbers
 from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
@@ -131,7 +131,7 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-_SIMULATED = {"D": int, "sigma_scheme": str, "burn_in": (int, lambda b: b >= 0, "be >= 0")}
+_SIMULATED = {"D": int, "sigma_scheme": str, "burn_in": _at_least(0)}
 _PATH = (object, lambda path: isinstance(path, (str, os.PathLike)), "be a str or os.PathLike")
 # each source type's keys with their rules, the keys it needs given and those it needs a value for
 _SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",), ()),
@@ -267,10 +267,11 @@ def _plain(value):
 # every key a config may hold, with its rule (see errors._checked)
 _CONFIG = {"source": dict, "n": int, "grid_T": int,
            "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
-           "horizon": int, "fit_mode": str,
-           "methods": (object, lambda methods: isinstance(methods, (list, tuple))
-                       and all(isinstance(m, dict) for m in methods), "be a list of method dicts"),
-           "seed": int, "reps": int}
+           "horizon": int, "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
+           "methods": (object, lambda methods: isinstance(methods, (list, tuple)) and len(methods) > 0
+                       and all(isinstance(m, dict) for m in methods),
+                       "be a list of one or more method dicts"),
+           "seed": int, "reps": _at_least(1)}
 
 
 def run_forecast_experiment(config: dict) -> RunReport:
@@ -280,8 +281,9 @@ def run_forecast_experiment(config: dict) -> RunReport:
     needs seed, methods and source; None counts as absent.  n is required
     unless the source is a file, and fit_mode takes only 'fixed': each
     method is fitted once, on the training curves.  _source_factory checks
-    the source and forecast._check_method each method dict.  Every check
-    raises ValueError naming the key before a replication runs.
+    the source and forecast._check_method each method dict.  Every check,
+    the training size included unless the source is a file, raises
+    ValueError naming the key before a replication runs.
 
     Returns
     -------
@@ -293,13 +295,7 @@ def run_forecast_experiment(config: dict) -> RunReport:
     args = _checked(config, _CONFIG, "config", needs=("seed", "methods", "source"))
     echo = json.loads(json.dumps(config, sort_keys=True, default=_plain))
     seed, source, h, reps = args["seed"], args["source"], args.get("horizon", 1), args.get("reps", 1)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if config.get("fit_mode", "fixed") != "fixed":
-        raise ValueError(f"fit_mode must be 'fixed', got {config['fit_mode']!r}")
     methods = [_check_method(meth, h) for meth in args["methods"]]
-    if not methods:
-        raise ValueError("config needs at least one method")
     keys = [meth.get("label", meth["name"]) for meth in methods]
     if len(set(keys)) != len(keys):
         raise ValueError(f"method keys must be unique, got {keys}")
@@ -309,6 +305,8 @@ def run_forecast_experiment(config: dict) -> RunReport:
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     draw = _source_factory(source, n, Grid(args.get("grid_T", 256)))
+    if kind != "file":  # a file source's n is known only once the file is read
+        _resolve_train(train, n)
 
     def worker(idx, drawn):
         data, rmat = drawn
@@ -581,74 +579,44 @@ PRESETS = {
     "covariate-gain": _covariate_gain_preset,
     "pm10-analog": _pm10_analog_preset,
 }
-# the keys --set may override in each preset and their defaults, read once from its signature
-_PRESET_DEFAULTS = {name: {key: param.default
-                           for key, param in inspect.signature(build).parameters.items()
-                           if key not in ("reps", "seed")}
-                    for name, build in PRESETS.items()}
+# rules of the preset keys that _rule_of reads by name (see errors._checked)
+_BY_NAME = {"seed": int, "reps": _at_least(1), "train": _CONFIG["train"], "L": int, "out_dir": str}
 
 
-# what --set may give the preset keys whose default is None
-_NONE_DEFAULTS = {"L": ("an integer or null", lambda value: _is_number(value, int)),
-                  "out_dir": ("a str or null", lambda value: isinstance(value, str))}
+def _rule_of(key: str, default):
+    """A preset key's rule: by name in _BY_NAME, else the kind of default."""
+    if key in _BY_NAME:
+        return _BY_NAME[key]
+    if isinstance(default, tuple):  # a list or tuple of numbers, integers if the default's are
+        _, test, takes = _numbers(kind=int if all(isinstance(v, int) for v in default) else float)
+        return (object, lambda value: isinstance(value, (list, tuple)) and test(value), takes)
+    return type(default)
 
 
-def _kind(value) -> str:
-    """The kind an override must share with its preset default: number, list or str."""
-    if _is_number(value):
-        return "number"
-    return "list" if isinstance(value, (list, tuple)) else type(value).__name__
-
-
-def _check_override(preset: str, key: str, value, default) -> None:
-    """Raise a ValueError naming preset and key unless value keeps the type of key's default."""
-    where = f"preset {preset!r} key {key!r}"
-    if default is None:
-        takes, ok = _NONE_DEFAULTS[key]
-        if value is not None and not ok(value):
-            raise ValueError(f"{where} takes {takes}, got {value!r}")
-    elif _kind(value) != _kind(default):
-        raise ValueError(f"{where} takes a {_kind(default)} like its default {default!r}, "
-                         f"got {value!r}")
-    elif key == "train":
-        if not _is_train(value):
-            raise ValueError(f"{where} takes a fraction in (0, 1) or an integer count, "
-                             f"got {value!r}")
-    else:  # an integer default, or a list default of integers, takes integers only
-        want, got = (default, value) if _kind(default) == "list" else ([default], [value])
-        if all(isinstance(v, int) for v in want) and not all(_is_number(v, int) for v in got):
-            raise ValueError(f"{where} takes integers like its default {default!r}, "
-                             f"got {value!r}")
+# each preset's keys with their rules, read once from its signature; seed is checked first
+_PRESET_RULES = {name: {"seed": int, **{key: _rule_of(key, param.default) for key, param
+                                       in inspect.signature(build).parameters.items()}}
+                 for name, build in PRESETS.items()}
 
 
 def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) -> RunReport:
     """Run one of the canned studies; seed is mandatory.
 
-    reps defaults to the preset's own count.  overrides may name only the
-    preset's keyword arguments other than reps and seed, each with a value
-    of the same kind as its default: a number, a list or a str.  An integer
-    default and the entries of an integer list (ns) take integers only,
-    train a fraction in (0, 1) or an integer count, L an integer or None
-    and out_dir a str or None.  reps and seed take integers; a whole float
-    such as 2.0 passes.  Bad keys, values of the wrong type, reps below 1
-    and values the study's own checks reject (such as p < 0 or an L that
-    leaves too few curves) raise ValueError before any replication runs.
+    reps defaults to the preset's own count.  seed, reps and overrides are
+    parsed by the preset's table in _PRESET_RULES, whose keys are the
+    preset's keyword arguments, and the preset receives the parsed values;
+    None counts as absent.  seed is an integer and reps an integer >= 1.
+    A key whose default is an integer, and L, takes an integer: a whole
+    float such as 2.0 or a numpy integer passes and becomes an int.  A key
+    whose default is a float takes a number and receives a float, a tuple
+    default a list or tuple of one or more numbers (integers for ns), train a
+    fraction in (0, 1) or an integer count, and out_dir and the other text
+    keys a str.  Bad keys and values, and values the study's own checks
+    reject (such as p_max < 0 or an L that leaves too few curves), raise a
+    ValueError that names the preset and the key before any replication runs.
     """
-    args = _checked({"preset": preset, "seed": seed, "reps": reps},
-                    {"preset": str, "seed": int, "reps": int}, f"preset {preset!r}")
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    if seed is None:
-        raise ValueError("seed is required for benchmark runs")
-    defaults = _PRESET_DEFAULTS[preset]
-    unknown = sorted(overrides.keys() - defaults.keys())
-    if unknown:
-        raise ValueError(f"preset {preset!r} has no key {', '.join(map(repr, unknown))}; "
-                         f"its keys are {sorted(defaults)}")
-    for key, value in overrides.items():
-        _check_override(preset, key, value, defaults[key])
-    if reps is not None:
-        reps = overrides["reps"] = args["reps"]
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps}")
-    return PRESETS[preset](seed=args["seed"], **overrides)
+    args = _checked({"seed": seed, "reps": reps, **overrides}, _PRESET_RULES[preset],
+                    f"preset {preset!r}", required=("seed",))
+    return PRESETS[preset](**args)

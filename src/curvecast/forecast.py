@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InsufficientDataError,
+    _at_least,
     _checked,
 )
 from .fpca import EigenSystem, eigensystem, pve_dimension, scores
@@ -77,14 +78,16 @@ def _bosq_var(s: np.ndarray, lams: np.ndarray) -> VarModel:
 
 
 def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
-    """Best linear predictor from the last m score rows and covariate row, from sample moments."""
-    if m < 1:
-        raise ValueError("solver 'blp' needs p >= 1")
+    """Best linear predictor from the last m score rows and covariate row, from sample moments.
+
+    At m = 0 the covariate row alone predicts: theta = Gamma_YR(1) Gamma_R(0)^-1.
+    """
     d = s.shape[1]
     _covariate_block(rmat, s.shape[0])  # rejects non-finite covariates
     # autocovariances of the joint sequence (Y, R): the Y block of lag k is Gamma_Y(k) and
-    # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block
-    joint = sample_acvf(np.hstack([s, rmat]), m)
+    # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block;
+    # lag 1 is read even at m = 0, for Gamma_YR(1)
+    joint = sample_acvf(np.hstack([s, rmat]), max(m, 1))
     acvf = AcvfSequence(gammas=joint.gammas[:, :d, :d], mean=joint.mean[:d])
     cross = np.array([joint.gamma(1 - k)[:d, d:] for k in range(m + 1)])
     phis, theta = solve_blp_with_covariates(acvf, cross, joint.gamma(0)[d:, d:], m)
@@ -96,8 +99,9 @@ def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
 
 
 # every key a method dict may hold, with its rule (see errors._checked)
-_RULES = {"name": str, "label": str, "p": int, "d": int, "p_max": int, "d_max": int,
-          "pve": (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]"), "solver": str}
+_RULES = {"name": str, "label": str, "p": _at_least(0), "d": _at_least(1), "p_max": _at_least(0),
+          "d_max": _at_least(1), "pve": (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]"),
+          "solver": (str, lambda solver: solver in ("ols", "blp"), "be 'ols' or 'blp'")}
 _VAR_KEYS = ("name", "label", "p", "d", "p_max", "d_max")
 # method name -> (ForecastResult.method, the keys the method reads, whether it predicts one step only)
 _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEYS, False),
@@ -109,10 +113,10 @@ _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEY
 def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys, values and h are valid.
 
-    Each key is parsed by its rule in _RULES, so p, d, p_max and d_max come back as ints and
-    pve as a float in (0, 1]; solver must be 'ols' or 'blp'.  bosq needs p >= 1 (default 1),
-    scalar needs p and d, and every other method exactly one of (p, d) and (p_max, d_max).
-    p and p_max must be at least 0, d and d_max at least 1.
+    Each key is parsed by its rule in _RULES, so p and p_max come back as ints >= 0, d and
+    d_max as ints >= 1 and pve as a float in (0, 1]; solver must be 'ols' or 'blp'.  bosq
+    needs p >= 1 (default 1), scalar needs p and d, and every other method exactly one of
+    (p, d) and (p_max, d_max).
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
     given = _checked(method, _RULES, owner, needs=("name",))
@@ -124,8 +128,6 @@ def _check_method(method: dict, h: int) -> dict:
         raise ValueError(f"horizon must be >= 1, got {h}")
     if h != 1 and _METHODS[name][2]:
         raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
-    if given.get("solver", "ols") not in ("ols", "blp"):
-        raise ValueError(f"solver must be 'ols' or 'blp', got {given['solver']!r}")
     pairs = {"p", "d", "p_max", "d_max"} & given.keys()
     if name == "bosq":
         if given.get("p", 1) < 1:
@@ -134,12 +136,6 @@ def _check_method(method: dict, h: int) -> dict:
         raise ValueError("scalar forecasting needs p and d")
     elif pairs not in ({"p", "d"}, {"p_max", "d_max"}):
         raise ValueError("pass exactly one of (p, d) or (p_max, d_max)")
-    elif given.get("p", 0) < 0:
-        raise ValueError(f"order p must be >= 0, got {given['p']}")
-    if given.get("d", 1) < 1:
-        raise ValueError(f"dimension d must be >= 1, got {given['d']}")
-    if given.get("p_max", 0) < 0 or given.get("d_max", 1) < 1:
-        raise ValueError(f"need p_max >= 0 and d_max >= 1, got {given['p_max']}, {given['d_max']}")
     return given
 
 

@@ -270,7 +270,8 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
     gamma_rr : array_like, optional
         Covariance of the covariate vector, required with cross.
     m : int
-        Number of Y lags entering the predictor.
+        Number of Y lags entering the predictor, at least 1; 0 is allowed
+        with covariate blocks, for the predictor from R_n alone.
 
     Returns
     -------
@@ -278,8 +279,9 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
         phis is a list of m (d, d) matrices; theta is the (d, r)
         covariate loading, or None when no covariate blocks were given.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    low = 1 if cross is None else 0
+    if m < low:
+        raise ValueError(f"m must be >= {low}, got {m}")
     if acvf.max_lag < m:
         raise ValueError(f"need autocovariances up to lag {m}, have {acvf.max_lag}")
     d = acvf.d

@@ -149,13 +149,8 @@ class ProcessSpec:
         ar a list and ma a dict, and every ma lag an integer; a ValueError
         names the key.
         """
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError(f"process spec must be a dict, got {raw!r}")
-        missing = [key for key in ("kind", "D", "sigma") if raw.get(key) is None]
-        if missing:
-            raise ValueError(f"process spec has no {missing[0]!r} key")
-        args, lags = _checked(raw, _SPEC, "process spec"), {}
+        args = _checked(json.loads(text), _SPEC, "process spec", required=("kind", "D", "sigma"))
+        lags = {}
         for lag, op in args.get("ma", {}).items():
             try:
                 lags[int(lag)] = op

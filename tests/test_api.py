@@ -113,7 +113,8 @@ def test_only_errors_formats_key_checks():
         worded = [text for text in string_templates(tree)
                   if re.search(r"key \{\} must|one finite|needs key", text)]
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        helpers = defined & {"_checked", "_check_keys", "_number", "_float_list"}
+        helpers = defined & {"_checked", "_check_keys", "_number", "_float_list", "_check_override",
+                             "_kind"}
         if path.name == "errors.py":
             assert worded and helpers == {"_checked"}
         else:

@@ -209,7 +209,7 @@ def test_bands_rejects_negative_order(curves_csv, tmp_path, capsys):
         "bands", "--input", str(curves_csv), "--p", "-1", "--d", "2", "--out", str(out),
     ]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "order p must be >= 0, got -1" in err
+    assert err.startswith("error:") and "key 'p' must be >= 0, got -1" in err
     assert not out.exists()
 
 
@@ -222,6 +222,15 @@ def test_benchmark_stdout_and_overrides(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "benchmark:order-selection"
     assert report["config"]["D"] == 5
+
+
+def test_benchmark_takes_a_whole_float_for_an_integer_key(tmp_path, capsys):
+    # this used to start the replication and end in a TypeError traceback
+    out = tmp_path / "report.json"
+    assert main(["benchmark", "--preset", "bands-coverage", "--seed", "1", "--reps", "1",
+                 "--set", "n=400.0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["n"] == 400
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
@@ -238,24 +247,40 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+# a case whose message changed keeps its id, which reads the message it had before
 @pytest.mark.parametrize(
     "preset, extra, message",
     [
         ("psi1-ratio", ["--set", "foo=1"], "has no key 'foo'"),
         ("psi1-ratio", ["--set", "reps=2"], "pass --reps"),
         ("order-selection", ["--set", "seed=3"], "pass --seed"),
-        ("bands-coverage", ["--reps", "0"], "reps must be >= 1, got 0"),
-        ("equivalence-rate", ["--reps", "0"], "reps must be >= 1, got 0"),
-        ("order-selection", ["--reps", "0"], "reps must be >= 1, got 0"),
-        ("order-selection", ["--set", "kappa=0.5"], "key 'kappa' takes a list"),
-        ("bands-coverage", ["--set", "alpha=high"], "key 'alpha' takes a number"),
-        ("bands-coverage", ["--set", "n=100.5"], "key 'n' takes integers like its default"),
-        ("bands-coverage", ["--set", "L=abc"], "key 'L' takes an integer or null, got 'abc'"),
-        ("bands-coverage", ["--set", "L=100.5"], "key 'L' takes an integer or null, got 100.5"),
-        ("pm10-analog", ["--set", "out_dir=5"], "key 'out_dir' takes a str or null, got 5"),
+        pytest.param("bands-coverage", ["--reps", "0"], "key 'reps' must be >= 1, got 0",
+                     id="bands-coverage-extra3-reps must be >= 1, got 0"),
+        pytest.param("equivalence-rate", ["--reps", "0"], "key 'reps' must be >= 1, got 0",
+                     id="equivalence-rate-extra4-reps must be >= 1, got 0"),
+        pytest.param("order-selection", ["--reps", "0"], "key 'reps' must be >= 1, got 0",
+                     id="order-selection-extra5-reps must be >= 1, got 0"),
+        pytest.param("order-selection", ["--set", "kappa=0.5"],
+                     "key 'kappa' must list one or more numbers, got 0.5",
+                     id="order-selection-extra6-key 'kappa' takes a list"),
+        pytest.param("bands-coverage", ["--set", "alpha=high"],
+                     "key 'alpha' must be one finite float, got 'high'",
+                     id="bands-coverage-extra7-key 'alpha' takes a number"),
+        pytest.param("bands-coverage", ["--set", "n=100.5"],
+                     "key 'n' must be one finite int, got 100.5",
+                     id="bands-coverage-extra8-key 'n' takes integers like its default"),
+        pytest.param("bands-coverage", ["--set", "L=abc"], "key 'L' must be one finite int, got 'abc'",
+                     id="bands-coverage-extra9-key 'L' takes an integer or null, got 'abc'"),
+        pytest.param("bands-coverage", ["--set", "L=100.5"],
+                     "key 'L' must be one finite int, got 100.5",
+                     id="bands-coverage-extra10-key 'L' takes an integer or null, got 100.5"),
+        pytest.param("pm10-analog", ["--set", "out_dir=5"], "key 'out_dir' must be a str, got 5",
+                     id="pm10-analog-extra11-key 'out_dir' takes a str or null, got 5"),
         # not a preset: ingest of a file with an infinite cell
         (None, ["ingest", "--input", "inf.csv", "--out", "out.csv"], "row 2, column 2 is infinite"),
-        ("bands-coverage", ["--set", "d=0"], "dimension d must be >= 1, got 0"),
+        pytest.param("bands-coverage", ["--set", "d=0"],
+                     "method 'fixed-var' key 'd' must be >= 1, got 0",
+                     id="bands-coverage-extra13-dimension d must be >= 1, got 0"),
     ],
 )
 def test_benchmark_bad_overrides_exit_one(tmp_path, monkeypatch, capsys, preset, extra, message):
@@ -266,6 +291,29 @@ def test_benchmark_bad_overrides_exit_one(tmp_path, monkeypatch, capsys, preset,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_select_without_a_fittable_cell_exits_one(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    curves, covariates = tmp_path / "c.csv", tmp_path / "r.csv"
+    np.savetxt(curves, rng.normal(size=(3, 8)), delimiter=",")
+    np.savetxt(covariates, rng.normal(size=(3, 2)), delimiter=",")
+    code = main(["select", "--input", str(curves), "--covariates", str(covariates),
+                 "--pmax", "1", "--dmax", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no (p, d) cell could be fitted")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_simulate_random_operator_has_unit_norm(tmp_path, capsys):
+    out, spec_path = tmp_path / "x.csv", tmp_path / "s.json"
+    assert main(["simulate", "--operator", "random", "--dim", "4", "--n", "25", "--grid", "32",
+                 "--seed", "3", "--out", str(out), "--save-spec", str(spec_path)]) == 0
+    assert load_curves_csv(out).n == 25
+    spec = curvecast.ProcessSpec.from_json(spec_path.read_text())
+    assert spec.D == 4 and len(spec.ar) == 1 and spec.ma == {}
+    assert np.linalg.norm(spec.ar[0], 2) == pytest.approx(1.0, rel=1e-12)  # the default kappa is 1
 
 
 def test_usage_errors_exit_two(capsys):
@@ -364,7 +412,8 @@ def test_simulate_spec_missing_a_key_fails_loud(tmp_path, capsys, key):
     code = main(["simulate", "--spec", str(spec_path), "--n", "10", "--grid", "32",
                  "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert f"error: process spec has no {key!r} key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: process spec key {key!r} must " in err and err.rstrip().endswith("got None")
 
 
 @pytest.mark.parametrize("key, value", [("ma", [[[0.3]]]), ("ar", 5), ("ar", [[0.5]])])

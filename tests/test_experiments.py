@@ -35,6 +35,7 @@ from curvecast.experiments import (
     _worker_count,
 )
 from curvecast.multivar import fit_var_ols, fit_varx_ols, predict_var
+from curvecast.simulate import random_operator, sigma_scheme
 
 SPEC_PAYLOAD = {
     "kind": "far",
@@ -182,8 +183,13 @@ def test_horizon_guards():
 
 
 @pytest.mark.parametrize("fit_mode", ["expanding", "both", None])
-def test_fit_mode_takes_only_fixed(no_replications, fit_mode):
-    with pytest.raises(ValueError, match=f"fit_mode must be 'fixed', got {fit_mode!r}"):
+def test_fit_mode_takes_only_fixed(request, fit_mode):
+    if fit_mode is None:  # None counts as absent, so the default 'fixed' runs
+        assert records_bytes(run_forecast_experiment(tiny_config(fit_mode=None))) == records_bytes(
+            run_forecast_experiment(tiny_config()))
+        return
+    no_replications = request.getfixturevalue("no_replications")
+    with pytest.raises(ValueError, match=f"config key 'fit_mode' must be 'fixed', got {fit_mode!r}"):
         run_forecast_experiment(tiny_config(fit_mode=fit_mode))
     assert no_replications == []
 
@@ -261,12 +267,16 @@ def no_replications(monkeypatch):
 
 @pytest.mark.parametrize("preset", sorted(PRESET_REPS))
 def test_benchmark_rejects_unknown_keys_before_running(no_replications, preset):
-    keys = sorted(inspect.signature(PRESETS[preset]).parameters.keys() - {"reps", "seed"})
+    keys = ["seed", *(key for key in inspect.signature(PRESETS[preset]).parameters if key != "seed")]
     with pytest.raises(ValueError) as err:
         run_benchmark(preset, reps=1, seed=1, bogus=1, n_dayz=2)
-    assert str(err.value) == (f"preset {preset!r} has no key 'bogus', 'n_dayz'; "
-                              f"its keys are {keys}")
+    assert str(err.value) == (f"preset {preset!r} has no key 'bogus'; "
+                              f"its keys are {', '.join(keys)}")
     assert no_replications == []
+
+
+# the kind of the default names the case; the message says what the key must be
+MUSTS = {"list": "list one or more", "number": "be one finite", "str": "be a str"}
 
 
 @pytest.mark.parametrize("preset, key, value, kind", [
@@ -277,19 +287,28 @@ def test_benchmark_rejects_unknown_keys_before_running(no_replications, preset):
     ("fma-farma", "kind", 1, "str"),
 ])
 def test_benchmark_rejects_overrides_of_another_kind(no_replications, preset, key, value, kind):
-    with pytest.raises(ValueError, match=f"key {key!r} takes a {kind} like its default"):
+    with pytest.raises(ValueError, match=f"key {key!r} must {MUSTS[kind]}"):
         run_benchmark(preset, reps=1, seed=1, **{key: value})
     assert no_replications == []
 
 
+# a case whose message changed keeps its id, which reads the message it had before
 @pytest.mark.parametrize("preset, key, value, message", [
-    ("bands-coverage", "n", 100.5, "takes integers like its default 400, got 100.5"),
-    ("bands-coverage", "L", "abc", "takes an integer or null, got 'abc'"),
-    ("bands-coverage", "L", 100.5, "takes an integer or null, got 100.5"),
-    ("pm10-analog", "out_dir", 5, "takes a str or null, got 5"),
-    ("equivalence-rate", "ns", [40.7], "takes integers like its default (100, 200, 400, 800)"),
-    ("far2-table", "bosq_p", 1.5, "takes integers like its default 1, got 1.5"),
-    ("far2-table", "train", 100.5, "takes a fraction in (0, 1) or an integer count, got 100.5"),
+    pytest.param("bands-coverage", "n", 100.5, "must be one finite int, got 100.5",
+                 id="bands-coverage-n-100.5-takes integers like its default 400, got 100.5"),
+    pytest.param("bands-coverage", "L", "abc", "must be one finite int, got 'abc'",
+                 id="bands-coverage-L-abc-takes an integer or null, got 'abc'"),
+    pytest.param("bands-coverage", "L", 100.5, "must be one finite int, got 100.5",
+                 id="bands-coverage-L-100.5-takes an integer or null, got 100.5"),
+    pytest.param("pm10-analog", "out_dir", 5, "must be a str, got 5",
+                 id="pm10-analog-out_dir-5-takes a str or null, got 5"),
+    pytest.param("equivalence-rate", "ns", [40.7], "must list one or more integers, got [40.7]",
+                 id="equivalence-rate-ns-value4-takes integers like its default (100, 200, 400, 800)"),
+    pytest.param("far2-table", "bosq_p", 1.5, "must be one finite int, got 1.5",
+                 id="far2-table-bosq_p-1.5-takes integers like its default 1, got 1.5"),
+    pytest.param("far2-table", "train", 100.5,
+                 "must be a fraction in (0, 1) or an integer count, got 100.5",
+                 id="far2-table-train-100.5-takes a fraction in (0, 1) or an integer count, got 100.5"),
 ])
 def test_benchmark_overrides_keep_their_default_type(no_replications, preset, key, value, message):
     # each of these used to end in a traceback or run with its value truncated
@@ -301,7 +320,7 @@ def test_benchmark_overrides_keep_their_default_type(no_replications, preset, ke
 @pytest.mark.parametrize("preset, overrides", [
     ("bands-coverage", {"n": 400, "alpha": 0.8, "p": 1, "d": 3}),  # as perfbench's band-calibrate
     ("bands-coverage", {"n": np.int64(80), "L": 40}),
-    ("bands-coverage", {"L": None}),
+    ("bands-coverage", {"L": None}),  # None counts as absent: the preset keeps its default
     ("pm10-analog", {"out_dir": "here", "n_days": 42.0}),
     ("equivalence-rate", {"ns": [30, 60.0]}),
     ("far2-table", {"train": 0.5, "kappa": [0.4, 0.4], "bosq_pve": 1}),
@@ -310,7 +329,35 @@ def test_benchmark_overrides_keep_their_default_type(no_replications, preset, ke
 ])
 def test_benchmark_overrides_of_the_default_type_reach_the_preset(monkeypatch, preset, overrides):
     monkeypatch.setitem(PRESETS, preset, lambda **kwargs: kwargs)
-    assert run_benchmark(preset, seed=1, **overrides) == {"seed": 1, **overrides}
+    given = {key: value for key, value in overrides.items() if value is not None}
+    assert run_benchmark(preset, seed=1, **overrides) == {"seed": 1, **given}
+
+
+@pytest.mark.parametrize("preset, overrides, key, value", [
+    ("order-selection", {"n": 60, "D": 5, "grid_T": 48, "p_max": 2, "d_max": 3.0}, "d_max", 3),
+    ("pm10-analog", {"n_days": 60.0, "eval_days": 10.0}, "n_days", 60),
+    ("bands-coverage", {"n": np.int64(80), "L": 40, "grid_T": 32}, "n", 80),
+])
+def test_benchmark_integer_keys_reach_the_preset_as_ints(preset, overrides, key, value):
+    # these used to end in a TypeError inside the first replication or in to_json
+    report = run_benchmark(preset, seed=1, reps=1, **overrides)
+    config = json.loads(report.to_json())["config"]
+    assert config[key] == value and type(config[key]) is int
+
+
+def test_benchmark_rejects_an_empty_list_before_running(no_replications):
+    # this used to run an equivalence-rate study of no replications
+    with pytest.raises(ValueError, match=re.escape(
+            "preset 'equivalence-rate' key 'ns' must list one or more integers, got []")):
+        run_benchmark("equivalence-rate", seed=1, reps=1, ns=[])
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_REPS))
+def test_each_preset_rule_table_lists_its_signature(preset):
+    # a new preset key cannot skip the parser: its table is read from the signature
+    keys = inspect.signature(PRESETS[preset]).parameters.keys()
+    assert set(experiments._PRESET_RULES[preset]) == keys | {"seed", "reps"}
 
 
 @pytest.mark.parametrize("reps, seed, message", [
@@ -327,16 +374,25 @@ def test_benchmark_reps_and_seed_are_integers(no_replications, reps, seed, messa
     assert no_replications == []
 
 
+# a case whose message changed keeps its id, which reads the message it had before
 @pytest.mark.parametrize("preset, overrides, message", [
-    ("bands-coverage", {"p": -1}, "order p must be >= 0, got -1"),
+    pytest.param("bands-coverage", {"p": -1}, "method 'fixed-var' key 'p' must be >= 0, got -1",
+                 id="bands-coverage-overrides0-order p must be >= 0, got -1"),
     ("bands-coverage", {"L": 5}, "L=5 below the warm-up floor max(p, 10*d)=30"),
-    ("bands-coverage", {"d": 0}, "dimension d must be >= 1, got 0"),
+    pytest.param("bands-coverage", {"d": 0}, "method 'fixed-var' key 'd' must be >= 1, got 0",
+                 id="bands-coverage-overrides2-dimension d must be >= 1, got 0"),
     ("bands-coverage", {"n": 30}, "L=30 leaves fewer than two of n=30 curves"),
-    ("order-selection", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 10"),
-    ("order-selection", {"d_max": 0}, "need p_max >= 0 and d_max >= 1, got 3, 0"),
-    ("psi1-ratio", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 3"),
-    ("pm10-analog", {"p_max": -1}, "need p_max >= 0 and d_max >= 1, got -1, 4"),
-    ("equivalence-rate", {"d": 0}, "dimension d must be >= 1, got 0"),
+    pytest.param("order-selection", {"p_max": -1},
+                 "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+                 id="order-selection-overrides4-need p_max >= 0 and d_max >= 1, got -1, 10"),
+    pytest.param("order-selection", {"d_max": 0}, "method 'ffpe-var' key 'd_max' must be >= 1, got 0",
+                 id="order-selection-overrides5-need p_max >= 0 and d_max >= 1, got 3, 0"),
+    pytest.param("psi1-ratio", {"p_max": -1}, "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+                 id="psi1-ratio-overrides6-need p_max >= 0 and d_max >= 1, got -1, 3"),
+    pytest.param("pm10-analog", {"p_max": -1}, "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+                 id="pm10-analog-overrides7-need p_max >= 0 and d_max >= 1, got -1, 4"),
+    pytest.param("equivalence-rate", {"d": 0}, "method 'fixed-var' key 'd' must be >= 1, got 0",
+                 id="equivalence-rate-overrides8-dimension d must be >= 1, got 0"),
 ])
 def test_preset_values_are_checked_before_running(no_replications, preset, overrides, message):
     # each of these used to fail only inside the first replication
@@ -367,11 +423,16 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
      "source key 'theta_scales' must list 2 numbers, got ['0.1', 0.5]"),
     # and these raised a bare AttributeError or TypeError
     ("source", "kappa-far", "config key 'source' must be a dict, got 'kappa-far'"),
-    ("methods", {"name": "fixed-var", "p": 1, "d": 2},
-     "config key 'methods' must be a list of method dicts, got {'name': 'fixed-var'"),
-    ("methods", ["fixed-var"], "config key 'methods' must be a list of method dicts, got "
-                               "['fixed-var']"),
-    ("methods", None, "config key 'methods' must be a list of method dicts, got None"),
+    pytest.param("methods", {"name": "fixed-var", "p": 1, "d": 2},
+                 "config key 'methods' must be a list of one or more method dicts, got "
+                 "{'name': 'fixed-var'", id="methods-value15-config key 'methods' must be a list "
+                 "of method dicts, got {'name': 'fixed-var'"),
+    pytest.param("methods", ["fixed-var"], "config key 'methods' must be a list of one or more "
+                 "method dicts, got ['fixed-var']", id="methods-value16-config key 'methods' must "
+                 "be a list of method dicts, got ['fixed-var']"),
+    pytest.param("methods", None, "config key 'methods' must be a list of one or more method "
+                 "dicts, got None", id="methods-None-config key 'methods' must be a list of method "
+                 "dicts, got None"),
     # and these raised a bare TypeError or AttributeError
     ("source", {"type": ["kappa-far"]}, "source key 'type' must be a str, got ['kappa-far']"),
     ("source", {"type": "process", "spec": [1]}, "a 'process' source key 'spec' must be a dict, "
@@ -400,8 +461,9 @@ def test_config_numbers_may_be_whole_floats_or_absent():
     ({"name": "ffpe-var", "p_max": "2", "d_max": 3}, "method 'ffpe-var' key 'p_max' must be one "
                                                      "finite int, got '2'"),
     ({"name": "ffpe-var", "p_max": 2.5, "d_max": 3}, "key 'p_max' must be one finite int, got 2.5"),
-    ({"name": "covariate", "p": 1, "d": 2, "solver": "lasso"},
-     "solver must be 'ols' or 'blp', got 'lasso'"),
+    pytest.param({"name": "covariate", "p": 1, "d": 2, "solver": "lasso"},
+                 "method 'covariate' key 'solver' must be 'ols' or 'blp', got 'lasso'",
+                 id="method6-solver must be 'ols' or 'blp', got 'lasso'"),
     ({"name": "bosq", "p": 0, "d": 2}, "p must be >= 1, got 0"),
     ({"name": "scalar", "p": 1}, "scalar forecasting needs p and d"),
     ({"name": "fixed-var", "p": 1, "d_max": 2}, "pass exactly one of (p, d) or (p_max, d_max)"),
@@ -412,10 +474,17 @@ def test_config_numbers_may_be_whole_floats_or_absent():
                                                          "d_max)"),
     ({"name": "fixed-var", "p": 1, "d": 2, "d_max": 3}, "pass exactly one of (p, d) or (p_max, "
                                                          "d_max)"),
-    ({"name": "fixed-var", "p": -1, "d": 2}, "order p must be >= 0, got -1"),
-    ({"name": "scalar", "p": 1, "d": 0}, "dimension d must be >= 1, got 0"),
-    ({"name": "ffpe-var", "p_max": -1, "d_max": 2}, "need p_max >= 0 and d_max >= 1, got -1, 2"),
-    ({"name": "ffpe-var", "p_max": 1, "d_max": 0}, "need p_max >= 0 and d_max >= 1, got 1, 0"),
+    pytest.param({"name": "fixed-var", "p": -1, "d": 2},
+                 "method 'fixed-var' key 'p' must be >= 0, got -1",
+                 id="method13-order p must be >= 0, got -1"),
+    pytest.param({"name": "scalar", "p": 1, "d": 0}, "method 'scalar' key 'd' must be >= 1, got 0",
+                 id="method14-dimension d must be >= 1, got 0"),
+    pytest.param({"name": "ffpe-var", "p_max": -1, "d_max": 2},
+                 "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+                 id="method15-need p_max >= 0 and d_max >= 1, got -1, 2"),
+    pytest.param({"name": "ffpe-var", "p_max": 1, "d_max": 0},
+                 "method 'ffpe-var' key 'd_max' must be >= 1, got 0",
+                 id="method16-need p_max >= 0 and d_max >= 1, got 1, 0"),
     ({"name": "fixed-var", "p": 1, "d": 2, "label": ["x"]},
      "method ['x'] key 'label' must be a str, got ['x']"),
     # this one raised a bare TypeError
@@ -544,7 +613,7 @@ def test_file_source_takes_a_path_object(tmp_path):
 def test_benchmark_preset_must_be_a_name(no_replications):
     # a list used to raise a bare TypeError: unhashable type: 'list'
     with pytest.raises(ValueError, match=re.escape(
-            "key 'preset' must be a str, got ['psi1-ratio']")):
+            "unknown preset ['psi1-ratio']; choose from")):
         run_benchmark(["psi1-ratio"], seed=1)
     assert no_replications == []
 
@@ -623,14 +692,14 @@ def test_every_source_is_chunked_by_one_rule(monkeypatch, source, count, workers
 
 def test_benchmark_lists_the_preset_keys():
     with pytest.raises(ValueError, match=re.escape(
-            "its keys are ['d_max', 'grid_T', 'n', 'p_max', 'scalar_d', 'scalar_p', 'train']")):
+            "its keys are seed, reps, n, train, grid_T, p_max, d_max, scalar_p, scalar_d")):
         run_benchmark("psi1-ratio", seed=1, foo=1)
 
 
 @pytest.mark.parametrize("reps", [0, -2])
 @pytest.mark.parametrize("preset", sorted(PRESET_REPS))
 def test_benchmark_rejects_reps_below_one(no_replications, preset, reps):
-    with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+    with pytest.raises(ValueError, match=f"key 'reps' must be >= 1, got {reps}"):
         run_benchmark(preset, reps=reps, seed=1)
     assert no_replications == []
 
@@ -671,6 +740,46 @@ def test_fma_farma_preset_small():
     assert set(comp) == {"frac_ffpe_wins", "mean_selected_p"}
     with pytest.raises(ValueError, match="kind"):
         run_benchmark("fma-farma", reps=1, seed=4, kind="arma")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fma_preset_draws_one_random_operator_per_replication(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(THREADS_ENV, workers)
+    report = run_benchmark("fma-farma", kind="fma", reps=3, seed=5, n=60, D=5, grid_T=48,
+                           p_max=2, d_max=2)
+    methods = {"ffpe-var": {"name": "ffpe-var", "p_max": 2, "d_max": 2},
+               "bosq": {"name": "bosq", "p": 1, "pve": 0.8}}
+    for idx, rec in enumerate(report.replications):
+        rng = _rep_rng(5, idx)
+        sigma = sigma_scheme("s1", 5)
+        psi = random_operator(5, sigma, rng)
+        spec = ProcessSpec(kind="fma", D=5, sigma=sigma, ar=(), ma={2: 0.8 * psi}, burn_in=200)
+        data = simulate(spec, 60, Grid(48), rng)
+        outs = {key: _eval_method_fixed(data, None, 54, 1, meth) for key, meth in methods.items()}
+        assert rec["errors"] == {key: out["errors"] for key, out in outs.items()}
+        assert rec["selected"] == {key: out["selected"] for key, out in outs.items()}
+        assert rec["criterion"] == {"ffpe-var": outs["ffpe-var"]["criterion"]}
+
+
+def test_covariate_blp_runs_at_order_zero_in_a_study():
+    # both used to pass every check and fail inside the first replication
+    methods = [{"name": "covariate", "p": 0, "d": 2, "solver": "blp", "label": "fixed"},
+               {"name": "covariate", "p_max": 0, "d_max": 2, "solver": "blp", "label": "swept"}]
+    report = run_forecast_experiment(tiny_config(source={"type": "covariate-far1"}, n=60,
+                                                 train=50, methods=methods))
+    for rec in report.replications:
+        assert rec["selected"]["fixed"]["p"] == rec["selected"]["swept"]["p"] == 0
+        assert all(np.isfinite(rec["errors"]["fixed"] + rec["errors"]["swept"]))
+
+
+@pytest.mark.parametrize("train", [1, 40, 0.01])
+def test_training_size_is_checked_before_running(no_replications, train):
+    # these used to start a replication task and fail inside it
+    config = tiny_config(source={"type": "covariate-far1"}, n=40, train=train)
+    with pytest.raises(ValueError, match=r"train size \d+ must satisfy 2 <= m < n=40"):
+        run_forecast_experiment(config)
+    assert no_replications == []
 
 
 def test_equivalence_rate_preset_small():

@@ -199,6 +199,28 @@ def test_blp_solver_matches_manual_assembly(make_far1):
     assert np.allclose(res.curve, curve, atol=1e-8)
 
 
+def test_blp_solver_at_order_zero_matches_the_covariate_regression(make_far1):
+    data = make_far1(n=200, seed=10)
+    rmat = np.random.default_rng(2).normal(size=(200, 2))
+    res = predict_with_covariates(data, rmat, p=0, d=2, solver="blp")
+    eig = eigensystem(data, 2)
+    smat = scores(data, eig).scores
+    rc = rmat - rmat.mean(axis=0)
+    theta = (smat[1:] - smat.mean(axis=0)).T @ rc[:-1] @ np.linalg.inv(rc.T @ rc)
+    curve = eig.mean + (smat.mean(axis=0) + theta @ rc[-1]) @ eig.eigenfunctions
+    assert res.p == 0
+    np.testing.assert_allclose(res.curve, curve, rtol=1e-10, atol=1e-12)
+
+
+def test_blp_solver_selects_order_zero_on_white_noise():
+    # this used to raise "solver 'blp' needs p >= 1" once the sweep chose p = 0
+    rng = np.random.default_rng(2)
+    data = FunctionalDataset(grid=Grid(16), values=rng.normal(size=(80, 16)))
+    rmat = rng.normal(size=(80, 2))
+    res = predict_with_covariates(data, rmat, p_max=2, d_max=3, solver="blp")
+    assert res.p == 0 and np.all(np.isfinite(res.curve))
+
+
 def test_covariate_matrix_assembly(make_far1):
     data = make_far1(n=60, seed=12)
     numeric = np.arange(60.0)

@@ -197,6 +197,19 @@ def test_blp_with_covariates_matches_dense_solve():
     assert np.allclose(np.hstack(phis + [theta]), coef, atol=1e-10)
 
 
+def test_blp_at_order_zero_predicts_from_the_covariate_alone():
+    rng = np.random.default_rng(9)
+    acvf, _ = stable_var1_acvf(2, seed=9)
+    cross = rng.normal(scale=0.1, size=(1, 2, 3))
+    root = rng.normal(size=(3, 3))
+    gamma_rr = root @ root.T + np.eye(3)
+    phis, theta = solve_blp_with_covariates(acvf, cross=cross, gamma_rr=gamma_rr, m=0)
+    assert phis == []
+    np.testing.assert_allclose(theta, cross[0] @ np.linalg.inv(gamma_rr), rtol=1e-12)
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):  # no covariate, no predictor
+        solve_blp_with_covariates(acvf, m=0)
+
+
 def test_innovations_ma1_convergence():
     # gamma(0) = 1 + theta^2, gamma(1) = theta for theta = 0.5, sigma^2 = 1
     gammas = np.array([[[1.25]], [[0.5]]] + [[[0.0]]] * 11)

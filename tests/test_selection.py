@@ -5,6 +5,8 @@ import pytest
 
 import curvecast.selection
 from curvecast import (
+    FunctionalDataset,
+    Grid,
     IngestError,
     InsufficientDataError,
     RankDeficiencyError,
@@ -45,6 +47,15 @@ def test_criterion_guards():
         ffpe(100, 1, 2, -1.0, 0.0)
     with pytest.raises(ValueError):
         ffpe(100, -1, 2, 1.0, 0.0)
+
+
+def test_select_pd_raises_when_no_cell_can_be_fitted():
+    # three curves cannot carry two covariate columns in any (p, d) cell
+    rng = np.random.default_rng(0)
+    data = FunctionalDataset(grid=Grid(8), values=rng.normal(size=(3, 8)))
+    with pytest.raises(SelectionError, match=r"no \(p, d\) cell could be fitted for p_max=1, "
+                                             r"d_max=1, n=3"):
+        select_pd(data, 1, 1, covariate_scores=rng.normal(size=(3, 2)))
 
 
 def test_white_noise_selects_order_zero(noise_dataset):
