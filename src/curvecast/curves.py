@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IngestError, ResolutionError
+from .errors import DimensionMismatchError, IngestError, ResolutionError, _is_number
 
 # UTF-8 that drops a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write one
 CSV_ENCODING = "utf-8-sig"
@@ -177,23 +177,59 @@ def load_numeric_csv(path) -> np.ndarray:
 
 # load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
 def _read_numeric_matrix(path) -> np.ndarray:
-    parsed = _bulk_parse(path)
-    if parsed is not None and np.isfinite(parsed[0]).all():
-        return parsed[0]
-    raw, has_header = _read_rows(path)
-    body = raw[1:] if has_header else raw
-    if not body:
-        raise IngestError(f"{path}: no data rows found")
-    rows = _parse_rows(body, path)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
-    values = np.array(rows, dtype=float)
+    values = _read_table(path)[0]
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0] + 1
         raise IngestError(f"{path}: row {row}, column {col} is missing or non-finite")
     return values
+
+
+def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None):
+    """A CSV's (values, labels): the bulk parse, else the per-cell reader.
+
+    raw and label are as in :func:`_bulk_parse`; missing markers read as nan and
+    rows count from 1 below the header, which a label requires.  rows_per_curve,
+    an integer >= 2, reshapes the flattened cells into curves of that length.
+    """
+    if rows_per_curve is not None:
+        if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
+            raise IngestError(f"rows_per_curve must be an integer >= 2, got {rows_per_curve!r}")
+        rows_per_curve = int(rows_per_curve)
+    # rows_per_curve streams are rare enough to keep to the per-cell reader
+    parsed = None if rows_per_curve is not None else _bulk_parse(path, raw, label)
+    if parsed is not None:
+        return parsed
+    rows, has_header = _read_rows(path)
+    header = [c.strip() for c in rows[0]] if rows else []
+    if label is not None and label not in header:
+        raise IngestError(f"{path}: no column named {label!r} in the header")
+    body = rows[1:] if has_header or label is not None else rows
+    if not body:
+        raise IngestError(f"{path}: no data rows found")
+    labels = None
+    if label is not None:
+        col = header.index(label)
+        for i, row in enumerate(body, start=1):
+            if len(row) <= col:
+                raise IngestError(f"{path}: row {i} ends before the {label!r} column")
+        labels = [row[col].strip() for row in body]
+        # blank the label cell while parsing so that error columns count as in the file
+        cells = _parse_rows([row[:col] + [""] + row[col + 1 :] for row in body], path)
+        cells = [row[:col] + row[col + 1 :] for row in cells]
+    else:
+        cells = _parse_rows(body, path)
+    if rows_per_curve is not None:
+        flat = [v for row in cells for v in row]
+        if len(flat) % rows_per_curve:
+            raise IngestError(
+                f"{path}: {len(flat)} values do not divide into curves of {rows_per_curve}"
+            )
+        return np.array(flat, dtype=float).reshape(-1, rows_per_curve), None
+    widths = {len(row) for row in cells}
+    if len(widths) != 1:
+        raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
+    return np.array(cells, dtype=float), labels
 
 
 def _bulk_parse(path, raw: bool = False, label: str = None):

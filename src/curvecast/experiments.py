@@ -481,6 +481,9 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
     _check_method({"name": "fixed-var", "p": 1, "d": d}, 1)  # the fit equivalence_gap makes
+    # a VAR(1) fit on d scores needs d + 2 curves
+    rule = (object, lambda v: min(v) >= d + 2, f"hold integers >= d + 2 = {d + 2}")
+    _checked({"ns": ns}, {"ns": rule}, "preset 'equivalence-rate'")
     ns = [int(v) for v in ns]
     draws = {n: _source_factory(_psi_source("psi1"), n, Grid(grid_T)) for n in ns}
 
@@ -545,6 +548,9 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
         raise ValueError("the ingestion demo runs a single replication")
     methods = [_check_method({"name": name, "p_max": p_max, "d_max": d_max}, 1)
                for name in ("ffpe-var", "covariate")]
+    # a covariate fit on the analog's two covariate columns needs four training days
+    rule = (int, lambda v: 1 <= v <= n_days - 4, f"be in 1..n_days - 4 = {n_days - 4}")
+    _checked({"eval_days": eval_days}, {"eval_days": rule}, "preset 'pm10-analog'")
     if out_dir is None:
         with tempfile.TemporaryDirectory(prefix="pm10_analog_") as tmp:
             report = _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
@@ -580,7 +586,8 @@ PRESETS = {
     "pm10-analog": _pm10_analog_preset,
 }
 # rules of the preset keys that _rule_of reads by name (see errors._checked)
-_BY_NAME = {"seed": int, "reps": _at_least(1), "train": _CONFIG["train"], "L": int, "out_dir": str}
+_BY_NAME = {"seed": int, "reps": _at_least(1), "train": _CONFIG["train"], "L": int, "out_dir": str,
+            "alpha": (float, lambda a: 0 < a < 1, "be in (0, 1)")}
 
 
 def _rule_of(key: str, default):
@@ -610,10 +617,11 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     float such as 2.0 or a numpy integer passes and becomes an int.  A key
     whose default is a float takes a number and receives a float, a tuple
     default a list or tuple of one or more numbers (integers for ns), train a
-    fraction in (0, 1) or an integer count, and out_dir and the other text
-    keys a str.  Bad keys and values, and values the study's own checks
-    reject (such as p_max < 0 or an L that leaves too few curves), raise a
-    ValueError that names the preset and the key before any replication runs.
+    fraction in (0, 1) or an integer count, alpha a number in (0, 1), and
+    out_dir and the other text keys a str.  Bad keys and values, and values
+    the study's own checks reject (such as p_max < 0, an L that leaves too
+    few curves or an entry of ns below d + 2), raise a ValueError that names
+    the preset and the key before any replication runs.
     """
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")

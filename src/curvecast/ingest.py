@@ -7,7 +7,7 @@ stabilization, and removal of weekday mean profiles.
 
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _bulk_parse, _parse_rows, _read_rows
+from .curves import FunctionalDataset, Grid, _read_rows, _read_table
 from .errors import IngestError
 
 
@@ -37,7 +37,8 @@ def ingest(
         subtracted from its members.  Requires a header row and is not
         combined with rows_per_curve.
     rows_per_curve : int, optional
-        Reshape the flattened numeric cells into curves of this length.
+        Reshape the flattened numeric cells into curves of this length,
+        an integer >= 2; a whole float such as 2.0 passes.
 
     Returns
     -------
@@ -48,7 +49,7 @@ def ingest(
         raise ValueError(f"transform must be 'none' or 'sqrt', got {transform!r}")
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
-    values, labels = _read_raw(path, weekday_adjust, rows_per_curve)
+    values, labels = _read_table(path, True, weekday_adjust, rows_per_curve)
     _reject_infinite(values, path, weekday_adjust, rows_per_curve)
     missing = np.isnan(values)
     if missing.any():
@@ -69,48 +70,6 @@ def ingest(
             mask = groups == label
             values[mask] -= values[mask].mean(axis=0)
     return FunctionalDataset._own(Grid(values.shape[1]), values)
-
-
-def _read_raw(path, weekday_adjust, rows_per_curve):
-    # rows_per_curve streams are rare enough to keep to the per-cell reader
-    parsed = None if rows_per_curve is not None else _bulk_parse(path, raw=True, label=weekday_adjust)
-    if parsed is not None:
-        return parsed
-    raw, has_header = _read_rows(path)
-    if not raw:
-        raise IngestError(f"{path}: file is empty")
-    labels = None
-    if weekday_adjust is not None:
-        header = [c.strip() for c in raw[0]]
-        if weekday_adjust not in header:
-            raise IngestError(f"{path}: no column named {weekday_adjust!r} in the header")
-    body = raw[1:] if has_header or weekday_adjust is not None else raw
-    if not body:
-        raise IngestError(f"{path}: no data rows found")
-    if weekday_adjust is not None:
-        li = header.index(weekday_adjust)
-        for i, row in enumerate(body, start=1):
-            if len(row) <= li:
-                raise IngestError(f"{path}: row {i} ends before the {weekday_adjust!r} column")
-        labels = [row[li].strip() for row in body]
-        # blank the label cell while parsing so that error columns count as in the file
-        cells = _parse_rows([row[:li] + [""] + row[li + 1 :] for row in body], path)
-        cells = [row[:li] + row[li + 1 :] for row in cells]
-    else:
-        cells = _parse_rows(body, path)
-    if rows_per_curve is not None:
-        if rows_per_curve < 2:
-            raise IngestError(f"rows_per_curve must be >= 2, got {rows_per_curve}")
-        flat = [v for row in cells for v in row]
-        if len(flat) % rows_per_curve:
-            raise IngestError(
-                f"{path}: {len(flat)} values do not divide into curves of {rows_per_curve}"
-            )
-        return np.array(flat, dtype=float).reshape(-1, rows_per_curve), None
-    widths = {len(row) for row in cells}
-    if len(widths) != 1:
-        raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
-    return np.array(cells, dtype=float), labels
 
 
 def _reject_infinite(values: np.ndarray, path, weekday_adjust, rows_per_curve) -> None:

@@ -17,10 +17,10 @@ from .multivar import (
     PIVOT_RTOL,
     _check_rows,
     _covariate_block,
-    _guarded_solve,
     _is_singular,
     _lag_rows,
     fit_var_ols,
+    fit_varx_ols,
 )
 
 
@@ -97,14 +97,14 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     d_max exceeds it, the curves are projected on it once, and both are
     sliced per cell; the table keeps them as ``eig`` and the (n, eig.d)
     ``scores``, so a fit at the selected d reuses the training scores.
-    Each p forms X'X, X'Y and Y'Y once at that width.  When X'X passes the
-    pivot test, one Cholesky factor of it gives the residual sums of every
-    d; otherwise each d solves an index submatrix through the guard that
-    names a singular cell's column.  Order-zero VAR cells, whose criterion
-    is constant in d up to rounding, call :func:`fit_var_ols`.  Unfittable
-    cells (d above min(n - 1, T), too few observations, or a rank-deficient
-    design) get a status instead of aborting the sweep.  Ties in the
-    criterion prefer smaller d, then smaller p.
+    Each p forms X'X once at that width.  When X'X passes the pivot test,
+    one Cholesky factor of it gives the residual sums of every d.  Cells
+    that factor does not serve, the order-zero VAR cells among them, are
+    fitted by :func:`fit_var_ols`, or :func:`fit_varx_ols` with covariates,
+    whose guard names a singular cell's column.  Unfittable cells (d above
+    min(n - 1, T), too few observations, or a rank-deficient design) get a
+    status instead of aborting the sweep.  Ties in the criterion prefer
+    smaller d, then smaller p.
 
     Parameters
     ----------
@@ -131,15 +131,15 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     if covariate_scores is not None:
         rc, _, keep = _covariate_block(covariate_scores, n)
         r, extra = rc.shape[1], rc[:, keep]
-    orders = {}
+    nested = {}
     for p in range(r is None, p_max + 1):  # VAR(0) cells have no design
         x, y = _lag_rows(c, p, extra)
-        moments = (len(y), x.T @ x, x.T @ y, np.einsum("ij,ij->j", y, y))
+        xx = x.T @ x
         # Each cell's Gram is a principal submatrix of the full one, so by eigenvalue
         # interlacing no better conditioned: a full Gram passing the pivot test with a
         # factor 2 to spare lets one Cholesky factor serve every d of the order.
-        singular = moments[1].size and _is_singular(moments[1], 2 * PIVOT_RTOL)
-        orders[p] = (None, moments) if singular else (_nested_traces(p, eig.d, *moments), None)
+        if not (xx.size and _is_singular(xx, 2 * PIVOT_RTOL)):
+            nested[p] = _nested_traces(p, eig.d, len(y), xx, x.T @ y, np.einsum("ij,ij->j", y, y))
     cells = []
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
@@ -149,13 +149,13 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                 cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, "invalid", why))
                 continue
             try:
-                if r is None and p == 0:
-                    trace = float(fit_var_ols(smat[:, :d], 0).sigma_z.trace())
-                else:
+                if p in nested:
                     _check_rows(n, p, d, r)
-                    nested, moments = orders[p]
-                    trace = (float(nested[d - 1]) if moments is None
-                             else _cell_trace(p, d, eig.d, r, *moments))
+                    trace = float(nested[p][d - 1])
+                else:
+                    fit = (fit_var_ols(smat[:, :d], p) if r is None
+                           else fit_varx_ols(smat[:, :d], covariate_scores, p))
+                    trace = float(fit.sigma_z.trace())
                 value = ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
@@ -184,15 +184,3 @@ def _nested_traces(p, width, rows, xx, xy, yy):
     explained = np.cumsum(np.vstack([np.zeros(width), z * z]), axis=0)
     rss = np.cumsum(yy - explained[kept + p * np.arange(1, width + 1)], axis=1).diagonal()
     return np.maximum(rss, 0.0) / rows  # an exact fit can round below zero
-
-
-def _cell_trace(p, d, width, r, rows, xx, xy, yy):
-    """Innovation trace of the (p, d) fit from cross-products of the first width scores."""
-    col = np.arange(xx.shape[0])
-    idx = col[(col % width < d) | (col >= p * width)]  # d components of each lag, all covariates
-    rss = yy[:d].sum()
-    if idx.size:
-        rhs = xy[idx, :d]
-        context = f"{'VAR' if r is None else 'VARX'}({p}) design"
-        rss -= np.vdot(_guarded_solve(xx[idx[:, None], idx], rhs, context=context), rhs)
-    return max(float(rss), 0.0) / rows  # an exact fit can round below zero

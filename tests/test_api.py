@@ -178,6 +178,31 @@ def test_bands_fit_through_the_forecast_fit():
     assert "_fit" in imported_names(tree)
 
 
+def source_tree(name):
+    return ast.parse((ROOT / "src" / "curvecast" / name).read_text(encoding="utf-8"))
+
+
+def defined_names(tree):
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_sweep_falls_back_to_the_var_fit():
+    # cells the nested factor does not serve go through fit_var_ols / fit_varx_ols
+    tree = source_tree("selection.py")
+    assert "_guarded_solve" not in imported_names(tree)
+    assert "_cell_trace" not in defined_names(tree)
+    assert {"fit_var_ols", "fit_varx_ols"} <= imported_names(tree)
+
+
+def test_only_curves_parses_cells():
+    # load_curves_csv, load_numeric_csv and ingest share curves._read_table
+    for path in (ROOT / "src" / "curvecast").glob("*.py"):
+        if path.name != "curves.py":
+            assert not imported_names(source_tree(path.name)) & {"_parse_rows", "_bulk_parse"}
+    assert "_read_raw" not in defined_names(source_tree("ingest.py"))
+    assert "_read_table" in imported_names(source_tree("ingest.py"))
+
+
 SOURCES = sorted((ROOT / "src" / "curvecast").glob("*.py"))
 
 

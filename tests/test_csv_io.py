@@ -116,11 +116,15 @@ PER_CELL = {
 }
 
 
+# bulk-parsed non-finite cells reach the per-cell path's finite check without it
+BULK_NON_FINITE = {"nan cell", "inf cell"}
+
+
 @pytest.mark.parametrize("name", sorted(PER_CELL))
 def test_rejected_files_keep_the_per_cell_result(tmp_path, read, name):
     text, expected = PER_CELL[name]
     result, fell_back = read(write(tmp_path, text))
-    assert fell_back
+    assert fell_back or name in BULK_NON_FINITE
     if isinstance(expected, str):
         assert isinstance(result, IngestError)
         assert re.search(expected, str(result))

@@ -401,6 +401,23 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
     assert no_replications == []
 
 
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("bands-coverage", {"alpha": 1.5}, "'alpha' must be in (0, 1), got 1.5"),
+    ("bands-coverage", {"alpha": 0.0}, "'alpha' must be in (0, 1), got 0.0"),
+    ("pm10-analog", {"n_days": 40, "eval_days": 0}, "'eval_days' must be in 1..n_days - 4 = 36, got 0"),
+    ("pm10-analog", {"n_days": 40, "eval_days": 40}, "'eval_days' must be in 1..n_days - 4 = 36, got 40"),
+    ("pm10-analog", {"n_days": 40, "eval_days": 39}, "'eval_days' must be in 1..n_days - 4 = 36, got 39"),
+    ("equivalence-rate", {"ns": [2]}, "'ns' must hold integers >= d + 2 = 5, got [2]"),
+    ("equivalence-rate", {"ns": [100, 4]}, "'ns' must hold integers >= d + 2 = 5, got [100, 4]"),
+])
+def test_preset_bounds_are_checked_before_running(no_replications, preset, overrides, message):
+    # these used to start a replication and fail inside it without naming the key
+    with pytest.raises(ValueError) as err:
+        run_benchmark(preset, reps=1, seed=1, **overrides)
+    assert str(err.value) == f"preset {preset!r} key {message}"
+    assert no_replications == []
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("reps", 2.5, "config key 'reps' must be one finite int, got 2.5"),
     ("reps", True, "config key 'reps' must be one finite int, got True"),

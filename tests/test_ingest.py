@@ -164,17 +164,17 @@ def test_byte_order_mark_before_a_first_label_column(tmp_path):
 # ---------------------------------------------------------------------------
 # the bulk parse and the per-cell reader give the same rows, labels and errors
 
-raw_reader = importlib.import_module("curvecast.ingest")
+raw_reader = importlib.import_module("curvecast.curves")
 
 
 def read_raw(path, label, monkeypatch, per_cell):
-    """_read_raw's (values, labels) and whether the per-cell reader ran."""
+    """_read_table's raw (values, labels) and whether the per-cell reader ran."""
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(raw_reader, "_read_rows", lambda p: calls.append(p) or _read_rows(p))
         if per_cell:
             patch.setattr(raw_reader, "_bulk_parse", lambda *args, **kwargs: None)
-        values, labels = raw_reader._read_raw(path, label, None)
+        values, labels = raw_reader._read_table(path, True, label)
     return values, labels, bool(calls)
 
 
@@ -293,3 +293,23 @@ def test_header_only_file_has_no_data_rows(tmp_path, monkeypatch, text, kwargs):
     monkeypatch.setattr(raw_reader, "_bulk_parse", lambda *args, **kw: None)
     with pytest.raises(IngestError, match="no data rows found"):
         ingest(path, **kwargs)
+
+
+@pytest.mark.parametrize("rows_per_curve, message", [
+    (2.5, "rows_per_curve must be an integer >= 2, got 2.5"),
+    (True, "rows_per_curve must be an integer >= 2, got True"),
+    (1, "rows_per_curve must be an integer >= 2, got 1"),
+])
+def test_rows_per_curve_is_an_integer_of_two_or_more(tmp_path, rows_per_curve, message):
+    # 2.5 used to read as a length that 8 values do not divide into
+    path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(IngestError, match=re.escape(message)):
+        ingest(path, rows_per_curve=rows_per_curve)
+
+
+def test_rows_per_curve_takes_a_whole_float(tmp_path):
+    # this used to end in a bare TypeError
+    path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,7,8\n")
+    data = ingest(path, rows_per_curve=2.0)
+    assert same_bits(data.values, ingest(path, rows_per_curve=2).values)
+    assert data.values.shape == (4, 2)

@@ -169,32 +169,46 @@ def direct_cells(data, p_max, d_max, rmat=None):
     return cells
 
 
-def covariate_input(kind, n):
-    """No covariates, two random columns, both constant, or one constant of two."""
+def covariate_input(kind, data):
+    """No covariates, two random columns, both constant, one constant of two, or one collinear
+    with the first score."""
     if kind is False:
         return None
-    rmat = np.random.default_rng(n).normal(size=(n, 2))
+    rmat = np.random.default_rng(data.n).normal(size=(data.n, 2))
     if kind == "constant":
         rmat[:] = [2.0, -0.5]  # the p = 0 design keeps no column
     elif kind == "one-constant":
         rmat[:, 0] = 1.5
+    elif kind == "collinear":  # with the lag-one first score of every design of order p >= 1
+        rmat[:, 0] = scores(data, eigensystem(data, 1)).scores[:, 0]
     return rmat
 
 
-@pytest.mark.parametrize("with_covariates", [False, True, "constant", "one-constant"])
+# make_far1's curves span three basis functions, so at d_max > 3 the scores past the third
+# are rounding noise and every order p >= 1 fails the full-Gram test: its cells, and the
+# VAR(0) cells, are fitted one at a time
+@pytest.mark.parametrize("with_covariates", [False, True, "constant", "one-constant", "collinear"])
 @pytest.mark.parametrize("n, p_max, d_max", [(200, 3, 6), (25, 3, 8)])
-def test_sweep_matches_per_cell_fits(make_far1, with_covariates, n, p_max, d_max):
+def test_sweep_matches_per_cell_fits(monkeypatch, make_far1, with_covariates, n, p_max, d_max):
     data = make_far1(n=n, T=48, seed=n + p_max)
-    rmat = covariate_input(with_covariates, n)
+    rmat = covariate_input(with_covariates, data)
+    fitted = set()  # the orders whose cells select_pd fits one at a time
+    for name in ("fit_var_ols", "fit_varx_ols"):
+        def spy(*args, _fit=getattr(curvecast.selection, name)):
+            fitted.add(args[-1])
+            return _fit(*args)
+
+        monkeypatch.setattr(curvecast.selection, name, spy)
     table = select_pd(data, p_max, d_max, covariate_scores=rmat)
     expected = direct_cells(data, p_max, d_max, rmat)
     assert [(c.p, c.d) for c in table.cells] == list(expected)
+    assert fitted == set(range(rmat is not None, p_max + 1))
     for cell in table.cells:
         status, trace, value = expected[cell.p, cell.d]
         assert cell.status == status
         if status != "ok":
             continue
-        if cell.p == 0 and rmat is None:
+        if cell.p in fitted:  # the same fit as the reference's
             assert cell.trace == trace and cell.value == value
         else:
             assert cell.trace == pytest.approx(trace, rel=1e-12, abs=0)
