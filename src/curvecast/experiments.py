@@ -587,7 +587,8 @@ PRESETS = {
 }
 # rules of the preset keys that _rule_of reads by name (see errors._checked)
 _BY_NAME = {"seed": int, "reps": _at_least(1), "train": _CONFIG["train"], "L": int, "out_dir": str,
-            "alpha": (float, lambda a: 0 < a < 1, "be in (0, 1)")}
+            "alpha": (float, lambda a: 0 < a < 1, "be in (0, 1)"),
+            "n_days": (int, lambda n: n >= 14, "be >= 14, two days of each weekday")}
 
 
 def _rule_of(key: str, default):

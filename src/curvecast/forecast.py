@@ -18,7 +18,7 @@ from .errors import (
     _at_least,
     _checked,
 )
-from .fpca import EigenSystem, eigensystem, pve_dimension, scores
+from .fpca import EigenSystem, _pve_rank, eigensystem, scores
 from .multivar import (
     AcvfSequence,
     VarModel,
@@ -172,11 +172,12 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     method = _check_method(method, h)
     name = method["name"]
     p, d = method.get("p"), method.get("d")
-    lag, cov = 0, None
+    lag, cov, eig = 0, None, None
     if name == "bosq":
         p = method.get("p", 1)
-        if d is None:
-            d = pve_dimension(_head(data, m), method.get("pve", 0.8))
+        if d is None:  # d from the training curves' spectrum, which at p = 1 holds the basis too
+            eig = eigensystem(_head(data, m), min(m - 1, data.T))
+            d = _pve_rank(eig, method.get("pve", 0.8))
         if m - p + 1 < 2:
             raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
         if p > 1:  # the benchmark runs on blocks of p consecutive curves
@@ -198,7 +199,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         if len(later):
             s = np.vstack([s, scores(FunctionalDataset._own(data.grid, later), eig).scores])
     else:
-        eig = eigensystem(train, d)
+        eig = eigensystem(train, d) if eig is None or lag else eig.truncate(d)
         s = scores(data, eig).scores
     if name == "bosq":
         model = _bosq_var(s[:m], eig.eigenvalues)
@@ -304,8 +305,8 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
         if isinstance(item, FunctionalDataset):
             if item.n != n:
                 raise ValueError(f"covariate has {item.n} curves, data has {n}")
-            use_d = dim if dim is not None else pve_dimension(item, pve)
-            eig_c = eigensystem(item, use_d)
+            eig_c = eigensystem(item, min(n - 1, item.T) if dim is None else dim)
+            eig_c = eig_c.truncate(_pve_rank(eig_c, pve) if dim is None else dim)
             cols.append(scores(item, eig_c).scores)
         else:
             arr = np.asarray(item, dtype=float)

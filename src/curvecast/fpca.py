@@ -77,11 +77,8 @@ class EigenSystem:
 
 
 def _fix_signs(funcs: np.ndarray) -> np.ndarray:
-    for row in funcs:
-        anchor = np.argmax(np.abs(row))
-        s = np.sign(row[anchor])
-        if s < 0:
-            row *= -1.0
+    anchors = funcs[np.arange(len(funcs)), np.argmax(np.abs(funcs), axis=1)]
+    funcs *= np.where(anchors < 0, -1.0, 1.0)[:, None]  # exact: x * 1.0 keeps every bit
     return funcs
 
 
@@ -101,10 +98,10 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
         Eigenvalues in nonincreasing order with eigenfunctions scaled to
         unit grid norm.
     """
+    kernel = sample_covariance_kernel(data)  # before d, so one curve is InsufficientDataError
     ceiling = min(data.n - 1, data.T)
     if not 1 <= d <= ceiling:
         raise ValueError(f"d={d} outside valid range 1..{ceiling} for n={data.n}, T={data.T}")
-    kernel = sample_covariance_kernel(data)
     total = float(np.trace(kernel)) / data.T
     kernel /= data.T
     evals, evecs = np.linalg.eigh(kernel)
@@ -121,23 +118,28 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
     )
 
 
-def pve_dimension(data: FunctionalDataset, threshold: float) -> int:
-    """Smallest d whose leading eigenvalues explain >= threshold of variance."""
+def _pve_rank(eig: EigenSystem, threshold: float) -> int:
+    """Smallest d whose leading eigenvalues of eig explain >= threshold of its total variance."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    kernel = sample_covariance_kernel(data)
-    total = float(np.trace(kernel)) / data.T
-    kernel /= data.T
-    evals = np.maximum(np.sort(np.linalg.eigvalsh(kernel))[::-1], 0.0)
-    if total <= 0.0:
+    if eig.total_variance <= 0.0:
         return 1
-    ratio = np.cumsum(evals) / total
+    ratio = np.cumsum(eig.eigenvalues) / eig.total_variance
     hits = np.nonzero(ratio >= threshold - 1e-12)[0]
     if hits.size == 0:
         raise InsufficientDataError(
-            f"even {evals.size} components explain only {ratio[-1]:.4f} < {threshold}"
+            f"even {eig.d} components explain only {ratio[-1]:.4f} < {threshold}"
         )
     return int(hits[0]) + 1
+
+
+def pve_dimension(data: FunctionalDataset, threshold: float) -> int:
+    """Smallest d whose leading eigenvalues explain >= threshold of variance.
+
+    The eigenvalues are those of eigensystem(data, min(n - 1, T)), the solve that
+    gives the basis too, so at most min(n - 1, T) components count.
+    """
+    return _pve_rank(eigensystem(data, min(data.n - 1, data.T)), threshold)
 
 
 @dataclass(frozen=True)

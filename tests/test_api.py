@@ -194,6 +194,20 @@ def test_sweep_falls_back_to_the_var_fit():
     assert {"fit_var_ols", "fit_varx_ols"} <= imported_names(tree)
 
 
+def test_one_eigensolver():
+    # every basis and every PVE choice comes from fpca.eigensystem's one eigh call
+    where = {}
+    for path in SOURCES:
+        for fn in ast.walk(source_tree(path.name)):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                    where.setdefault(name, set()).add(f"{path.stem}.{fn.name}")
+    assert where["eigh"] == {"fpca.eigensystem"}
+    assert "eigvalsh" not in "".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert "fpca.pve_dimension" in where["eigensystem"]
+
+
 def test_only_curves_parses_cells():
     # load_curves_csv, load_numeric_csv and ingest share curves._read_table
     for path in (ROOT / "src" / "curvecast").glob("*.py"):

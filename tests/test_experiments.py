@@ -401,6 +401,9 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
     assert no_replications == []
 
 
+TWO_DAYS_EACH = "be >= 14, two days of each weekday"
+
+
 @pytest.mark.parametrize("preset, overrides, message", [
     ("bands-coverage", {"alpha": 1.5}, "'alpha' must be in (0, 1), got 1.5"),
     ("bands-coverage", {"alpha": 0.0}, "'alpha' must be in (0, 1), got 0.0"),
@@ -409,6 +412,9 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
     ("pm10-analog", {"n_days": 40, "eval_days": 39}, "'eval_days' must be in 1..n_days - 4 = 36, got 39"),
     ("equivalence-rate", {"ns": [2]}, "'ns' must hold integers >= d + 2 = 5, got [2]"),
     ("equivalence-rate", {"ns": [100, 4]}, "'ns' must hold integers >= d + 2 = 5, got [100, 4]"),
+    # fewer days leave a weekday with one day, which its weekday mean subtracts from itself
+    ("pm10-analog", {"n_days": 5, "eval_days": 1}, f"'n_days' must {TWO_DAYS_EACH}, got 5"),
+    ("pm10-analog", {"n_days": 13}, f"'n_days' must {TWO_DAYS_EACH}, got 13"),
 ])
 def test_preset_bounds_are_checked_before_running(no_replications, preset, overrides, message):
     # these used to start a replication and fail inside it without naming the key

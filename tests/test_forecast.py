@@ -13,12 +13,14 @@ from curvecast import (
     equivalence_gap,
     predict_fts,
     predict_with_covariates,
+    pve_dimension,
     reconstruct,
     scalar_predict,
     scores,
     select_pd,
     ScoreMatrix,
 )
+from curvecast import fpca
 from curvecast.forecast import ForecastResult, _bosq_var, _scalar_var, covariate_matrix
 from curvecast.multivar import fit_var_ols, predict_var, sample_acvf, solve_blp_with_covariates
 
@@ -228,6 +230,22 @@ def test_covariate_matrix_assembly(make_far1):
     assert mat.shape == (60, 3)
     with pytest.raises(ValueError):
         covariate_matrix(np.ones(59), 60)
+
+
+def test_functional_covariate_reads_one_eigensystem(make_far1, monkeypatch):
+    # without a dims entry the item's d is the PVE rank of the same solve that gives its basis
+    item = make_far1(n=60, seed=13)
+    want = scores(item, eigensystem(item, pve_dimension(item, 0.9))).scores
+    kernels = []
+    real = fpca.sample_covariance_kernel
+    monkeypatch.setattr(fpca, "sample_covariance_kernel",
+                        lambda data: kernels.append(data.n) or real(data))
+    assert covariate_matrix(item, 60, pve=0.9).tobytes() == want.tobytes()
+    assert kernels == [60]
+    fixed = scores(item, eigensystem(item, 2)).scores
+    assert covariate_matrix(item, 60, dims=2).tobytes() == fixed.tobytes()
+    with pytest.raises(ValueError, match="d=0 outside valid range"):
+        covariate_matrix(item, 60, dims=0)
 
 
 def test_equivalence_identity_and_gap(make_far1):

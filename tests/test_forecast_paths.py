@@ -15,6 +15,7 @@ from curvecast import (
     FunctionalDataset,
     Grid,
     IllConditionedError,
+    InsufficientDataError,
     ScoreMatrix,
     bosq_predict,
     eigensystem,
@@ -30,7 +31,7 @@ from curvecast import (
     select_pd,
 )
 from curvecast.cli import main
-from curvecast import forecast
+from curvecast import forecast, fpca
 from curvecast.experiments import _eval_method_fixed, _source_factory
 from curvecast.multivar import (
     fit_var_ols,
@@ -246,23 +247,31 @@ def test_fixed_evaluation_matches_reference_dispatch(method, h):
     assert_close(out["errors"][-1:], want)
 
 
-@pytest.mark.parametrize("method, h", EVAL_CASES + [({"name": "bosq", "p": 2, "d": 3}, 1)])
+@pytest.mark.parametrize("method, h", EVAL_CASES + [({"name": "bosq", "p": 2, "d": 3}, 1),
+                                                     ({"name": "bosq", "pve": 0.9}, 1)])
 def test_each_fit_makes_one_eigensystem_and_one_projection(monkeypatch, method, h):
     calls = []
 
-    def counted(name, real):
+    def counted(module, name):
+        real = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("eigensystem", "scores", "select_pd"):
-        monkeypatch.setattr(forecast, name, counted(name, getattr(forecast, name)))
+        counted(forecast, name)
+    counted(fpca, "sample_covariance_kernel")
     data, rmat = eval_sample()
     _eval_method_fixed(data, rmat, data.n - h, h, method)
-    # a selected fit truncates the eigensystem that select_pd made
-    basis = "select_pd" if "p_max" in method else "eigensystem"
-    assert sorted(calls) == sorted([basis, "scores"])
+    # a selected fit truncates the eigensystem that select_pd made, and a bosq fit without d
+    # reads d from the training curves' eigensystem, which at p = 1 is its basis too
+    basis = ["select_pd" if "p_max" in method else "eigensystem"]
+    if method["name"] == "bosq" and "d" not in method and method.get("p", 1) > 1:
+        basis.append("eigensystem")  # the stacked blocks solve their own
+    kernels = ["sample_covariance_kernel"] * len(basis)
+    assert sorted(calls) == sorted([*basis, *kernels, "scores"])
 
 
 SELECTED = [{"name": "ffpe-var", "p_max": 2, "d_max": 3},
@@ -338,3 +347,29 @@ def test_cli_forecast_returns_the_api_curve(forecast_inputs, tmp_path, capsys, a
     want = api(load_curves_csv(curves), load_numeric_csv(cov))
     assert (got["method"], got["p"], got["d"]) == (want.method, want.p, want.d)
     np.testing.assert_array_equal(got["curve"], want.curve)
+
+
+ONE_CURVE = {
+    "eigensystem": lambda data, path: eigensystem(data, 1),
+    "pve_dimension": lambda data, path: pve_dimension(data, 0.8),
+    "select_pd": lambda data, path: select_pd(data, 1, 2),
+    "predict_fts": lambda data, path: predict_fts(data, p_max=1, d_max=1),
+    "bosq-pve": lambda data, path: forecast._forecast(data, {"name": "bosq", "pve": 0.8}),
+    "cli-select": lambda data, path: main(["select", "--input", str(path), "--pmax", "1",
+                                           "--dmax", "1"]),
+}
+
+
+@pytest.mark.parametrize("call", ONE_CURVE.values(), ids=ONE_CURVE.keys())
+def test_one_curve_is_insufficient_data(tmp_path, capsys, call):
+    # these used to raise a plain "d=0 outside valid range 1..0 for n=1, T=8"
+    data = FunctionalDataset(grid=Grid(8), values=np.arange(8.0)[None])
+    path = tmp_path / "one.csv"
+    save_curves_csv(data, path)
+    message = "covariance needs n >= 2 curves, got n=1"
+    if call is ONE_CURVE["cli-select"]:
+        assert call(data, path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(InsufficientDataError, match=message):
+            call(data, path)

@@ -19,7 +19,7 @@ from curvecast import (
     synthesize,
 )
 from curvecast.curves import l2_norm
-from curvecast.fpca import sample_covariance_kernel, sample_mean
+from curvecast.fpca import _fix_signs, sample_covariance_kernel, sample_mean
 
 
 def rank3_dataset(T=48):
@@ -142,6 +142,33 @@ def test_pve_dimension_thresholds():
         pve_dimension(data, 0.0)
     with pytest.raises(ValueError):
         pve_dimension(data, 1.2)
+
+
+def loop_fix_signs(funcs):
+    """The per-row sign rule: negate a row whose largest |value| is negative."""
+    for row in funcs:
+        if np.sign(row[np.argmax(np.abs(row))]) < 0:
+            row *= -1.0
+    return funcs
+
+
+def test_fix_signs_equals_the_per_row_rule():
+    rows = np.array([
+        [0.1, -0.9, 0.5],  # negative anchor
+        [0.5, -0.5, 0.2],  # a tie in |max|: the first index, positive, wins
+        [-0.5, 0.5, 0.2],  # the same tie with the first index negative
+        [-0.3, -0.0, 0.1],  # a -0.0 in a flipped row
+        [0.3, -0.0, 0.1],  # a -0.0 in a kept row
+        [-0.0, 0.0, -0.0],  # a -0.0 anchor is not negative
+    ])
+    wide = np.random.default_rng(4).normal(size=(255, 256))
+    for funcs in (rows, wide):
+        want = loop_fix_signs(funcs.copy())
+        got = funcs.copy()
+        assert _fix_signs(got) is got
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(_fix_signs(rows.copy())[3:]),
+                          [[0, 0, 1], [0, 1, 0], [1, 0, 1]])
 
 
 def test_truncate_equals_direct_eigensystem(make_far1):
