@@ -108,9 +108,10 @@ class PredictionBand:
                 f"band has T={T} points; center has shape {center.shape}, curve {curve.shape}"
             )
         lower, upper = self.offsets()
-        inside = np.all(curve >= center - lower - 1e-12, axis=-1) & np.all(
-            curve <= center + upper + 1e-12, axis=-1
-        )
+        low, high = center - lower, center + upper
+        # roundoff slack scaled by the band, so the answers do not depend on its units
+        slack = 1e-12 * max(np.abs(low).max(), np.abs(high).max())
+        inside = np.all(curve >= low - slack, axis=-1) & np.all(curve <= high + slack, axis=-1)
         return bool(inside) if curve.ndim == 1 else inside
 
 

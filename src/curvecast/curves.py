@@ -162,35 +162,30 @@ def load_curves_csv(path) -> FunctionalDataset:
     non-numeric cells are rejected; use ingest() for raw files that
     need cleaning.
     """
-    values = _read_numeric_matrix(path)
+    values = _read_table(path)[0]
     return FunctionalDataset._own(Grid(values.shape[1]), values)
 
 
 def load_numeric_csv(path) -> np.ndarray:
     """Read a plain numeric matrix CSV, skipping one header row if present.
 
-    Empty files, ragged rows and blank, NA, non-finite or non-numeric cells
-    raise IngestError; rows and columns count from 1 below the header.
+    Empty files and ragged rows raise IngestError, and so does the first blank,
+    NA, non-finite or non-numeric cell, named by its row and column counted from
+    1 below the header; the same reader serves load_curves_csv and ingest.
     """
-    return _read_numeric_matrix(path)
-
-
-# load_curves_csv shares this body, not load_numeric_csv, so traces count each file once
-def _read_numeric_matrix(path) -> np.ndarray:
-    values = _read_table(path)[0]
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row, col = bad[0] + 1
-        raise IngestError(f"{path}: row {row}, column {col} is missing or non-finite")
-    return values
+    return _read_table(path)[0]
 
 
 def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None):
     """A CSV's (values, labels): the bulk parse, else the per-cell reader.
 
-    raw and label are as in :func:`_bulk_parse`; missing markers read as nan and
-    rows count from 1 below the header, which a label requires.  rows_per_curve,
-    an integer >= 2, reshapes the flattened cells into curves of that length.
+    raw and label are as in :func:`_bulk_parse`; rows count from 1 below the header,
+    which a label requires.  rows_per_curve, an integer >= 2, reshapes the flattened
+    cells into curves of that length.  This is the one place that rejects a bad cell,
+    after either reader: every returned cell is finite, or nan for a missing marker in
+    a raw file.  The first other cell raises an IngestError naming its row and its
+    column as in the file, label column included, or under rows_per_curve its curve
+    and sample.
     """
     if rows_per_curve is not None:
         if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
@@ -198,8 +193,18 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
         rows_per_curve = int(rows_per_curve)
     # rows_per_curve streams are rare enough to keep to the per-cell reader
     parsed = None if rows_per_curve is not None else _bulk_parse(path, raw, label)
-    if parsed is not None:
-        return parsed
+    values, labels, col = parsed or _read_cells(path, label, rows_per_curve)
+    bad = np.argwhere(np.isinf(values) if raw else ~np.isfinite(values))
+    if bad.size:
+        row, cell = bad[0] + 1
+        cell += col is not None and cell > col  # values hold every column but the label's
+        where = f"curve {row}, sample {cell}" if rows_per_curve else f"row {row}, column {cell}"
+        raise IngestError(f"{path}: {where} " + ("is infinite" if raw else "is missing or non-finite"))
+    return values, labels
+
+
+def _read_cells(path, label, rows_per_curve):
+    """The per-cell reader: (values, labels, label column), missing markers as nan."""
     rows, has_header = _read_rows(path)
     header = [c.strip() for c in rows[0]] if rows else []
     if label is not None and label not in header:
@@ -207,7 +212,7 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
     body = rows[1:] if has_header or label is not None else rows
     if not body:
         raise IngestError(f"{path}: no data rows found")
-    labels = None
+    labels = col = None
     if label is not None:
         col = header.index(label)
         for i, row in enumerate(body, start=1):
@@ -225,15 +230,15 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
             raise IngestError(
                 f"{path}: {len(flat)} values do not divide into curves of {rows_per_curve}"
             )
-        return np.array(flat, dtype=float).reshape(-1, rows_per_curve), None
+        return np.array(flat, dtype=float).reshape(-1, rows_per_curve), None, None
     widths = {len(row) for row in cells}
     if len(widths) != 1:
         raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
-    return np.array(cells, dtype=float), labels
+    return np.array(cells, dtype=float), labels, col
 
 
 def _bulk_parse(path, raw: bool = False, label: str = None):
-    """A CSV parsed by numpy's C reader: (values, labels), or None for the per-cell reader.
+    """A CSV parsed by numpy's C reader: (values, labels, label column), else None.
 
     A raw file is read once: blank cells read as nan, and a label names the header
     column whose stripped cells are the labels.  None means no data rows, ragged rows,
@@ -249,7 +254,7 @@ def _bulk_parse(path, raw: bool = False, label: str = None):
         data = next(filter(None, reader), None) if skip else first
     if not data or '"' in text:
         return None
-    source, usecols, labels = path, None, None
+    source, usecols, labels, col = path, None, None, None
     if raw:
         body = [line for line in lines[skip:] if line]
         # usecols drops surplus cells without an error, so ragged rows are caught here
@@ -269,7 +274,7 @@ def _bulk_parse(path, raw: bool = False, label: str = None):
                             usecols=usecols, encoding=CSV_ENCODING)
     except ValueError:
         return None
-    return values, labels
+    return values, labels, col
 
 
 def _read_rows(path):

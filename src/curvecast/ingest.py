@@ -5,9 +5,11 @@ interpolation of missing cells within a curve, a square-root variance
 stabilization, and removal of weekday mean profiles.
 """
 
+import warnings
+
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _read_rows, _read_table
+from .curves import FunctionalDataset, Grid, _read_table
 from .errors import IngestError
 
 
@@ -35,7 +37,8 @@ def ingest(
     weekday_adjust : str, optional
         Name of a label column; the mean curve of each label group is
         subtracted from its members.  Requires a header row and is not
-        combined with rows_per_curve.
+        combined with rows_per_curve.  A label held by one curve leaves
+        that curve all zeros and warns.
     rows_per_curve : int, optional
         Reshape the flattened numeric cells into curves of this length,
         an integer >= 2; a whole float such as 2.0 passes.
@@ -49,45 +52,30 @@ def ingest(
         raise ValueError(f"transform must be 'none' or 'sqrt', got {transform!r}")
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
+    # curves count from 1: data row k below the header, or the k-th curve of a stream
     values, labels = _read_table(path, True, weekday_adjust, rows_per_curve)
-    _reject_infinite(values, path, weekday_adjust, rows_per_curve)
     missing = np.isnan(values)
     if missing.any():
         if not interpolate_missing:
-            rows = sorted(set(np.nonzero(missing)[0].tolist()))
-            raise IngestError(f"{path}: missing cells in rows {rows} and interpolation is off")
+            bad = (np.nonzero(missing.any(axis=1))[0] + 1).tolist()
+            raise IngestError(f"{path}: missing cells in curves {bad} and interpolation is off")
         _interpolate(values, path)
     if transform == "sqrt":
-        neg = np.nonzero(np.any(values < 0.0, axis=1))[0]
+        neg = np.nonzero(np.any(values < 0.0, axis=1))[0] + 1
         if neg.size:
             raise IngestError(
-                f"{path}: sqrt transform needs nonnegative values, rows {neg.tolist()} fail"
+                f"{path}: sqrt transform needs nonnegative values, curves {neg.tolist()} fail"
             )
         values = np.sqrt(values)
     if labels is not None:
         groups = np.array(labels)
         for label in sorted(set(labels)):
             mask = groups == label
+            if mask.sum() == 1:
+                warnings.warn(f"{path}: label {label!r} holds only curve "
+                              f"{mask.argmax() + 1}, which weekday adjustment sets to zero")
             values[mask] -= values[mask].mean(axis=0)
     return FunctionalDataset._own(Grid(values.shape[1]), values)
-
-
-def _reject_infinite(values: np.ndarray, path, weekday_adjust, rows_per_curve) -> None:
-    """Raise an IngestError naming the first +-inf cell as the file places it.
-
-    Rows count from 1 below the header and columns as in the file, label
-    column included; a rows_per_curve stream names the curve and sample.
-    """
-    bad = np.argwhere(np.isinf(values))
-    if not bad.size:
-        return
-    row, col = bad[0].tolist()
-    if rows_per_curve is not None:
-        raise IngestError(f"{path}: curve {row + 1}, sample {col + 1} is infinite")
-    if weekday_adjust is not None:  # values hold every column but the label column
-        header = [c.strip() for c in _read_rows(path)[0][0]]
-        col += col >= header.index(weekday_adjust)
-    raise IngestError(f"{path}: row {row + 1}, column {col + 1} is infinite")
 
 
 def _interpolate(values: np.ndarray, path) -> None:
@@ -96,7 +84,7 @@ def _interpolate(values: np.ndarray, path) -> None:
     for i, row in enumerate(values):
         good = ~np.isnan(row)
         if not good.any():
-            raise IngestError(f"{path}: curve row {i} is entirely missing")
+            raise IngestError(f"{path}: curve {i + 1} is entirely missing")
         if good.all():
             continue
         # np.interp holds the first/last finite value flat past the ends

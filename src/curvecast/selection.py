@@ -144,8 +144,8 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     for d in range(1, d_max + 1):
         tail = eig.tail_variance(d)
         for p in range(0, p_max + 1):
-            if d > eig.d or n <= p * d + (r or 0):
-                why = f"d={d} > min(n - 1, T)={ceiling}" if d > eig.d else f"n={n} <= p*d+r"
+            if d > eig.d:
+                why = f"d={d} > min(n - 1, T)={ceiling}"
                 cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, "invalid", why))
                 continue
             try:

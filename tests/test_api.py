@@ -217,6 +217,16 @@ def test_only_curves_parses_cells():
     assert "_read_table" in imported_names(source_tree("ingest.py"))
 
 
+def test_only_curves_places_bad_cells():
+    # curves._read_table rejects and places every bad cell; ingest only cleans
+    ingest = source_tree("ingest.py")
+    assert "_reject_infinite" not in defined_names(ingest)
+    curves_imports = {alias.name for node in ast.walk(ingest) if isinstance(node, ast.ImportFrom)
+                      and node.module == "curves" for alias in node.names}
+    assert curves_imports == {"FunctionalDataset", "Grid", "_read_table"}
+    assert "_read_numeric_matrix" not in defined_names(source_tree("curves.py"))
+
+
 SOURCES = sorted((ROOT / "src" / "curvecast").glob("*.py"))
 
 

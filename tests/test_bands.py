@@ -233,13 +233,20 @@ def test_rolling_residuals_too_short_first_fit(make_far1):
 # whole-grid checks of one curve or a stack of curves
 
 
+def band_slack(band, center):
+    """The roundoff slack of contains: 1e-12 times the band's largest |bound|."""
+    lower, upper = band.offsets()
+    return 1e-12 * max(np.abs(center - lower).max(), np.abs(center + upper).max())
+
+
 def ref_contains(band, center, curve):
     """PredictionBand.contains as it was for one curve at a time, kept as the oracle."""
     center = np.asarray(center, dtype=float)
     curve = np.asarray(curve, dtype=float)
     lower, upper = band.offsets()
+    slack = band_slack(band, center)
     return bool(
-        np.all(curve >= center - lower - 1e-12) and np.all(curve <= center + upper + 1e-12)
+        np.all(curve >= center - lower - slack) and np.all(curve <= center + upper + slack)
     )
 
 
@@ -253,8 +260,8 @@ def test_stacked_contains_equals_the_row_loop(symmetric):
     )
     center = rng.normal(size=T)
     lower, upper = band.offsets()
-    hi = center + upper + 1e-12
-    lo = center - lower - 1e-12
+    hi = center + upper + band_slack(band, center)
+    lo = center - lower - band_slack(band, center)
     mixed = np.where(np.arange(T) % 2 == 0, hi, lo)
     rows = [hi, lo, mixed, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf), center]
     for j in (0, T // 2, T - 1):
@@ -270,6 +277,21 @@ def test_stacked_contains_equals_the_row_loop(symmetric):
     for row, want in zip(stack, expected):
         got = band.contains(center, row)
         assert type(got) is bool and got == want
+
+
+def test_contains_does_not_depend_on_the_scale():
+    # an absolute 1e-12 slack let a band of tiny curves contain every probe
+    rng = np.random.default_rng(14)
+    T = 16
+    resid = rng.normal(size=(120, T))
+    center = rng.normal(size=T)
+    probes = np.vstack([center + 2.0 * rng.normal(size=(40, T)), center + resid])
+    answers = []
+    for k in (-60, -40, 0, 40, 60):
+        band = prediction_band(FunctionalDataset(grid=Grid(T), values=resid * 2.0**k), 0.8)
+        answers.append(band.contains(center * 2.0**k, probes * 2.0**k).tolist())
+        assert band.contains(np.zeros(T), resid * 2.0**k).mean() == 0.8
+    assert all(a == answers[2] for a in answers)
 
 
 def test_contains_rejects_curves_off_the_band_grid():

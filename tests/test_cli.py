@@ -403,6 +403,23 @@ def test_ingest_reads_past_a_byte_order_mark(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_ingest_warns_on_a_label_of_one_curve(tmp_path):
+    # the label's mean is that one curve, so weekday adjustment leaves it all zeros
+    raw = tmp_path / "raw.csv"
+    raw.write_text("weekday,t_1,t_2\nMon,1.0,4.0\nTue,2.0,2.0\nMon,5.0,3.0\n")
+    out = tmp_path / "curves.csv"
+    argv = ["ingest", "--input", str(raw), "--out", str(out), "--weekday-adjust", "weekday"]
+    with pytest.warns(UserWarning, match="label 'Tue' holds only curve 2"):
+        assert main(argv) == 0
+    assert load_curves_csv(out).values[1].tolist() == [0.0, 0.0]
+    package_root = Path(curvecast.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "curvecast.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0 and "ingested 3 curves" in proc.stdout
+    assert f"UserWarning: {raw}: label 'Tue' holds only curve 2" in proc.stderr
+
+
 @pytest.mark.parametrize("key", ["kind", "D", "sigma"])
 def test_simulate_spec_missing_a_key_fails_loud(tmp_path, capsys, key):
     spec = {"kind": "far", "D": 1, "sigma": [1.0], "ar": [[[0.5]]]}

@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import re
 import warnings
@@ -32,7 +33,7 @@ def test_edge_gaps_extend_flat(tmp_path):
 
 def test_missing_without_interpolation_names_rows(tmp_path):
     path = write_csv(tmp_path / "raw.csv", "1.0,2.0\n,4.0\n5.0,\n")
-    with pytest.raises(IngestError, match=r"rows \[1, 2\]"):
+    with pytest.raises(IngestError, match=r"curves \[2, 3\]"):
         ingest(path, interpolate_missing=False)
 
 
@@ -50,7 +51,7 @@ def test_sqrt_transform(tmp_path):
 
 def test_sqrt_rejects_negative_rows(tmp_path):
     path = write_csv(tmp_path / "raw.csv", "4.0,9.0\n1.0,-1.0\n-4.0,9.0\n")
-    with pytest.raises(IngestError, match=r"rows \[1, 2\]"):
+    with pytest.raises(IngestError, match=r"curves \[2, 3\]"):
         ingest(path, transform="sqrt")
 
 
@@ -313,3 +314,60 @@ def test_rows_per_curve_takes_a_whole_float(tmp_path):
     data = ingest(path, rows_per_curve=2.0)
     assert same_bits(data.values, ingest(path, rows_per_curve=2).values)
     assert data.values.shape == (4, 2)
+
+
+def test_infinite_cell_behind_a_label_opens_the_file_once(tmp_path, monkeypatch):
+    # the label column's place comes from the read itself, not from a second read of the header
+    path = write_csv(tmp_path / "raw.csv", "day,t_1,t_2\nMon,1,2\nTue,inf,4\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(raw_reader, "_read_rows", lambda p: pytest.fail("the per-cell reader ran"))
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with pytest.raises(IngestError, match="row 2, column 2 is infinite"):
+        ingest(path, weekday_adjust="day")
+    assert opened.count(path) == 1
+
+
+# curves count from 1: data row k below the header, or the k-th curve of a stream
+@pytest.mark.parametrize("text, kwargs, message", [
+    ("t_1,t_2\n,\n1,2\n", {}, "curve 1 is entirely missing"),
+    ("day,t_1,t_2\nMon,,\nTue,1,2\n", {"weekday_adjust": "day"}, "curve 1 is entirely missing"),
+    ("1,2\n,\n", {"rows_per_curve": 2}, "curve 2 is entirely missing"),
+    ("t_1,t_2\n,2\n3,4\n", {"interpolate_missing": False},
+     "missing cells in curves [1] and interpolation is off"),
+    ("day,t_1,t_2\nMon,1,\nTue,3,4\n", {"interpolate_missing": False, "weekday_adjust": "day"},
+     "missing cells in curves [1] and interpolation is off"),
+    ("t_1,t_2\n-1,2\n3,4\n", {"transform": "sqrt"},
+     "sqrt transform needs nonnegative values, curves [1] fail"),
+    ("-1,2,3,4\n", {"transform": "sqrt", "rows_per_curve": 2},
+     "sqrt transform needs nonnegative values, curves [1] fail"),
+])
+def test_first_data_row_is_curve_one(tmp_path, monkeypatch, text, kwargs, message):
+    path = write_csv(tmp_path / "raw.csv", text)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {message}")):
+        ingest(path, **kwargs)
+    monkeypatch.setattr(raw_reader, "_bulk_parse", lambda *args, **kw: None)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {message}")):
+        ingest(path, **kwargs)
+
+
+@pytest.mark.parametrize("per_cell", [False, True])
+def test_a_label_of_one_curve_warns(tmp_path, monkeypatch, per_cell):
+    # the label's mean is that one curve, so weekday adjustment leaves it all zeros
+    path = write_csv(tmp_path / "raw.csv", "day,t_1,t_2\nTue,3,4\nMon,1,2\nTue,5,7\n")
+    if per_cell:
+        monkeypatch.setattr(raw_reader, "_bulk_parse", lambda *args, **kw: None)
+    with pytest.warns(UserWarning) as record:
+        data = ingest(path, weekday_adjust="day")
+    assert [str(w.message) for w in record] == [
+        f"{path}: label 'Mon' holds only curve 2, which weekday adjustment sets to zero"]
+    assert data.values[1].tolist() == [0.0, 0.0]
+    path.write_text("day,t_1,t_2\nTue,3,4\nMon,1,2\nTue,5,7\nMon,2,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ingest(path, weekday_adjust="day")

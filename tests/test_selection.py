@@ -94,6 +94,22 @@ def test_small_sample_cells_marked_invalid(noise_dataset):
     assert not bad.ok and np.isnan(bad.value)
 
 
+@pytest.mark.parametrize("r", [None, 1])
+def test_too_few_rows_are_named_by_the_fit_guard(noise_dataset, r):
+    # the sweep's own n <= p*d + r check wrote "n=12 <= p*d+r" for these cells
+    data = noise_dataset(n=12, T=24, seed=0)
+    rmat = None if r is None else np.random.default_rng(1).normal(size=(12, r))
+    table = select_pd(data, 3, 4, covariate_scores=rmat)
+    suffix = "" if r is None else f", r={r}"
+    assert table.cell(3, 4).status == "invalid"
+    assert table.cell(3, 4).message == f"n=12 too small to fit p=3, d=4{suffix}"
+    for cell in table.cells:
+        if 12 <= cell.p * cell.d + (r or 0):
+            assert cell.status == "invalid"
+            assert cell.message == f"n=12 too small to fit p={cell.p}, d={cell.d}{suffix}"
+    assert table.best_cell().ok
+
+
 def test_table_csv_shape(tmp_path, noise_dataset):
     data = noise_dataset(n=50, T=24, seed=7)
     table = select_pd(data, 1, 3)
