@@ -10,7 +10,7 @@ import numpy as np
 from .bands import prediction_band, rolling_residuals
 from .curves import Grid, load_curves_csv, load_numeric_csv, save_curves_csv
 from .errors import CurvecastError
-from .experiments import PRESETS, run_benchmark
+from .experiments import PRESETS, _keep_heap, run_benchmark
 from .forecast import _forecast
 from .ingest import ingest
 from .selection import select_pd
@@ -238,6 +238,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _keep_heap()
     try:
         return args.func(args)
     except (CurvecastError, ValueError, OSError) as exc:

@@ -183,9 +183,9 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
     which a label requires.  rows_per_curve, an integer >= 2, reshapes the flattened
     cells into curves of that length.  This is the one place that rejects a bad cell,
     after either reader: every returned cell is finite, or nan for a missing marker in
-    a raw file.  The first other cell raises an IngestError naming its row and its
-    column as in the file, label column included, or under rows_per_curve its curve
-    and sample.
+    a raw file.  The first other cell in reading order, text or not, raises an
+    IngestError naming its row and its column as in the file, label column included,
+    or under rows_per_curve its curve and sample.
     """
     if rows_per_curve is not None:
         if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
@@ -193,18 +193,22 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
         rows_per_curve = int(rows_per_curve)
     # rows_per_curve streams are rare enough to keep to the per-cell reader
     parsed = None if rows_per_curve is not None else _bulk_parse(path, raw, label)
-    values, labels, col = parsed or _read_cells(path, label, rows_per_curve)
-    bad = np.argwhere(np.isinf(values) if raw else ~np.isfinite(values))
+    values, labels, col, text = (*parsed, None) if parsed else _read_cells(path, label, rows_per_curve)
+    bad = np.isinf(values) if raw else ~np.isfinite(values)
+    bad = np.argwhere(bad if text is None else bad | text)
     if bad.size:
+        text = text is not None and text[tuple(bad[0])]
+        what = "non-numeric" if text else "infinite" if raw else "missing or non-finite"
         row, cell = bad[0] + 1
         cell += col is not None and cell > col  # values hold every column but the label's
         where = f"curve {row}, sample {cell}" if rows_per_curve else f"row {row}, column {cell}"
-        raise IngestError(f"{path}: {where} " + ("is infinite" if raw else "is missing or non-finite"))
+        raise IngestError(f"{path}: {where} is {what}")
     return values, labels
 
 
 def _read_cells(path, label, rows_per_curve):
-    """The per-cell reader: (values, labels, label column), missing markers as nan."""
+    """The per-cell reader: (values, labels, label column, text mask or None), missing
+    markers and text as nan; text skips the shape checks so that _read_table places it."""
     rows, has_header = _read_rows(path)
     header = [c.strip() for c in rows[0]] if rows else []
     if label is not None and label not in header:
@@ -220,21 +224,26 @@ def _read_cells(path, label, rows_per_curve):
                 raise IngestError(f"{path}: row {i} ends before the {label!r} column")
         labels = [row[col].strip() for row in body]
         # blank the label cell while parsing so that error columns count as in the file
-        cells = _parse_rows([row[:col] + [""] + row[col + 1 :] for row in body], path)
+        cells = _parse_rows([row[:col] + [""] + row[col + 1 :] for row in body])
         cells = [row[:col] + row[col + 1 :] for row in cells]
     else:
-        cells = _parse_rows(body, path)
+        cells = _parse_rows(body)
+    has_text = any(None in row for row in cells)
     if rows_per_curve is not None:
         flat = [v for row in cells for v in row]
-        if len(flat) % rows_per_curve:
+        if len(flat) % rows_per_curve and not has_text:
             raise IngestError(
                 f"{path}: {len(flat)} values do not divide into curves of {rows_per_curve}"
             )
-        return np.array(flat, dtype=float).reshape(-1, rows_per_curve), None, None
+        flat += [0.0] * (-len(flat) % rows_per_curve)
+        cells = [flat[i : i + rows_per_curve] for i in range(0, len(flat), rows_per_curve)]
     widths = {len(row) for row in cells}
     if len(widths) != 1:
-        raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
-    return np.array(cells, dtype=float), labels, col
+        if not has_text:
+            raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
+        cells = [row + [0.0] * (max(widths) - len(row)) for row in cells]
+    text = np.array([[c is None for c in row] for row in cells]) if has_text else None
+    return np.array(cells, dtype=float), labels, col, text
 
 
 def _bulk_parse(path, raw: bool = False, label: str = None):
@@ -290,15 +299,9 @@ def _is_header(row) -> bool:
     return None in cells and all(c is None or np.isnan(c) for c in cells)
 
 
-def _parse_rows(rows, path) -> list:
-    """Each row's cells as floats, missing markers as nan; rows count from 1."""
-    out = []
-    for i, row in enumerate(rows, start=1):
-        cells = [_parse_cell(c) for c in row]
-        if None in cells:
-            raise IngestError(f"{path}: row {i}, column {cells.index(None) + 1} is non-numeric")
-        out.append(cells)
-    return out
+def _parse_rows(rows) -> list:
+    """Each row's cells as floats, missing markers as nan, text as None."""
+    return [[_parse_cell(c) for c in row] for row in rows]
 
 
 def _parse_cell(cell: str) -> float | None:

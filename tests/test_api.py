@@ -194,8 +194,8 @@ def test_sweep_falls_back_to_the_var_fit():
     assert {"fit_var_ols", "fit_varx_ols"} <= imported_names(tree)
 
 
-def test_one_eigensolver():
-    # every basis and every PVE choice comes from fpca.eigensystem's one eigh call
+def functions_using_names():
+    """Each name or attribute read in a source function -> the functions, as module.function."""
     where = {}
     for path in SOURCES:
         for fn in ast.walk(source_tree(path.name)):
@@ -203,9 +203,25 @@ def test_one_eigensolver():
                 for node in ast.walk(fn):
                     name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
                     where.setdefault(name, set()).add(f"{path.stem}.{fn.name}")
+    return where
+
+
+def test_one_eigensolver():
+    # every basis and every PVE choice comes from fpca.eigensystem's one eigh call
+    where = functions_using_names()
     assert where["eigh"] == {"fpca.eigensystem"}
     assert "eigvalsh" not in "".join(path.read_text(encoding="utf-8") for path in SOURCES)
     assert "fpca.pve_dimension" in where["eigensystem"]
+
+
+def test_one_helper_keeps_the_heap():
+    # only experiments._keep_heap reaches the C library, and a run starts it in two places
+    where = functions_using_names()
+    assert where["ctypes"] == where["mallopt"] == {"experiments._keep_heap"}
+    assert where["_keep_heap"] == {"experiments._report", "cli.main"}
+    users = [path.name for path in SOURCES
+             if re.search("ctypes|mallopt", path.read_text(encoding="utf-8"))]
+    assert users == ["experiments.py"]
 
 
 def test_only_curves_parses_cells():

@@ -23,7 +23,7 @@ _read_rows = curves._read_rows
 def per_cell(path):
     """The per-cell reading of a file whose cells are all finite numbers."""
     raw, has_header = _read_rows(path)
-    return np.array(curves._parse_rows(raw[1:] if has_header else raw, path), dtype=float)
+    return np.array(curves._parse_rows(raw[1:] if has_header else raw), dtype=float)
 
 
 def write(tmp_path, text):

@@ -131,6 +131,25 @@ def test_load_rejects_non_numeric_cells_with_their_position(tmp_path, text, wher
         load_numeric_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,inf\n2,abc\n", "row 1, column 2 is missing or non-finite"),
+        ("a,b\n1,\n2,abc\n", "row 1, column 2 is missing or non-finite"),
+        ("1,2\nNA,3\n4,x\n", "row 2, column 1 is missing or non-finite"),
+        ("1,abc\n2,inf\n", "row 1, column 2 is non-numeric"),
+        ("1,2\n3,nan\n# note\n", "row 2, column 2 is missing or non-finite"),
+    ],
+)
+def test_load_names_the_first_bad_cell_text_or_not(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=message):
+        load_curves_csv(path)
+    with pytest.raises(IngestError, match=message):
+        load_numeric_csv(path)
+
+
 def test_public_constructor_copies_the_callers_array():
     values = np.arange(8.0).reshape(2, 4)
     data = FunctionalDataset(grid=Grid(4), values=values)

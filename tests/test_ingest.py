@@ -276,6 +276,24 @@ def test_infinite_cells_are_named(tmp_path, monkeypatch, text, label, where):
             ingest(path, transform="sqrt", weekday_adjust=label)
 
 
+# the first bad cell in reading order is named, whether it is text or not
+@pytest.mark.parametrize("text, kwargs, message", [
+    ("1,inf\n2,abc\n", {}, "row 1, column 2 is infinite"),
+    ("t_1,t_2\n1,-inf\n# note\n", {}, "row 1, column 2 is infinite"),
+    ("1,,x\n2,inf,4\n", {}, "row 1, column 3 is non-numeric"),
+    ("day,t_1,t_2\nMon,inf,1\nTue,2,x\n", {"weekday_adjust": "day"},
+     "row 1, column 2 is infinite"),
+    ("t_1,day,t_2\n1,Mon,inf\nx,Tue,2\n", {"weekday_adjust": "day"},
+     "row 1, column 3 is infinite"),
+    ("1,2,3\n4,inf,6\n7,x\n", {"rows_per_curve": 2}, "curve 3, sample 1 is infinite"),
+    ("1,2,3\n4,x,6\n7,8\n", {"rows_per_curve": 2}, "curve 3, sample 1 is non-numeric"),
+])
+def test_first_bad_cell_is_named_text_or_not(tmp_path, text, kwargs, message):
+    path = write_csv(tmp_path / "raw.csv", text)
+    with pytest.raises(IngestError, match=f"{re.escape(str(path))}: {message}"):
+        ingest(path, **kwargs)
+
+
 def test_infinite_cell_of_a_stream_names_curve_and_sample(tmp_path):
     path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,inf,8\n")
     with pytest.raises(IngestError, match="curve 4, sample 1 is infinite"):
