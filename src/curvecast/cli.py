@@ -57,6 +57,8 @@ def _build_spec(args, rng) -> ProcessSpec:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     spec = _build_spec(args, rng)
     data = simulate(spec, args.n, Grid(args.grid), rng)

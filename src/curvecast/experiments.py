@@ -37,7 +37,8 @@ from .errors import _at_least, _checked, _is_number, _numbers
 from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
-from .simulate import ProcessSpec, _coefficients, fixed_psi, random_operator, sigma_scheme
+from .simulate import (ProcessSpec, _coefficients, _coupled_far1, fixed_psi, random_operator,
+                       sigma_scheme)
 
 THREADS_ENV = "FTSP_THREADS"
 CHUNK = 16  # most replications one pool task steps together
@@ -175,15 +176,6 @@ def _source_factory(source: dict, n: int, grid: Grid):
     rules, needs, required = _SOURCES[kind]
     args = _checked(source, rules, f"a {kind!r} source", needs, required)
     burn_in = args.get("burn_in", 200)
-    if kind == "covariate-far1":
-        basis = make_fourier_basis(3, grid)
-
-        def draw(rngs):
-            for rng in rngs:
-                coeffs, rmat = _coupled_far1_coeffs(n, rng, burn_in=burn_in)
-                yield synthesize(coeffs, basis), rmat
-
-        return draw
     if kind == "file":
         data = load_curves_csv(args["path"])
         rmat = load_numeric_csv(args["covariates_path"]) if args.get("covariates_path") else None
@@ -192,7 +184,9 @@ def _source_factory(source: dict, n: int, grid: Grid):
             return ((data, rmat) for _ in rngs)
 
         return draw
-    if kind == "process":
+    if kind == "covariate-far1":
+        D = 3  # the curves' components; _coupled_far1 steps the covariate's beside them
+    elif kind == "process":
         spec = ProcessSpec.from_json(json.dumps(args["spec"]))
         D = spec.D
 
@@ -220,10 +214,13 @@ def _source_factory(source: dict, n: int, grid: Grid):
     basis = make_fourier_basis(D, grid)  # a grid too coarse for D fails before any draw
 
     def draw(rngs):
-        specs = [spec_from(rng) for rng in rngs]
-        blocks = _coefficients(specs, n, rngs)
-        while blocks:  # each block is dropped once its curves are made
-            yield synthesize(blocks.pop(0), basis), None
+        if kind == "covariate-far1":
+            pairs = _coupled_far1(n, rngs, burn_in=burn_in)
+        else:
+            pairs = [(c, None) for c in _coefficients([spec_from(rng) for rng in rngs], n, rngs)]
+        while pairs:  # each pair is dropped once its curves are made
+            coeffs, rmat = pairs.pop(0)
+            yield synthesize(coeffs, basis), rmat
 
     return draw
 
@@ -233,32 +230,6 @@ def _psi_source(name: str) -> dict:
     spec = {"kind": "far", "D": 3, "sigma": [1.0, 1.0, 1.0], "ar": [fixed_psi(name).tolist()],
             "ma": {}, "burn_in": 200}
     return {"type": "process", "spec": spec}
-
-
-def _coupled_far1_coeffs(
-    n: int,
-    rng: np.random.Generator,
-    psi=((0.6, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.4)),
-    b=((0.9, 0.0), (0.0, 0.7), (0.35, 0.35)),
-    sigma_y=(1.0, 0.7, 0.5),
-    rho: float = 0.5,
-    sigma_r: float = 0.8,
-    burn_in: int = 200,
-):
-    """First-order coefficient recursion driven by a 2-dim covariate.
-
-    c_k = Psi c_{k-1} + B r_{k-1} + a_k with an AR(1) covariate, so the
-    covariate carries real predictive signal at lag one.
-    """
-    psi, b, sigma_y = (np.asarray(a, dtype=float) for a in (psi, b, sigma_y))
-    D, r = b.shape
-    steps = burn_in + n
-    coeffs = np.zeros((steps + 1, D))
-    rvals = np.zeros((steps + 1, r))
-    for k in range(1, steps + 1):
-        rvals[k] = rho * rvals[k - 1] + rng.normal(size=r) * sigma_r
-        coeffs[k] = psi @ coeffs[k - 1] + b @ rvals[k - 1] + rng.normal(size=D) * sigma_y
-    return coeffs[1 + burn_in :], rvals[1 + burn_in :]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +262,7 @@ _CONFIG = {"source": dict, "n": int, "grid_T": int,
            "methods": (object, lambda methods: isinstance(methods, (list, tuple)) and len(methods) > 0
                        and all(isinstance(m, dict) for m in methods),
                        "be a list of one or more method dicts"),
-           "seed": int, "reps": _at_least(1)}
+           "seed": _at_least(0), "reps": _at_least(1)}
 
 
 def run_forecast_experiment(config: dict) -> RunReport:
@@ -395,15 +366,9 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
     basis = make_fourier_basis(3, grid)
     t = grid.points
     base = 3.0 + 0.8 * np.exp(-40.0 * (t - 0.33) ** 2) + 0.6 * np.exp(-55.0 * (t - 0.8) ** 2)
-    coeffs, rmat = _coupled_far1_coeffs(
-        n_days,
-        rng,
-        psi=np.diag([0.55, 0.45, 0.4]),
-        b=np.array([[0.5, 0.0], [0.0, 0.35], [0.2, 0.2]]),
-        sigma_y=(0.3, 0.2, 0.15),
-        rho=0.5,
-        sigma_r=0.6,
-    )
+    [(coeffs, rmat)] = _coupled_far1(n_days, [rng], psi=np.diag([0.55, 0.45, 0.4]), rho=0.5,
+                                     b=((0.5, 0.0), (0.0, 0.35), (0.2, 0.2)),
+                                     sigma_y=(0.3, 0.2, 0.15), sigma_r=0.6)
     fluctuations = coeffs @ basis.values
     labels = [WEEKDAYS[k % 7] for k in range(n_days)]
     offsets = np.array([WEEKDAY_OFFSETS[lab] for lab in labels])
@@ -606,7 +571,7 @@ PRESETS = {
     "pm10-analog": _pm10_analog_preset,
 }
 # rules of the preset keys that _rule_of reads by name (see errors._checked)
-_BY_NAME = {"seed": int, "reps": _at_least(1), "train": _CONFIG["train"], "L": int, "out_dir": str,
+_BY_NAME = {**{key: _CONFIG[key] for key in ("seed", "reps", "train")}, "L": int, "out_dir": str,
             "alpha": (float, lambda a: 0 < a < 1, "be in (0, 1)"),
             "n_days": (int, lambda n: n >= 14, "be >= 14, two days of each weekday")}
 
@@ -633,7 +598,7 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     reps defaults to the preset's own count.  seed, reps and overrides are
     parsed by the preset's table in _PRESET_RULES, whose keys are the
     preset's keyword arguments, and the preset receives the parsed values;
-    None counts as absent.  seed is an integer and reps an integer >= 1.
+    None counts as absent.  seed is an integer >= 0 and reps one >= 1.
     A key whose default is an integer, and L, takes an integer: a whole
     float such as 2.0 or a numpy integer passes and becomes an int.  A key
     whose default is a float takes a number and receives a float, a tuple

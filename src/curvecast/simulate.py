@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError, _checked, _numbers
+from .errors import NonstationaryError, _at_least, _checked, _numbers
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -73,7 +73,8 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
 
 
 # every key of a process spec's JSON, with its rule (see errors._checked)
-_SPEC = {"kind": str, "D": int, "sigma": _numbers(), "ar": list, "ma": dict, "burn_in": int}
+_SPEC = {"kind": str, "D": _at_least(1), "sigma": _numbers(), "ar": list, "ma": dict,
+         "burn_in": _at_least(0)}
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,11 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in ("far", "fma", "farma"):
             raise ValueError(f"kind must be 'far', 'fma' or 'farma', got {self.kind!r}")
-        if self.D < 1:
-            raise ValueError(f"D must be >= 1, got {self.D}")
+        # D and burn_in by their from_json rules, so a whole float becomes an int
+        sizes = {"D": self.D, "burn_in": self.burn_in}
+        for key, value in _checked(sizes, {key: _SPEC[key] for key in sizes}, "process spec",
+                                   required=sizes).items():
+            object.__setattr__(self, key, value)
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (self.D,) or np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
             raise ValueError(f"sigma must be {self.D} positive finite values")
@@ -112,8 +116,6 @@ class ProcessSpec:
             raise ValueError("'fma' needs ma operators and no ar operators")
         if self.kind == "farma" and (not ar or not ma):
             raise ValueError("'farma' needs both ar and ma operators")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if ar:
             rho = _companion_spectral_radius(ar)
             if not rho < 1.0:
@@ -144,10 +146,10 @@ class ProcessSpec:
         """The spec a to_json object describes; None counts as absent.
 
         kind, D and sigma are required, and a key that is not a field is an
-        error.  Each key is parsed by its rule in _SPEC: D and burn_in must be
-        integers (a whole float such as 3.0 passes), sigma a list of numbers,
-        ar a list and ma a dict, and every ma lag an integer; a ValueError
-        names the key.
+        error.  Each key is parsed by its rule in _SPEC: D must be an integer
+        >= 1 and burn_in one >= 0 (a whole float such as 3.0 passes), sigma a
+        list of numbers, ar a list and ma a dict, and every ma lag an integer;
+        a ValueError names the key.
         """
         args = _checked(json.loads(text), _SPEC, "process spec", required=("kind", "D", "sigma"))
         lags = {}
@@ -161,12 +163,13 @@ class ProcessSpec:
 
 
 def _operator(key: str, value, D: int) -> np.ndarray:
-    """An ar or ma entry as a D x D float matrix; a ValueError names the key otherwise."""
+    """An ar or ma entry as a D x D matrix of finite floats; a ValueError names the key otherwise."""
     with contextlib.suppress(TypeError, ValueError):
         mat = np.asarray(value, dtype=float)
-        if mat.shape == (D, D):
+        if mat.shape == (D, D) and np.all(np.isfinite(mat)):
             return mat
-    raise ValueError(f"process spec key {key!r} holds {value!r}, not a {D} x {D} matrix")
+    raise ValueError(f"process spec key {key!r} holds {value!r}, "
+                     f"not a {D} x {D} matrix of finite numbers")
 
 
 def _companion_spectral_radius(ar) -> float:
@@ -233,6 +236,24 @@ def _coefficients(specs, n: int, rngs) -> list:
         for seq, shift, product in terms:
             c += product(seq[k + shift], out=term)
     return [np.ascontiguousarray(coeffs[p + burn_in :, b]) for b in range(len(specs))]
+
+
+def _coupled_far1(n: int, rngs, psi=((0.6, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.4)),
+                  b=((0.9, 0.0), (0.0, 0.7), (0.35, 0.35)), sigma_y=(1.0, 0.7, 0.5),
+                  rho: float = 0.5, sigma_r: float = 0.8, burn_in: int = 200) -> list:
+    """(coefficients, covariates) per generator of c_k = Psi c_{k-1} + B r_{k-1} + a_k.
+
+    The covariate r_k = rho r_{k-1} + e_k carries signal at lag one.  The pair
+    is one VAR(1) on (r_k, c_k) stepped by _coefficients; r comes first, so
+    each step draws the covariate's normals before the curve's.
+    """
+    psi, b = np.asarray(psi, dtype=float), np.asarray(b, dtype=float)
+    D, r = b.shape
+    op = np.block([[rho * np.eye(r), np.zeros((r, D))], [b, psi]])
+    sigma = np.concatenate([np.full(r, sigma_r), sigma_y])
+    spec = ProcessSpec(kind="far", D=r + D, sigma=sigma, ar=(op,), burn_in=burn_in)
+    return [(np.ascontiguousarray(s[:, r:]), np.ascontiguousarray(s[:, :r]))
+            for s in _coefficients([spec] * len(rngs), n, rngs)]
 
 
 def bias_bound(ar_operators, eigenvalues, d: int) -> float:

@@ -214,6 +214,14 @@ def test_one_eigensolver():
     assert "fpca.pve_dimension" in where["eigensystem"]
 
 
+def test_one_coefficient_recursion():
+    # every simulated curve's normals are drawn in simulate._coefficients; random_operator
+    # draws the operators
+    where = functions_using_names()
+    assert where["normal"] == {"simulate._coefficients", "simulate.random_operator"}
+    assert "_coupled_far1_coeffs" not in defined_names(source_tree("experiments.py"))
+
+
 def test_one_helper_keeps_the_heap():
     # only experiments._keep_heap reaches the C library, and a run starts it in two places
     where = functions_using_names()

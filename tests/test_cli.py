@@ -281,6 +281,9 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
         pytest.param("bands-coverage", ["--set", "d=0"],
                      "method 'fixed-var' key 'd' must be >= 1, got 0",
                      id="bands-coverage-extra13-dimension d must be >= 1, got 0"),
+        # a negative seed used to fail inside the run with numpy's "expected non-negative integer"
+        ("order-selection", ["--seed", "-1"], "preset 'order-selection' key 'seed' must be >= 0, got -1"),
+        (None, ["simulate", "--n", "5", "--seed", "-1", "--out", "c.csv"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_benchmark_bad_overrides_exit_one(tmp_path, monkeypatch, capsys, preset, extra, message):

@@ -650,6 +650,20 @@ def test_negative_burn_in_is_rejected_before_running(no_replications, kind):
     assert no_replications == []
 
 
+@pytest.mark.parametrize("preset", sorted(PRESET_REPS))
+def test_benchmark_rejects_a_negative_seed_before_running(no_replications, preset):
+    # this used to fail inside the run with numpy's "expected non-negative integer"
+    with pytest.raises(ValueError, match=f"preset {preset!r} key 'seed' must be >= 0, got -1"):
+        run_benchmark(preset, seed=-1)
+    assert no_replications == []
+
+
+def test_config_rejects_a_negative_seed_before_running(no_replications):
+    with pytest.raises(ValueError, match="config key 'seed' must be >= 0, got -1"):
+        run_forecast_experiment(tiny_config(seed=-1))
+    assert no_replications == []
+
+
 def records_bytes(report):
     return json.dumps(report.replications, sort_keys=True).encode()
 
@@ -662,6 +676,9 @@ CHUNKED_RUNS = {
                                              grid_T=48, p_max=2, d_max=3),
     "bands-coverage": lambda: run_benchmark("bands-coverage", reps=17, seed=3, n=60,
                                             grid_T=32, L=30),
+    # a covariate-far1 study: its recursions step together like every other simulated source's
+    "covariate-gain": lambda: run_benchmark("covariate-gain", reps=17, seed=3, n=60, train=50,
+                                            grid_T=32),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from curvecast import (
     sigma_scheme,
     simulate,
 )
-from curvecast.simulate import _coefficients, spectral_norm
+from curvecast.simulate import _coefficients, _coupled_far1, spectral_norm
 
 
 def coefficients_of(data, D):
@@ -84,6 +85,43 @@ def test_spec_validation():
         ProcessSpec(kind="fma", D=3, sigma=sig, ma={0: np.eye(3)})
     with pytest.raises(ValueError):
         ProcessSpec(kind="far", D=3, sigma=np.ones(2), ar=(0.5 * np.eye(3),))
+
+
+# each case used to construct and then fail in simulate, or fail with numpy's message
+@pytest.mark.parametrize("change, message", [
+    ({"D": 3.5}, "process spec key 'D' must be one finite int, got 3.5"),
+    ({"burn_in": 2.5}, "process spec key 'burn_in' must be one finite int, got 2.5"),
+    ({"D": True}, "process spec key 'D' must be one finite int, got True"),
+    ({"D": 0}, "process spec key 'D' must be >= 1, got 0"),
+    ({"burn_in": -1}, "process spec key 'burn_in' must be >= 0, got -1"),
+    ({"ar": (np.full((3, 3), np.nan),)}, "process spec key 'ar' holds array("),
+    ({"kind": "farma", "ma": {1: np.full((3, 3), np.inf)}}, "process spec key 'ma' holds array("),
+    ({"kind": "fma", "ar": (), "ma": {2: [[0.5, 0, 0], [0, np.nan, 0], [0, 0, 0.5]]}},
+     "process spec key 'ma' holds [[0.5, 0, 0], [0, nan, 0], [0, 0, 0.5]], "
+     "not a 3 x 3 matrix of finite numbers"),
+])
+def test_spec_checks_its_fields_at_construction(change, message):
+    args = {"kind": "far", "D": 3, "sigma": np.ones(3), "ar": (0.5 * np.eye(3),), **change}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProcessSpec(**args)
+
+
+def test_spec_json_rejects_a_non_finite_operator():
+    text = '{"kind": "fma", "D": 1, "sigma": [1.0], "ma": {"1": [[NaN]]}}'
+    with pytest.raises(ValueError, match=re.escape(
+            "process spec key 'ma' holds [[nan]], not a 1 x 1 matrix of finite numbers")):
+        ProcessSpec.from_json(text)
+
+
+def test_spec_takes_whole_floats_as_integers():
+    whole = ProcessSpec(kind="far", D=3.0, sigma=np.ones(3), ar=(0.5 * np.eye(3),), burn_in=20.0)
+    spec = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(0.5 * np.eye(3),), burn_in=20)
+    assert (whole.D, whole.burn_in) == (3, 20) and type(whole.D) is type(whole.burn_in) is int
+    assert whole.to_json() == spec.to_json()
+    got = simulate(whole, 30, Grid(32), np.random.default_rng(1)).values
+    assert got.tobytes() == simulate(spec, 30, Grid(32), np.random.default_rng(1)).values.tobytes()
 
 
 def test_spec_json_round_trip():
@@ -252,6 +290,52 @@ def test_stacked_specs_must_share_their_lags():
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="share"):
         _coefficients([far1, far2], 10, rngs)
+
+
+def coupled_loop(n, rng, psi, b, sigma_y, rho, sigma_r, burn_in=200):
+    """The per-step covariate-driven recursion _coupled_far1 replaced, kept as its oracle."""
+    psi, b, sigma_y = (np.asarray(a, dtype=float) for a in (psi, b, sigma_y))
+    D, r = b.shape
+    steps = burn_in + n
+    coeffs = np.zeros((steps + 1, D))
+    rvals = np.zeros((steps + 1, r))
+    for k in range(1, steps + 1):
+        rvals[k] = rho * rvals[k - 1] + rng.normal(size=r) * sigma_r
+        coeffs[k] = psi @ coeffs[k - 1] + b @ rvals[k - 1] + rng.normal(size=D) * sigma_y
+    return coeffs[1 + burn_in :], rvals[1 + burn_in :]
+
+
+# the covariate-far1 source's constants, which are _coupled_far1's defaults, and pm10-analog's
+COUPLED_CONSTANTS = {
+    "defaults": {"psi": np.diag([0.6, 0.5, 0.4]), "b": [[0.9, 0.0], [0.0, 0.7], [0.35, 0.35]],
+                 "sigma_y": [1.0, 0.7, 0.5], "rho": 0.5, "sigma_r": 0.8},
+    "pm10-analog": {"psi": np.diag([0.55, 0.45, 0.4]), "b": [[0.5, 0.0], [0.0, 0.35], [0.2, 0.2]],
+                    "sigma_y": [0.3, 0.2, 0.15], "rho": 0.5, "sigma_r": 0.6},
+}
+
+
+@pytest.mark.parametrize("burn_in", [0, 200])
+@pytest.mark.parametrize("name", sorted(COUPLED_CONSTANTS))
+def test_coupled_far1_equals_the_per_step_recursion(name, burn_in):
+    constants = COUPLED_CONSTANTS[name]
+    given = {} if name == "defaults" else constants
+    for seed in range(5):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        [(coeffs, covariates)] = _coupled_far1(150, [rng], burn_in=burn_in, **given)
+        want, want_covariates = coupled_loop(150, oracle_rng, burn_in=burn_in, **constants)
+        assert covariates.tobytes() == want_covariates.tobytes()
+        # one product over [B Psi] rounds apart from Psi c + B r by about an ulp
+        assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        assert rng.random() == oracle_rng.random()  # the same normals were drawn
+
+
+def test_coupled_far1_stack_equals_each_generator_alone():
+    stacked = _coupled_far1(120, [np.random.default_rng([4, b]) for b in range(16)], burn_in=50)
+    assert [(c.shape, r.shape) for c, r in stacked] == [((120, 3), (120, 2))] * 16
+    for b, (coeffs, covariates) in enumerate(stacked):
+        [(alone, alone_covariates)] = _coupled_far1(120, [np.random.default_rng([4, b])], burn_in=50)
+        assert coeffs.tobytes() == alone.tobytes()
+        assert covariates.tobytes() == alone_covariates.tobytes()
 
 
 def test_burn_in_changes_draws():
