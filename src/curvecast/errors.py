@@ -67,14 +67,24 @@ def _is_number(value, kind=float) -> bool:
 
 def _numbers(size: int = None, kind=float) -> tuple:
     """The rule for a list of size finite numbers of kind, or of one or more when size is None."""
-    return (object, lambda value: np.ndim(value) == 1 and 0 < len(value) == (size or len(value))
-            and all(_is_number(v, kind) for v in value),
-            f"list {size or 'one or more'} {'integers' if kind is int else 'numbers'}")
+    def test(value):
+        if np.ndim(value) != 1 or not 0 < len(value) == (size or len(value)):
+            return False
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":  # no bools: test it whole
+            return bool(np.isfinite(value).all() and (kind is float or (value % 1 == 0).all()))
+        return all(_is_number(v, kind) for v in value)
+
+    return object, test, f"list {size or 'one or more'} {'integers' if kind is int else 'numbers'}"
 
 
 def _at_least(low: int) -> tuple:
     """The rule for one integer no smaller than low."""
     return (int, lambda value: value >= low, f"be >= {low}")
+
+
+def _shown(value) -> str:
+    """value as an error message shows it: an array by its shape, anything else by its repr."""
+    return f"an array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
 
 
 def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dict:
@@ -85,11 +95,11 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
     (kind, test, takes): a value that passes the rule kind and for which test holds, takes
     saying what test wants.  None counts as absent except for the keys in needs, which must
     be given, and in required, which must hold a value.  A ValueError names owner and the
-    key: a missing key of needs first, then the first value in rules' order that breaks its
-    rule, then the first key that rules lack.  A given that is no dict is a ValueError too.
+    key: a missing key of needs, then the first value in rules' order that breaks its rule
+    (an array shown by its shape), then the first key rules lack; or says given is no dict.
     """
     if not isinstance(given, dict):
-        raise ValueError(f"{owner} must be a dict, got {given!r}")
+        raise ValueError(f"{owner} must be a dict, got {_shown(given)}")
     for key in needs:
         if key not in given:
             raise ValueError(f"{owner} needs key {key!r}")
@@ -107,7 +117,7 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
         if ok and test is not None:
             ok, must = test(value), takes
         if not ok:
-            raise ValueError(f"{owner} key {key!r} must {must}, got {value!r}")
+            raise ValueError(f"{owner} key {key!r} must {must}, got {_shown(value)}")
         checked[key] = value
     extra = given.keys() - rules.keys()
     if extra:

@@ -45,13 +45,11 @@ CHUNK = 16  # most replications one pool task steps together
 
 
 def _worker_count() -> int:
-    """FTSP_THREADS as a worker count between 1 and the CPU count; 1 if unset or not a number."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    try:
-        limit = int(raw)
-    except ValueError:
-        return 1
-    return max(min(limit, os.cpu_count() or 1), 1)
+    """FTSP_THREADS as a worker count capped at the CPU count, 1 if unset; else an integer >= 1."""
+    raw = os.environ.get(THREADS_ENV, "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def _rep_rng(seed: int, idx: int) -> np.random.Generator:
@@ -258,7 +256,7 @@ def _plain(value):
 # every key a config may hold, with its rule (see errors._checked)
 _CONFIG = {"source": dict, "n": int, "grid_T": int,
            "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
-           "horizon": int, "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
+           "horizon": _at_least(1), "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
            "methods": (object, lambda methods: isinstance(methods, (list, tuple)) and len(methods) > 0
                        and all(isinstance(m, dict) for m in methods),
                        "be a list of one or more method dicts"),

@@ -11,18 +11,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import (
-    DimensionMismatchError,
-    IllConditionedError,
-    InsufficientDataError,
-    _at_least,
-    _checked,
-)
+from .errors import IllConditionedError, InsufficientDataError, _at_least, _checked
 from .fpca import EigenSystem, _pve_rank, eigensystem, scores
 from .multivar import (
     AcvfSequence,
     VarModel,
-    _covariate_block,
+    _check_covariates,
     fit_var_ols,
     fit_varx_ols,
     sample_acvf,
@@ -83,7 +77,6 @@ def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
     At m = 0 the covariate row alone predicts: theta = Gamma_YR(1) Gamma_R(0)^-1.
     """
     d = s.shape[1]
-    _covariate_block(rmat, s.shape[0])  # rejects non-finite covariates
     # autocovariances of the joint sequence (Y, R): the Y block of lag k is Gamma_Y(k) and
     # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block;
     # lag 1 is read even at m = 0, for Gamma_YR(1)
@@ -188,8 +181,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     elif name == "covariate":
         if rmat is None:
             raise ValueError("source provides no covariates for the covariate method")
-        if len(rmat) != data.n:
-            raise DimensionMismatchError(f"{len(rmat)} covariate rows for {data.n} curves")
+        rmat = _check_covariates(rmat, data.n)
         cov = rmat[:m]
     train, table = _head(data, m), None
     if "p_max" in method:  # the training rows keep the sweep's scores; only later curves are projected
@@ -290,7 +282,8 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     """Assemble an (n, r) numeric covariate matrix.
 
     covariates may be a single item or a list; each item is either an
-    (n,) / (n, q) numeric array used as-is, or a FunctionalDataset whose
+    (n,) / (n, q) numeric array, checked by the one covariate guard
+    that :func:`fit_varx_ols` runs too, or a FunctionalDataset whose
     score vectors enter.  Functional items are projected onto enough
     components to explain at least pve of their variance unless an
     explicit entry of dims overrides the dimension.
@@ -309,12 +302,7 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
             eig_c = eig_c.truncate(_pve_rank(eig_c, pve) if dim is None else dim)
             cols.append(scores(item, eig_c).scores)
         else:
-            arr = np.asarray(item, dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[0] != n:
-                raise ValueError(f"numeric covariate must have n={n} rows, got {arr.shape}")
-            cols.append(arr)
+            cols.append(_check_covariates(item, n))
     return np.hstack(cols)
 
 

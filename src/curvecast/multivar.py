@@ -12,6 +12,7 @@ import numpy as np
 
 from .curves import _readonly
 from .errors import (
+    DimensionMismatchError,
     IllConditionedError,
     IngestError,
     InsufficientDataError,
@@ -74,17 +75,26 @@ def _lag_rows(c: np.ndarray, p: int, extra: np.ndarray = None):
     return (np.hstack(blocks) if blocks else np.empty((n - start, 0))), c[start:]
 
 
-def _covariate_block(covariates, n: int):
-    """Centred covariates, their mean and the indices of non-constant columns.
+def _check_covariates(covariates, n: int) -> np.ndarray:
+    """covariates as an (n, r) float matrix, one row per curve (a 1-D array is one column).
 
-    Non-finite cells raise: a NaN column would look constant and be dropped.
+    The one guard on covariate input: another shape is a DimensionMismatchError, and a
+    non-finite cell, which would look constant and be dropped, an IngestError naming it from 1.
     """
-    rmat = _as_score_array(covariates)
-    if rmat.shape[0] != n:
-        raise ValueError(f"covariates have {rmat.shape[0]} rows, scores have {n}")
+    rmat = np.asarray(getattr(covariates, "scores", covariates), dtype=float)
+    rmat = rmat[:, None] if rmat.ndim == 1 else rmat
+    if rmat.ndim != 2 or rmat.shape[0] != n:
+        raise DimensionMismatchError(f"covariates must be {n} rows, one per curve, "
+                                     f"got shape {rmat.shape}")
     bad = np.argwhere(~np.isfinite(rmat))
     if bad.size:
-        raise IngestError(f"covariate row {bad[0][0]}, column {bad[0][1]} (0-based) is not finite")
+        raise IngestError(f"covariate row {bad[0][0] + 1}, column {bad[0][1] + 1} is not finite")
+    return rmat
+
+
+def _covariate_block(covariates, n: int):
+    """Centred covariates, their mean and the indices of non-constant columns."""
+    rmat = _check_covariates(covariates, n)
     rmean = rmat.mean(axis=0)
     rc = rmat - rmean
     return rc, rmean, np.nonzero(np.max(np.abs(rc), axis=0) > 0.0)[0]

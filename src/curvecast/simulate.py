@@ -8,13 +8,14 @@ known-operator autoregressions.
 
 import contextlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError, _at_least, _checked, _numbers
+from .errors import NonstationaryError, _at_least, _checked, _numbers, _shown
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -72,9 +73,14 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
             return a / norm
 
 
-# every key of a process spec's JSON, with its rule (see errors._checked)
-_SPEC = {"kind": str, "D": _at_least(1), "sigma": _numbers(), "ar": list, "ma": dict,
-         "burn_in": _at_least(0)}
+# each kind with the operators it needs, and every field of a process spec (the keys of a spec
+# JSON) with its rule (see errors._checked)
+_NEEDS = {"far": "ar operators and no ma operators", "fma": "ma operators and no ar operators",
+          "farma": "both ar and ma operators"}
+_SPEC = {"kind": (str, lambda kind: kind in _NEEDS, "be 'far', 'fma' or 'farma'"),
+         "D": _at_least(1), "sigma": _numbers(),
+         "ar": (object, lambda ar: isinstance(ar, (list, tuple)), "be a list"),
+         "ma": dict, "burn_in": _at_least(0)}
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,9 @@ class ProcessSpec:
     kind is 'far', 'fma' or 'farma'.  ar lists the autoregressive
     operators Psi_1..Psi_p at consecutive lags; ma maps explicit lags to
     moving-average operators.  sigma holds the innovation standard
-    deviations per component.
+    deviations per component.  Construction checks each field by its rule
+    in _SPEC (None counts as absent), then sigma, operators, ma lags, kind
+    and stationarity against D; every error is one line naming the key.
     """
 
     kind: str
@@ -95,36 +103,24 @@ class ProcessSpec:
     burn_in: int = 200
 
     def __post_init__(self):
-        if self.kind not in ("far", "fma", "farma"):
-            raise ValueError(f"kind must be 'far', 'fma' or 'farma', got {self.kind!r}")
-        # D and burn_in by their from_json rules, so a whole float becomes an int
-        sizes = {"D": self.D, "burn_in": self.burn_in}
-        for key, value in _checked(sizes, {key: _SPEC[key] for key in sizes}, "process spec",
-                                   required=sizes).items():
+        args = _checked({key: getattr(self, key) for key in _SPEC}, _SPEC, "process spec",
+                        required=("kind", "D", "sigma"))
+        kind, D = args["kind"], args["D"]
+        sigma = _readonly(args["sigma"])
+        if sigma.shape != (D,) or not np.all(sigma > 0.0):
+            raise ValueError(f"process spec key 'sigma' must list {D} positive numbers, "
+                             f"got {_shown(args['sigma'])}")
+        ar = tuple(_operator("ar", m, D) for m in args.get("ar", ()))
+        ma = {_lag(lag): _operator("ma", op, D) for lag, op in args.get("ma", {}).items()}
+        if bool(ar) != (kind != "fma") or bool(ma) != (kind != "far"):
+            raise ValueError(f"process spec key 'kind' is {kind!r}, which needs {_NEEDS[kind]}")
+        rho = _companion_spectral_radius(ar) if ar else 0.0
+        if not rho < 1.0:
+            raise NonstationaryError(f"process spec key 'ar' has companion spectral radius "
+                                     f"{rho:.6f} >= 1")
+        fields = dict(D=D, sigma=sigma, ar=ar, ma=ma, burn_in=args.get("burn_in", 200))
+        for key, value in fields.items():
             object.__setattr__(self, key, value)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (self.D,) or np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-            raise ValueError(f"sigma must be {self.D} positive finite values")
-        ar = tuple(_operator("ar", m, self.D) for m in self.ar)
-        ma = {int(k): _operator("ma", v, self.D) for k, v in dict(self.ma).items()}
-        for lag in ma:
-            if lag < 1:
-                raise ValueError(f"moving-average lags must be >= 1, got {lag}")
-        if self.kind == "far" and (not ar or ma):
-            raise ValueError("'far' needs ar operators and no ma operators")
-        if self.kind == "fma" and (ar or not ma):
-            raise ValueError("'fma' needs ma operators and no ar operators")
-        if self.kind == "farma" and (not ar or not ma):
-            raise ValueError("'farma' needs both ar and ma operators")
-        if ar:
-            rho = _companion_spectral_radius(ar)
-            if not rho < 1.0:
-                raise NonstationaryError(
-                    f"autoregressive part has companion spectral radius {rho:.6f} >= 1"
-                )
-        object.__setattr__(self, "sigma", _readonly(sigma))
-        object.__setattr__(self, "ar", tuple(_readonly(m) for m in ar))
-        object.__setattr__(self, "ma", {k: _readonly(v) for k, v in ma.items()})
 
     @property
     def p(self) -> int:
@@ -143,32 +139,27 @@ class ProcessSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ProcessSpec":
-        """The spec a to_json object describes; None counts as absent.
+        """The spec a to_json object describes, checked as any spec; an unknown key is an error."""
+        args = json.loads(text)
+        _checked(args, dict.fromkeys(_SPEC, object), "process spec")  # a dict of spec keys only
+        return cls(**{key: args.get(key) for key in _SPEC})
 
-        kind, D and sigma are required, and a key that is not a field is an
-        error.  Each key is parsed by its rule in _SPEC: D must be an integer
-        >= 1 and burn_in one >= 0 (a whole float such as 3.0 passes), sigma a
-        list of numbers, ar a list and ma a dict, and every ma lag an integer;
-        a ValueError names the key.
-        """
-        args = _checked(json.loads(text), _SPEC, "process spec", required=("kind", "D", "sigma"))
-        lags = {}
-        for lag, op in args.get("ma", {}).items():
-            try:
-                lags[int(lag)] = op
-            except ValueError:
-                raise ValueError(f"process spec ma lag {lag!r} must be an integer") from None
-        return cls(kind=args["kind"], D=args["D"], sigma=np.array(args["sigma"], dtype=float),
-                   ar=args.get("ar", []), ma=lags, burn_in=args.get("burn_in", 200))
+
+def _lag(lag) -> int:
+    """An ma lag as an int >= 1, from an int or a JSON key's digit text; a ValueError otherwise."""
+    number = int(lag) if isinstance(lag, str) and lag.isdecimal() else lag
+    if isinstance(number, numbers.Integral) and not isinstance(number, bool) and number >= 1:
+        return int(number)
+    raise ValueError(f"process spec key 'ma' has lag {lag!r}, not an integer >= 1")
 
 
 def _operator(key: str, value, D: int) -> np.ndarray:
-    """An ar or ma entry as a D x D matrix of finite floats; a ValueError names the key otherwise."""
+    """An ar or ma entry as a read-only D x D matrix of finite floats; a ValueError names key."""
     with contextlib.suppress(TypeError, ValueError):
-        mat = np.asarray(value, dtype=float)
+        mat = _readonly(value)
         if mat.shape == (D, D) and np.all(np.isfinite(mat)):
             return mat
-    raise ValueError(f"process spec key {key!r} holds {value!r}, "
+    raise ValueError(f"process spec key {key!r} holds {_shown(value)}, "
                      f"not a {D} x {D} matrix of finite numbers")
 
 

@@ -98,21 +98,33 @@ def test_worker_count_parsing(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.setenv(THREADS_ENV, "4")
     assert _worker_count() == 4
-    monkeypatch.setenv(THREADS_ENV, "soon")
-    assert _worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert _worker_count() == 1
+    for raw in ("", "0", "-3", "soon"):  # these used to mean 1 worker without a word
+        monkeypatch.setenv(THREADS_ENV, raw)
+        with pytest.raises(ValueError, match=re.escape(f"FTSP_THREADS must be an integer >= 1, "
+                                                       f"got {raw!r}")):
+            _worker_count()
 
 
 @pytest.mark.parametrize(
     "cpus, raw, expected",
     [(2, "4", 2), (2, "2", 2), (8, "3", 3), (3, "64", 3), (None, "4", 1), (1, "2", 1),
-     (4, "0", 1), (4, "", 1), (4, "many", 1)],
+     (4, "0", ValueError), (4, "", ValueError), (4, "many", ValueError)],
 )
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, raw, expected):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv(THREADS_ENV, raw)
+    if expected is ValueError:  # not a worker count: these used to fall back to 1 worker
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            _worker_count()
+        return
     assert _worker_count() == expected
+
+
+def test_a_bad_worker_count_fails_before_any_replication(monkeypatch, no_replications):
+    monkeypatch.setenv(THREADS_ENV, "soon")
+    with pytest.raises(ValueError, match="FTSP_THREADS must be an integer >= 1, got 'soon'"):
+        run_forecast_experiment(tiny_config())
+    assert no_replications == []
 
 
 def test_replication_seed_streams():
@@ -460,6 +472,8 @@ def test_preset_bounds_are_checked_before_running(no_replications, preset, overr
     ("source", {"type": ["kappa-far"]}, "source key 'type' must be a str, got ['kappa-far']"),
     ("source", {"type": "process", "spec": [1]}, "a 'process' source key 'spec' must be a dict, "
                                                   "got [1]"),
+    # this read 'horizon must be >= 1, got 0', naming no config
+    ("horizon", 0, "config key 'horizon' must be >= 1, got 0"),
 ])
 def test_config_numbers_are_checked_before_running(no_replications, key, value, message):
     # each of these used to run with its value truncated

@@ -8,6 +8,7 @@ from curvecast import (
     FunctionalDataset,
     Grid,
     IllConditionedError,
+    InsufficientDataError,
     bosq_predict,
     eigensystem,
     equivalence_gap,
@@ -73,6 +74,8 @@ def test_predict_fts_mode_exclusivity(make_far1):
         predict_fts(data)
     with pytest.raises(ValueError):
         predict_fts(data, p=1)
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        predict_fts(data, h=0, p=1, d=2)
 
 
 @pytest.mark.parametrize("predict, kwargs, message", [
@@ -154,6 +157,8 @@ def test_bosq_state_space_higher_order(make_far1):
     res = bosq_predict(data, 3, 2)
     assert res.p == 2 and res.curve.shape == (64,)
     assert np.all(np.isfinite(res.curve))
+    with pytest.raises(InsufficientDataError, match="n=3 too small for p=3 stacked blocks"):
+        bosq_predict(make_far1(n=3, seed=13), 1, 3)
 
 
 def test_scalar_matches_vector_on_one_component(make_far1):
@@ -230,6 +235,10 @@ def test_covariate_matrix_assembly(make_far1):
     assert mat.shape == (60, 3)
     with pytest.raises(ValueError):
         covariate_matrix(np.ones(59), 60)
+    with pytest.raises(ValueError, match="dims has 1 entries for 2 covariates"):
+        covariate_matrix([data, numeric], 60, dims=[2])
+    with pytest.raises(ValueError, match="covariate has 60 curves, data has 61"):
+        covariate_matrix(data, 61)
 
 
 def test_functional_covariate_reads_one_eigensystem(make_far1, monkeypatch):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    DimensionMismatchError,
     FunctionalDataset,
     Grid,
     IllConditionedError,
+    IngestError,
     InsufficientDataError,
     ScoreMatrix,
     bosq_predict,
@@ -25,6 +27,7 @@ from curvecast import (
     predict_with_covariates,
     pve_dimension,
     reconstruct,
+    run_forecast_experiment,
     save_curves_csv,
     scalar_predict,
     scores,
@@ -373,3 +376,49 @@ def test_one_curve_is_insufficient_data(tmp_path, capsys, call):
     else:
         with pytest.raises(InsufficientDataError, match=message):
             call(data, path)
+
+
+COVARIATE_METHOD = {"name": "covariate", "p": 1, "d": 2}
+SHORT_COVARIATES = {
+    "select_pd": lambda data, rmat, paths: select_pd(data, 1, 2, covariate_scores=rmat),
+    "fit_varx_ols": lambda data, rmat, paths: fit_varx_ols(scores(data, eigensystem(data, 2)),
+                                                           rmat, 1),
+    "predict_with_covariates": lambda data, rmat, paths: predict_with_covariates(data, rmat,
+                                                                                 p=1, d=2),
+    "file-source": lambda data, rmat, paths: run_forecast_experiment(
+        {"source": {"type": "file", "path": paths[0], "covariates_path": paths[1]},
+         "methods": [COVARIATE_METHOD], "seed": 0}),
+    "cli-select": lambda data, rmat, paths: main(["select", "--input", paths[0], "--covariates",
+                                                  paths[1], "--pmax", "1", "--dmax", "2"]),
+    "cli-forecast": lambda data, rmat, paths: main(
+        ["forecast", "--input", paths[0], "--covariates", paths[1], "--method", "covariate",
+         "--p", "1", "--d", "2", "--out", paths[2]]),
+}
+
+
+@pytest.mark.parametrize("call", SHORT_COVARIATES.values(), ids=SHORT_COVARIATES.keys())
+def test_too_few_covariate_rows_read_one_message(tmp_path, capsys, make_far1, call):
+    # these read three messages from three checks, two of them a plain ValueError
+    data = make_far1(n=60, T=32, seed=25)
+    rmat = np.random.default_rng(7).normal(size=(57, 2))
+    paths = [str(tmp_path / name) for name in ("curves.csv", "cov.csv", "forecast.json")]
+    save_curves_csv(data, paths[0])
+    np.savetxt(paths[1], rmat, delimiter=",")
+    message = "covariates must be 60 rows, one per curve, got shape (57, 2)"
+    if call in (SHORT_COVARIATES["cli-select"], SHORT_COVARIATES["cli-forecast"]):
+        assert call(data, rmat, paths) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(DimensionMismatchError) as err:
+            call(data, rmat, paths)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("solver", ["ols", "blp"])
+def test_a_non_finite_covariate_is_named_from_one(make_far1, solver):
+    # the guard used to name this cell row 0, column 1 (0-based)
+    data = make_far1(n=60, T=32, seed=25)
+    rmat = np.random.default_rng(7).normal(size=(60, 2))
+    rmat[0, 1] = np.inf
+    with pytest.raises(IngestError, match="^covariate row 1, column 2 is not finite$"):
+        predict_with_covariates(data, rmat, p=1, d=2, solver=solver)

@@ -1,14 +1,17 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from curvecast import (
+    DimensionMismatchError,
     FunctionalDataset,
     Grid,
     InsufficientDataError,
     NumericalDegeneracyError,
     RankDeficiencyError,
+    ScoreMatrix,
     eigensystem,
     make_fourier_basis,
     predict_fts,
@@ -19,7 +22,7 @@ from curvecast import (
     synthesize,
 )
 from curvecast.curves import l2_norm
-from curvecast.fpca import _fix_signs, sample_covariance_kernel, sample_mean
+from curvecast.fpca import _fix_signs, _pve_rank, sample_covariance_kernel, sample_mean
 
 
 def rank3_dataset(T=48):
@@ -97,6 +100,14 @@ def test_exact_rank_reconstruction():
     eig = eigensystem(data, 2)
     approx = reconstruct(scores(data, eig), eig)
     assert np.abs(approx.values - data.values).max() < 1e-8
+    with pytest.raises(ValueError, match=re.escape("scores must be an (n, d) array, got shape")):
+        ScoreMatrix(scores=np.ones(2))
+    with pytest.raises(DimensionMismatchError, match="data grid T=24 does not match eigensystem "
+                                                     "grid T=48"):
+        scores(rank3_dataset(T=24)[0], eig)
+    with pytest.raises(DimensionMismatchError, match="scores have d=3 columns but the eigensystem "
+                                                     "holds 2"):
+        reconstruct(ScoreMatrix(scores=np.ones((4, 3))), eig)
 
 
 def test_truncate_matches_smaller_fit(noise_dataset):
@@ -107,6 +118,9 @@ def test_truncate_matches_smaller_fit(noise_dataset):
     assert np.allclose(cut.eigenvalues, small.eigenvalues, atol=1e-12)
     assert np.allclose(cut.eigenfunctions, small.eigenfunctions, atol=1e-12)
     assert cut.total_variance == small.total_variance
+    for d in (0, 7):
+        with pytest.raises(ValueError, match=f"cannot truncate to d={d}, system holds 6 pairs"):
+            big.truncate(d)
 
 
 def test_eigensystem_determinism(noise_dataset):
@@ -142,6 +156,11 @@ def test_pve_dimension_thresholds():
         pve_dimension(data, 0.0)
     with pytest.raises(ValueError):
         pve_dimension(data, 1.2)
+    # one component of the 4 / 1 split falls short of 90%, and curves that do not vary take one
+    with pytest.raises(InsufficientDataError, match="even 1 components explain only 0.8000 < 0.9"):
+        _pve_rank(eigensystem(data, 1), 0.9)
+    flat = FunctionalDataset(grid=data.grid, values=np.ones((4, data.T)))
+    assert pve_dimension(flat, 0.9) == 1
 
 
 def loop_fix_signs(funcs):

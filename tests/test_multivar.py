@@ -267,9 +267,9 @@ def test_varx_rejects_non_finite_covariates():
     smat = rng.normal(size=(30, 2))
     rmat = rng.normal(size=(30, 2))
     rmat[7, 1] = np.nan
-    with pytest.raises(IngestError, match="row 7, column 1"):
+    with pytest.raises(IngestError, match="row 8, column 2 is"):  # counted from 1
         fit_varx_ols(smat, rmat, 1)
     rmat[7, 1] = 0.0
     rmat[3, 0] = np.inf
-    with pytest.raises(IngestError, match="row 3, column 0"):
+    with pytest.raises(IngestError, match="row 4, column 1 is"):
         fit_varx_ols(smat, rmat, 1)

@@ -47,6 +47,9 @@ def test_criterion_guards():
         ffpe(100, 1, 2, -1.0, 0.0)
     with pytest.raises(ValueError):
         ffpe(100, -1, 2, 1.0, 0.0)
+    for tail in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="tail must be finite and >= 0"):
+            ffpe(100, 1, 2, 1.0, tail)
 
 
 def test_select_pd_raises_when_no_cell_can_be_fitted():
@@ -82,6 +85,8 @@ def test_winner_is_minimal_ok_cell(make_far1):
     values = [c.value for c in table.cells if c.ok]
     assert best.value == min(values)
     assert table.cell(*table.best).value == best.value
+    with pytest.raises(LookupError, match="no cell for p=3, d=1"):
+        table.cell(3, 1)
 
 
 def test_small_sample_cells_marked_invalid(noise_dataset):
@@ -245,7 +250,7 @@ def test_sweep_rejects_non_finite_covariates(make_far1):
     data = make_far1(n=80, T=32, seed=6)
     rmat = np.random.default_rng(6).normal(size=(80, 2))
     rmat[11, 1] = np.nan
-    with pytest.raises(IngestError, match="row 11, column 1"):
+    with pytest.raises(IngestError, match="row 12, column 2 is"):  # counted from 1
         select_pd(data, 2, 3, covariate_scores=rmat)
 
 

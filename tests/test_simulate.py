@@ -46,6 +46,8 @@ def test_sigma_schemes():
     assert np.allclose(sigma_scheme("s2", 3), [1 / 1.2, 1.2**-2, 1.2**-3])
     with pytest.raises(ValueError):
         sigma_scheme("s3", 3)
+    with pytest.raises(ValueError, match="D must be >= 1, got 0"):
+        sigma_scheme("s1", 0)
 
 
 def test_spectral_norm_matches_numpy():
@@ -71,6 +73,9 @@ def test_random_operator_unit_norm_and_deterministic():
     assert spectral_norm(a) == pytest.approx(1.0, abs=1e-9)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    for bad in (sig[:7], np.r_[sig[:7], 0.0]):  # one short, or one not positive
+        with pytest.raises(ValueError, match="sigma must be 8 positive values"):
+            random_operator(8, bad, np.random.default_rng(5))
 
 
 def test_spec_validation():
@@ -94,11 +99,22 @@ def test_spec_validation():
     ({"D": True}, "process spec key 'D' must be one finite int, got True"),
     ({"D": 0}, "process spec key 'D' must be >= 1, got 0"),
     ({"burn_in": -1}, "process spec key 'burn_in' must be >= 0, got -1"),
-    ({"ar": (np.full((3, 3), np.nan),)}, "process spec key 'ar' holds array("),
-    ({"kind": "farma", "ma": {1: np.full((3, 3), np.inf)}}, "process spec key 'ma' holds array("),
+    # an array is shown by its shape, so the message stays on one line
+    pytest.param({"ar": (np.full((3, 3), np.nan),)},
+                 "process spec key 'ar' holds an array of shape (3, 3), not a 3 x 3 matrix",
+                 id="change5-process spec key 'ar' holds array("),
+    pytest.param({"kind": "farma", "ma": {1: np.full((3, 3), np.inf)}},
+                 "process spec key 'ma' holds an array of shape (3, 3), not a 3 x 3 matrix",
+                 id="change6-process spec key 'ma' holds array("),
     ({"kind": "fma", "ar": (), "ma": {2: [[0.5, 0, 0], [0, np.nan, 0], [0, 0, 0.5]]}},
      "process spec key 'ma' holds [[0.5, 0, 0], [0, nan, 0], [0, 0, 0.5]], "
      "not a 3 x 3 matrix of finite numbers"),
+    ({"sigma": np.ones(2)},
+     "process spec key 'sigma' must list 3 positive numbers, got an array of shape (2,)"),
+    ({"sigma": np.array([1.0, np.nan, 1.0])},
+     "process spec key 'sigma' must list one or more numbers, got an array of shape (3,)"),
+    ({"sigma": np.ones(3, dtype=bool)},
+     "process spec key 'sigma' must list one or more numbers, got an array of shape (3,)"),
 ])
 def test_spec_checks_its_fields_at_construction(change, message):
     args = {"kind": "far", "D": 3, "sigma": np.ones(3), "ar": (0.5 * np.eye(3),), **change}
@@ -120,6 +136,9 @@ def test_spec_takes_whole_floats_as_integers():
     spec = ProcessSpec(kind="far", D=3, sigma=np.ones(3), ar=(0.5 * np.eye(3),), burn_in=20)
     assert (whole.D, whole.burn_in) == (3, 20) and type(whole.D) is type(whole.burn_in) is int
     assert whole.to_json() == spec.to_json()
+    ints = ProcessSpec(kind="far", D=3, sigma=np.ones(3, dtype=int), ar=(0.5 * np.eye(3),),
+                       burn_in=20)
+    assert ints.to_json() == spec.to_json()
     got = simulate(whole, 30, Grid(32), np.random.default_rng(1)).values
     assert got.tobytes() == simulate(spec, 30, Grid(32), np.random.default_rng(1)).values.tobytes()
 
@@ -148,8 +167,9 @@ def test_spec_json_round_trip():
     ({"burn_in": True}, "process spec key 'burn_in' must be one finite int, got True"),
     ({"burnin": 50}, "process spec has no key 'burnin'; its keys are kind, D, sigma, ar, ma, "
                      "burn_in"),
-    ({"kind": "fma", "ar": [], "ma": {"1.5": [[0.5]]}},
-     "process spec ma lag '1.5' must be an integer"),
+    pytest.param({"kind": "fma", "ar": [], "ma": {"1.5": [[0.5]]}},
+                 "process spec key 'ma' has lag '1.5', not an integer >= 1",
+                 id="change5-process spec ma lag '1.5' must be an integer"),
     # these were taken as empty, or failed with numpy's message naming no key
     ({"ar": 0}, "process spec key 'ar' must be a list, got 0"),
     ({"ma": ""}, "process spec key 'ma' must be a dict, got ''"),
@@ -168,6 +188,38 @@ def test_spec_json_takes_whole_floats_and_absent_values():
                        "burn_in": None})
     spec = ProcessSpec.from_json(text)
     assert (spec.D, spec.burn_in, spec.ma) == (1, 200, {}) and type(spec.D) is int
+
+
+EYE = np.eye(3).tolist()
+
+
+# one bad value per field; a lag of 1.5 or True used to be truncated to lag 1
+@pytest.mark.parametrize("change, key", [
+    ({"kind": "arma"}, "kind"),
+    ({"kind": None}, "kind"),
+    ({"ma": {1: EYE}}, "kind"),  # 'far' takes no ma operators
+    ({"D": 0}, "D"),
+    ({"D": 2.5}, "D"),
+    ({"sigma": [1.0, -1.0, 1.0]}, "sigma"),
+    ({"sigma": [1.0, 1.0]}, "sigma"),
+    ({"sigma": "abc"}, "sigma"),
+    ({"ar": 0.5}, "ar"),
+    ({"ar": [[[0.5]]]}, "ar"),
+    ({"ar": [(1.5 * np.eye(3)).tolist()]}, "ar"),  # not stationary
+    ({"kind": "farma", "ma": {1.5: EYE}}, "ma"),
+    ({"kind": "farma", "ma": {True: EYE}}, "ma"),
+    ({"kind": "farma", "ma": {0: EYE}}, "ma"),
+    ({"kind": "farma", "ma": [EYE]}, "ma"),
+    ({"burn_in": -1}, "burn_in"),
+    ({"burn_in": "200"}, "burn_in"),
+])
+@pytest.mark.parametrize("route", ["python", "json"])
+def test_every_spec_error_is_one_line_naming_its_key(route, change, key):
+    args = {"kind": "far", "D": 3, "sigma": [1.0] * 3, "ar": [(0.5 * np.eye(3)).tolist()], **change}
+    with pytest.raises(ValueError) as err:
+        ProcessSpec(**args) if route == "python" else ProcessSpec.from_json(json.dumps(args))
+    message = str(err.value)
+    assert message.startswith(f"process spec key {key!r} ") and "\n" not in message
 
 
 def test_simulate_shape_and_determinism():
@@ -290,6 +342,8 @@ def test_stacked_specs_must_share_their_lags():
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="share"):
         _coefficients([far1, far2], 10, rngs)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        _coefficients([far1], 0, rngs[:1])
 
 
 def coupled_loop(n, rng, psi, b, sigma_y, rho, sigma_r, burn_in=200):
@@ -385,3 +439,9 @@ def test_bias_bound_validation():
         bias_bound([np.eye(2)], lam, 3)
     with pytest.raises(ValueError):
         bias_bound([np.eye(3)], lam, 1)
+    with pytest.raises(ValueError, match="need at least one autoregressive operator"):
+        bias_bound([], lam, 1)
+    with pytest.raises(ValueError, match=re.escape("operators must share shape (2, 2), got (3,")):
+        bias_bound([np.eye(2), np.eye(3)], lam, 1)
+    with pytest.raises(ValueError, match="eigenvalues must be nonnegative"):
+        bias_bound([np.eye(2)], np.array([1.0, -0.5]), 1)
