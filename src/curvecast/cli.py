@@ -14,9 +14,9 @@ from .experiments import PRESETS, _keep_heap, run_benchmark
 from .forecast import _forecast
 from .ingest import ingest
 from .selection import select_pd
-from .simulate import ProcessSpec, fixed_psi, random_operator, sigma_scheme, simulate
+from .simulate import (_SCALINGS, ProcessSpec, _scaled_spec, fixed_psi, random_operator,
+                       sigma_scheme, simulate)
 
-CANONICAL_THETAS = {"fma": [0.0, 0.8], "farma": [0.1, 0.9]}
 # forecast --method choices in the method vocabulary of run_forecast_experiment
 _FORECAST_METHODS = {"vector": "fixed-var", "bosq": "bosq", "scalar": "scalar",
                     "covariate": "covariate"}
@@ -36,24 +36,15 @@ def _build_spec(args, rng) -> ProcessSpec:
                 f"operator {args.operator} is {psi.shape[0]} x {psi.shape[0]}; "
                 f"pass --dim {psi.shape[0]}"
             )
-    kappa = args.kappa
-    theta = args.theta
-    if kappa is None:
-        kappa = {"far": [1.0], "farma": [0.1]}.get(args.kind, [])
-    if theta is None:
-        theta = CANONICAL_THETAS.get(args.kind, [])
-    if args.orders is not None:
-        p_want, q_want = args.orders
-        if p_want != len(kappa) or q_want != len(theta):
-            raise ValueError(
-                f"--orders {p_want} {q_want} disagrees with "
-                f"{len(kappa)} kappa and {len(theta)} theta values"
-            )
-    ar = tuple(float(k) * psi for k in kappa)
-    ma = {lag + 1: float(s) * psi for lag, s in enumerate(theta) if float(s) != 0.0}
-    return ProcessSpec(
-        kind=args.kind, D=args.dim, sigma=sigma, ar=ar, ma=ma, burn_in=args.burn_in
-    )
+    kappas, thetas = _SCALINGS[args.kind]
+    kappas = kappas if args.kappa is None else args.kappa
+    thetas = thetas if args.theta is None else dict(enumerate(args.theta, start=1))
+    orders = [len(kappas), max(thetas, default=0)]  # q is the largest moving-average lag
+    if args.orders is not None and args.orders != orders:
+        raise ValueError(f"--orders {args.orders[0]} {args.orders[1]} disagrees with "
+                         f"{orders[0]} kappa and {orders[1]} theta values")
+    nonzero = {lag: s for lag, s in thetas.items() if s != 0.0}  # a zero --theta drops its lag
+    return _scaled_spec(args.kind, psi, sigma, kappas, nonzero, args.burn_in)
 
 
 def _cmd_simulate(args) -> int:

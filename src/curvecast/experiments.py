@@ -37,8 +37,8 @@ from .errors import _at_least, _checked, _is_number, _numbers
 from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .selection import select_pd
-from .simulate import (ProcessSpec, _coefficients, _coupled_far1, fixed_psi, random_operator,
-                       sigma_scheme)
+from .simulate import (_SCALINGS, ProcessSpec, _coefficients, _coupled_far1, _scaled_spec,
+                       fixed_psi, random_operator, sigma_scheme)
 
 THREADS_ENV = "FTSP_THREADS"
 CHUNK = 16  # most replications one pool task steps together
@@ -193,22 +193,17 @@ def _source_factory(source: dict, n: int, grid: Grid):
     else:  # kappa-far, fma or farma: a random operator per replication
         D = args.get("D", 21)
         sig = sigma_scheme(args.get("sigma_scheme", "s1"), D)
-        if kind == "kappa-far":
-            kappas = [float(k) for k in args["kappa"]]
-            thetas = {}
-        elif kind == "fma":
-            kappas = []
-            thetas = {2: args.get("theta_scale", 0.8)}
-        else:
-            kappas = [args.get("kappa", 0.1)]
-            thetas = dict(enumerate(map(float, args.get("theta_scales", [0.1, 0.9])), start=1))
+        kind = kind.removeprefix("kappa-")
+        kappas, thetas = _SCALINGS[kind]
+        if "kappa" in args:  # a list for kappa-far, one number for farma
+            kappas = args["kappa"] if kind == "far" else [args["kappa"]]
+        if "theta_scale" in args:
+            thetas = {2: args["theta_scale"]}
+        if "theta_scales" in args:
+            thetas = dict(enumerate(args["theta_scales"], start=1))
 
-        def spec_from(rng):
-            psi = random_operator(D, sig, rng)  # one unit-norm operator scaled into every term
-            ar = tuple(k * psi for k in kappas)
-            ma = {lag: s * psi for lag, s in thetas.items()}
-            return ProcessSpec(kind=kind.removeprefix("kappa-"), D=D, sigma=sig, ar=ar, ma=ma,
-                               burn_in=burn_in)
+        def spec_from(rng):  # one unit-norm operator scaled into every term
+            return _scaled_spec(kind, random_operator(D, sig, rng), sig, kappas, thetas, burn_in)
     basis = make_fourier_basis(D, grid)  # a grid too coarse for D fails before any draw
 
     def draw(rngs):

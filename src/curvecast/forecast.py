@@ -281,9 +281,9 @@ def scalar_predict(data: FunctionalDataset, d: int, p: int, h: int = 1) -> Forec
 def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     """Assemble an (n, r) numeric covariate matrix.
 
-    covariates may be a single item or a list; each item is either an
-    (n,) / (n, q) numeric array, checked by the one covariate guard
-    that :func:`fit_varx_ols` runs too, or a FunctionalDataset whose
+    covariates may be a single item or a list; each item, checked by the
+    one covariate guard that :func:`fit_varx_ols` runs too, is either an
+    (n,) / (n, q) numeric array or a FunctionalDataset of n curves whose
     score vectors enter.  Functional items are projected onto enough
     components to explain at least pve of their variance unless an
     explicit entry of dims overrides the dimension.
@@ -296,8 +296,7 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     cols = []
     for item, dim in zip(items, dims):
         if isinstance(item, FunctionalDataset):
-            if item.n != n:
-                raise ValueError(f"covariate has {item.n} curves, data has {n}")
+            _check_covariates(item.values, n)
             eig_c = eigensystem(item, min(n - 1, item.T) if dim is None else dim)
             eig_c = eig_c.truncate(_pve_rank(eig_c, pve) if dim is None else dim)
             cols.append(scores(item, eig_c).scores)

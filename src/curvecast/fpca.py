@@ -154,14 +154,6 @@ class ScoreMatrix:
             raise ValueError(f"scores must be an (n, d) array, got shape {s.shape}")
         object.__setattr__(self, "scores", _readonly(s))
 
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.scores.shape[1]
-
 
 def scores(data: FunctionalDataset, eig: EigenSystem) -> ScoreMatrix:
     """Score matrix with entries <Y_k - mean, v_l> under the grid inner product."""

@@ -145,6 +145,17 @@ class ProcessSpec:
         return cls(**{key: args.get(key) for key in _SPEC})
 
 
+# each simulated kind's default scalings of its one operator psi: kappa_j per autoregressive
+# lag j = 1, 2, ... and {lag: theta_l} for the moving-average lags
+_SCALINGS = {"far": ((1.0,), {}), "fma": ((), {2: 0.8}), "farma": ((0.1,), {1: 0.1, 2: 0.9})}
+
+
+def _scaled_spec(kind: str, psi, sigma, kappas, thetas: dict, burn_in: int) -> ProcessSpec:
+    """The spec with operator kappa_j psi at autoregressive lag j and theta_l psi at ma lag l."""
+    return ProcessSpec(kind=kind, D=len(psi), sigma=sigma, ar=tuple(float(k) * psi for k in kappas),
+                       ma={lag: float(s) * psi for lag, s in thetas.items()}, burn_in=burn_in)
+
+
 def _lag(lag) -> int:
     """An ma lag as an int >= 1, from an int or a JSON key's digit text; a ValueError otherwise."""
     number = int(lag) if isinstance(lag, str) and lag.isdecimal() else lag

@@ -165,6 +165,16 @@ def test_studies_simulate_only_through_the_source_factory():
     assert not hasattr(experiments, "simulate") and not hasattr(experiments, "_psi1_far")
 
 
+def test_simulated_specs_come_from_one_builder():
+    # simulate._scaled_spec scales psi into the specs of `curvecast simulate` and the study
+    # sources; ProcessSpec.from_json stays free to use anywhere
+    callers = {path.name for path in SOURCES for node in ast.walk(source_tree(path.name))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ProcessSpec"}
+    assert callers == {"simulate.py"}
+    assert {"cli._build_spec", "experiments._source_factory"} <= functions_using_names()["_scaled_spec"]
+    assert not hasattr(importlib.import_module("curvecast.cli"), "CANONICAL_THETAS")
+
+
 def imported_names(tree):
     """The names a module's import statements bind."""
     return {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import curvecast
-from curvecast import load_curves_csv
+from curvecast import fixed_psi, load_curves_csv, run_forecast_experiment
 from curvecast.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -88,6 +88,26 @@ def test_simulate_order_cross_check_fails_loud(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fma_and_farma_defaults_are_the_same_for_sources_and_simulate(tmp_path, capsys):
+    # fma: theta_2 = 0.8; farma: kappa_1 = 0.1, theta = (0.1, 0.9)
+    def records(source):
+        config = {"source": {**source, "D": 3}, "n": 40, "grid_T": 32, "seed": 2, "reps": 2,
+                  "methods": [{"name": "fixed-var", "p": 1, "d": 2}]}
+        return run_forecast_experiment(config).replications
+
+    assert records({"type": "fma"}) == records({"type": "fma", "theta_scale": 0.8})
+    assert records({"type": "farma"}) == records({"type": "farma", "kappa": 0.1,
+                                                  "theta_scales": [0.1, 0.9]})
+    psi = fixed_psi("psi1")
+    for kind, kappas, thetas in [("fma", [], {"2": 0.8}), ("farma", [0.1], {"1": 0.1, "2": 0.9})]:
+        path = tmp_path / f"{kind}.json"
+        assert main(["simulate", "--kind", kind, "--n", "5", "--grid", "32", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv"), "--save-spec", str(path)]) == 0
+        spec = json.loads(path.read_text())
+        assert spec["ar"] == [(k * psi).tolist() for k in kappas]
+        assert spec["ma"] == {lag: (s * psi).tolist() for lag, s in thetas.items()}
 
 
 def test_simulate_operator_dimension_mismatch(tmp_path, capsys):

@@ -54,6 +54,8 @@ def test_fourier_basis_orthonormal_to_machine_precision():
 def test_fourier_resolution_guard():
     with pytest.raises(ResolutionError):
         make_fourier_basis(9, Grid(64))
+    with pytest.raises(ValueError, match="^basis size must be >= 1, got 0$"):
+        make_fourier_basis(0, Grid(64))
 
 
 def test_synthesize_round_trip():
@@ -64,6 +66,9 @@ def test_synthesize_round_trip():
     data = synthesize(coeffs, basis)
     recovered = data.values @ basis.values.T / grid.T
     assert np.abs(recovered - coeffs).max() < 1e-12
+    with pytest.raises(DimensionMismatchError,
+                       match="^coefficient rows have length 4, basis has D=5$"):
+        synthesize(coeffs[:, :4], basis)
 
 
 def test_dataset_validation():
@@ -74,6 +79,10 @@ def test_dataset_validation():
     bad[1, 2] = np.nan
     with pytest.raises(ValueError):
         FunctionalDataset(grid=grid, values=bad)
+    for shape in [(0, 4), (4,)]:  # no curves, or not one row per curve
+        with pytest.raises(ValueError) as err:
+            FunctionalDataset(grid=grid, values=np.ones(shape))
+        assert str(err.value) == f"values must be a nonempty (n, T) array, got shape {shape}"
 
 
 def test_dataset_values_read_only():

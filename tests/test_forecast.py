@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    DimensionMismatchError,
     FunctionalDataset,
     Grid,
     IllConditionedError,
@@ -237,7 +238,8 @@ def test_covariate_matrix_assembly(make_far1):
         covariate_matrix(np.ones(59), 60)
     with pytest.raises(ValueError, match="dims has 1 entries for 2 covariates"):
         covariate_matrix([data, numeric], 60, dims=[2])
-    with pytest.raises(ValueError, match="covariate has 60 curves, data has 61"):
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape("covariates must be 61 rows, one per curve, got shape (60, 64)")):
         covariate_matrix(data, 61)
 
 

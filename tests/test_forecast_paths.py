@@ -414,6 +414,16 @@ def test_too_few_covariate_rows_read_one_message(tmp_path, capsys, make_far1, ca
         assert str(err.value) == message
 
 
+def test_too_few_functional_covariate_curves_read_the_same_message(make_far1):
+    # a functional covariate used to raise a plain ValueError worded its own way
+    data = make_far1(n=60, T=32, seed=25)
+    curves = make_far1(n=57, T=32, seed=26)
+    message = "covariates must be 60 rows, one per curve, got shape (57, 32)"
+    with pytest.raises(DimensionMismatchError) as err:
+        predict_with_covariates(data, curves, p=1, d=2)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("solver", ["ols", "blp"])
 def test_a_non_finite_covariate_is_named_from_one(make_far1, solver):
     # the guard used to name this cell row 0, column 1 (0-based)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    IllConditionedError,
     IngestError,
     InsufficientDataError,
     NumericalDegeneracyError,
@@ -273,3 +274,60 @@ def test_varx_rejects_non_finite_covariates():
     rmat[3, 0] = np.inf
     with pytest.raises(IngestError, match="row 4, column 1 is"):
         fit_varx_ols(smat, rmat, 1)
+
+
+def unit_var1():
+    return VarModel(p=1, coeffs=(0.5 * np.eye(2),), sigma_z=np.eye(2), mean=np.zeros(2))
+
+
+def blp_blocks(m=1, r=2):
+    """Autocovariances of a stable VAR(1) on two components with cross blocks for r covariates."""
+    acvf, _ = stable_var1_acvf(2, seed=9)
+    return acvf, np.full((m + 1, 2, r), 0.01), np.eye(r)
+
+
+# each guard no other test reaches: (call, error type, message)
+GUARDS = {
+    "score-array-ndim": (lambda: sample_acvf(np.ones((4, 1, 1)), 0), ValueError,
+                         "expected an (n, d) score array, got shape (4, 1, 1)"),
+    "gammas-shape": (lambda: AcvfSequence(gammas=np.ones((2, 2, 3))), ValueError,
+                     "gammas must be (m + 1, d, d), got shape (2, 2, 3)"),
+    "gammas-ndim": (lambda: AcvfSequence(gammas=np.ones((2, 2))), ValueError,
+                    "gammas must be (m + 1, d, d), got shape (2, 2)"),
+    "acvf-mean-length": (lambda: AcvfSequence(gammas=np.ones((2, 2, 2)), mean=np.ones(3)),
+                         ValueError, "mean must have length d=2"),
+    "negative-order": (lambda: fit_var_ols(np.ones((10, 2)), -1), ValueError,
+                       "order p must be >= 0, got -1"),
+    "horizon": (lambda: predict_var(unit_var1(), np.ones((1, 2)), 0), ValueError,
+                "horizon must be >= 1, got 0"),
+    "history-width": (lambda: predict_var(unit_var1(), np.ones((1, 3))), ValueError,
+                      "history rows have length 3, model has d=2"),
+    "covariate-without-block": (lambda: predict_var(unit_var1(), np.ones((1, 2)), covariate=[1.0]),
+                                ValueError,
+                                "model has no exogenous block but a covariate row was passed"),
+    "blp-lag-count": (lambda: solve_blp_with_covariates(blp_blocks()[0], m=7), ValueError,
+                      "need autocovariances up to lag 7, have 6"),
+    "blp-cross-alone": (lambda: solve_blp_with_covariates(blp_blocks()[0], cross=blp_blocks()[1]),
+                        ValueError, "cross and gamma_rr must be supplied together"),
+    "blp-gamma-rr-alone": (lambda: solve_blp_with_covariates(blp_blocks()[0], gamma_rr=np.eye(2)),
+                           ValueError, "cross and gamma_rr must be supplied together"),
+    "blp-cross-shape": (lambda: solve_blp_with_covariates(*blp_blocks(m=2), m=1), ValueError,
+                        "cross must be (m + 1, d, r), got shape (3, 2, 2)"),
+    "blp-gamma-rr-shape": (lambda: solve_blp_with_covariates(*blp_blocks()[:2], np.eye(3)),
+                           ValueError, "gamma_rr must be (2, 2), got (3, 3)"),
+    "blp-singular": (lambda: solve_blp_with_covariates(AcvfSequence(gammas=np.zeros((2, 2, 2)))),
+                     IllConditionedError, "stacked covariance matrix is numerically singular; "
+                     "reduce m or drop covariates"),
+    "innovations-history": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 2)
+                            .predict_one_step(np.ones((1, 2))), InsufficientDataError,
+                            "need at least m=2 history rows, got 1"),
+    "innovations-order": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 0), ValueError,
+                          "m must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guards_reject_bad_arguments_with_one_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
