@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, _write_csv
-from .errors import DimensionMismatchError, InsufficientDataError, _checked
+from .errors import DimensionMismatchError, InsufficientDataError, _argument, _checked
 from .forecast import _Fit, _check_method, _fit
 from .fpca import ScoreMatrix, reconstruct
 from .multivar import _check_rows, _guarded_solve, _lag_rows
 
 # Grid points with essentially zero spread carry no band information.
 GAMMA_FLOOR_RTOL = 1e-12
+_ALPHA = (float, lambda alpha: 0.0 < alpha < 1.0, "be in (0, 1)")  # the rule of a band's level
 
 
 def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) -> FunctionalDataset:
@@ -34,15 +35,16 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
     products, which give every origin's Gram centred on its own mean.  All
     origins are then rank-guarded, solved and reconstructed in one batch.
     """
-    L = _warm_up(data.n, d, p, L)
-    return _rolling_residuals(data, _fit(data, data.n, {"name": "fixed-var", "p": p, "d": d}), L)
+    method = {"name": "fixed-var", "label": "rolling_residuals", "p": p, "d": d}
+    L = _warm_up(data.n, method, L)
+    return _rolling_residuals(data, _fit(data, data.n, method), L)
 
 
-def _warm_up(n: int, d: int, p: int, L) -> int:
-    """The first refit's row count, p and d checked: the default max(p, 10 d, n/4), or L checked."""
-    method = _check_method({"name": "fixed-var", "p": p, "d": d}, 1)
+def _warm_up(n: int, method: dict, L) -> int:
+    """The first refit's row count, method checked: the default max(p, 10 d, n/4), or L checked."""
+    method = _check_method(method, 1)
     p, d = method["p"], method["d"]
-    L = _checked({"L": L}, {"L": int}, "bands").get("L", max(p, 10 * d, round(n / 4)))
+    L = _checked({"L": L}, {"L": int}, "rolling_residuals").get("L", max(p, 10 * d, round(n / 4)))
     if L < max(p, 10 * d):
         raise ValueError(f"L={L} below the warm-up floor max(p, 10*d)={max(p, 10 * d)}")
     if L >= n - 1:
@@ -142,8 +144,7 @@ def prediction_band(residuals: FunctionalDataset, alpha: float, symmetric: bool 
     symmetric : bool
         Single constant for both sides, or a per-side pair.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _argument("prediction_band", "alpha", alpha, _ALPHA)
     vals = residuals.values
     m = vals.shape[0]
     if m < 10:

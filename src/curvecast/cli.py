@@ -41,8 +41,8 @@ def _build_spec(args, rng) -> ProcessSpec:
     thetas = thetas if args.theta is None else dict(enumerate(args.theta, start=1))
     orders = [len(kappas), max(thetas, default=0)]  # q is the largest moving-average lag
     if args.orders is not None and args.orders != orders:
-        raise ValueError(f"--orders {args.orders[0]} {args.orders[1]} disagrees with "
-                         f"{orders[0]} kappa and {orders[1]} theta values")
+        raise ValueError(f"--orders {args.orders[0]} {args.orders[1]} disagrees with {orders[0]} "
+                         f"autoregressive lags and largest moving-average lag {orders[1]}")
     nonzero = {lag: s for lag, s in thetas.items() if s != 0.0}  # a zero --theta drops its lag
     return _scaled_spec(args.kind, psi, sigma, kappas, nonzero, args.burn_in)
 

@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IngestError, ResolutionError, _is_number
+from .errors import (DimensionMismatchError, IngestError, ResolutionError, _argument, _at_least,
+                     _is_number)
 
 # UTF-8 that drops a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write one
 CSV_ENCODING = "utf-8-sig"
+_GRID_T, _BASIS_D = _at_least(2), _at_least(1)  # the rules of a grid size T and a basis size D
 
 
 def _readonly(a) -> np.ndarray:
@@ -30,9 +32,7 @@ class Grid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.T) != self.T or self.T < 2:
-            raise ValueError(f"grid needs an integer T >= 2, got {self.T!r}")
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", _argument("Grid", "T", self.T, _GRID_T))
         pts = (np.arange(self.T) + 0.5) / self.T
         object.__setattr__(self, "points", _readonly(pts))
 
@@ -112,8 +112,7 @@ class FourierBasis:
 
 def make_fourier_basis(D: int, grid: Grid) -> FourierBasis:
     """The first D Fourier basis functions (see FourierBasis) on grid; needs T >= 8 D."""
-    if D < 1:
-        raise ValueError(f"basis size must be >= 1, got {D}")
+    D = _argument("make_fourier_basis", "D", D, _BASIS_D)
     if grid.T < 8 * D:
         raise ResolutionError(f"T={grid.T} is too coarse for D={D}; need T >= 8*D")
     t = grid.points

@@ -82,6 +82,11 @@ def _at_least(low: int) -> tuple:
     return (int, lambda value: value >= low, f"be >= {low}")
 
 
+def _in_range(low: int, high: int, bound: str) -> tuple:
+    """The rule for one integer in low..high, where bound names what sets high."""
+    return (int, lambda value: low <= value <= high, f"be in {low}..{bound} = {high}")
+
+
 def _shown(value) -> str:
     """value as an error message shows it: an array by its shape, anything else by its repr."""
     return f"an array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
@@ -123,3 +128,8 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
     if extra:
         raise ValueError(f"{owner} has no key {min(extra)!r}; its keys are {', '.join(rules)}")
     return checked
+
+
+def _argument(owner: str, name: str, value, rule):
+    """value, the argument name of the function owner, parsed by rule as _checked parses a key."""
+    return _checked({name: value}, {name: rule}, owner, (name,))[name]

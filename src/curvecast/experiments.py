@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _rolling_residuals, _warm_up, prediction_band
+from .bands import _ALPHA, _rolling_residuals, _warm_up, prediction_band
 from .curves import (
+    _GRID_T,
     Grid,
     _write_csv,
     load_curves_csv,
@@ -36,9 +37,10 @@ from .curves import (
 from .errors import _at_least, _checked, _is_number, _numbers
 from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
+from .multivar import _HORIZON
 from .selection import select_pd
-from .simulate import (_SCALINGS, ProcessSpec, _coefficients, _coupled_far1, _scaled_spec,
-                       fixed_psi, random_operator, sigma_scheme)
+from .simulate import (_N, _SCALINGS, _SPEC, ProcessSpec, _coefficients, _coupled_far1,
+                       _scaled_spec, fixed_psi, random_operator, sigma_scheme)
 
 THREADS_ENV = "FTSP_THREADS"
 CHUNK = 16  # most replications one pool task steps together
@@ -150,14 +152,14 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-_SIMULATED = {"D": int, "sigma_scheme": str, "burn_in": _at_least(0)}
+_SIMULATED = {"D": _SPEC["D"], "sigma_scheme": str, "burn_in": _SPEC["burn_in"]}
 _PATH = (object, lambda path: isinstance(path, (str, os.PathLike)), "be a str or os.PathLike")
 # each source type's keys with their rules, the keys it needs given and those it needs a value for
 _SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",), ()),
             "kappa-far": ({"type": str, "kappa": _numbers(), **_SIMULATED}, (), ("kappa",)),
             "fma": ({"type": str, "theta_scale": float, **_SIMULATED}, (), ()),
             "farma": ({"type": str, "kappa": float, "theta_scales": _numbers(2), **_SIMULATED}, (), ()),
-            "covariate-far1": ({"type": str, "burn_in": _SIMULATED["burn_in"]}, (), ()),
+            "covariate-far1": ({"type": str, "burn_in": _SPEC["burn_in"]}, (), ()),
             "file": ({"type": str, "path": _PATH, "covariates_path": _PATH}, ("path",), ())}
 
 
@@ -249,9 +251,9 @@ def _plain(value):
 
 
 # every key a config may hold, with its rule (see errors._checked)
-_CONFIG = {"source": dict, "n": int, "grid_T": int,
+_CONFIG = {"source": dict, "n": _N, "grid_T": _GRID_T,
            "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
-           "horizon": _at_least(1), "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
+           "horizon": _HORIZON, "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
            "methods": (object, lambda methods: isinstance(methods, (list, tuple)) and len(methods) > 0
                        and all(isinstance(m, dict) for m in methods),
                        "be a list of one or more method dicts"),
@@ -340,6 +342,9 @@ WEEKDAY_OFFSETS = {
     "Mon": 0.22, "Tue": 0.18, "Wed": 0.15, "Thu": 0.12, "Fri": 0.10,
     "Sat": -0.32, "Sun": -0.45,
 }
+# make_pm10_analog's rules; fewer days leave a weekday with one day, which its mean cancels
+_ANALOG = {"n_days": (int, lambda n: n >= 14, "be >= 14, two days of each weekday"),
+           "seed": _CONFIG["seed"]}
 
 
 def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: float = 0.01):
@@ -349,12 +354,14 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
     weekday column, occasional missing cells, and a 2-column numeric
     covariate whose previous row drives the next day.  Purely synthetic;
     a stand-in for confidential monitoring data with a similar shape.
+    n_days is at least 14, two days of each weekday; seed is an integer >= 0.
 
     Returns
     -------
     (curves_path, covariates_path)
     """
-    rng = np.random.default_rng(seed)
+    args = _checked({"n_days": n_days, "seed": seed}, _ANALOG, "make_pm10_analog", _ANALOG)
+    n_days, rng = args["n_days"], np.random.default_rng(args["seed"])
     grid = Grid(48)
     basis = make_fourier_basis(3, grid)
     t = grid.points
@@ -485,14 +492,14 @@ def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, 
 def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
     start = time.perf_counter()
-    grid = Grid(grid_T)
-    lookback = _warm_up(n, d, p, L)
+    grid, method = Grid(grid_T), {"name": "fixed-var", "p": p, "d": d}
+    lookback = _warm_up(n, method, L)
 
     def worker(idx, drawn):
         full = drawn[0]
         data = _head(full, n)
         # one fit serves both the rolling residuals and the forecast
-        fit = _fit(data, n, {"name": "fixed-var", "p": p, "d": d})
+        fit = _fit(data, n, method)
         resid = _rolling_residuals(data, fit, lookback)
         band = prediction_band(resid, alpha)
         covered = band.contains(_result(fit).curve, full.values[n])
@@ -564,9 +571,8 @@ PRESETS = {
     "pm10-analog": _pm10_analog_preset,
 }
 # rules of the preset keys that _rule_of reads by name (see errors._checked)
-_BY_NAME = {**{key: _CONFIG[key] for key in ("seed", "reps", "train")}, "L": int, "out_dir": str,
-            "alpha": (float, lambda a: 0 < a < 1, "be in (0, 1)"),
-            "n_days": (int, lambda n: n >= 14, "be >= 14, two days of each weekday")}
+_BY_NAME = {**{key: _CONFIG[key] for key in ("seed", "reps", "train", "n", "grid_T")}, "L": int,
+            "out_dir": str, "alpha": _ALPHA, "n_days": _ANALOG["n_days"]}
 
 
 def _rule_of(key: str, default):

@@ -11,9 +11,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import IllConditionedError, InsufficientDataError, _at_least, _checked
-from .fpca import EigenSystem, _pve_rank, eigensystem, scores
+from .errors import IllConditionedError, InsufficientDataError, _argument, _at_least, _checked
+from .fpca import _PVE, EigenSystem, _pve_rank, eigensystem, scores
 from .multivar import (
+    _HORIZON,
+    _ORDER,
     AcvfSequence,
     VarModel,
     _check_covariates,
@@ -22,7 +24,7 @@ from .multivar import (
     sample_acvf,
     solve_blp_with_covariates,
 )
-from .selection import select_pd
+from .selection import _CORNERS, select_pd
 
 EIGENVALUE_RTOL = 1e-12
 
@@ -92,8 +94,7 @@ def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
 
 
 # every key a method dict may hold, with its rule (see errors._checked)
-_RULES = {"name": str, "label": str, "p": _at_least(0), "d": _at_least(1), "p_max": _at_least(0),
-          "d_max": _at_least(1), "pve": (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]"),
+_RULES = {"name": str, "label": str, "p": _ORDER, "d": _at_least(1), **_CORNERS, "pve": _PVE,
           "solver": (str, lambda solver: solver in ("ols", "blp"), "be 'ols' or 'blp'")}
 _VAR_KEYS = ("name", "label", "p", "d", "p_max", "d_max")
 # method name -> (ForecastResult.method, the keys the method reads, whether it predicts one step only)
@@ -104,12 +105,12 @@ _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEY
 
 
 def _check_method(method: dict, h: int) -> dict:
-    """method without its None values, which count as absent, once its keys, values and h are valid.
+    """method without its None values, which count as absent, once its keys and values are valid.
 
     Each key is parsed by its rule in _RULES, so p and p_max come back as ints >= 0, d and
     d_max as ints >= 1 and pve as a float in (0, 1]; solver must be 'ols' or 'blp'.  bosq
     needs p >= 1 (default 1), scalar needs p and d, and every other method exactly one of
-    (p, d) and (p_max, d_max).
+    (p, d) and (p_max, d_max); h, an int >= 1, must be 1 for bosq and covariate.
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
     given = _checked(method, _RULES, owner, needs=("name",))
@@ -117,8 +118,6 @@ def _check_method(method: dict, h: int) -> dict:
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
     _checked(given, {key: _RULES[key] for key in _METHODS[name][1]}, owner)
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
     if h != 1 and _METHODS[name][2]:
         raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
     pairs = {"p", "d", "p_max", "d_max"} & given.keys()
@@ -159,7 +158,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     p and d, or p_max and d_max to select both by the criterion; None counts
     as absent.  Scalar needs p and d; the benchmark takes p (default 1) and d,
     or pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
-    'blp' and needs rmat, one row per curve.  h is the horizon to predict at.
+    'blp' and needs rmat, one row per curve.  h, an int >= 1, is the horizon to predict at.
     :func:`_check_method` checks the method; only the checks that need data run here.
     """
     method = _check_method(method, h)
@@ -237,7 +236,8 @@ def _result(fit: _Fit, h: int = 1) -> ForecastResult:
 
 
 def _forecast(data: FunctionalDataset, method: dict, rmat=None, h: int = 1) -> ForecastResult:
-    """Fit method on every curve of data and predict the curve h steps past the last."""
+    """Fit method on every curve of data and predict the curve h steps past the last (h parsed)."""
+    h = _argument(f"method {method.get('label', method.get('name'))!r}", "h", h, _HORIZON)
     return _result(_fit(data, data.n, method, rmat, h), h)
 
 
@@ -259,7 +259,8 @@ def predict_fts(
     ForecastResult
         The h-step-ahead curve prediction.
     """
-    method = {"name": "fixed-var", "p": p, "d": d, "p_max": p_max, "d_max": d_max}
+    method = {"name": "fixed-var", "label": "predict_fts", "p": p, "d": d, "p_max": p_max,
+              "d_max": d_max}
     return _forecast(data, method, h=h)
 
 
@@ -270,12 +271,12 @@ def bosq_predict(data: FunctionalDataset, d: int, p: int = 1) -> ForecastResult:
     (Y_k, ..., Y_{k-p+1}) are stacked into curves on a p-fold grid, the
     first-order predictor runs there, and the leading block is returned.
     """
-    return _forecast(data, {"name": "bosq", "p": p, "d": d})
+    return _forecast(data, {"name": "bosq", "label": "bosq_predict", "p": p, "d": d})
 
 
 def scalar_predict(data: FunctionalDataset, d: int, p: int, h: int = 1) -> ForecastResult:
     """Forecast with d decoupled univariate autoregressions on the scores."""
-    return _forecast(data, {"name": "scalar", "p": p, "d": d}, h=h)
+    return _forecast(data, {"name": "scalar", "label": "scalar_predict", "p": p, "d": d}, h=h)
 
 
 def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
@@ -289,10 +290,12 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     explicit entry of dims overrides the dimension.
     """
     items = covariates if isinstance(covariates, (list, tuple)) else [covariates]
-    if dims is None or isinstance(dims, int):
+    if np.ndim(dims) == 0:  # None or one dimension for every item
         dims = [dims] * len(items)
     if len(dims) != len(items):
         raise ValueError(f"dims has {len(dims)} entries for {len(items)} covariates")
+    dims = [_checked({"dims": v}, {"dims": _RULES["d"]}, "covariate_matrix").get("dims") for v in dims]
+    pve = _argument("covariate_matrix", "pve", pve, _PVE)
     cols = []
     for item, dim in zip(items, dims):
         if isinstance(item, FunctionalDataset):
@@ -326,8 +329,8 @@ def predict_with_covariates(
     from sample moments.
     """
     rmat = covariate_matrix(covariates, data.n, dims=covariate_dims, pve=covariate_pve)
-    method = {"name": "covariate", "p": p, "d": d, "p_max": p_max, "d_max": d_max,
-              "solver": solver}
+    method = {"name": "covariate", "label": "predict_with_covariates", "p": p, "d": d,
+              "p_max": p_max, "d_max": d_max, "solver": solver}
     return _forecast(data, method, rmat, h)
 
 
@@ -349,7 +352,7 @@ class EquivalenceReport:
 
 def equivalence_gap(data: FunctionalDataset, d: int) -> EquivalenceReport:
     """Compare the first-order score regression against the benchmark."""
-    fit = _fit(data, data.n, {"name": "fixed-var", "p": 1, "d": d})
+    fit = _fit(data, data.n, {"name": "fixed-var", "label": "equivalence_gap", "p": 1, "d": d})
     s, eig = fit.scores, fit.eig
     var_res = _result(fit)
     bosq_res = _result(replace(fit, method="bosq", model=_bosq_var(s, eig.eigenvalues)))

@@ -10,7 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly
-from .errors import DimensionMismatchError, InsufficientDataError, NumericalDegeneracyError
+from .errors import (DimensionMismatchError, InsufficientDataError, NumericalDegeneracyError,
+                     _argument, _in_range)
+
+_PVE = (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]")  # the rule of a share of variance
 
 
 def sample_mean(data: FunctionalDataset) -> np.ndarray:
@@ -59,8 +62,7 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
     def truncate(self, d: int) -> "EigenSystem":
-        if not 1 <= d <= self.d:
-            raise ValueError(f"cannot truncate to d={d}, system holds {self.d} pairs")
+        d = _argument("EigenSystem.truncate", "d", d, _in_range(1, self.d, "the pairs held"))
         return EigenSystem(
             grid=self.grid,
             mean=self.mean,
@@ -99,9 +101,7 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
         unit grid norm.
     """
     kernel = sample_covariance_kernel(data)  # before d, so one curve is InsufficientDataError
-    ceiling = min(data.n - 1, data.T)
-    if not 1 <= d <= ceiling:
-        raise ValueError(f"d={d} outside valid range 1..{ceiling} for n={data.n}, T={data.T}")
+    d = _argument("eigensystem", "d", d, _in_range(1, min(data.n - 1, data.T), "min(n - 1, T)"))
     total = float(np.trace(kernel)) / data.T
     kernel /= data.T
     evals, evecs = np.linalg.eigh(kernel)
@@ -120,8 +120,6 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
 
 def _pve_rank(eig: EigenSystem, threshold: float) -> int:
     """Smallest d whose leading eigenvalues of eig explain >= threshold of its total variance."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if eig.total_variance <= 0.0:
         return 1
     ratio = np.cumsum(eig.eigenvalues) / eig.total_variance
@@ -139,6 +137,7 @@ def pve_dimension(data: FunctionalDataset, threshold: float) -> int:
     The eigenvalues are those of eigensystem(data, min(n - 1, T)), the solve that
     gives the basis too, so at most min(n - 1, T) components count.
     """
+    threshold = _argument("pve_dimension", "threshold", threshold, _PVE)
     return _pve_rank(eigensystem(data, min(data.n - 1, data.T)), threshold)
 
 

@@ -18,10 +18,14 @@ from .errors import (
     InsufficientDataError,
     NumericalDegeneracyError,
     RankDeficiencyError,
+    _argument,
+    _at_least,
+    _in_range,
 )
 
 # Relative pivot threshold below which solves refuse to proceed.
 PIVOT_RTOL = 1e-12
+_ORDER, _HORIZON = _at_least(0), _at_least(1)  # the rules of a VAR order p and a horizon h
 
 
 def _as_score_array(x) -> np.ndarray:
@@ -171,16 +175,13 @@ class VarModel:
         return self.sigma_z.shape[0]
 
 
-def _fit_ols(scores, p: int, covariates=None) -> VarModel:
-    """Least-squares VAR(p) on centred scores, with the previous covariate row if given."""
-    s = _as_score_array(scores)
+def _fit_ols(s: np.ndarray, p: int, block=None) -> VarModel:
+    """The fit of fit_var_ols on the (n, d) array s, or of fit_varx_ols on a _covariate_block."""
     n, d = s.shape
     extra = r = None
-    if covariates is not None:
-        rc, rmean, keep = _covariate_block(covariates, n)
+    if block is not None:
+        rc, rmean, keep = block
         extra, r = rc[:, keep], rc.shape[1]
-    if p < 0:
-        raise ValueError(f"order p must be >= 0, got {p}")
     _check_rows(n, p, d, r)
     mean = s.mean(axis=0)
     c = s - mean
@@ -210,7 +211,7 @@ def fit_var_ols(scores, p: int) -> VarModel:
     (y_{k-1}, ..., y_{k-p}); no intercept is estimated beyond removing
     the sample mean.  The innovation covariance uses divisor n - p.
     """
-    return _fit_ols(scores, p)
+    return _fit_ols(_as_score_array(scores), _argument("fit_var_ols", "p", p, _ORDER))
 
 
 def fit_varx_ols(scores, covariates, p: int) -> VarModel:
@@ -221,7 +222,8 @@ def fit_varx_ols(scores, covariates, p: int) -> VarModel:
     constant carry no information and are excluded from the solve; their
     loadings are returned as zero.  Non-finite covariates raise IngestError.
     """
-    return _fit_ols(scores, p, covariates)
+    s, p = _as_score_array(scores), _argument("fit_varx_ols", "p", p, _ORDER)
+    return _fit_ols(s, p, _covariate_block(covariates, len(s)))
 
 
 def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndarray:
@@ -231,8 +233,7 @@ def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndar
     are required.  With an exogenous block only h = 1 is defined and the
     current covariate row must be supplied.
     """
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
+    h = _argument("predict_var", "h", h, _HORIZON)
     hist = np.asarray(history, dtype=float)
     if hist.ndim == 1:
         # a flat vector is one observation unless the model is univariate
@@ -289,12 +290,8 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
         phis is a list of m (d, d) matrices; theta is the (d, r)
         covariate loading, or None when no covariate blocks were given.
     """
-    low = 1 if cross is None else 0
-    if m < low:
-        raise ValueError(f"m must be >= {low}, got {m}")
-    if acvf.max_lag < m:
-        raise ValueError(f"need autocovariances up to lag {m}, have {acvf.max_lag}")
-    d = acvf.d
+    rule = _in_range(int(cross is None), acvf.max_lag, "acvf.max_lag")
+    m, d = _argument("solve_blp_with_covariates", "m", m, rule), acvf.d
     if (cross is None) != (gamma_rr is None):
         raise ValueError("cross and gamma_rr must be supplied together")
     r = 0
@@ -368,11 +365,7 @@ def innovations(acvf: AcvfSequence, m: int) -> InnovationsState:
     computed row by row with V_0 = Gamma(0) and
     V_k = Gamma(0) - sum_j Theta_{k, k-j} V_j Theta_{k, k-j}^T.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if acvf.max_lag < m:
-        raise ValueError(f"need autocovariances up to lag {m}, have {acvf.max_lag}")
-    d = acvf.d
+    m, d = _argument("innovations", "m", m, _in_range(1, acvf.max_lag, "acvf.max_lag")), acvf.d
     v = [acvf.gamma(0)]
     rows = []
     for k in range(1, m + 1):

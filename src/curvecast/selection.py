@@ -11,17 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _write_csv
-from .errors import InsufficientDataError, RankDeficiencyError, SelectionError
+from .errors import InsufficientDataError, RankDeficiencyError, SelectionError, _at_least, _checked
 from .fpca import EigenSystem, eigensystem, scores
-from .multivar import (
-    PIVOT_RTOL,
-    _check_rows,
-    _covariate_block,
-    _is_singular,
-    _lag_rows,
-    fit_var_ols,
-    fit_varx_ols,
-)
+from .multivar import _ORDER, PIVOT_RTOL, _check_rows, _covariate_block, _fit_ols, _is_singular, _lag_rows
+
+_CORNERS = {"p_max": _ORDER, "d_max": _at_least(1)}  # the rules of the sweep's upper corners
 
 
 def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float, r: int = 0) -> float:
@@ -99,12 +93,12 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     ``scores``, so a fit at the selected d reuses the training scores.
     Each p forms X'X once at that width.  When X'X passes the pivot test,
     one Cholesky factor of it gives the residual sums of every d.  Cells
-    that factor does not serve, the order-zero VAR cells among them, are
-    fitted by :func:`fit_var_ols`, or :func:`fit_varx_ols` with covariates,
-    whose guard names a singular cell's column.  Unfittable cells (d above
-    min(n - 1, T), too few observations, or a rank-deficient design) get a
-    status instead of aborting the sweep.  Ties in the criterion prefer
-    smaller d, then smaller p.
+    that factor does not serve, the order-zero VAR cells among them, get
+    the fit of :func:`fit_var_ols`, or of :func:`fit_varx_ols` on the
+    sweep's covariate block; its guard names a singular cell's column.
+    Unfittable cells (d above min(n - 1, T), too few observations, or a
+    rank-deficient design) get a status instead of aborting the sweep.
+    Ties in the criterion prefer smaller d, then smaller p.
 
     Parameters
     ----------
@@ -120,16 +114,15 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     -------
     FfpeTable
     """
-    if p_max < 0 or d_max < 1:
-        raise ValueError(f"need p_max >= 0 and d_max >= 1, got {p_max}, {d_max}")
+    p_max, d_max = _checked({"p_max": p_max, "d_max": d_max}, _CORNERS, "select_pd", _CORNERS).values()
     n = data.n
     ceiling = min(n - 1, data.T)
     eig = eigensystem(data, min(d_max, ceiling))
     smat = scores(data, eig).scores
     c = smat - smat.mean(axis=0)
-    r = extra = None
+    r = extra = block = None
     if covariate_scores is not None:
-        rc, _, keep = _covariate_block(covariate_scores, n)
+        block = rc, _, keep = _covariate_block(covariate_scores, n)
         r, extra = rc.shape[1], rc[:, keep]
     nested = {}
     for p in range(r is None, p_max + 1):  # VAR(0) cells have no design
@@ -153,9 +146,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                     _check_rows(n, p, d, r)
                     trace = float(nested[p][d - 1])
                 else:
-                    fit = (fit_var_ols(smat[:, :d], p) if r is None
-                           else fit_varx_ols(smat[:, :d], covariate_scores, p))
-                    trace = float(fit.sigma_z.trace())
+                    trace = float(_fit_ols(smat[:, :d], p, block).sigma_z.trace())
                 value = ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"

@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .curves import FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError, _at_least, _checked, _numbers, _shown
+from .curves import _BASIS_D, FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
+from .errors import NonstationaryError, _argument, _at_least, _checked, _in_range, _numbers, _shown
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -27,13 +27,12 @@ PSI_MATRICES = {
     ),
     "psi2": 0.8 * np.eye(3),
 }
+_N = _at_least(1)  # the rule of a number of curves to draw
 
 
 def sigma_scheme(name: str, D: int) -> np.ndarray:
     """Component standard deviations: 's1' gives 1/l, 's2' gives 1.2^-l."""
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
-    ell = np.arange(1, D + 1, dtype=float)
+    ell = np.arange(1, _argument("sigma_scheme", "D", D, _BASIS_D) + 1, dtype=float)
     if name == "s1":
         return 1.0 / ell
     if name == "s2":
@@ -63,7 +62,7 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
     Entry (l, l') is drawn with standard deviation sigma_l * sigma_l',
     then the matrix is divided by its largest singular value.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    D, sigma = _argument("random_operator", "D", D, _BASIS_D), np.asarray(sigma, dtype=float)
     if sigma.shape != (D,) or np.any(sigma <= 0.0):
         raise ValueError(f"sigma must be {D} positive values")
     while True:
@@ -78,7 +77,7 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
 _NEEDS = {"far": "ar operators and no ma operators", "fma": "ma operators and no ar operators",
           "farma": "both ar and ma operators"}
 _SPEC = {"kind": (str, lambda kind: kind in _NEEDS, "be 'far', 'fma' or 'farma'"),
-         "D": _at_least(1), "sigma": _numbers(),
+         "D": _BASIS_D, "sigma": _numbers(),
          "ar": (object, lambda ar: isinstance(ar, (list, tuple)), "be a list"),
          "ma": dict, "burn_in": _at_least(0)}
 
@@ -192,6 +191,7 @@ def simulate(spec: ProcessSpec, n: int, grid: Grid, rng: np.random.Generator) ->
     with a_k having independent components scaled by spec.sigma, started
     from zeros.
     """
+    n = _argument("simulate", "n", n, _N)
     return synthesize(_coefficients([spec], n, [rng])[0], make_fourier_basis(spec.D, grid))
 
 
@@ -202,10 +202,8 @@ def _coefficients(specs, n: int, rngs) -> list:
     the burn-in.  Each generator draws its own innovations exactly as a
     lone :func:`simulate` would, and each step makes one stacked product
     per lag, so every recursion gets the same bits as on its own.  The B
-    results are separate arrays, so a caller can release each once used.
+    results are separate arrays, so a caller can release each once used.  n is an int >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     spec = specs[0]
     D, p, lags, burn_in = spec.D, spec.p, sorted(spec.ma), spec.burn_in
     if any((s.D, s.p, sorted(s.ma), s.burn_in) != (D, p, lags, burn_in) for s in specs):
@@ -277,8 +275,7 @@ def bias_bound(ar_operators, eigenvalues, d: int) -> float:
         raise ValueError(f"need at least {D} eigenvalues, got shape {lams.shape}")
     if np.any(lams < 0.0):
         raise ValueError("eigenvalues must be nonnegative")
-    if not 1 <= d <= D:
-        raise ValueError(f"d must be in 1..{D}, got {d}")
+    d = _argument("bias_bound", "d", d, _in_range(1, D, "D"))
     psi_sum = sum(float(np.sqrt(np.sum(m[:, d:] ** 2))) for m in ops)
     tail = float(np.sum(lams[d:]))
     return (1.0 + psi_sum**2) * tail

@@ -121,6 +121,44 @@ def test_only_errors_formats_key_checks():
             assert (worded, helpers) == ([], set()), path.name
 
 
+def test_each_shared_key_has_one_rule_object():
+    # a table that lists a key another module already checks imports that module's rule
+    module = {name: importlib.import_module(f"curvecast.{name}") for name in
+              ("bands", "curves", "experiments", "forecast", "fpca", "multivar", "selection",
+               "simulate")}
+    experiments, forecast, simulate = module["experiments"], module["forecast"], module["simulate"]
+    shared = [
+        (experiments._SIMULATED["D"], simulate._SPEC["D"], module["curves"]._BASIS_D),
+        (experiments._SIMULATED["burn_in"], simulate._SPEC["burn_in"]),
+        (experiments._BY_NAME["alpha"], module["bands"]._ALPHA),
+        (forecast._RULES["pve"], module["fpca"]._PVE),
+        (forecast._RULES["p_max"], module["selection"]._CORNERS["p_max"], module["multivar"]._ORDER,
+         forecast._RULES["p"]),
+        (forecast._RULES["d_max"], module["selection"]._CORNERS["d_max"]),
+        (experiments._CONFIG["horizon"], module["multivar"]._HORIZON),
+        (experiments._CONFIG["grid_T"], experiments._BY_NAME["grid_T"], module["curves"]._GRID_T),
+        (experiments._CONFIG["n"], experiments._BY_NAME["n"], simulate._N),
+        (experiments._BY_NAME["n_days"], experiments._ANALOG["n_days"]),
+        (experiments._ANALOG["seed"], experiments._CONFIG["seed"]),
+    ]
+    for rules in shared:
+        assert all(rule is rules[0] for rule in rules), rules
+
+
+# the hand-written guards that restated a rule, as the messages they raised
+RESTATED = [r"horizon must be >= 1", r"order p must be", r"^D must be >= 1", r"basis size must be",
+            r"need p_max >= 0", r"outside valid range", r"threshold must be in",
+            r"alpha must be in", r"^n must be >= 1", r"grid needs an integer", r"^d must be in 1\.\.",
+            r"cannot truncate to", r"^m must be >= ", r"need autocovariances up to lag"]
+
+
+def test_no_module_restates_a_rule():
+    for path in SOURCES:
+        restated = [text for text in string_templates(source_tree(path.name))
+                    if any(re.search(pattern, text) for pattern in RESTATED)]
+        assert restated == [], path.name
+
+
 def readme_tables():
     """README's markdown tables, keyed by their first header cell, as rows of cells."""
     tables, rows = {}, None
@@ -197,11 +235,13 @@ def defined_names(tree):
 
 
 def test_sweep_falls_back_to_the_var_fit():
-    # cells the nested factor does not serve go through fit_var_ols / fit_varx_ols
+    # cells the nested factor does not serve go through the core of fit_var_ols / fit_varx_ols,
+    # which takes the covariate block the sweep built instead of checking the covariates again
     tree = source_tree("selection.py")
     assert "_guarded_solve" not in imported_names(tree)
     assert "_cell_trace" not in defined_names(tree)
-    assert {"fit_var_ols", "fit_varx_ols"} <= imported_names(tree)
+    assert "_fit_ols" in imported_names(tree)
+    assert not imported_names(tree) & {"fit_var_ols", "fit_varx_ols"}
 
 
 def functions_using_names():

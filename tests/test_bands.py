@@ -169,7 +169,7 @@ def test_rolling_residuals_guards(make_far1):
         rolling_residuals(data, d=2, p=1, L=10)  # below 10 d
     with pytest.raises(InsufficientDataError):
         rolling_residuals(data, d=2, p=1, L=49)
-    with pytest.raises(ValueError, match=r"method 'fixed-var' key 'p' must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"method 'rolling_residuals' key 'p' must be >= 0, got -1"):
         rolling_residuals(data, d=2, p=-1)
 
 

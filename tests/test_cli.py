@@ -87,7 +87,13 @@ def test_simulate_order_cross_check_fails_loud(tmp_path, capsys):
         "--n", "10", "--grid", "32", "--seed", "1", "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: --orders 1 0 disagrees with 2 autoregressive lags "
+                                       "and largest moving-average lag 0\n")
+    # the default fma process has one scaling, at moving-average lag 2
+    assert main(["simulate", "--kind", "fma", "--orders", "0", "1", "--n", "10", "--grid", "32",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == ("error: --orders 0 1 disagrees with 0 autoregressive lags "
+                                       "and largest moving-average lag 2\n")
 
 
 def test_fma_and_farma_defaults_are_the_same_for_sources_and_simulate(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_fourier_basis_orthonormal_to_machine_precision():
 def test_fourier_resolution_guard():
     with pytest.raises(ResolutionError):
         make_fourier_basis(9, Grid(64))
-    with pytest.raises(ValueError, match="^basis size must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^make_fourier_basis key 'D' must be >= 1, got 0$"):
         make_fourier_basis(0, Grid(64))
 
 

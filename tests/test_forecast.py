@@ -75,15 +75,22 @@ def test_predict_fts_mode_exclusivity(make_far1):
         predict_fts(data)
     with pytest.raises(ValueError):
         predict_fts(data, p=1)
-    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="method 'predict_fts' key 'h' must be >= 1, got 0"):
         predict_fts(data, h=0, p=1, d=2)
 
 
+# a case whose message changed keeps its id, which reads the message it had before
 @pytest.mark.parametrize("predict, kwargs, message", [
-    (predict_fts, {"p": 1.5, "d": 2}, "method 'fixed-var' key 'p' must be one finite int, got 1.5"),
+    pytest.param(predict_fts, {"p": 1.5, "d": 2},
+                 "method 'predict_fts' key 'p' must be one finite int, got 1.5",
+                 id="predict_fts-kwargs0-method 'fixed-var' key 'p' must be one finite int, got 1.5"),
     (predict_fts, {"p_max": 2.5, "d_max": 2}, "key 'p_max' must be one finite int, got 2.5"),
-    (scalar_predict, {"p": 1, "d": 2.5}, "method 'scalar' key 'd' must be one finite int, got 2.5"),
-    (bosq_predict, {"p": 1, "d": "2"}, "method 'bosq' key 'd' must be one finite int, got '2'"),
+    pytest.param(scalar_predict, {"p": 1, "d": 2.5},
+                 "method 'scalar_predict' key 'd' must be one finite int, got 2.5",
+                 id="scalar_predict-kwargs2-method 'scalar' key 'd' must be one finite int, got 2.5"),
+    pytest.param(bosq_predict, {"p": 1, "d": "2"},
+                 "method 'bosq_predict' key 'd' must be one finite int, got '2'",
+                 id="bosq_predict-kwargs3-method 'bosq' key 'd' must be one finite int, got '2'"),
 ])
 def test_public_predictors_check_their_method_values(make_far1, predict, kwargs, message):
     # the predictors fit through the one method check; 1.5 used to fit p = 1
@@ -255,7 +262,7 @@ def test_functional_covariate_reads_one_eigensystem(make_far1, monkeypatch):
     assert kernels == [60]
     fixed = scores(item, eigensystem(item, 2)).scores
     assert covariate_matrix(item, 60, dims=2).tobytes() == fixed.tobytes()
-    with pytest.raises(ValueError, match="d=0 outside valid range"):
+    with pytest.raises(ValueError, match="covariate_matrix key 'dims' must be >= 1, got 0"):
         covariate_matrix(item, 60, dims=0)
 
 

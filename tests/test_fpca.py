@@ -119,7 +119,8 @@ def test_truncate_matches_smaller_fit(noise_dataset):
     assert np.allclose(cut.eigenfunctions, small.eigenfunctions, atol=1e-12)
     assert cut.total_variance == small.total_variance
     for d in (0, 7):
-        with pytest.raises(ValueError, match=f"cannot truncate to d={d}, system holds 6 pairs"):
+        with pytest.raises(ValueError, match=re.escape(f"EigenSystem.truncate key 'd' must be in "
+                                                       f"1..the pairs held = 6, got {d}")):
             big.truncate(d)
 
 

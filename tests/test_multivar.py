@@ -207,7 +207,8 @@ def test_blp_at_order_zero_predicts_from_the_covariate_alone():
     phis, theta = solve_blp_with_covariates(acvf, cross=cross, gamma_rr=gamma_rr, m=0)
     assert phis == []
     np.testing.assert_allclose(theta, cross[0] @ np.linalg.inv(gamma_rr), rtol=1e-12)
-    with pytest.raises(ValueError, match="m must be >= 1, got 0"):  # no covariate, no predictor
+    # no covariate, no predictor
+    with pytest.raises(ValueError, match=r"key 'm' must be in 1\.\.acvf\.max_lag = 6, got 0"):
         solve_blp_with_covariates(acvf, m=0)
 
 
@@ -297,16 +298,16 @@ GUARDS = {
     "acvf-mean-length": (lambda: AcvfSequence(gammas=np.ones((2, 2, 2)), mean=np.ones(3)),
                          ValueError, "mean must have length d=2"),
     "negative-order": (lambda: fit_var_ols(np.ones((10, 2)), -1), ValueError,
-                       "order p must be >= 0, got -1"),
+                       "fit_var_ols key 'p' must be >= 0, got -1"),
     "horizon": (lambda: predict_var(unit_var1(), np.ones((1, 2)), 0), ValueError,
-                "horizon must be >= 1, got 0"),
+                "predict_var key 'h' must be >= 1, got 0"),
     "history-width": (lambda: predict_var(unit_var1(), np.ones((1, 3))), ValueError,
                       "history rows have length 3, model has d=2"),
     "covariate-without-block": (lambda: predict_var(unit_var1(), np.ones((1, 2)), covariate=[1.0]),
                                 ValueError,
                                 "model has no exogenous block but a covariate row was passed"),
     "blp-lag-count": (lambda: solve_blp_with_covariates(blp_blocks()[0], m=7), ValueError,
-                      "need autocovariances up to lag 7, have 6"),
+                      "solve_blp_with_covariates key 'm' must be in 1..acvf.max_lag = 6, got 7"),
     "blp-cross-alone": (lambda: solve_blp_with_covariates(blp_blocks()[0], cross=blp_blocks()[1]),
                         ValueError, "cross and gamma_rr must be supplied together"),
     "blp-gamma-rr-alone": (lambda: solve_blp_with_covariates(blp_blocks()[0], gamma_rr=np.eye(2)),
@@ -322,7 +323,7 @@ GUARDS = {
                             .predict_one_step(np.ones((1, 2))), InsufficientDataError,
                             "need at least m=2 history rows, got 1"),
     "innovations-order": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 0), ValueError,
-                          "m must be >= 1, got 0"),
+                          "innovations key 'm' must be in 1..acvf.max_lag = 6, got 0"),
 }
 
 

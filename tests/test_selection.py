@@ -214,12 +214,13 @@ def test_sweep_matches_per_cell_fits(monkeypatch, make_far1, with_covariates, n,
     data = make_far1(n=n, T=48, seed=n + p_max)
     rmat = covariate_input(with_covariates, data)
     fitted = set()  # the orders whose cells select_pd fits one at a time
-    for name in ("fit_var_ols", "fit_varx_ols"):
-        def spy(*args, _fit=getattr(curvecast.selection, name)):
-            fitted.add(args[-1])
-            return _fit(*args)
+    real = curvecast.selection._fit_ols
 
-        monkeypatch.setattr(curvecast.selection, name, spy)
+    def spy(s, p, block=None):
+        fitted.add(p)
+        return real(s, p, block)
+
+    monkeypatch.setattr(curvecast.selection, "_fit_ols", spy)
     table = select_pd(data, p_max, d_max, covariate_scores=rmat)
     expected = direct_cells(data, p_max, d_max, rmat)
     assert [(c.p, c.d) for c in table.cells] == list(expected)

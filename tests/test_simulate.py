@@ -46,7 +46,7 @@ def test_sigma_schemes():
     assert np.allclose(sigma_scheme("s2", 3), [1 / 1.2, 1.2**-2, 1.2**-3])
     with pytest.raises(ValueError):
         sigma_scheme("s3", 3)
-    with pytest.raises(ValueError, match="D must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="sigma_scheme key 'D' must be >= 1, got 0"):
         sigma_scheme("s1", 0)
 
 
@@ -342,8 +342,8 @@ def test_stacked_specs_must_share_their_lags():
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="share"):
         _coefficients([far1, far2], 10, rngs)
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        _coefficients([far1], 0, rngs[:1])
+    with pytest.raises(ValueError, match="simulate key 'n' must be >= 1, got 0"):
+        simulate(far1, 0, Grid(32), rngs[0])
 
 
 def coupled_loop(n, rng, psi, b, sigma_y, rho, sigma_r, burn_in=200):
