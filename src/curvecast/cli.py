@@ -12,10 +12,10 @@ from .curves import Grid, load_curves_csv, load_numeric_csv, save_curves_csv
 from .errors import CurvecastError
 from .experiments import PRESETS, _keep_heap, run_benchmark
 from .forecast import _forecast
-from .ingest import ingest
+from .ingest import _TRANSFORMS, ingest
 from .selection import select_pd
-from .simulate import (_SCALINGS, ProcessSpec, _scaled_spec, fixed_psi, random_operator,
-                       sigma_scheme, simulate)
+from .simulate import (_NEEDS, _SCALINGS, _SCHEMES, PSI_MATRICES, ProcessSpec, _scaled_spec,
+                       fixed_psi, random_operator, sigma_scheme, simulate)
 
 # forecast --method choices in the method vocabulary of run_forecast_experiment
 _FORECAST_METHODS = {"vector": "fixed-var", "bosq": "bosq", "scalar": "scalar",
@@ -147,15 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate curves from a stochastic recursion")
-    sim.add_argument("--kind", choices=["far", "fma", "farma"], default="far")
+    sim.add_argument("--kind", choices=list(_NEEDS), default="far")
     sim.add_argument("--orders", type=int, nargs=2, metavar=("P", "Q"),
                      help="cross-check for the implied ar/ma orders")
     sim.add_argument("--kappa", type=float, nargs="+",
                      help="autoregressive scalings per lag")
     sim.add_argument("--theta", type=float, nargs="+",
                      help="moving-average scalings per lag (zeros drop the lag)")
-    sim.add_argument("--operator", choices=["psi1", "psi2", "random"], default="psi1")
-    sim.add_argument("--sigma", choices=["s1", "s2", "ones"], default="s1")
+    sim.add_argument("--operator", choices=[*PSI_MATRICES, "random"], default="psi1")
+    sim.add_argument("--sigma", choices=[*_SCHEMES, "ones"], default="s1")
     sim.add_argument("--dim", type=int, default=3, help="number of basis components")
     sim.add_argument("--n", type=int, required=True, help="curves to keep after burn-in")
     sim.add_argument("--grid", type=int, default=256, help="grid points per curve")
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--out", required=True)
     ing.add_argument("--no-interpolate", action="store_true",
                      help="fail on missing cells instead of interpolating")
-    ing.add_argument("--transform", choices=["none", "sqrt"], default="none")
+    ing.add_argument("--transform", choices=_TRANSFORMS, default="none")
     ing.add_argument("--weekday-adjust", metavar="COLUMN",
                      help="subtract per-label mean curves keyed by this column")
     ing.add_argument("--rows-per-curve", type=int,

@@ -87,6 +87,11 @@ def _in_range(low: int, high: int, bound: str) -> tuple:
     return (int, lambda value: low <= value <= high, f"be in {low}..{bound} = {high}")
 
 
+def _one_of(*choices) -> tuple:
+    """The rule for one str from the closed set choices."""
+    return (str, choices.__contains__, f"be one of {', '.join(map(repr, choices))}")
+
+
 def _shown(value) -> str:
     """value as an error message shows it: an array by its shape, anything else by its repr."""
     return f"an array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)

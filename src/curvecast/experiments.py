@@ -34,12 +34,12 @@ from .curves import (
     make_fourier_basis,
     synthesize,
 )
-from .errors import _at_least, _checked, _is_number, _numbers
-from .forecast import _check_method, _fit, _head, _predict, _result, equivalence_gap
+from .errors import _argument, _at_least, _checked, _is_number, _numbers, _one_of
+from .forecast import _BOSQ_P, _RULES, _check_method, _fit, _head, _predict, _result, equivalence_gap
 from .ingest import ingest
 from .multivar import _HORIZON
 from .selection import select_pd
-from .simulate import (_N, _SCALINGS, _SPEC, ProcessSpec, _coefficients, _coupled_far1,
+from .simulate import (_N, _SCALINGS, _SCHEME, _SPEC, ProcessSpec, _coefficients, _coupled_far1,
                        _scaled_spec, fixed_psi, random_operator, sigma_scheme)
 
 THREADS_ENV = "FTSP_THREADS"
@@ -78,7 +78,7 @@ class RunReport:
     wall_clock: float
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True, default=_plain)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -152,7 +152,7 @@ def _resolve_train(train, n: int) -> int:
 # data sources
 
 
-_SIMULATED = {"D": _SPEC["D"], "sigma_scheme": str, "burn_in": _SPEC["burn_in"]}
+_SIMULATED = {"D": _SPEC["D"], "sigma_scheme": _SCHEME, "burn_in": _SPEC["burn_in"]}
 _PATH = (object, lambda path: isinstance(path, (str, os.PathLike)), "be a str or os.PathLike")
 # each source type's keys with their rules, the keys it needs given and those it needs a value for
 _SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",), ()),
@@ -170,9 +170,7 @@ def _source_factory(source: dict, n: int, grid: Grid):
     values, missing keys and keys the source type does not read raise
     ValueError naming the key, before anything is drawn.
     """
-    kind = _checked({"type": source.get("type")}, {"type": str}, "source").get("type")
-    if kind not in _SOURCES:
-        raise ValueError(f"unknown source type {kind!r}")
+    kind = _argument("source", "type", source.get("type"), _one_of(*_SOURCES))
     rules, needs, required = _SOURCES[kind]
     args = _checked(source, rules, f"a {kind!r} source", needs, required)
     burn_in = args.get("burn_in", 200)
@@ -253,7 +251,7 @@ def _plain(value):
 # every key a config may hold, with its rule (see errors._checked)
 _CONFIG = {"source": dict, "n": _N, "grid_T": _GRID_T,
            "train": (object, _is_train, "be a fraction in (0, 1) or an integer count"),
-           "horizon": _HORIZON, "fit_mode": (str, lambda mode: mode == "fixed", "be 'fixed'"),
+           "horizon": _HORIZON, "fit_mode": _one_of("fixed"),
            "methods": (object, lambda methods: isinstance(methods, (list, tuple)) and len(methods) > 0
                        and all(isinstance(m, dict) for m in methods),
                        "be a list of one or more method dicts"),
@@ -344,7 +342,8 @@ WEEKDAY_OFFSETS = {
 }
 # make_pm10_analog's rules; fewer days leave a weekday with one day, which its mean cancels
 _ANALOG = {"n_days": (int, lambda n: n >= 14, "be >= 14, two days of each weekday"),
-           "seed": _CONFIG["seed"]}
+           "seed": _CONFIG["seed"],
+           "missing_rate": (float, lambda rate: 0.0 <= rate < 1.0, "be in [0, 1)")}
 
 
 def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: float = 0.01):
@@ -354,13 +353,15 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
     weekday column, occasional missing cells, and a 2-column numeric
     covariate whose previous row drives the next day.  Purely synthetic;
     a stand-in for confidential monitoring data with a similar shape.
-    n_days is at least 14, two days of each weekday; seed is an integer >= 0.
+    n_days is at least 14, two days of each weekday; seed is an integer >= 0 and
+    missing_rate, each cell's chance to be missing, a number in [0, 1).
 
     Returns
     -------
     (curves_path, covariates_path)
     """
-    args = _checked({"n_days": n_days, "seed": seed}, _ANALOG, "make_pm10_analog", _ANALOG)
+    args = _checked({"n_days": n_days, "seed": seed, "missing_rate": missing_rate}, _ANALOG,
+                    "make_pm10_analog", _ANALOG)
     n_days, rng = args["n_days"], np.random.default_rng(args["seed"])
     grid = Grid(48)
     basis = make_fourier_basis(3, grid)
@@ -374,7 +375,7 @@ def make_pm10_analog(out_dir, n_days: int = 175, seed: int = 0, missing_rate: fl
     offsets = np.array([WEEKDAY_OFFSETS[lab] for lab in labels])
     sqrt_scale = np.maximum(base + offsets[:, None] + fluctuations, 0.05)
     raw = sqrt_scale**2
-    mask = rng.random(raw.shape) < missing_rate
+    mask = rng.random(raw.shape) < args["missing_rate"]
     curves_path = os.path.join(out_dir, "pm10_analog_raw.csv")
     _write_csv(curves_path, ["weekday"] + [f"t_{i + 1}" for i in range(48)],
                ([lab] + ["" if h else repr(float(v)) for v, h in zip(row, hide)]
@@ -420,7 +421,6 @@ def _ratio_preset(psi_name: str):
 def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
     start = time.perf_counter()
-    _check_method({"name": "ffpe-var", "p_max": p_max, "d_max": d_max}, 1)
     source = {"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D}
     draw = _source_factory(source, n, Grid(grid_T))
 
@@ -444,15 +444,14 @@ def _far2_table_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=1000
     return _study("far2-table", source, methods, reps, seed, n, grid_T, train)
 
 
+# the fma-farma preset's sources by its kind
+_FMA_FARMA = {"farma": {"type": "farma", "kappa": 0.1, "theta_scales": [0.1, 0.9]},
+              "fma": {"type": "fma", "theta_scale": 0.8}}
+
+
 def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21,
                       grid_T=256, train=0.9, p_max=10, d_max=10, bosq_p=1, bosq_pve=0.8):
-    if kind == "farma":
-        source = {"type": "farma", "kappa": 0.1, "theta_scales": [0.1, 0.9],
-                  "sigma_scheme": sigma, "D": D}
-    elif kind == "fma":
-        source = {"type": "fma", "theta_scale": 0.8, "sigma_scheme": sigma, "D": D}
-    else:
-        raise ValueError(f"kind must be 'fma' or 'farma', got {kind!r}")
+    source = {**_FMA_FARMA[kind], "sigma_scheme": sigma, "D": D}
     methods = [{"name": "ffpe-var", "p_max": p_max, "d_max": d_max},
                {"name": "bosq", "p": bosq_p, "pve": bosq_pve}]
     report = _study("fma-farma", source, methods, reps, seed, n, grid_T, train)
@@ -465,7 +464,6 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
 
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
     start = time.perf_counter()
-    _check_method({"name": "fixed-var", "p": 1, "d": d}, 1)  # the fit equivalence_gap makes
     # a VAR(1) fit on d scores needs d + 2 curves
     rule = (object, lambda v: min(v) >= d + 2, f"hold integers >= d + 2 = {d + 2}")
     _checked({"ns": ns}, {"ns": rule}, "preset 'equivalence-rate'")
@@ -531,8 +529,7 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
                         p_max=2, d_max=4):
     if reps != 1:
         raise ValueError("the ingestion demo runs a single replication")
-    methods = [_check_method({"name": name, "p_max": p_max, "d_max": d_max}, 1)
-               for name in ("ffpe-var", "covariate")]
+    methods = [{"name": name, "p_max": p_max, "d_max": d_max} for name in ("ffpe-var", "covariate")]
     # a covariate fit on the analog's two covariate columns needs four training days
     rule = (int, lambda v: 1 <= v <= n_days - 4, f"be in 1..n_days - 4 = {n_days - 4}")
     _checked({"eval_days": eval_days}, {"eval_days": rule}, "preset 'pm10-analog'")
@@ -570,24 +567,15 @@ PRESETS = {
     "covariate-gain": _covariate_gain_preset,
     "pm10-analog": _pm10_analog_preset,
 }
-# rules of the preset keys that _rule_of reads by name (see errors._checked)
-_BY_NAME = {**{key: _CONFIG[key] for key in ("seed", "reps", "train", "n", "grid_T")}, "L": int,
+# every preset key with the rule of the config, method, source, spec or argument key it feeds
+_BY_NAME = {**{key: _CONFIG[key] for key in ("seed", "reps", "train", "n", "grid_T")},
+            **{key: _RULES[key] for key in ("p", "d", "p_max", "d_max")}, "scalar_p": _RULES["p"],
+            "scalar_d": _RULES["d"], "D": _SPEC["D"], "bosq_p": _BOSQ_P, "bosq_pve": _RULES["pve"],
+            "kappa": _SOURCES["kappa-far"][0]["kappa"], "sigma": _SCHEME,
+            "kind": _one_of(*_FMA_FARMA), "ns": _numbers(kind=int), "L": int, "eval_days": int,
             "out_dir": str, "alpha": _ALPHA, "n_days": _ANALOG["n_days"]}
-
-
-def _rule_of(key: str, default):
-    """A preset key's rule: by name in _BY_NAME, else the kind of default."""
-    if key in _BY_NAME:
-        return _BY_NAME[key]
-    if isinstance(default, tuple):  # a list or tuple of numbers, integers if the default's are
-        _, test, takes = _numbers(kind=int if all(isinstance(v, int) for v in default) else float)
-        return (object, lambda value: isinstance(value, (list, tuple)) and test(value), takes)
-    return type(default)
-
-
 # each preset's keys with their rules, read once from its signature; seed is checked first
-_PRESET_RULES = {name: {"seed": int, **{key: _rule_of(key, param.default) for key, param
-                                       in inspect.signature(build).parameters.items()}}
+_PRESET_RULES = {name: {key: _BY_NAME[key] for key in ("seed", *inspect.signature(build).parameters)}
                  for name, build in PRESETS.items()}
 
 
@@ -597,19 +585,14 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     reps defaults to the preset's own count.  seed, reps and overrides are
     parsed by the preset's table in _PRESET_RULES, whose keys are the
     preset's keyword arguments, and the preset receives the parsed values;
-    None counts as absent.  seed is an integer >= 0 and reps one >= 1.
-    A key whose default is an integer, and L, takes an integer: a whole
-    float such as 2.0 or a numpy integer passes and becomes an int.  A key
-    whose default is a float takes a number and receives a float, a tuple
-    default a list or tuple of one or more numbers (integers for ns), train a
-    fraction in (0, 1) or an integer count, alpha a number in (0, 1), and
-    out_dir and the other text keys a str.  Bad keys and values, and values
-    the study's own checks reject (such as p_max < 0, an L that leaves too
-    few curves or an entry of ns below d + 2), raise a ValueError that names
-    the preset and the key before any replication runs.
+    None counts as absent.  Each key takes the rule in _BY_NAME of the key
+    it feeds, so a whole float such as 2.0 or a numpy integer becomes an
+    int.  Bad keys and values, and values the study's own checks reject
+    (such as an L that leaves too few curves or an entry of ns below
+    d + 2), raise a ValueError that names the preset and the key before
+    any replication runs.
     """
-    if not isinstance(preset, str) or preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    preset = _argument("run_benchmark", "preset", preset, _one_of(*PRESETS))
     args = _checked({"seed": seed, "reps": reps, **overrides}, _PRESET_RULES[preset],
                     f"preset {preset!r}", required=("seed",))
     return PRESETS[preset](**args)

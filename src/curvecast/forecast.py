@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import IllConditionedError, InsufficientDataError, _argument, _at_least, _checked
+from .errors import IllConditionedError, InsufficientDataError, _argument, _at_least, _checked, _one_of
 from .fpca import _PVE, EigenSystem, _pve_rank, eigensystem, scores
 from .multivar import (
     _HORIZON,
@@ -19,6 +19,7 @@ from .multivar import (
     AcvfSequence,
     VarModel,
     _check_covariates,
+    _covariate_block,
     fit_var_ols,
     fit_varx_ols,
     sample_acvf,
@@ -76,54 +77,56 @@ def _bosq_var(s: np.ndarray, lams: np.ndarray) -> VarModel:
 def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
     """Best linear predictor from the last m score rows and covariate row, from sample moments.
 
-    At m = 0 the covariate row alone predicts: theta = Gamma_YR(1) Gamma_R(0)^-1.
+    At m = 0 the covariate row alone predicts: theta = Gamma_YR(1) Gamma_R(0)^-1.  A constant
+    covariate column is left out of the moments, as fit_varx_ols leaves it out, and loads 0.
     """
     d = s.shape[1]
+    _, covariate_mean, keep = _covariate_block(rmat, len(s))
     # autocovariances of the joint sequence (Y, R): the Y block of lag k is Gamma_Y(k) and
     # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block;
     # lag 1 is read even at m = 0, for Gamma_YR(1)
-    joint = sample_acvf(np.hstack([s, rmat]), max(m, 1))
+    joint = sample_acvf(np.hstack([s, np.ascontiguousarray(rmat[:, keep])]), max(m, 1))
     acvf = AcvfSequence(gammas=joint.gammas[:, :d, :d], mean=joint.mean[:d])
     cross = np.array([joint.gamma(1 - k)[:d, d:] for k in range(m + 1)])
-    phis, theta = solve_blp_with_covariates(acvf, cross, joint.gamma(0)[d:, d:], m)
+    phis, kept = solve_blp_with_covariates(acvf, cross, joint.gamma(0)[d:, d:], m)
     # one-step error covariance Gamma(0) - C R' of the solved normal equations C B = R
-    sigma = acvf.gamma(0) - theta @ cross[0].T
+    sigma = acvf.gamma(0) - kept @ cross[0].T
     sigma -= sum(phi @ acvf.gamma(i).T for i, phi in enumerate(phis, start=1))
+    theta = np.zeros((d, rmat.shape[1]), order="F")  # the solve's layout, which a forecast's bits follow
+    theta[:, keep], covariate_mean[keep] = kept, joint.mean[d:]
     return VarModel(p=m, coeffs=tuple(phis), sigma_z=sigma, mean=acvf.mean, theta=theta,
-                    covariate_mean=joint.mean[d:])
+                    covariate_mean=covariate_mean)
 
 
-# every key a method dict may hold, with its rule (see errors._checked)
-_RULES = {"name": str, "label": str, "p": _ORDER, "d": _at_least(1), **_CORNERS, "pve": _PVE,
-          "solver": (str, lambda solver: solver in ("ols", "blp"), "be 'ols' or 'blp'")}
 _VAR_KEYS = ("name", "label", "p", "d", "p_max", "d_max")
 # method name -> (ForecastResult.method, the keys the method reads, whether it predicts one step only)
 _METHODS = {"ffpe-var": ("var", _VAR_KEYS, False), "fixed-var": ("var", _VAR_KEYS, False),
             "scalar": ("scalar", _VAR_KEYS[:4], False),
             "bosq": ("bosq", (*_VAR_KEYS[:4], "pve"), True),
             "covariate": ("covariate", (*_VAR_KEYS, "solver"), True)}
+# every key a method dict may hold, with its rule (see errors._checked), and bosq's rule of p
+_RULES = {"name": _one_of(*_METHODS), "label": str, "p": _ORDER, "d": _at_least(1), **_CORNERS,
+          "pve": _PVE, "solver": _one_of("ols", "blp")}
+_BOSQ_P = _at_least(1)
 
 
 def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys and values are valid.
 
     Each key is parsed by its rule in _RULES, so p and p_max come back as ints >= 0, d and
-    d_max as ints >= 1 and pve as a float in (0, 1]; solver must be 'ols' or 'blp'.  bosq
-    needs p >= 1 (default 1), scalar needs p and d, and every other method exactly one of
-    (p, d) and (p_max, d_max); h, an int >= 1, must be 1 for bosq and covariate.
+    d_max as ints >= 1 and pve as a float in (0, 1].  bosq needs p >= 1 (default 1), scalar
+    needs p and d, and every other method exactly one of (p, d) and (p_max, d_max); h, an
+    int >= 1, must be 1 for bosq and covariate.
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
     given = _checked(method, _RULES, owner, needs=("name",))
     name = given["name"]
-    if name not in _METHODS:
-        raise ValueError(f"unknown method {name!r}")
     _checked(given, {key: _RULES[key] for key in _METHODS[name][1]}, owner)
     if h != 1 and _METHODS[name][2]:
         raise ValueError(f"the {name} method predicts one step only, got horizon {h}")
     pairs = {"p", "d", "p_max", "d_max"} & given.keys()
     if name == "bosq":
-        if given.get("p", 1) < 1:
-            raise ValueError(f"p must be >= 1, got {given['p']}")
+        _checked({"p": given.get("p")}, {"p": _BOSQ_P}, owner)
     elif name == "scalar" and pairs != {"p", "d"}:
         raise ValueError("scalar forecasting needs p and d")
     elif pairs not in ({"p", "d"}, {"p_max", "d_max"}):

@@ -11,9 +11,10 @@ import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly
 from .errors import (DimensionMismatchError, InsufficientDataError, NumericalDegeneracyError,
-                     _argument, _in_range)
+                     _argument, _at_least, _in_range)
 
 _PVE = (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]")  # the rule of a share of variance
+_TAIL = _at_least(0)  # the rule of a number of leading components, any of them past those held
 
 
 def sample_mean(data: FunctionalDataset) -> np.ndarray:
@@ -72,8 +73,8 @@ class EigenSystem:
         )
 
     def tail_variance(self, d: int | None = None) -> float:
-        """Variance not explained by the first d components."""
-        d = self.d if d is None else d
+        """Variance not explained by the first d components, d an int >= 0 (all held if None)."""
+        d = self.d if d is None else _argument("EigenSystem.tail_variance", "d", d, _TAIL)
         tail = self.total_variance - float(np.sum(self.eigenvalues[:d]))
         return max(tail, 0.0)
 

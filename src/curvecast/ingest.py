@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _read_table
-from .errors import IngestError
+from .errors import IngestError, _argument, _one_of
+
+_TRANSFORMS = ("none", "sqrt")
 
 
 def ingest(
@@ -48,8 +50,7 @@ def ingest(
     FunctionalDataset
         Curves on the midpoint grid matching their sample count.
     """
-    if transform not in ("none", "sqrt"):
-        raise ValueError(f"transform must be 'none' or 'sqrt', got {transform!r}")
+    transform = _argument("ingest", "transform", transform, _one_of(*_TRANSFORMS))
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
     # curves count from 1: data row k below the header, or the k-th curve of a stream

@@ -130,8 +130,7 @@ class AcvfSequence:
         return self.gammas.shape[1]
 
     def gamma(self, k: int) -> np.ndarray:
-        if abs(k) > self.max_lag:
-            raise ValueError(f"lag {k} beyond stored max_lag {self.max_lag}")
+        k = _argument("AcvfSequence.gamma", "k", k, _in_range(-self.max_lag, self.max_lag, "max_lag"))
         return self.gammas[k] if k >= 0 else self.gammas[-k].T
 
 
@@ -142,10 +141,10 @@ def sample_acvf(scores, max_lag: int) -> AcvfSequence:
     which keeps the block-Toeplitz covariance built from the sequence
     positive semidefinite.
     """
-    s = _as_score_array(scores)
+    s, max_lag = _as_score_array(scores), _argument("sample_acvf", "max_lag", max_lag, _ORDER)
     n = s.shape[0]
-    if not 0 <= max_lag < n:
-        raise InsufficientDataError(f"max_lag={max_lag} needs 0 <= max_lag < n={n}")
+    if max_lag >= n:
+        raise InsufficientDataError(f"max_lag={max_lag} needs max_lag < n={n}")
     mean = s.mean(axis=0)
     c = s - mean
     gammas = np.empty((max_lag + 1, s.shape[1], s.shape[1]))
@@ -316,7 +315,7 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
         )
     coef = np.linalg.solve(big, rhs.T).T
     phis = [coef[:, i * d : (i + 1) * d] for i in range(m)]
-    theta = coef[:, m * d :] if r > 0 else None
+    theta = coef[:, m * d :] if cross is not None else None
     return phis, theta
 
 

@@ -15,7 +15,8 @@ from functools import partial
 import numpy as np
 
 from .curves import _BASIS_D, FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import NonstationaryError, _argument, _at_least, _checked, _in_range, _numbers, _shown
+from .errors import (NonstationaryError, _argument, _at_least, _checked, _in_range, _numbers, _one_of,
+                     _shown)
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -28,24 +29,19 @@ PSI_MATRICES = {
     "psi2": 0.8 * np.eye(3),
 }
 _N = _at_least(1)  # the rule of a number of curves to draw
+_SCHEMES = {"s1": lambda ell: 1.0 / ell, "s2": lambda ell: 1.2 ** (-ell)}  # sigma_l of l = 1..D
+_SCHEME, _OPERATOR = _one_of(*_SCHEMES), _one_of(*PSI_MATRICES)  # the rules of their names
 
 
 def sigma_scheme(name: str, D: int) -> np.ndarray:
     """Component standard deviations: 's1' gives 1/l, 's2' gives 1.2^-l."""
     ell = np.arange(1, _argument("sigma_scheme", "D", D, _BASIS_D) + 1, dtype=float)
-    if name == "s1":
-        return 1.0 / ell
-    if name == "s2":
-        return 1.2 ** (-ell)
-    raise ValueError(f"unknown sigma scheme {name!r}; use 's1' or 's2'")
+    return _SCHEMES[_argument("sigma_scheme", "name", name, _SCHEME)](ell)
 
 
 def fixed_psi(name: str) -> np.ndarray:
     """Reference 3 x 3 operators 'psi1' (dense) and 'psi2' (0.8 I)."""
-    try:
-        return PSI_MATRICES[name].copy()
-    except KeyError:
-        raise ValueError(f"unknown operator {name!r}; use 'psi1' or 'psi2'") from None
+    return PSI_MATRICES[_argument("fixed_psi", "name", name, _OPERATOR)].copy()
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -76,7 +72,7 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
 # JSON) with its rule (see errors._checked)
 _NEEDS = {"far": "ar operators and no ma operators", "fma": "ma operators and no ar operators",
           "farma": "both ar and ma operators"}
-_SPEC = {"kind": (str, lambda kind: kind in _NEEDS, "be 'far', 'fma' or 'farma'"),
+_SPEC = {"kind": _one_of(*_NEEDS),
          "D": _BASIS_D, "sigma": _numbers(),
          "ar": (object, lambda ar: isinstance(ar, (list, tuple)), "be a list"),
          "ma": dict, "burn_in": _at_least(0)}

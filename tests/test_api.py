@@ -8,14 +8,17 @@ trace without failing any other test.
 import ast
 import importlib
 import inspect
+import json
 import re
 import textwrap
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvecast
+from curvecast.cli import build_parser
 from curvecast.errors import CurvecastError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,7 +143,21 @@ def test_each_shared_key_has_one_rule_object():
         (experiments._CONFIG["n"], experiments._BY_NAME["n"], simulate._N),
         (experiments._BY_NAME["n_days"], experiments._ANALOG["n_days"]),
         (experiments._ANALOG["seed"], experiments._CONFIG["seed"]),
+        (experiments._SIMULATED["sigma_scheme"], simulate._SCHEME),
     ]
+    # every preset key takes the rule of the key it feeds
+    fed = {"seed": experiments._CONFIG["seed"], "reps": experiments._CONFIG["reps"],
+           "train": experiments._CONFIG["train"], "n": simulate._N, "grid_T": module["curves"]._GRID_T,
+           "p_max": module["selection"]._CORNERS["p_max"],
+           "d_max": module["selection"]._CORNERS["d_max"], "p": module["multivar"]._ORDER,
+           "scalar_p": module["multivar"]._ORDER, "d": forecast._RULES["d"],
+           "scalar_d": forecast._RULES["d"], "D": simulate._SPEC["D"], "bosq_p": forecast._BOSQ_P,
+           "bosq_pve": module["fpca"]._PVE, "kappa": experiments._SOURCES["kappa-far"][0]["kappa"],
+           "sigma": simulate._SCHEME, "alpha": module["bands"]._ALPHA,
+           "n_days": experiments._ANALOG["n_days"], "L": int, "eval_days": int, "out_dir": str}
+    own = {"kind", "ns"}  # the fma-farma preset's kind and the equivalence-rate sample sizes
+    assert set(experiments._BY_NAME) == fed.keys() | own
+    shared += [(experiments._BY_NAME[key], rule) for key, rule in fed.items()]
     for rules in shared:
         assert all(rule is rules[0] for rule in rules), rules
 
@@ -149,7 +166,9 @@ def test_each_shared_key_has_one_rule_object():
 RESTATED = [r"horizon must be >= 1", r"order p must be", r"^D must be >= 1", r"basis size must be",
             r"need p_max >= 0", r"outside valid range", r"threshold must be in",
             r"alpha must be in", r"^n must be >= 1", r"grid needs an integer", r"^d must be in 1\.\.",
-            r"cannot truncate to", r"^m must be >= ", r"need autocovariances up to lag"]
+            r"cannot truncate to", r"^m must be >= ", r"need autocovariances up to lag",
+            r"unknown sigma scheme", r"unknown operator", r"transform must be", r"kind must be 'fma'",
+            r"unknown method", r"unknown source type", r"unknown preset", r"^p must be >= 1"]
 
 
 def test_no_module_restates_a_rule():
@@ -324,3 +343,60 @@ def test_source_lines_are_not_packed(path):
         joins = [tok.start[0] for tok in tokenize.tokenize(fh.readline)
                  if tok.type == tokenize.OP and tok.string == ";"]
     assert not joins, f"{path.name} lines {joins} join statements with ';'"
+
+
+def closed_sets():
+    """Each closed set of names: (call with a name, its owner and key, the names it takes)."""
+    experiments, forecast, ingest, simulate = (importlib.import_module(f"curvecast.{name}") for name
+                                               in ("experiments", "forecast", "ingest", "simulate"))
+    spec = {"kind": "far", "D": 3, "sigma": [1.0] * 3, "ar": [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]]}
+    config = {"source": {"type": "kappa-far", "kappa": [0.5], "D": 3}, "n": 40, "grid_T": 32,
+              "seed": 0, "methods": [{"name": "fixed-var", "p": 1, "d": 2}]}
+    data = curvecast.simulate(curvecast.ProcessSpec.from_json(json.dumps(spec)), 30,
+                              curvecast.Grid(32), np.random.default_rng(0))
+    return {
+        "sigma_scheme": (lambda v: curvecast.sigma_scheme(v, 3), "sigma_scheme key 'name'",
+                         simulate._SCHEMES),
+        "fixed_psi": (curvecast.fixed_psi, "fixed_psi key 'name'", simulate.PSI_MATRICES),
+        "transform": (lambda v: curvecast.ingest("absent.csv", transform=v),
+                      "ingest key 'transform'", ingest._TRANSFORMS),
+        "kind": (lambda v: curvecast.ProcessSpec.from_json(json.dumps({**spec, "kind": v})),
+                 "process spec key 'kind'", simulate._NEEDS),
+        "method": (lambda v: curvecast.run_forecast_experiment({**config, "methods": [{"name": v}]}),
+                   "method 'bogus' key 'name'", forecast._METHODS),
+        "solver": (lambda v: curvecast.predict_with_covariates(data, np.ones((30, 1)), p=1, d=2,
+                                                               solver=v),
+                   "method 'predict_with_covariates' key 'solver'", ("ols", "blp")),
+        "fit_mode": (lambda v: curvecast.run_forecast_experiment({**config, "fit_mode": v}),
+                     "config key 'fit_mode'", ("fixed",)),
+        "source": (lambda v: curvecast.run_forecast_experiment({**config, "source": {"type": v}}),
+                   "source key 'type'", experiments._SOURCES),
+        "preset": (lambda v: curvecast.run_benchmark(v, seed=1), "run_benchmark key 'preset'",
+                   experiments.PRESETS),
+        "fma-farma kind": (lambda v: curvecast.run_benchmark("fma-farma", seed=1, kind=v),
+                           "preset 'fma-farma' key 'kind'", experiments._FMA_FARMA),
+    }
+
+
+@pytest.mark.parametrize("name", ["sigma_scheme", "fixed_psi", "transform", "kind", "method",
+                                  "solver", "fit_mode", "source", "preset", "fma-farma kind"])
+def test_each_closed_set_words_a_bad_name_one_way(name):
+    call, key, choices = closed_sets()[name]
+    with pytest.raises(ValueError) as err:
+        call("bogus")
+    assert str(err.value) == f"{key} must be one of {', '.join(map(repr, choices))}, got 'bogus'"
+
+
+@pytest.mark.parametrize("command, option, names, extra", [
+    ("simulate", "--kind", "_NEEDS", []),
+    ("simulate", "--operator", "PSI_MATRICES", ["random"]),
+    ("simulate", "--sigma", "_SCHEMES", ["ones"]),
+    ("ingest", "--transform", "_TRANSFORMS", []),
+])
+def test_cli_choices_are_the_code_sets(command, option, names, extra):
+    # the sets test_each_closed_set_words_a_bad_name_one_way reads, in the command's module
+    names = getattr(importlib.import_module(f"curvecast.{command}"), names)
+    sub = next(action for action in build_parser()._actions if action.choices)
+    choices = next(action.choices for action in sub.choices[command]._actions
+                   if option in action.option_strings)
+    assert list(choices) == [*names, *extra]

@@ -8,6 +8,7 @@ True, its text and nan.
 
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from curvecast import (
     FunctionalDataset,
     Grid,
+    InsufficientDataError,
     ProcessSpec,
     bias_bound,
     bosq_predict,
@@ -56,7 +58,7 @@ RESIDUALS = FunctionalDataset(grid=Grid(16), values=np.random.default_rng(7).nor
 def pm10_files(tmp_path, **kwargs):
     """The bytes of the two files make_pm10_analog writes."""
     paths = make_pm10_analog(tmp_path, **{"n_days": 20, "seed": 2, **kwargs})
-    return [open(path, "rb").read() for path in paths]
+    return [Path(path).read_bytes() for path in paths]
 
 
 # argument -> (call with the argument's value, a valid integer value, the message's owner)
@@ -121,6 +123,10 @@ INTEGERS = {
                                     "solve_blp_with_covariates"),
     "make_pm10_analog-n_days": (lambda v, tmp: pm10_files(tmp, n_days=v), 20, "make_pm10_analog"),
     "make_pm10_analog-seed": (lambda v, tmp: pm10_files(tmp, seed=v), 2, "make_pm10_analog"),
+    "sample_acvf-max_lag": (lambda v, tmp: sample_acvf(SCORES, v), 2, "sample_acvf"),
+    "gamma-k": (lambda v, tmp: ACVF.gamma(v), 2, "AcvfSequence.gamma"),
+    "tail_variance-d": (lambda v, tmp: eigensystem(DATA, 4).tail_variance(v), 2,
+                        "EigenSystem.tail_variance"),
 }
 # the same for arguments that take one number
 NUMBERS = {
@@ -131,6 +137,8 @@ NUMBERS = {
     "predict_with_covariates-covariate_pve": (
         lambda v, tmp: predict_with_covariates(DATA, COVARIATE, p=1, d=2, covariate_pve=v), 0.9,
         "covariate_matrix key 'pve'"),
+    "make_pm10_analog-missing_rate": (lambda v, tmp: pm10_files(tmp, missing_rate=v), 0.05,
+                                      "make_pm10_analog"),
 }
 
 
@@ -157,3 +165,28 @@ def test_number_arguments_parse_by_their_rule(tmp_path, argument):
     call, good, owner = NUMBERS[argument]
     check(call, good, owner, argument.rpartition("-")[2], (np.float64(good),),
           (True, str(good), math.nan), tmp_path)
+
+
+@pytest.mark.parametrize("call, value, message", [
+    (lambda tmp: ACVF.gamma(-4), -4, "AcvfSequence.gamma key 'k' must be in -3..max_lag = 3"),
+    (lambda tmp: sample_acvf(SCORES, -1), -1, "sample_acvf key 'max_lag' must be >= 0"),
+    (lambda tmp: eigensystem(DATA, 4).tail_variance(-1), -1,
+     "EigenSystem.tail_variance key 'd' must be >= 0"),
+    (lambda tmp: pm10_files(tmp, missing_rate=1.0), 1.0,
+     "make_pm10_analog key 'missing_rate' must be in [0, 1)"),
+    (lambda tmp: pm10_files(tmp, missing_rate=-0.5), -0.5,
+     "make_pm10_analog key 'missing_rate' must be in [0, 1)"),
+])
+def test_out_of_range_arguments_name_their_rule(tmp_path, call, value, message):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == f"{message}, got {value}"
+
+
+def test_building_blocks_keep_their_ranges():
+    # a lag past the sample stays a data error, and the tail past the pairs held is 0
+    with pytest.raises(InsufficientDataError, match="max_lag=60 needs max_lag < n=60"):
+        sample_acvf(SCORES, 60)
+    eig = eigensystem(DATA, 2)
+    assert eig.tail_variance(0) == eig.total_variance
+    assert eig.tail_variance(5) == eig.tail_variance(2.0) == eig.tail_variance()

@@ -305,7 +305,7 @@ def test_benchmark_out_file_and_bad_override(tmp_path, capsys):
         # not a preset: ingest of a file with an infinite cell
         (None, ["ingest", "--input", "inf.csv", "--out", "out.csv"], "row 2, column 2 is infinite"),
         pytest.param("bands-coverage", ["--set", "d=0"],
-                     "method 'fixed-var' key 'd' must be >= 1, got 0",
+                     "preset 'bands-coverage' key 'd' must be >= 1, got 0",
                      id="bands-coverage-extra13-dimension d must be >= 1, got 0"),
         # a negative seed used to fail inside the run with numpy's "expected non-negative integer"
         ("order-selection", ["--seed", "-1"], "preset 'order-selection' key 'seed' must be >= 0, got -1"),

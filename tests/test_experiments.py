@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +202,8 @@ def test_fit_mode_takes_only_fixed(request, fit_mode):
             run_forecast_experiment(tiny_config()))
         return
     no_replications = request.getfixturevalue("no_replications")
-    with pytest.raises(ValueError, match=f"config key 'fit_mode' must be 'fixed', got {fit_mode!r}"):
+    message = f"config key 'fit_mode' must be one of 'fixed', got {fit_mode!r}"
+    with pytest.raises(ValueError, match=message):
         run_forecast_experiment(tiny_config(fit_mode=fit_mode))
     assert no_replications == []
 
@@ -233,7 +235,7 @@ def test_file_source_rejects_multiple_reps(tmp_path):
 
 def test_pm10_analog_files(tmp_path):
     curves_path, cov_path = make_pm10_analog(tmp_path, n_days=42, seed=3)
-    lines = open(curves_path).read().splitlines()
+    lines = Path(curves_path).read_text().splitlines()
     assert len(lines) == 1 + 42
     assert lines[0].split(",")[0] == "weekday"
     assert lines[0].count(",") == 48
@@ -248,7 +250,7 @@ def test_pm10_analog_files(tmp_path):
 
 def test_pm10_analog_has_missing_cells(tmp_path):
     curves_path, _ = make_pm10_analog(tmp_path, n_days=60, seed=1, missing_rate=0.05)
-    body = "".join(open(curves_path).read().splitlines()[1:])
+    body = "".join(Path(curves_path).read_text().splitlines()[1:])
     assert ",," in body
 
 
@@ -388,22 +390,23 @@ def test_benchmark_reps_and_seed_are_integers(no_replications, reps, seed, messa
 
 # a case whose message changed keeps its id, which reads the message it had before
 @pytest.mark.parametrize("preset, overrides, message", [
-    pytest.param("bands-coverage", {"p": -1}, "method 'fixed-var' key 'p' must be >= 0, got -1",
+    pytest.param("bands-coverage", {"p": -1}, "preset 'bands-coverage' key 'p' must be >= 0, got -1",
                  id="bands-coverage-overrides0-order p must be >= 0, got -1"),
     ("bands-coverage", {"L": 5}, "L=5 below the warm-up floor max(p, 10*d)=30"),
-    pytest.param("bands-coverage", {"d": 0}, "method 'fixed-var' key 'd' must be >= 1, got 0",
+    pytest.param("bands-coverage", {"d": 0}, "preset 'bands-coverage' key 'd' must be >= 1, got 0",
                  id="bands-coverage-overrides2-dimension d must be >= 1, got 0"),
     ("bands-coverage", {"n": 30}, "L=30 leaves fewer than two of n=30 curves"),
     pytest.param("order-selection", {"p_max": -1},
-                 "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+                 "preset 'order-selection' key 'p_max' must be >= 0, got -1",
                  id="order-selection-overrides4-need p_max >= 0 and d_max >= 1, got -1, 10"),
-    pytest.param("order-selection", {"d_max": 0}, "method 'ffpe-var' key 'd_max' must be >= 1, got 0",
+    pytest.param("order-selection", {"d_max": 0},
+                 "preset 'order-selection' key 'd_max' must be >= 1, got 0",
                  id="order-selection-overrides5-need p_max >= 0 and d_max >= 1, got 3, 0"),
-    pytest.param("psi1-ratio", {"p_max": -1}, "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+    pytest.param("psi1-ratio", {"p_max": -1}, "preset 'psi1-ratio' key 'p_max' must be >= 0, got -1",
                  id="psi1-ratio-overrides6-need p_max >= 0 and d_max >= 1, got -1, 3"),
-    pytest.param("pm10-analog", {"p_max": -1}, "method 'ffpe-var' key 'p_max' must be >= 0, got -1",
+    pytest.param("pm10-analog", {"p_max": -1}, "preset 'pm10-analog' key 'p_max' must be >= 0, got -1",
                  id="pm10-analog-overrides7-need p_max >= 0 and d_max >= 1, got -1, 4"),
-    pytest.param("equivalence-rate", {"d": 0}, "method 'fixed-var' key 'd' must be >= 1, got 0",
+    pytest.param("equivalence-rate", {"d": 0}, "preset 'equivalence-rate' key 'd' must be >= 1, got 0",
                  id="equivalence-rate-overrides8-dimension d must be >= 1, got 0"),
 ])
 def test_preset_values_are_checked_before_running(no_replications, preset, overrides, message):
@@ -411,6 +414,30 @@ def test_preset_values_are_checked_before_running(no_replications, preset, overr
     with pytest.raises(ValueError, match=re.escape(message)):
         run_benchmark(preset, reps=1, seed=1, **overrides)
     assert no_replications == []
+
+
+@pytest.mark.parametrize("preset, key, value, rule", [
+    ("far2-table", "bosq_p", 0, "be >= 1"),
+    ("order-selection", "D", 0, "be >= 1"),
+    ("psi1-ratio", "scalar_d", 0, "be >= 1"),
+    ("far2-table", "sigma", "s3", "be one of 's1', 's2'"),
+    ("fma-farma", "kind", "far", "be one of 'farma', 'fma'"),
+    ("fma-farma", "bosq_pve", 1.5, "be in (0, 1]"),
+])
+def test_preset_keys_take_the_rule_of_the_key_they_feed(no_replications, preset, key, value, rule):
+    # these used to fail under the method or source they feed, or inside the first replication
+    with pytest.raises(ValueError) as err:
+        run_benchmark(preset, seed=1, **{key: value})
+    assert str(err.value) == f"preset {preset!r} key {key!r} must {rule}, got {value!r}"
+    assert no_replications == []
+
+
+def test_preset_kappa_takes_an_array_as_the_kappa_far_source_does():
+    settings = dict(seed=3, reps=2, n=60, D=5, grid_T=48, p_max=1, d_max=2)
+    want = run_benchmark("order-selection", kappa=[0.5, 0.25], **settings)
+    got = run_benchmark("order-selection", kappa=np.array([0.5, 0.25], dtype=np.float32), **settings)
+    assert json.loads(got.to_json())["config"] == json.loads(want.to_json())["config"]
+    assert records_bytes(got) == records_bytes(want)
 
 
 TWO_DAYS_EACH = "be >= 14, two days of each weekday"
@@ -499,9 +526,10 @@ def test_config_numbers_may_be_whole_floats_or_absent():
                                                      "finite int, got '2'"),
     ({"name": "ffpe-var", "p_max": 2.5, "d_max": 3}, "key 'p_max' must be one finite int, got 2.5"),
     pytest.param({"name": "covariate", "p": 1, "d": 2, "solver": "lasso"},
-                 "method 'covariate' key 'solver' must be 'ols' or 'blp', got 'lasso'",
+                 "method 'covariate' key 'solver' must be one of 'ols', 'blp', got 'lasso'",
                  id="method6-solver must be 'ols' or 'blp', got 'lasso'"),
-    ({"name": "bosq", "p": 0, "d": 2}, "p must be >= 1, got 0"),
+    pytest.param({"name": "bosq", "p": 0, "d": 2}, "method 'bosq' key 'p' must be >= 1, got 0",
+                 id="method7-p must be >= 1, got 0"),
     ({"name": "scalar", "p": 1}, "scalar forecasting needs p and d"),
     ({"name": "fixed-var", "p": 1, "d_max": 2}, "pass exactly one of (p, d) or (p_max, d_max)"),
     ({"name": "covariate", "p": 1, "d": 2, "p_max": 1, "d_max": 2},
@@ -650,7 +678,7 @@ def test_file_source_takes_a_path_object(tmp_path):
 def test_benchmark_preset_must_be_a_name(no_replications):
     # a list used to raise a bare TypeError: unhashable type: 'list'
     with pytest.raises(ValueError, match=re.escape(
-            "unknown preset ['psi1-ratio']; choose from")):
+            "run_benchmark key 'preset' must be a str, got ['psi1-ratio']")):
         run_benchmark(["psi1-ratio"], seed=1)
     assert no_replications == []
 

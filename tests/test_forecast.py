@@ -23,7 +23,7 @@ from curvecast import (
     ScoreMatrix,
 )
 from curvecast import fpca
-from curvecast.forecast import ForecastResult, _bosq_var, _scalar_var, covariate_matrix
+from curvecast.forecast import ForecastResult, _bosq_var, _fit, _scalar_var, covariate_matrix
 from curvecast.multivar import fit_var_ols, predict_var, sample_acvf, solve_blp_with_covariates
 
 
@@ -293,3 +293,19 @@ def test_equivalence_gap_zero_when_last_curve_is_mean():
     data = FunctionalDataset(grid=Grid(24), values=rows)
     report = equivalence_gap(data, 2)
     assert report.gap == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("solver", ["ols", "blp"])
+def test_a_constant_covariate_column_loads_zero(make_far1, solver):
+    # blp used to find the stacked covariance singular where ols dropped the column
+    data = make_far1(n=80, T=32, seed=4)
+    rmat = np.random.default_rng(5).normal(size=(80, 3))
+    rmat[:, 1] = 3.0
+    method = {"name": "covariate", "p": 1, "d": 2, "solver": solver}
+    fit = _fit(data, data.n, method, rmat)
+    assert np.all(fit.model.theta[:, 1] == 0.0) and np.all(fit.model.theta[:, [0, 2]] != 0.0)
+    dropped = _fit(data, data.n, method, rmat[:, [0, 2]])
+    assert np.allclose(fit.model.theta[:, [0, 2]], dropped.model.theta, rtol=1e-12, atol=0)
+    got = predict_with_covariates(data, rmat, p=1, d=2, solver=solver).curve
+    want = predict_with_covariates(data, rmat[:, [0, 2]], p=1, d=2, solver=solver).curve
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
