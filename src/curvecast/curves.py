@@ -190,9 +190,11 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
         if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
             raise IngestError(f"rows_per_curve must be an integer >= 2, got {rows_per_curve!r}")
         rows_per_curve = int(rows_per_curve)
+    with open(path, encoding=CSV_ENCODING) as fh:  # read once, so a pipe or FIFO keeps every row
+        lines = fh.readlines()
     # rows_per_curve streams are rare enough to keep to the per-cell reader
-    parsed = None if rows_per_curve is not None else _bulk_parse(path, raw, label)
-    values, labels, col, text = (*parsed, None) if parsed else _read_cells(path, label, rows_per_curve)
+    parsed = rows_per_curve is None and _bulk_parse(lines, raw, label)
+    values, labels, col, text = parsed or _read_cells(path, lines, label, rows_per_curve)
     bad = np.isinf(values) if raw else ~np.isfinite(values)
     bad = np.argwhere(bad if text is None else bad | text)
     if bad.size:
@@ -205,10 +207,10 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
     return values, labels
 
 
-def _read_cells(path, label, rows_per_curve):
-    """The per-cell reader: (values, labels, label column, text mask or None), missing
-    markers and text as nan; text skips the shape checks so that _read_table places it."""
-    rows, has_header = _read_rows(path)
+def _read_cells(path, lines, label, rows_per_curve):
+    """The per-cell reader of a CSV's lines: (values, labels, label column, text mask or None),
+    missing markers and text as nan; text skips the shape checks so that _read_table places it."""
+    rows, has_header = _read_rows(lines)
     header = [c.strip() for c in rows[0]] if rows else []
     if label is not None and label not in header:
         raise IngestError(f"{path}: no column named {label!r} in the header")
@@ -231,9 +233,8 @@ def _read_cells(path, label, rows_per_curve):
     if rows_per_curve is not None:
         flat = [v for row in cells for v in row]
         if len(flat) % rows_per_curve and not has_text:
-            raise IngestError(
-                f"{path}: {len(flat)} values do not divide into curves of {rows_per_curve}"
-            )
+            raise IngestError(f"{path}: {len(flat)} values do not divide into curves of "
+                              f"{rows_per_curve}")
         flat += [0.0] * (-len(flat) % rows_per_curve)
         cells = [flat[i : i + rows_per_curve] for i in range(0, len(flat), rows_per_curve)]
     widths = {len(row) for row in cells}
@@ -245,26 +246,23 @@ def _read_cells(path, label, rows_per_curve):
     return np.array(cells, dtype=float), labels, col, text
 
 
-def _bulk_parse(path, raw: bool = False, label: str = None):
-    """A CSV parsed by numpy's C reader: (values, labels, label column), else None.
+def _bulk_parse(lines: list, raw: bool = False, label: str = None):
+    """A CSV's lines parsed by numpy's C reader: (values, labels, label column, None), else None.
 
-    A raw file is read once: blank cells read as nan, and a label names the header
-    column whose stripped cells are the labels.  None means no data rows, ragged rows,
-    a missing label column, a cell numpy rejects (NA, spaces, text) or a quote in a
+    Each line keeps its end.  In a raw file blank cells read as nan, and a label names the
+    header column whose stripped cells are the labels.  None means no data rows, ragged
+    rows, a missing label column, a cell numpy rejects (NA, spaces, text) or a quote in a
     raw file, where a quoted comma would shift the columns.
     """
-    with open(path, newline=None if raw else "", encoding=CSV_ENCODING) as fh:
-        text = fh.read() if raw else ""  # numpy reads a clean file itself
-        lines = text.split("\n")
-        reader = csv.reader(lines if raw else fh)
-        first = [c.strip() for c in next(filter(None, reader), [])]
-        skip = reader.line_num if label is not None or _is_header(first) else 0
-        data = next(filter(None, reader), None) if skip else first
-    if not data or '"' in text:
+    reader = csv.reader(lines)
+    first = [c.strip() for c in next(filter(None, reader), [])]
+    skip = reader.line_num if label is not None or _is_header(first) else 0
+    body = [line for line in lines[skip:] if line != "\n"]  # the data rows, for numpy
+    if not body or raw and any('"' in line for line in lines):
         return None
-    source, usecols, labels, col = path, None, None, None
+    usecols, labels, col = None, None, None
     if raw:
-        body = [line for line in lines[skip:] if line]
+        body = [line.rstrip("\n") for line in body]
         # usecols drops surplus cells without an error, so ragged rows are caught here
         widths = {line.count(",") + 1 for line in body}
         col = first.index(label) if label in first else None
@@ -274,21 +272,18 @@ def _bulk_parse(path, raw: bool = False, label: str = None):
             labels = [line.split(",", col + 1)[col].strip() for line in body]
             usecols = [c for c in range(widths.pop()) if c != col]
         # blank cells as nan: a run of commas leaves every other gap to the second pass
-        source, skip = [f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
-                        if ",," in line or line[0] == "," or line[-1] == "," else line
-                        for line in body], 0
+        body = [f",{line},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+                if ",," in line or line[0] == "," or line[-1] == "," else line for line in body]
     try:
-        values = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=skip,
-                            usecols=usecols, encoding=CSV_ENCODING)
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=usecols)
     except ValueError:
         return None
-    return values, labels, col
+    return values, labels, col, None  # numpy takes numbers only, so no cell is text
 
 
-def _read_rows(path):
-    """The non-empty rows of a CSV file and whether the first is a header."""
-    with open(path, newline="", encoding=CSV_ENCODING) as fh:
-        raw = [row for row in csv.reader(fh) if row]
+def _read_rows(lines: list):
+    """The non-empty rows of a CSV's lines and whether the first is a header."""
+    raw = [row for row in csv.reader(lines) if row]
     return raw, bool(raw) and _is_header(raw[0])
 
 

@@ -308,6 +308,8 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
         blocks = [row + [cross[i + 1]] for i, row in enumerate(blocks)]
         blocks.append([c.T for c in cross[1:]] + [gamma_rr])
         targets.append(cross[0])
+    if not blocks:  # m = 0 and no covariate column: nothing predicts beyond the mean
+        return [], np.zeros((d, 0))
     big, rhs = np.block(blocks), np.hstack(targets)
     if _is_singular(big):
         raise IllConditionedError(

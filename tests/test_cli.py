@@ -217,6 +217,42 @@ def test_forecast_with_covariates(curves_csv, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["method"] == "covariate"
 
 
+@pytest.mark.parametrize("method", ["vector", "bosq", "scalar"])
+def test_forecast_covariates_are_for_the_covariate_method_only(curves_csv, tmp_path, capsys,
+                                                               method):
+    # the covariate file used to be read, ignored, and the command exit 0
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, np.zeros((60, 2)), delimiter=",")
+    assert main(["forecast", "--input", str(curves_csv), "--method", method, "--p", "1",
+                 "--d", "2", "--covariates", str(cov)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --covariates is for --method covariate only, got --method {method}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("argv", [
+    ["select", "--pmax", "2", "--dmax", "3", "--out", "table.csv"],
+    ["forecast", "--p", "1", "--d", "2", "--out", "forecast.json"],
+    ["bands", "--p", "1", "--d", "2", "--out", "band.csv"],
+], ids=["select", "forecast", "bands"])
+def test_piped_input_reads_as_the_file(curves_csv, tmp_path, argv):
+    # a pipe can be read only once; a second open of /dev/stdin used to find rows gone
+    package_root = Path(curvecast.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / argv[-1]
+    runs = []
+    for source, stdin in ((str(curves_csv), b""), ("/dev/stdin", curves_csv.read_bytes())):
+        proc = subprocess.run([sys.executable, "-m", "curvecast.cli", argv[0], "--input", source,
+                               *argv[1:]], input=stdin, capture_output=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=pythonpath))
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, proc.stderr, out.read_bytes()))
+        out.unlink()
+    assert runs[0] == runs[1]
+
+
 def test_bands_command(curves_csv, tmp_path, capsys):
     out = tmp_path / "band.csv"
     assert main([

@@ -22,7 +22,8 @@ _read_rows = curves._read_rows
 
 def per_cell(path):
     """The per-cell reading of a file whose cells are all finite numbers."""
-    raw, has_header = _read_rows(path)
+    with open(path, encoding=curves.CSV_ENCODING) as fh:
+        raw, has_header = _read_rows(fh.readlines())
     return np.array(curves._parse_rows(raw[1:] if has_header else raw), dtype=float)
 
 
@@ -178,5 +179,6 @@ def test_header_after_a_byte_order_mark_reads_as_without_it(tmp_path, read, text
     values, fell_back = read(path)
     assert not fell_back
     assert same_bits(values, plain)
-    header = _read_rows(path)[0][0]
+    with open(path, encoding=curves.CSV_ENCODING) as fh:
+        header = _read_rows(fh.readlines())[0][0]
     assert not header[0].startswith(BOM)

@@ -236,6 +236,18 @@ def test_blp_solver_selects_order_zero_on_white_noise():
     assert res.p == 0 and np.all(np.isfinite(res.curve))
 
 
+def test_blp_solver_at_order_zero_with_only_constant_covariates_forecasts_the_mean(make_far1):
+    # this used to end in numpy's "List at arrays cannot be empty" from np.block
+    data = make_far1(n=60, T=32, seed=4)
+    rmat = np.full((60, 2), 3.0)
+    ols, blp = (predict_with_covariates(data, rmat, p=0, d=2, solver=solver).curve
+                for solver in ("ols", "blp"))
+    np.testing.assert_allclose(blp, ols, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blp, data.values.mean(axis=0), rtol=0, atol=1e-12)
+    fit = _fit(data, data.n, {"name": "covariate", "p": 0, "d": 2, "solver": "blp"}, rmat)
+    assert fit.model.coeffs == () and np.all(fit.model.theta == 0.0)
+
+
 def test_covariate_matrix_assembly(make_far1):
     data = make_far1(n=60, seed=12)
     numeric = np.arange(60.0)

@@ -7,7 +7,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from curvecast import IngestError, ingest
+from curvecast import IngestError, ingest, load_curves_csv, load_numeric_csv
 from curvecast.curves import _read_rows
 from curvecast.experiments import make_pm10_analog
 
@@ -353,6 +353,27 @@ def test_infinite_cell_behind_a_label_opens_the_file_once(tmp_path, monkeypatch)
     with pytest.raises(IngestError, match="row 2, column 2 is infinite"):
         ingest(path, weekday_adjust="day")
     assert opened.count(path) == 1
+    # every reader opens a clean file, a clean file that falls back and a raw file that falls
+    # back once too, and numpy parses the lines already read, never the path
+    fell_back = []
+    monkeypatch.setattr(raw_reader, "_read_rows",
+                        lambda lines: fell_back.append(1) or _read_rows(lines))
+    loadtxt = np.loadtxt
+
+    def lines_only(lines, *args, **kwargs):
+        assert isinstance(lines, list)
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lines_only)
+    readers = (load_curves_csv, load_numeric_csv, ingest)
+    cases = [(read, "t_1,t_2\n1,2\n3,4\n", False) for read in readers]
+    cases += [(read, '"1","2"\n3,"4"\n', True) for read in readers]
+    cases += [(ingest, "t_1,t_2\n1,NA\n3,4\n", True)]
+    for i, (read, text, per_cell) in enumerate(cases):
+        path = write_csv(tmp_path / f"file{i}.csv", text)
+        fell_back.clear()
+        read(path)
+        assert opened.count(path) == 1 and bool(fell_back) == per_cell
 
 
 # curves count from 1: data row k below the header, or the k-th curve of a stream
