@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, _write_csv
-from .errors import DimensionMismatchError, InsufficientDataError, _argument, _checked
+from .errors import InsufficientDataError, _argument, _array, _checked
 from .forecast import _Fit, _check_method, _fit
 from .fpca import ScoreMatrix, reconstruct
 from .multivar import _check_rows, _guarded_solve, _lag_rows
@@ -102,13 +102,9 @@ class PredictionBand:
         center is one curve on the band's grid.  curve is one such curve,
         giving a bool, or an (M, T) stack of them, giving one bool per row.
         """
-        center = np.asarray(center, dtype=float)
-        curve = np.asarray(curve, dtype=float)
         T = self.grid.T
-        if center.shape != (T,) or curve.shape[-1:] != (T,):
-            raise DimensionMismatchError(
-                f"band has T={T} points; center has shape {center.shape}, curve {curve.shape}"
-            )
+        center = _argument("PredictionBand.contains", "center", center, _array(1, shape=(T,)))
+        curve = _argument("PredictionBand.contains", "curve", curve, _array(1, 2, shape=("M", T)))
         lower, upper = self.offsets()
         low, high = center - lower, center + upper
         # roundoff slack scaled by the band, so the answers do not depend on its units

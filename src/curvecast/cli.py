@@ -89,6 +89,8 @@ def _cmd_select(args) -> int:
 def _cmd_forecast(args) -> int:
     if args.covariates and args.method != "covariate":
         raise ValueError(f"--covariates is for --method covariate only, got --method {args.method}")
+    if args.method == "covariate" and not args.covariates:
+        raise ValueError("--method covariate needs --covariates, a numeric CSV with one row per curve")
     data = load_curves_csv(args.input)
     rmat = load_numeric_csv(args.covariates) if args.covariates else None
     method = {"name": _FORECAST_METHODS[args.method], "p": args.p, "d": args.d,

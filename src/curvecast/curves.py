@@ -6,16 +6,17 @@ a symmetric T x T matrix problem.
 """
 
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, IngestError, ResolutionError, _argument, _at_least,
-                     _is_number)
+from .errors import IngestError, ResolutionError, _argument, _array, _at_least, _is_number
 
 # UTF-8 that drops a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write one
 CSV_ENCODING = "utf-8-sig"
 _GRID_T, _BASIS_D = _at_least(2), _at_least(1)  # the rules of a grid size T and a basis size D
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is no UTF-8, as surrogateescape reads it
 
 
 def _readonly(a) -> np.ndarray:
@@ -43,17 +44,14 @@ class Grid:
 
 def inner_product(f, g, grid: Grid) -> float:
     """Midpoint-rule inner product (1/T) * sum(f * g)."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (grid.T,) or g.shape != (grid.T,):
-        raise DimensionMismatchError(
-            f"expected two length-{grid.T} samples, got {f.shape} and {g.shape}"
-        )
+    sample = _array(1, shape=(grid.T,))
+    f, g = _argument("inner_product", "f", f, sample), _argument("inner_product", "g", g, sample)
     return float(f @ g) / grid.T
 
 
 def l2_norm(f, grid: Grid) -> float:
     """Norm induced by :func:`inner_product`."""
+    f = _argument("l2_norm", "f", f, _array(1, shape=(grid.T,)))
     return float(np.sqrt(inner_product(f, f, grid)))
 
 
@@ -65,15 +63,9 @@ class FunctionalDataset:
     values: np.ndarray
 
     def __post_init__(self, copy: bool = True):
-        vals = np.array(self.values, dtype=float) if copy else self.values
-        if vals.ndim != 2 or vals.shape[0] < 1:
-            raise ValueError(f"values must be a nonempty (n, T) array, got shape {vals.shape}")
-        if vals.shape[1] != self.grid.T:
-            raise DimensionMismatchError(
-                f"curves have {vals.shape[1]} samples but the grid has T={self.grid.T}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curve values must be finite")
+        curves = _array(2, shape=("n", self.grid.T), test=len, takes="hold one or more curves")
+        vals = _argument("FunctionalDataset", "values", self.values, curves)
+        vals = np.array(vals) if copy else vals
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -128,12 +120,9 @@ def make_fourier_basis(D: int, grid: Grid) -> FourierBasis:
 
 
 def synthesize(coeffs, basis: FourierBasis) -> FunctionalDataset:
-    """Assemble curves sum_l c_l e_l from coefficient rows."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape[1] != basis.D:
-        raise DimensionMismatchError(
-            f"coefficient rows have length {coeffs.shape[1]}, basis has D={basis.D}"
-        )
+    """Assemble curves sum_l c_l e_l from coefficient rows (a 1-D array is one row)."""
+    coeffs = _argument("synthesize", "coeffs", coeffs, _array(1, 2, shape=("n", basis.D)))
+    coeffs = coeffs[None] if coeffs.ndim == 1 else coeffs
     return FunctionalDataset._own(basis.grid, coeffs @ basis.values)
 
 
@@ -158,10 +147,10 @@ def load_curves_csv(path) -> FunctionalDataset:
     """Read a curve-per-row CSV written by :func:`save_curves_csv`.
 
     A single leading header row is detected and skipped.  Missing or
-    non-numeric cells are rejected; use ingest() for raw files that
-    need cleaning.
+    non-numeric cells are rejected, and so is a file of one column; use
+    ingest() for raw files that need cleaning.
     """
-    values = _read_table(path)[0]
+    values = _read_table(path, curves=True)[0]
     return FunctionalDataset._own(Grid(values.shape[1]), values)
 
 
@@ -170,12 +159,14 @@ def load_numeric_csv(path) -> np.ndarray:
 
     Empty files and ragged rows raise IngestError, and so does the first blank,
     NA, non-finite or non-numeric cell, named by its row and column counted from
-    1 below the header; the same reader serves load_curves_csv and ingest.
+    1 below the header; the same reader serves load_curves_csv and ingest.  A file
+    that is not UTF-8 text raises IngestError naming the line of its first bad byte.
     """
     return _read_table(path)[0]
 
 
-def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None):
+def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
+                curves: bool = False):
     """A CSV's (values, labels): the bulk parse, else the per-cell reader.
 
     raw and label are as in :func:`_bulk_parse`; rows count from 1 below the header,
@@ -184,14 +175,22 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
     after either reader: every returned cell is finite, or nan for a missing marker in
     a raw file.  The first other cell in reading order, text or not, raises an
     IngestError naming its row and its column as in the file, label column included,
-    or under rows_per_curve its curve and sample.
+    or under rows_per_curve its curve and sample.  A byte that is no UTF-8 raises an
+    IngestError naming its line, and with curves so does a file of fewer than two columns.
     """
     if rows_per_curve is not None:
         if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
             raise IngestError(f"rows_per_curve must be an integer >= 2, got {rows_per_curve!r}")
         rows_per_curve = int(rows_per_curve)
-    with open(path, encoding=CSV_ENCODING) as fh:  # read once, so a pipe or FIFO keeps every row
+    # read once, so a pipe or FIFO keeps every row; a bad byte is found by its line
+    with open(path, encoding=CSV_ENCODING, errors="surrogateescape") as fh:
         lines = fh.readlines()
+    if not all(map(str.isascii, lines)):  # isascii takes O(1) time, so an ASCII file costs nothing
+        for number, line in enumerate(lines, start=1):
+            byte = _UNDECODED.search(line)
+            if byte:
+                raise IngestError(f"{path}: line {number} holds byte {ord(byte[0]) - 0xDC00:#04x}, "
+                                  f"which is not UTF-8; save the file as UTF-8")
     # rows_per_curve streams are rare enough to keep to the per-cell reader
     parsed = rows_per_curve is None and _bulk_parse(lines, raw, label)
     values, labels, col, text = parsed or _read_cells(path, lines, label, rows_per_curve)
@@ -204,6 +203,9 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None)
         cell += col is not None and cell > col  # values hold every column but the label's
         where = f"curve {row}, sample {cell}" if rows_per_curve else f"row {row}, column {cell}"
         raise IngestError(f"{path}: {where} is {what}")
+    if curves and values.shape[1] < 2:
+        raise IngestError(f"{path}: a curve needs two or more samples, but each row holds "
+                          f"{values.shape[1]}")
     return values, labels
 
 

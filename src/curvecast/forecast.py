@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
-from .errors import IllConditionedError, InsufficientDataError, _argument, _at_least, _checked, _one_of
+from .errors import (IllConditionedError, InsufficientDataError, _argument, _array, _at_least, _checked,
+                     _one_of)
 from .fpca import _PVE, EigenSystem, _pve_rank, eigensystem, scores
 from .multivar import (
     _HORIZON,
@@ -41,8 +42,9 @@ class ForecastResult:
     curve: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, dtype=float)))
-        object.__setattr__(self, "curve", _readonly(np.asarray(self.curve, dtype=float)))
+        for key in ("scores", "curve"):
+            value = _argument("ForecastResult", key, vars(self)[key], _array(1))
+            object.__setattr__(self, key, _readonly(value))
 
     def to_json(self) -> str:
         payload = dict(vars(self), scores=self.scores.tolist(), curve=self.curve.tolist())

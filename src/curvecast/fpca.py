@@ -11,7 +11,7 @@ import numpy as np
 
 from .curves import FunctionalDataset, Grid, _readonly
 from .errors import (DimensionMismatchError, InsufficientDataError, NumericalDegeneracyError,
-                     _argument, _at_least, _in_range)
+                     _argument, _array, _at_least, _in_range)
 
 _PVE = (float, lambda pve: 0.0 < pve <= 1.0, "be in (0, 1]")  # the rule of a share of variance
 _TAIL = _at_least(0)  # the rule of a number of leading components, any of them past those held
@@ -149,10 +149,8 @@ class ScoreMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=float)
-        if s.ndim != 2:
-            raise ValueError(f"scores must be an (n, d) array, got shape {s.shape}")
-        object.__setattr__(self, "scores", _readonly(s))
+        object.__setattr__(self, "scores", _readonly(_argument("ScoreMatrix", "scores", self.scores,
+                                                               _array(2))))
 
 
 def scores(data: FunctionalDataset, eig: EigenSystem) -> ScoreMatrix:

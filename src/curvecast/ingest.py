@@ -54,7 +54,7 @@ def ingest(
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
     # curves count from 1: data row k below the header, or the k-th curve of a stream
-    values, labels = _read_table(path, True, weekday_adjust, rows_per_curve)
+    values, labels = _read_table(path, True, weekday_adjust, rows_per_curve, True)
     missing = np.isnan(values)
     if missing.any():
         if not interpolate_missing:

@@ -19,22 +19,23 @@ from .errors import (
     NumericalDegeneracyError,
     RankDeficiencyError,
     _argument,
+    _array,
     _at_least,
+    _cells,
     _in_range,
+    _place,
 )
 
 # Relative pivot threshold below which solves refuse to proceed.
 PIVOT_RTOL = 1e-12
 _ORDER, _HORIZON = _at_least(0), _at_least(1)  # the rules of a VAR order p and a horizon h
+_GAMMAS = _array(3, test=lambda g: g.shape[1] == g.shape[2], takes="be an (m + 1, d, d) array")
 
 
-def _as_score_array(x) -> np.ndarray:
-    x = np.asarray(getattr(x, "scores", x), dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"expected an (n, d) score array, got shape {x.shape}")
-    return x
+def _score_rows(x, owner: str) -> np.ndarray:
+    """x's rows, or a ScoreMatrix's, parsed as the argument scores of owner; 1-D is one column."""
+    x = _argument(owner, "scores", getattr(x, "scores", x), _array(1, 2))
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _is_singular(gram: np.ndarray, rtol: float = PIVOT_RTOL):
@@ -83,16 +84,17 @@ def _check_covariates(covariates, n: int) -> np.ndarray:
     """covariates as an (n, r) float matrix, one row per curve (a 1-D array is one column).
 
     The one guard on covariate input: another shape is a DimensionMismatchError, and a
-    non-finite cell, which would look constant and be dropped, an IngestError naming it from 1.
+    non-finite cell, which would look constant and be dropped, or a cell that is no number an
+    IngestError naming it from 1.
     """
-    rmat = np.asarray(getattr(covariates, "scores", covariates), dtype=float)
-    rmat = rmat[:, None] if rmat.ndim == 1 else rmat
+    cells, bad = _cells(getattr(covariates, "scores", covariates))
+    rmat = cells[:, None] if cells.ndim == 1 else cells
     if rmat.ndim != 2 or rmat.shape[0] != n:
         raise DimensionMismatchError(f"covariates must be {n} rows, one per curve, "
                                      f"got shape {rmat.shape}")
-    bad = np.argwhere(~np.isfinite(rmat))
-    if bad.size:
-        raise IngestError(f"covariate row {bad[0][0] + 1}, column {bad[0][1] + 1} is not finite")
+    if bad is not None:
+        what = "not finite" if isinstance(cells[bad], float) else f"{cells[bad]!r}, not a number"
+        raise IngestError(f"covariate {_place((*bad, 0)[:2])} is {what}")
     return rmat
 
 
@@ -112,12 +114,9 @@ class AcvfSequence:
     mean: np.ndarray = None
 
     def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
-        if g.ndim != 3 or g.shape[1] != g.shape[2]:
-            raise ValueError(f"gammas must be (m + 1, d, d), got shape {g.shape}")
-        mean = np.zeros(g.shape[1]) if self.mean is None else np.asarray(self.mean, dtype=float)
-        if mean.shape != (g.shape[1],):
-            raise ValueError(f"mean must have length d={g.shape[1]}")
+        g = _argument("AcvfSequence", "gammas", self.gammas, _GAMMAS)
+        mean = np.zeros(g.shape[1]) if self.mean is None else self.mean
+        mean = _argument("AcvfSequence", "mean", mean, _array(1, shape=g.shape[1:2]))
         object.__setattr__(self, "gammas", _readonly(g))
         object.__setattr__(self, "mean", _readonly(mean))
 
@@ -141,7 +140,7 @@ def sample_acvf(scores, max_lag: int) -> AcvfSequence:
     which keeps the block-Toeplitz covariance built from the sequence
     positive semidefinite.
     """
-    s, max_lag = _as_score_array(scores), _argument("sample_acvf", "max_lag", max_lag, _ORDER)
+    s, max_lag = _score_rows(scores, "sample_acvf"), _argument("sample_acvf", "max_lag", max_lag, _ORDER)
     n = s.shape[0]
     if max_lag >= n:
         raise InsufficientDataError(f"max_lag={max_lag} needs max_lag < n={n}")
@@ -210,7 +209,7 @@ def fit_var_ols(scores, p: int) -> VarModel:
     (y_{k-1}, ..., y_{k-p}); no intercept is estimated beyond removing
     the sample mean.  The innovation covariance uses divisor n - p.
     """
-    return _fit_ols(_as_score_array(scores), _argument("fit_var_ols", "p", p, _ORDER))
+    return _fit_ols(_score_rows(scores, "fit_var_ols"), _argument("fit_var_ols", "p", p, _ORDER))
 
 
 def fit_varx_ols(scores, covariates, p: int) -> VarModel:
@@ -221,7 +220,7 @@ def fit_varx_ols(scores, covariates, p: int) -> VarModel:
     constant carry no information and are excluded from the solve; their
     loadings are returned as zero.  Non-finite covariates raise IngestError.
     """
-    s, p = _as_score_array(scores), _argument("fit_varx_ols", "p", p, _ORDER)
+    s, p = _score_rows(scores, "fit_varx_ols"), _argument("fit_varx_ols", "p", p, _ORDER)
     return _fit_ols(s, p, _covariate_block(covariates, len(s)))
 
 
@@ -233,14 +232,14 @@ def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndar
     current covariate row must be supplied.
     """
     h = _argument("predict_var", "h", h, _HORIZON)
-    hist = np.asarray(history, dtype=float)
+    hist = _argument("predict_var", "history", history, _array(1, 2))
     if hist.ndim == 1:
         # a flat vector is one observation unless the model is univariate
         hist = hist.reshape(-1, 1) if model.d == 1 else hist[None, :]
     if hist.size == 0:
         hist = hist.reshape(0, model.d)
     if hist.shape[1] != model.d:
-        raise ValueError(f"history rows have length {hist.shape[1]}, model has d={model.d}")
+        raise DimensionMismatchError(f"history rows have length {hist.shape[1]}, model has d={model.d}")
     if hist.shape[0] < model.p:
         raise InsufficientDataError(f"need at least p={model.p} history rows, got {hist.shape[0]}")
     if model.theta is not None:
@@ -248,6 +247,8 @@ def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndar
             raise ValueError("exogenous block supports one-step prediction only")
         if covariate is None:
             raise ValueError("model carries an exogenous block; pass its current row")
+        row = _array(1, shape=model.theta.shape[1:])  # one value per covariate column
+        covariate = _argument("predict_var", "covariate", covariate, row)
     elif covariate is not None:
         raise ValueError("model has no exogenous block but a covariate row was passed")
     buf = [row for row in hist - model.mean]
@@ -258,7 +259,7 @@ def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndar
             pred = pred + phi @ buf[-j]
         buf.append(pred)
     if model.theta is not None:
-        rc = np.asarray(covariate, dtype=float) - model.covariate_mean
+        rc = covariate - model.covariate_mean
         pred = pred + model.theta @ rc
     return pred + model.mean
 
@@ -293,15 +294,11 @@ def solve_blp_with_covariates(acvf: AcvfSequence, cross=None, gamma_rr=None, m: 
     m, d = _argument("solve_blp_with_covariates", "m", m, rule), acvf.d
     if (cross is None) != (gamma_rr is None):
         raise ValueError("cross and gamma_rr must be supplied together")
-    r = 0
+    r, owner = 0, "solve_blp_with_covariates"
     if cross is not None:
-        cross = np.asarray(cross, dtype=float)
-        gamma_rr = np.asarray(gamma_rr, dtype=float)
-        if cross.ndim != 3 or cross.shape[0] != m + 1 or cross.shape[1] != d:
-            raise ValueError(f"cross must be (m + 1, d, r), got shape {cross.shape}")
+        cross = _argument(owner, "cross", cross, _array(3, shape=(m + 1, d, "r")))
         r = cross.shape[2]
-        if gamma_rr.shape != (r, r):
-            raise ValueError(f"gamma_rr must be ({r}, {r}), got {gamma_rr.shape}")
+        gamma_rr = _argument(owner, "gamma_rr", gamma_rr, _array(2, shape=(r, r)))
     blocks = [[acvf.gamma(j - i) for j in range(m)] for i in range(m)]
     targets = [acvf.gamma(i + 1) for i in range(m)]
     if r > 0:
@@ -343,8 +340,10 @@ class InnovationsState:
         return self.thetas[-1] if self.thetas else ()
 
     def predict_one_step(self, history) -> np.ndarray:
-        """One-step prediction from the last m rows of history."""
-        hist = np.atleast_2d(np.asarray(history, dtype=float))
+        """One-step prediction from the last m rows of history (a 1-D array is one row)."""
+        hist = _argument("InnovationsState.predict_one_step", "history", history,
+                         _array(1, 2, shape=("m", len(self.mean))))
+        hist = hist[None] if hist.ndim == 1 else hist
         m = self.m
         if hist.shape[0] < m:
             raise InsufficientDataError(f"need at least m={m} history rows, got {hist.shape[0]}")

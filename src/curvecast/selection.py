@@ -16,19 +16,23 @@ from .fpca import EigenSystem, eigensystem, scores
 from .multivar import _ORDER, PIVOT_RTOL, _check_rows, _covariate_block, _fit_ols, _is_singular, _lag_rows
 
 _CORNERS = {"p_max": _ORDER, "d_max": _at_least(1)}  # the rules of the sweep's upper corners
+_VARIANCE = (float, lambda value: value >= 0.0, "be >= 0")  # the rule of a variance
+_FFPE = {"n": _at_least(2), "p": _ORDER, "d": _CORNERS["d_max"], "trace_sigma_z": _VARIANCE,
+         "tail": _VARIANCE, "r": _ORDER}  # the rules of ffpe's arguments
 
 
 def ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float, r: int = 0) -> float:
     """Final prediction error (n + p d + r)/(n - p d - r) * tr(Sigma_Z) + tail.
 
     r counts the extra parameters of a covariate block; r = 0 is the plain criterion.
+    Each argument is parsed by its rule in _FFPE; n <= p d + r is a SelectionError.
     """
-    if n < 2 or p < 0 or d < 1 or r < 0:
-        raise ValueError(f"need n >= 2, p >= 0, d >= 1, r >= 0; got n={n}, p={p}, d={d}, r={r}")
-    if not (math.isfinite(trace_sigma_z) and trace_sigma_z >= 0.0):
-        raise ValueError(f"trace_sigma_z must be finite and >= 0, got {trace_sigma_z}")
-    if not (math.isfinite(tail) and tail >= 0.0):
-        raise ValueError(f"tail must be finite and >= 0, got {tail}")
+    given = {"n": n, "p": p, "d": d, "trace_sigma_z": trace_sigma_z, "tail": tail, "r": r}
+    return _ffpe(*_checked(given, _FFPE, "ffpe", _FFPE).values())
+
+
+def _ffpe(n: int, p: int, d: int, trace_sigma_z: float, tail: float, r: int) -> float:
+    """ffpe on parsed arguments, as each sweep cell calls it."""
     if n <= p * d + r:
         raise SelectionError(f"criterion undefined: n={n} <= p*d + r={p * d + r}")
     return (n + p * d + r) / (n - p * d - r) * trace_sigma_z + tail
@@ -147,7 +151,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
                     trace = float(nested[p][d - 1])
                 else:
                     trace = float(_fit_ols(smat[:, :d], p, block).sigma_z.trace())
-                value = ffpe(n, p, d, trace, tail, r or 0)
+                value = _ffpe(n, p, d, trace, tail, r or 0)
             except (InsufficientDataError, RankDeficiencyError, SelectionError) as err:
                 status = "singular" if isinstance(err, RankDeficiencyError) else "invalid"
                 cells.append(FfpeCell(p, d, math.nan, math.nan, math.nan, status, str(err)))

@@ -6,17 +6,14 @@ assembled on a midpoint grid.  Includes the truncation bias bound for
 known-operator autoregressions.
 """
 
-import contextlib
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .curves import _BASIS_D, FunctionalDataset, Grid, _readonly, make_fourier_basis, synthesize
-from .errors import (NonstationaryError, _argument, _at_least, _checked, _in_range, _numbers, _one_of,
-                     _shown)
+from .errors import NonstationaryError, _argument, _array, _at_least, _checked, _in_range, _one_of
 
 PSI_MATRICES = {
     "psi1": np.array(
@@ -44,12 +41,14 @@ def fixed_psi(name: str) -> np.ndarray:
     return PSI_MATRICES[_argument("fixed_psi", "name", name, _OPERATOR)].copy()
 
 
+def _sigma(D: int) -> tuple:
+    """The rule of D innovation standard deviations, each a positive number."""
+    return _array(1, shape=(D,), test=lambda sigma: np.all(sigma > 0.0), takes="be positive")
+
+
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; non-finite entries raise ValueError."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("spectral norm needs finite entries")
-    return float(np.linalg.norm(a, 2))
+    """Largest singular value of a matrix of finite numbers."""
+    return float(np.linalg.norm(_argument("spectral_norm", "a", a, _array(2)), 2))
 
 
 def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -58,9 +57,8 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
     Entry (l, l') is drawn with standard deviation sigma_l * sigma_l',
     then the matrix is divided by its largest singular value.
     """
-    D, sigma = _argument("random_operator", "D", D, _BASIS_D), np.asarray(sigma, dtype=float)
-    if sigma.shape != (D,) or np.any(sigma <= 0.0):
-        raise ValueError(f"sigma must be {D} positive values")
+    D = _argument("random_operator", "D", D, _BASIS_D)
+    sigma = _argument("random_operator", "sigma", sigma, _sigma(D))
     while True:
         a = rng.normal(size=(D, D)) * np.outer(sigma, sigma)
         norm = spectral_norm(a)
@@ -69,11 +67,11 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
 
 
 # each kind with the operators it needs, and every field of a process spec (the keys of a spec
-# JSON) with its rule (see errors._checked)
+# JSON) with its rule (see errors._checked); sigma is parsed by _sigma(D) once D is known
 _NEEDS = {"far": "ar operators and no ma operators", "fma": "ma operators and no ar operators",
           "farma": "both ar and ma operators"}
 _SPEC = {"kind": _one_of(*_NEEDS),
-         "D": _BASIS_D, "sigma": _numbers(),
+         "D": _BASIS_D, "sigma": object,
          "ar": (object, lambda ar: isinstance(ar, (list, tuple)), "be a list"),
          "ma": dict, "burn_in": _at_least(0)}
 
@@ -101,12 +99,11 @@ class ProcessSpec:
         args = _checked({key: getattr(self, key) for key in _SPEC}, _SPEC, "process spec",
                         required=("kind", "D", "sigma"))
         kind, D = args["kind"], args["D"]
-        sigma = _readonly(args["sigma"])
-        if sigma.shape != (D,) or not np.all(sigma > 0.0):
-            raise ValueError(f"process spec key 'sigma' must list {D} positive numbers, "
-                             f"got {_shown(args['sigma'])}")
-        ar = tuple(_operator("ar", m, D) for m in args.get("ar", ()))
-        ma = {_lag(lag): _operator("ma", op, D) for lag, op in args.get("ma", {}).items()}
+        sigma = _readonly(_argument("process spec", "sigma", args["sigma"], _sigma(D)))
+        square = _array(2, shape=(D, D))
+        ar = tuple(_readonly(_argument("process spec", "ar", m, square)) for m in args.get("ar", ()))
+        ma = {_lag(lag): _readonly(_argument("process spec", "ma", op, square))
+              for lag, op in args.get("ma", {}).items()}
         if bool(ar) != (kind != "fma") or bool(ma) != (kind != "far"):
             raise ValueError(f"process spec key 'kind' is {kind!r}, which needs {_NEEDS[kind]}")
         rho = _companion_spectral_radius(ar) if ar else 0.0
@@ -152,21 +149,9 @@ def _scaled_spec(kind: str, psi, sigma, kappas, thetas: dict, burn_in: int) -> P
 
 
 def _lag(lag) -> int:
-    """An ma lag as an int >= 1, from an int or a JSON key's digit text; a ValueError otherwise."""
-    number = int(lag) if isinstance(lag, str) and lag.isdecimal() else lag
-    if isinstance(number, numbers.Integral) and not isinstance(number, bool) and number >= 1:
-        return int(number)
-    raise ValueError(f"process spec key 'ma' has lag {lag!r}, not an integer >= 1")
-
-
-def _operator(key: str, value, D: int) -> np.ndarray:
-    """An ar or ma entry as a read-only D x D matrix of finite floats; a ValueError names key."""
-    with contextlib.suppress(TypeError, ValueError):
-        mat = _readonly(value)
-        if mat.shape == (D, D) and np.all(np.isfinite(mat)):
-            return mat
-    raise ValueError(f"process spec key {key!r} holds {_shown(value)}, "
-                     f"not a {D} x {D} matrix of finite numbers")
+    """An ma lag, an int >= 1 or a JSON key's digit text, parsed by the integer rule as key 'ma'."""
+    lag = int(lag) if isinstance(lag, str) and lag.isdecimal() else lag
+    return _argument("process spec", "ma", lag, _at_least(1))
 
 
 def _companion_spectral_radius(ar) -> float:
@@ -259,18 +244,11 @@ def bias_bound(ar_operators, eigenvalues, d: int) -> float:
     d+1..D of the j-th operator, returns
     (1 + (sum_j psi_{j;d})^2) * sum_{l > d} lambda_l.
     """
-    ops = [np.asarray(m, dtype=float) for m in ar_operators]
-    lams = np.asarray(eigenvalues, dtype=float)
-    if not ops:
-        raise ValueError("need at least one autoregressive operator")
-    D = ops[0].shape[0]
-    for m in ops:
-        if m.shape != (D, D):
-            raise ValueError(f"operators must share shape ({D}, {D}), got {m.shape}")
-    if lams.ndim != 1 or lams.size < D:
-        raise ValueError(f"need at least {D} eigenvalues, got shape {lams.shape}")
-    if np.any(lams < 0.0):
-        raise ValueError("eigenvalues must be nonnegative")
+    ops = _argument("bias_bound", "ar_operators", ar_operators, _array(
+        3, test=lambda ops: len(ops) and ops.shape[1] == ops.shape[2], takes="list square matrices"))
+    D = ops.shape[1]
+    lams = _argument("bias_bound", "eigenvalues", eigenvalues, _array(
+        1, test=lambda lam: len(lam) >= D and np.all(lam >= 0.0), takes=f"list {D} or more values >= 0"))
     d = _argument("bias_bound", "d", d, _in_range(1, D, "D"))
     psi_sum = sum(float(np.sqrt(np.sum(m[:, d:] ** 2))) for m in ops)
     tail = float(np.sum(lams[d:]))

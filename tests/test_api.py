@@ -168,7 +168,18 @@ RESTATED = [r"horizon must be >= 1", r"order p must be", r"^D must be >= 1", r"b
             r"alpha must be in", r"^n must be >= 1", r"grid needs an integer", r"^d must be in 1\.\.",
             r"cannot truncate to", r"^m must be >= ", r"need autocovariances up to lag",
             r"unknown sigma scheme", r"unknown operator", r"transform must be", r"kind must be 'fma'",
-            r"unknown method", r"unknown source type", r"unknown preset", r"^p must be >= 1"]
+            r"unknown method", r"unknown source type", r"unknown preset", r"^p must be >= 1",
+            # the array guards the one array rule replaced (see errors._array)
+            r"expected an \(n, d\) score array", r"scores must be an \(n, d\) array",
+            r"spectral norm needs finite entries", r"curve values must be finite",
+            r"values must be a nonempty", r"gammas must be \(m \+ 1", r"mean must have length",
+            r"cross must be \(m \+ 1", r"gamma_rr must be \(", r"expected two length-",
+            r"coefficient rows have length", r"band has T=", r"sigma must be \{\} positive",
+            r"need at least one autoregressive", r"operators must share shape",
+            r"eigenvalues must be nonnegative", r"need at least \{\} eigenvalues",
+            r"not a \{\} x \{\} matrix of finite", r"samples but the grid has",
+            r"trace_sigma_z must be finite", r"tail must be finite", r"need n >= 2, p >= 0",
+            r"has lag \{\}, not an integer"]
 
 
 def test_no_module_restates_a_rule():

@@ -231,6 +231,27 @@ def test_forecast_covariates_are_for_the_covariate_method_only(curves_csv, tmp_p
         f"error: --covariates is for --method covariate only, got --method {method}\n")
 
 
+def test_forecast_covariate_method_needs_covariates(curves_csv, capsys):
+    # it used to say "source provides no covariates", which names no option
+    assert main(["forecast", "--input", str(curves_csv), "--method", "covariate", "--p", "1",
+                 "--d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --method covariate needs --covariates, a numeric CSV with one "
+                            "row per curve\n")
+
+
+@pytest.mark.parametrize("raw", [b"t_1,t_2\n1.0,2.0\n3.0,4\xe9\n", "t_1,t_2\n1.0,2.0\n".encode("utf-16")],
+                         ids=["latin-1", "utf-16"])
+def test_select_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, raw):
+    path = tmp_path / "curves.csv"
+    path.write_bytes(raw)
+    assert main(["select", "--input", str(path), "--pmax", "1", "--dmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: line ") and "which is not UTF-8" in captured.err
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("argv", [
     ["select", "--pmax", "2", "--dmax", "3", "--out", "table.csv"],

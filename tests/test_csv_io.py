@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from curvecast import FunctionalDataset, Grid, IngestError, load_numeric_csv, save_curves_csv
+from curvecast import (FunctionalDataset, Grid, IngestError, ingest, load_curves_csv, load_numeric_csv,
+                       save_curves_csv)
 from curvecast import curves
 
 
@@ -182,3 +183,40 @@ def test_header_after_a_byte_order_mark_reads_as_without_it(tmp_path, read, text
     with open(path, encoding=curves.CSV_ENCODING) as fh:
         header = _read_rows(fh.readlines())[0][0]
     assert not header[0].startswith(BOM)
+
+
+# files that are not UTF-8 text: a Latin-1 cell on line 3, and UTF-16, whose byte-order mark
+# is the first bad byte
+NOT_UTF8 = [(b"t_1,t_2\n1.0,2.0\n3.0,4\xe9\n", 3, "0xe9"),
+            ("t_1,t_2\n1.0,2.0\n3.0,4.0\n".encode("utf-16"), 1, "0xff")]
+
+
+@pytest.mark.parametrize("raw, line, byte", NOT_UTF8, ids=["latin-1", "utf-16"])
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, raw, line, byte):
+    # it used to end in a bare UnicodeDecodeError naming neither the file nor the line
+    path = tmp_path / "curves.csv"
+    path.write_bytes(raw)
+    want = f"{path}: line {line} holds byte {byte}, which is not UTF-8; save the file as UTF-8"
+    for load in (load_curves_csv, ingest, load_numeric_csv):
+        with pytest.raises(IngestError) as err:
+            load(path)
+        assert str(err.value) == want
+
+
+def test_non_ascii_utf8_text_still_reads(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("t_1,t_2,station\n1,2,München\n3,4,Köln\n5,6,München\n7,9,Köln\n",
+                    encoding="utf-8")
+    assert ingest(path, weekday_adjust="station").values.tolist() == [[-2, -2], [-2, -2.5],
+                                                                      [2, 2], [2, 2.5]]
+
+
+@pytest.mark.parametrize("text", ["t_1\n1.0\n2.0\n3.0\n", "1.0\n2.0\n3.0\n"], ids=["header", "bare"])
+def test_a_one_column_curve_file_names_the_file(tmp_path, text):
+    # it used to fail in Grid, with "Grid key 'T' must be >= 2, got 1" naming no file
+    path = write(tmp_path, text)
+    for load in (load_curves_csv, ingest):
+        with pytest.raises(IngestError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: a curve needs two or more samples, but each row holds 1"
+    assert load_numeric_csv(path).tolist() == [[1.0], [2.0], [3.0]]  # a one-column covariate file

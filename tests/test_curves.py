@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,9 @@ def test_synthesize_round_trip():
     data = synthesize(coeffs, basis)
     recovered = data.values @ basis.values.T / grid.T
     assert np.abs(recovered - coeffs).max() < 1e-12
-    with pytest.raises(DimensionMismatchError,
-                       match="^coefficient rows have length 4, basis has D=5$"):
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "synthesize key 'coeffs' must be a 1-D or 2-D array of finite numbers of shape (n, 5), "
+            "got an array of shape (10, 4)")):
         synthesize(coeffs[:, :4], basis)
 
 
@@ -79,10 +82,12 @@ def test_dataset_validation():
     bad[1, 2] = np.nan
     with pytest.raises(ValueError):
         FunctionalDataset(grid=grid, values=bad)
-    for shape in [(0, 4), (4,)]:  # no curves, or not one row per curve
+    for shape, must in [((0, 4), "hold one or more curves"),  # no curves
+                        ((4,), "be a 2-D array of finite numbers of shape (n, 4)")]:  # not one row per curve
         with pytest.raises(ValueError) as err:
             FunctionalDataset(grid=grid, values=np.ones(shape))
-        assert str(err.value) == f"values must be a nonempty (n, T) array, got shape {shape}"
+        assert str(err.value) == (f"FunctionalDataset key 'values' must {must}, "
+                                  f"got an array of shape {shape}")
 
 
 def test_dataset_values_read_only():

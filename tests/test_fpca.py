@@ -100,7 +100,8 @@ def test_exact_rank_reconstruction():
     eig = eigensystem(data, 2)
     approx = reconstruct(scores(data, eig), eig)
     assert np.abs(approx.values - data.values).max() < 1e-8
-    with pytest.raises(ValueError, match=re.escape("scores must be an (n, d) array, got shape")):
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "ScoreMatrix key 'scores' must be a 2-D array of finite numbers, got an array of shape")):
         ScoreMatrix(scores=np.ones(2))
     with pytest.raises(DimensionMismatchError, match="data grid T=24 does not match eigensystem "
                                                      "grid T=48"):

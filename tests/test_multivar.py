@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvecast import (
+    DimensionMismatchError,
     IllConditionedError,
     IngestError,
     InsufficientDataError,
@@ -289,19 +290,23 @@ def blp_blocks(m=1, r=2):
 
 # each guard no other test reaches: (call, error type, message)
 GUARDS = {
-    "score-array-ndim": (lambda: sample_acvf(np.ones((4, 1, 1)), 0), ValueError,
-                         "expected an (n, d) score array, got shape (4, 1, 1)"),
+    "score-array-ndim": (lambda: sample_acvf(np.ones((4, 1, 1)), 0), DimensionMismatchError,
+                         "sample_acvf key 'scores' must be a 1-D or 2-D array of finite numbers, "
+                         "got an array of shape (4, 1, 1)"),
     "gammas-shape": (lambda: AcvfSequence(gammas=np.ones((2, 2, 3))), ValueError,
-                     "gammas must be (m + 1, d, d), got shape (2, 2, 3)"),
-    "gammas-ndim": (lambda: AcvfSequence(gammas=np.ones((2, 2))), ValueError,
-                    "gammas must be (m + 1, d, d), got shape (2, 2)"),
+                     "AcvfSequence key 'gammas' must be an (m + 1, d, d) array, "
+                     "got an array of shape (2, 2, 3)"),
+    "gammas-ndim": (lambda: AcvfSequence(gammas=np.ones((2, 2))), DimensionMismatchError,
+                    "AcvfSequence key 'gammas' must be a 3-D array of finite numbers, "
+                    "got an array of shape (2, 2)"),
     "acvf-mean-length": (lambda: AcvfSequence(gammas=np.ones((2, 2, 2)), mean=np.ones(3)),
-                         ValueError, "mean must have length d=2"),
+                         DimensionMismatchError, "AcvfSequence key 'mean' must be a 1-D array of "
+                         "finite numbers of shape (2,), got an array of shape (3,)"),
     "negative-order": (lambda: fit_var_ols(np.ones((10, 2)), -1), ValueError,
                        "fit_var_ols key 'p' must be >= 0, got -1"),
     "horizon": (lambda: predict_var(unit_var1(), np.ones((1, 2)), 0), ValueError,
                 "predict_var key 'h' must be >= 1, got 0"),
-    "history-width": (lambda: predict_var(unit_var1(), np.ones((1, 3))), ValueError,
+    "history-width": (lambda: predict_var(unit_var1(), np.ones((1, 3))), DimensionMismatchError,
                       "history rows have length 3, model has d=2"),
     "covariate-without-block": (lambda: predict_var(unit_var1(), np.ones((1, 2)), covariate=[1.0]),
                                 ValueError,
@@ -312,16 +317,23 @@ GUARDS = {
                         ValueError, "cross and gamma_rr must be supplied together"),
     "blp-gamma-rr-alone": (lambda: solve_blp_with_covariates(blp_blocks()[0], gamma_rr=np.eye(2)),
                            ValueError, "cross and gamma_rr must be supplied together"),
-    "blp-cross-shape": (lambda: solve_blp_with_covariates(*blp_blocks(m=2), m=1), ValueError,
-                        "cross must be (m + 1, d, r), got shape (3, 2, 2)"),
+    "blp-cross-shape": (lambda: solve_blp_with_covariates(*blp_blocks(m=2), m=1),
+                        DimensionMismatchError, "solve_blp_with_covariates key 'cross' must be a "
+                        "3-D array of finite numbers of shape (2, 2, r), got an array of shape (3, 2, 2)"),
     "blp-gamma-rr-shape": (lambda: solve_blp_with_covariates(*blp_blocks()[:2], np.eye(3)),
-                           ValueError, "gamma_rr must be (2, 2), got (3, 3)"),
+                           DimensionMismatchError, "solve_blp_with_covariates key 'gamma_rr' must be "
+                           "a 2-D array of finite numbers of shape (2, 2), got an array of shape (3, 3)"),
     "blp-singular": (lambda: solve_blp_with_covariates(AcvfSequence(gammas=np.zeros((2, 2, 2)))),
                      IllConditionedError, "stacked covariance matrix is numerically singular; "
                      "reduce m or drop covariates"),
     "innovations-history": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 2)
                             .predict_one_step(np.ones((1, 2))), InsufficientDataError,
                             "need at least m=2 history rows, got 1"),
+    "innovations-history-width": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 2)
+                                  .predict_one_step(np.ones((3, 3))), DimensionMismatchError,
+                                  "InnovationsState.predict_one_step key 'history' must be a 1-D "
+                                  "or 2-D array of finite numbers of shape (m, 2), got an array "
+                                  "of shape (3, 3)"),
     "innovations-order": (lambda: innovations(stable_var1_acvf(2, seed=7)[0], 0), ValueError,
                           "innovations key 'm' must be in 1..acvf.max_lag = 6, got 0"),
 }

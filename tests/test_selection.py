@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ def test_criterion_guards():
         ffpe(100, 1, 2, -1.0, 0.0)
     with pytest.raises(ValueError):
         ffpe(100, -1, 2, 1.0, 0.0)
-    for tail in (-0.5, float("nan")):
-        with pytest.raises(ValueError, match="tail must be finite and >= 0"):
+    for tail, must in ((-0.5, "be >= 0"), (float("nan"), "be one finite float")):
+        with pytest.raises(ValueError, match=re.escape(f"ffpe key 'tail' must {must}, got {tail}")):
             ffpe(100, 1, 2, 1.0, tail)
 
 

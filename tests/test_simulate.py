@@ -74,7 +74,7 @@ def test_random_operator_unit_norm_and_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     for bad in (sig[:7], np.r_[sig[:7], 0.0]):  # one short, or one not positive
-        with pytest.raises(ValueError, match="sigma must be 8 positive values"):
+        with pytest.raises(ValueError, match=re.escape("random_operator key 'sigma' must")):
             random_operator(8, bad, np.random.default_rng(5))
 
 
@@ -99,22 +99,38 @@ def test_spec_validation():
     ({"D": True}, "process spec key 'D' must be one finite int, got True"),
     ({"D": 0}, "process spec key 'D' must be >= 1, got 0"),
     ({"burn_in": -1}, "process spec key 'burn_in' must be >= 0, got -1"),
-    # an array is shown by its shape, so the message stays on one line
+    # a non-finite cell is named by its place, so the message stays on one line; the ids
+    # are those of the messages the hand-written operator and sigma checks wrote
     pytest.param({"ar": (np.full((3, 3), np.nan),)},
-                 "process spec key 'ar' holds an array of shape (3, 3), not a 3 x 3 matrix",
+                 "process spec key 'ar' must be a 2-D array of finite numbers of shape (3, 3), "
+                 "got nan at row 1, column 1",
                  id="change5-process spec key 'ar' holds array("),
     pytest.param({"kind": "farma", "ma": {1: np.full((3, 3), np.inf)}},
-                 "process spec key 'ma' holds an array of shape (3, 3), not a 3 x 3 matrix",
+                 "process spec key 'ma' must be a 2-D array of finite numbers of shape (3, 3), "
+                 "got inf at row 1, column 1",
                  id="change6-process spec key 'ma' holds array("),
-    ({"kind": "fma", "ar": (), "ma": {2: [[0.5, 0, 0], [0, np.nan, 0], [0, 0, 0.5]]}},
-     "process spec key 'ma' holds [[0.5, 0, 0], [0, nan, 0], [0, 0, 0.5]], "
-     "not a 3 x 3 matrix of finite numbers"),
-    ({"sigma": np.ones(2)},
-     "process spec key 'sigma' must list 3 positive numbers, got an array of shape (2,)"),
-    ({"sigma": np.array([1.0, np.nan, 1.0])},
-     "process spec key 'sigma' must list one or more numbers, got an array of shape (3,)"),
-    ({"sigma": np.ones(3, dtype=bool)},
-     "process spec key 'sigma' must list one or more numbers, got an array of shape (3,)"),
+    pytest.param({"kind": "fma", "ar": (), "ma": {2: [[0.5, 0, 0], [0, np.nan, 0], [0, 0, 0.5]]}},
+                 "process spec key 'ma' must be a 2-D array of finite numbers of shape (3, 3), "
+                 "got nan at row 2, column 2",
+                 id="change7-process spec key 'ma' holds [[0.5, 0, 0], [0, nan, 0], [0, 0, 0.5]], "
+                    "not a 3 x 3 matrix of finite numbers"),
+    pytest.param({"sigma": np.ones(2)}, "process spec key 'sigma' must be a 1-D array of finite "
+                 "numbers of shape (3,), got an array of shape (2,)",
+                 id="change8-process spec key 'sigma' must list 3 positive numbers, "
+                    "got an array of shape (2,)"),
+    pytest.param({"sigma": np.array([1.0, np.nan, 1.0])},
+                 "process spec key 'sigma' must be a 1-D array of finite numbers of shape (3,), "
+                 "got nan at cell 2",
+                 id="change9-process spec key 'sigma' must list one or more numbers, "
+                    "got an array of shape (3,)"),
+    pytest.param({"sigma": np.ones(3, dtype=bool)},
+                 "process spec key 'sigma' must be a 1-D array of finite numbers of shape (3,), "
+                 "got True at cell 1",
+                 id="change10-process spec key 'sigma' must list one or more numbers, "
+                    "got an array of shape (3,)"),
+    ({"ar": (np.eye(2),)}, "process spec key 'ar' must be a 2-D array of finite numbers of shape "
+                           "(3, 3), got an array of shape (2, 2)"),
+    ({"sigma": [1.0, -1.0, 1.0]}, "process spec key 'sigma' must be positive, got an array of shape (3,)"),
 ])
 def test_spec_checks_its_fields_at_construction(change, message):
     args = {"kind": "far", "D": 3, "sigma": np.ones(3), "ar": (0.5 * np.eye(3),), **change}
@@ -127,7 +143,8 @@ def test_spec_checks_its_fields_at_construction(change, message):
 def test_spec_json_rejects_a_non_finite_operator():
     text = '{"kind": "fma", "D": 1, "sigma": [1.0], "ma": {"1": [[NaN]]}}'
     with pytest.raises(ValueError, match=re.escape(
-            "process spec key 'ma' holds [[nan]], not a 1 x 1 matrix of finite numbers")):
+            "process spec key 'ma' must be a 2-D array of finite numbers of shape (1, 1), "
+            "got nan at row 1, column 1")):
         ProcessSpec.from_json(text)
 
 
@@ -168,13 +185,14 @@ def test_spec_json_round_trip():
     ({"burnin": 50}, "process spec has no key 'burnin'; its keys are kind, D, sigma, ar, ma, "
                      "burn_in"),
     pytest.param({"kind": "fma", "ar": [], "ma": {"1.5": [[0.5]]}},
-                 "process spec key 'ma' has lag '1.5', not an integer >= 1",
+                 "process spec key 'ma' must be one finite int, got '1.5'",
                  id="change5-process spec ma lag '1.5' must be an integer"),
     # these were taken as empty, or failed with numpy's message naming no key
     ({"ar": 0}, "process spec key 'ar' must be a list, got 0"),
     ({"ma": ""}, "process spec key 'ma' must be a dict, got ''"),
     ({"ma": False}, "process spec key 'ma' must be a dict, got False"),
-    ({"sigma": "a"}, "process spec key 'sigma' must list one or more numbers, got 'a'"),
+    pytest.param({"sigma": "a"}, "process spec key 'sigma' must be a 1-D array of finite numbers of "
+                 "shape (1,), got 'a'", id="change9-process spec key 'sigma' must list one or more numbers, got 'a'"),
 ])
 def test_spec_json_takes_integers_and_only_its_fields(change, message):
     # these used to be truncated, ignored or fail with int()'s own message
@@ -439,9 +457,15 @@ def test_bias_bound_validation():
         bias_bound([np.eye(2)], lam, 3)
     with pytest.raises(ValueError):
         bias_bound([np.eye(3)], lam, 1)
-    with pytest.raises(ValueError, match="need at least one autoregressive operator"):
+    must = "bias_bound key 'ar_operators' must "
+    with pytest.raises(ValueError, match=re.escape(f"{must}be a 3-D array of finite numbers, "
+                                                   "got an array of shape (0,)")):
         bias_bound([], lam, 1)
-    with pytest.raises(ValueError, match=re.escape("operators must share shape (2, 2), got (3,")):
-        bias_bound([np.eye(2), np.eye(3)], lam, 1)
-    with pytest.raises(ValueError, match="eigenvalues must be nonnegative"):
+    with pytest.raises(ValueError, match=re.escape(f"{must}list square matrices, "
+                                                   "got an array of shape (1, 2, 3)")):
+        bias_bound([np.ones((2, 3))], lam, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{must}be a 3-D array of finite numbers, "
+                                                   "got an array of shape (2,)")):
+        bias_bound([np.eye(2), np.eye(3)], lam, 1)  # two operators of different sizes
+    with pytest.raises(ValueError, match="bias_bound key 'eigenvalues' must list 2 or more values >= 0"):
         bias_bound([np.eye(2)], np.array([1.0, -0.5]), 1)
