@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestError, ResolutionError, _argument, _array, _at_least, _is_number
+from .errors import IngestError, ResolutionError, _argument, _array, _at_least
 
 # UTF-8 that drops a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write one
 CSV_ENCODING = "utf-8-sig"
@@ -170,7 +170,7 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
     """A CSV's (values, labels): the bulk parse, else the per-cell reader.
 
     raw and label are as in :func:`_bulk_parse`; rows count from 1 below the header,
-    which a label requires.  rows_per_curve, an integer >= 2, reshapes the flattened
+    which a label requires.  rows_per_curve, a parsed integer >= 2, reshapes the flattened
     cells into curves of that length.  This is the one place that rejects a bad cell,
     after either reader: every returned cell is finite, or nan for a missing marker in
     a raw file.  The first other cell in reading order, text or not, raises an
@@ -178,10 +178,6 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
     or under rows_per_curve its curve and sample.  A byte that is no UTF-8 raises an
     IngestError naming its line, and with curves so does a file of fewer than two columns.
     """
-    if rows_per_curve is not None:
-        if not (_is_number(rows_per_curve, int) and rows_per_curve >= 2):
-            raise IngestError(f"rows_per_curve must be an integer >= 2, got {rows_per_curve!r}")
-        rows_per_curve = int(rows_per_curve)
     # read once, so a pipe or FIFO keeps every row; a bad byte is found by its line
     with open(path, encoding=CSV_ENCODING, errors="surrogateescape") as fh:
         lines = fh.readlines()

@@ -6,6 +6,8 @@ import numbers
 
 import numpy as np
 
+_SHOWN = 60  # the most characters of a value's repr that an error message shows
+
 
 class CurvecastError(Exception):
     """Base class for every error raised by this package."""
@@ -122,18 +124,25 @@ def _place(index) -> str:
 
 
 def _shown(value) -> str:
-    """value as an error message shows it: an array by its shape, anything else by its repr."""
-    return f"an array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
+    """value as an error message shows it, on one line: an array by its shape, anything else by
+    its repr cut to _SHOWN characters, or by its type where even the repr fails (a huge int)."""
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
+    try:
+        text = " ".join(map(str.strip, repr(value).splitlines()))
+    except ValueError:
+        return f"a value of type {type(value).__name__} too large to show"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN - 3]}..."
 
 
-def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dict:
+def _checked(given: dict, rules: dict, owner: str, needs=()) -> dict:
     """given's values parsed by rules, one rule per key, with the absent values left out.
 
     A rule is int or float (one finite number; a whole float becomes an int and a bool is
     neither), another type (checked with isinstance; object takes anything), _array's rule
     (a float array), or (kind, test, takes): a value that passes the rule kind and for which
     test holds, takes saying what test wants.  None counts as absent except for the keys in
-    needs, which must be given, and in required, which must hold a value.  A ValueError names
+    needs, which must be given and are parsed even when None.  A ValueError names
     owner and the key: a missing key of needs, then the first value in rules' order that
     breaks its rule (an array shown by its shape or its first bad cell and that cell's place;
     a wrong shape is a DimensionMismatchError), then the first key rules lack; or says given
@@ -147,7 +156,7 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
     checked = {}
     for key, rule in rules.items():
         value = given.get(key)
-        if value is None and key not in needs and key not in required:
+        if value is None and key not in needs:
             continue
         kind, test, takes = rule if isinstance(rule, tuple) else (rule, None, None)
         got, error = None, ValueError
@@ -159,7 +168,7 @@ def _checked(given: dict, rules: dict, owner: str, needs=(), required=()) -> dic
             fits = cells.ndim in ndims and all(isinstance(want, str) or want == length
                                                for want, length in zip(shape[::-1], cells.shape[::-1]))
             ok, error = fits and bad is None, ValueError if fits else DimensionMismatchError
-            got = f"{cells.item(bad)!r} at {_place(bad)}" if fits and bad is not None else None
+            got = f"{_shown(cells.item(bad))} at {_place(bad)}" if fits and bad is not None else None
             value = cells if cells.ndim else value  # a scalar is shown by its repr
         else:
             ok, must = isinstance(value, kind), f"be a {kind.__name__}"

@@ -154,13 +154,13 @@ def _resolve_train(train, n: int) -> int:
 
 _SIMULATED = {"D": _SPEC["D"], "sigma_scheme": _SCHEME, "burn_in": _SPEC["burn_in"]}
 _PATH = (object, lambda path: isinstance(path, (str, os.PathLike)), "be a str or os.PathLike")
-# each source type's keys with their rules, the keys it needs given and those it needs a value for
-_SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",), ()),
-            "kappa-far": ({"type": str, "kappa": _numbers(), **_SIMULATED}, (), ("kappa",)),
-            "fma": ({"type": str, "theta_scale": float, **_SIMULATED}, (), ()),
-            "farma": ({"type": str, "kappa": float, "theta_scales": _numbers(2), **_SIMULATED}, (), ()),
-            "covariate-far1": ({"type": str, "burn_in": _SPEC["burn_in"]}, (), ()),
-            "file": ({"type": str, "path": _PATH, "covariates_path": _PATH}, ("path",), ())}
+# each source type's keys with their rules, and the keys it needs
+_SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",)),
+            "kappa-far": ({"type": str, "kappa": _numbers(), **_SIMULATED}, ("kappa",)),
+            "fma": ({"type": str, "theta_scale": float, **_SIMULATED}, ()),
+            "farma": ({"type": str, "kappa": float, "theta_scales": _numbers(2), **_SIMULATED}, ()),
+            "covariate-far1": ({"type": str, "burn_in": _SPEC["burn_in"]}, ()),
+            "file": ({"type": str, "path": _PATH, "covariates_path": _PATH}, ("path",))}
 
 
 def _source_factory(source: dict, n: int, grid: Grid):
@@ -171,8 +171,8 @@ def _source_factory(source: dict, n: int, grid: Grid):
     ValueError naming the key, before anything is drawn.
     """
     kind = _argument("source", "type", source.get("type"), _one_of(*_SOURCES))
-    rules, needs, required = _SOURCES[kind]
-    args = _checked(source, rules, f"a {kind!r} source", needs, required)
+    rules, needs = _SOURCES[kind]
+    args = _checked(source, rules, f"a {kind!r} source", needs)
     burn_in = args.get("burn_in", 200)
     if kind == "file":
         data = load_curves_csv(args["path"])
@@ -261,13 +261,13 @@ _CONFIG = {"source": dict, "n": _N, "grid_T": _GRID_T,
 def run_forecast_experiment(config: dict) -> RunReport:
     """Rolling-origin one-step (or h-step) evaluation over replications.
 
-    config holds only keys of _CONFIG, each parsed by its rule there, and
-    needs seed, methods and source; None counts as absent.  n is required
-    unless the source is a file, and fit_mode takes only 'fixed': each
-    method is fitted once, on the training curves.  _source_factory checks
-    the source and forecast._check_method each method dict.  Every check,
-    the training size included unless the source is a file, raises
-    ValueError naming the key before a replication runs.
+    config holds only keys of _CONFIG, each parsed by its rule there, and needs seed, methods
+    and source; None counts as absent.  n is required unless the source is a file, and fit_mode
+    takes only 'fixed': each method is fitted once, on the training curves.  _source_factory
+    checks the source and forecast._check_method each method dict; a covariate method needs a
+    'covariate-far1' source or a 'file' source with covariates_path.  Every check, the training
+    size included unless the source is a file, raises ValueError naming the key before a
+    replication runs.
 
     Returns
     -------
@@ -289,6 +289,10 @@ def run_forecast_experiment(config: dict) -> RunReport:
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     draw = _source_factory(source, n, Grid(args.get("grid_T", 256)))
+    needy = [key for key, meth in zip(keys, methods) if meth["name"] == "covariate"]
+    if needy and not (kind == "covariate-far1" or source.get("covariates_path")):
+        raise ValueError(f"method {needy[0]!r} needs covariates, which a {kind!r} source does not give; "
+                         "a 'covariate-far1' source and a 'file' source with covariates_path do")
     if kind != "file":  # a file source's n is known only once the file is read
         _resolve_train(train, n)
 
@@ -594,5 +598,5 @@ def run_benchmark(preset: str, reps: int = None, seed: int = None, **overrides) 
     """
     preset = _argument("run_benchmark", "preset", preset, _one_of(*PRESETS))
     args = _checked({"seed": seed, "reps": reps, **overrides}, _PRESET_RULES[preset],
-                    f"preset {preset!r}", required=("seed",))
+                    f"preset {preset!r}", ("seed",))
     return PRESETS[preset](**args)

@@ -13,7 +13,7 @@ import numpy as np
 from .curves import FunctionalDataset, Grid, _readonly, l2_norm
 from .errors import (IllConditionedError, InsufficientDataError, _argument, _array, _at_least, _checked,
                      _one_of)
-from .fpca import _PVE, EigenSystem, _pve_rank, eigensystem, scores
+from .fpca import _PVE, EigenSystem, ScoreMatrix, _pve_rank, eigensystem, reconstruct, scores
 from .multivar import (
     _HORIZON,
     _ORDER,
@@ -21,8 +21,7 @@ from .multivar import (
     VarModel,
     _check_covariates,
     _covariate_block,
-    fit_var_ols,
-    fit_varx_ols,
+    _fit_ols,
     sample_acvf,
     solve_blp_with_covariates,
 )
@@ -57,7 +56,7 @@ class ForecastResult:
 
 def _scalar_var(s: np.ndarray, p: int) -> VarModel:
     """d univariate AR(p) fits, one per score column, as one VAR with diagonal coefficients."""
-    fits = [fit_var_ols(s[:, j : j + 1], p) for j in range(s.shape[1])]
+    fits = [_fit_ols(s[:, j : j + 1], p) for j in range(s.shape[1])]
     coeffs = tuple(np.diag([f.coeffs[i][0, 0] for f in fits]) for i in range(p))
     sigma = np.diag([f.sigma_z[0, 0] for f in fits])
     return VarModel(p=p, coeffs=coeffs, sigma_z=sigma, mean=np.array([f.mean[0] for f in fits]))
@@ -76,14 +75,13 @@ def _bosq_var(s: np.ndarray, lams: np.ndarray) -> VarModel:
     return VarModel(p=1, coeffs=(op,), sigma_z=resid.T @ resid / (n - 1), mean=np.zeros(s.shape[1]))
 
 
-def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int) -> VarModel:
+def _blp_var(s: np.ndarray, rmat: np.ndarray, m: int, block) -> VarModel:
     """Best linear predictor from the last m score rows and covariate row, from sample moments.
 
     At m = 0 the covariate row alone predicts: theta = Gamma_YR(1) Gamma_R(0)^-1.  A constant
-    covariate column is left out of the moments, as fit_varx_ols leaves it out, and loads 0.
+    covariate column, found by rmat's _covariate_block, is left out of the moments and loads 0.
     """
-    d = s.shape[1]
-    _, covariate_mean, keep = _covariate_block(rmat, len(s))
+    d, covariate_mean, keep = s.shape[1], block[1].copy(), block[2]
     # autocovariances of the joint sequence (Y, R): the Y block of lag k is Gamma_Y(k) and
     # the Y-R block of lag 1 - k is Cov(Y_t, R_{t-1+k}), the k-th cross-covariance block;
     # lag 1 is read even at m = 0, for Gamma_YR(1)
@@ -169,7 +167,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     method = _check_method(method, h)
     name = method["name"]
     p, d = method.get("p"), method.get("d")
-    lag, cov, eig = 0, None, None
+    lag, cov, eig, block = 0, None, None, None
     if name == "bosq":
         p = method.get("p", 1)
         if d is None:  # d from the training curves' spectrum, which at p = 1 holds the basis too
@@ -183,10 +181,9 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         lag = p - 1
         m -= lag
     elif name == "covariate":
-        if rmat is None:
-            raise ValueError("source provides no covariates for the covariate method")
         rmat = _check_covariates(rmat, data.n)
         cov = rmat[:m]
+        block = _covariate_block(cov)
     train, table = _head(data, m), None
     if "p_max" in method:  # the training rows keep the sweep's scores; only later curves are projected
         table = select_pd(train, method["p_max"], method["d_max"], cov)
@@ -201,12 +198,10 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
         model = _bosq_var(s[:m], eig.eigenvalues)
     elif name == "scalar":
         model = _scalar_var(s[:m], p)
-    elif cov is None:
-        model = fit_var_ols(s[:m], p)
     elif method.get("solver", "ols") == "ols":
-        model = fit_varx_ols(s[:m], cov, p)
+        model = _fit_ols(s[:m], p, block)
     else:
-        model = _blp_var(s[:m], cov, p)
+        model = _blp_var(s[:m], cov, p, block)
     criterion = None if table is None else table.best_cell().value
     return _Fit(_METHODS[name][0], p, d, eig, s, model, rmat, lag, criterion)
 
@@ -230,7 +225,7 @@ def _predict(fit: _Fit, ends, h: int = 1):
     if model.theta is not None:
         pred = pred + (fit.covariates[ends] - model.covariate_mean) @ model.theta.T
     pred = pred + model.mean
-    curves = fit.eig.mean + pred @ fit.eig.eigenfunctions
+    curves = reconstruct(ScoreMatrix(pred), fit.eig).values
     return pred, curves[:, : fit.eig.grid.T // (fit.lag + 1)]
 
 

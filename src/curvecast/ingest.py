@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .curves import FunctionalDataset, Grid, _read_table
-from .errors import IngestError, _argument, _one_of
+from .errors import IngestError, _argument, _at_least, _one_of
 
 _TRANSFORMS = ("none", "sqrt")
 
@@ -51,6 +51,8 @@ def ingest(
         Curves on the midpoint grid matching their sample count.
     """
     transform = _argument("ingest", "transform", transform, _one_of(*_TRANSFORMS))
+    if rows_per_curve is not None:
+        rows_per_curve = _argument("ingest", "rows_per_curve", rows_per_curve, _at_least(2))
     if weekday_adjust is not None and rows_per_curve is not None:
         raise ValueError("weekday_adjust and rows_per_curve cannot be combined")
     # curves count from 1: data row k below the header, or the k-th curve of a stream

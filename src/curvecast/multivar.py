@@ -24,6 +24,7 @@ from .errors import (
     _cells,
     _in_range,
     _place,
+    _shown,
 )
 
 # Relative pivot threshold below which solves refuse to proceed.
@@ -93,14 +94,13 @@ def _check_covariates(covariates, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"covariates must be {n} rows, one per curve, "
                                      f"got shape {rmat.shape}")
     if bad is not None:
-        what = "not finite" if isinstance(cells[bad], float) else f"{cells[bad]!r}, not a number"
+        what = "not finite" if isinstance(cells[bad], float) else f"{_shown(cells[bad])}, not a number"
         raise IngestError(f"covariate {_place((*bad, 0)[:2])} is {what}")
     return rmat
 
 
-def _covariate_block(covariates, n: int):
-    """Centred covariates, their mean and the indices of non-constant columns."""
-    rmat = _check_covariates(covariates, n)
+def _covariate_block(rmat: np.ndarray):
+    """The centred columns of a checked covariate matrix, their mean and the non-constant ones."""
     rmean = rmat.mean(axis=0)
     rc = rmat - rmean
     return rc, rmean, np.nonzero(np.max(np.abs(rc), axis=0) > 0.0)[0]
@@ -221,7 +221,7 @@ def fit_varx_ols(scores, covariates, p: int) -> VarModel:
     loadings are returned as zero.  Non-finite covariates raise IngestError.
     """
     s, p = _score_rows(scores, "fit_varx_ols"), _argument("fit_varx_ols", "p", p, _ORDER)
-    return _fit_ols(s, p, _covariate_block(covariates, len(s)))
+    return _fit_ols(s, p, _covariate_block(_check_covariates(covariates, len(s))))
 
 
 def predict_var(model: VarModel, history, h: int = 1, covariate=None) -> np.ndarray:

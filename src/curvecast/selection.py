@@ -13,7 +13,8 @@ import numpy as np
 from .curves import _write_csv
 from .errors import InsufficientDataError, RankDeficiencyError, SelectionError, _at_least, _checked
 from .fpca import EigenSystem, eigensystem, scores
-from .multivar import _ORDER, PIVOT_RTOL, _check_rows, _covariate_block, _fit_ols, _is_singular, _lag_rows
+from .multivar import (_ORDER, PIVOT_RTOL, _check_covariates, _check_rows, _covariate_block, _fit_ols,
+                       _is_singular, _lag_rows)
 
 _CORNERS = {"p_max": _ORDER, "d_max": _at_least(1)}  # the rules of the sweep's upper corners
 _VARIANCE = (float, lambda value: value >= 0.0, "be >= 0")  # the rule of a variance
@@ -126,7 +127,7 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     c = smat - smat.mean(axis=0)
     r = extra = block = None
     if covariate_scores is not None:
-        block = rc, _, keep = _covariate_block(covariate_scores, n)
+        block = rc, _, keep = _covariate_block(_check_covariates(covariate_scores, n))
         r, extra = rc.shape[1], rc[:, keep]
     nested = {}
     for p in range(r is None, p_max + 1):  # VAR(0) cells have no design

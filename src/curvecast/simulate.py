@@ -97,7 +97,7 @@ class ProcessSpec:
 
     def __post_init__(self):
         args = _checked({key: getattr(self, key) for key in _SPEC}, _SPEC, "process spec",
-                        required=("kind", "D", "sigma"))
+                        ("kind", "D", "sigma"))
         kind, D = args["kind"], args["D"]
         sigma = _readonly(_argument("process spec", "sigma", args["sigma"], _sigma(D)))
         square = _array(2, shape=(D, D))

@@ -219,7 +219,7 @@ def test_readme_source_table_lists_each_source_types_keys():
     rows = readme_tables()["source type"]
     listed = {kind: sorted(key for types, key, *_ in rows
                            if types == "any" or kind in types.split(", ")) for kind in sources}
-    assert listed == {kind: sorted(rules) for kind, (rules, _, _) in sources.items()}
+    assert listed == {kind: sorted(rules) for kind, (rules, _) in sources.items()}
 
 
 def test_studies_simulate_only_through_the_source_factory():
@@ -272,6 +272,25 @@ def test_sweep_falls_back_to_the_var_fit():
     assert "_cell_trace" not in defined_names(tree)
     assert "_fit_ols" in imported_names(tree)
     assert not imported_names(tree) & {"fit_var_ols", "fit_varx_ols"}
+
+
+def test_forecast_fits_through_the_least_squares_core():
+    # every least-squares score model of forecast._fit comes from _fit_ols on the one covariate
+    # block _fit builds, as the sweep's do, not through the public wrappers that check again
+    tree = source_tree("forecast.py")
+    assert "_fit_ols" in imported_names(tree)
+    assert not imported_names(tree) & {"fit_var_ols", "fit_varx_ols"}
+
+
+def test_only_fpca_multiplies_by_the_eigenfunctions():
+    # scores projects curves on them and reconstruct expands scores in them; every forecast
+    # curve, the rolling residuals' included, is rebuilt by reconstruct
+    products = {f"{path.stem}.{fn.name}" for path in SOURCES for fn in ast.walk(source_tree(path.name))
+                if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and "eigenfunctions" in ast.unparse(node)}
+    assert products == {"fpca.scores", "fpca.reconstruct"}
+    assert {"forecast._predict", "bands._rolling_residuals"} <= functions_using_names()["reconstruct"]
 
 
 def functions_using_names():

@@ -10,6 +10,7 @@ alike, and rejects a nan, inf or text cell by its place and the wrong number of 
 import ast
 import math
 import pickle
+import re
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from curvecast import (
     equivalence_gap,
     ffpe,
     fixed_psi,
+    ingest,
     inner_product,
     make_fourier_basis,
     make_pm10_analog,
@@ -66,6 +68,13 @@ RMAT = np.random.default_rng(6).normal(size=(60, 2))
 SCORES = DATA.values[:, :3]
 ACVF = sample_acvf(SCORES, 3)
 RESIDUALS = FunctionalDataset(grid=Grid(16), values=np.random.default_rng(7).normal(size=(40, 16)))
+
+
+def stream(rows_per_curve, tmp_path):
+    """ingest's curves from a flat stream of eight values, rows_per_curve to a curve."""
+    path = tmp_path / "stream.csv"
+    path.write_text("1,2,3,4\n5,6,7,8\n", encoding="utf-8")
+    return ingest(path, rows_per_curve=rows_per_curve)
 
 
 def pm10_files(tmp_path, **kwargs):
@@ -144,6 +153,7 @@ INTEGERS = {
     "ffpe-p": (lambda v, tmp: ffpe(100, v, 2, 1.0, 0.5), 1, "ffpe"),
     "ffpe-d": (lambda v, tmp: ffpe(100, 1, v, 1.0, 0.5), 2, "ffpe"),
     "ffpe-r": (lambda v, tmp: ffpe(100, 1, 2, 1.0, 0.5, r=v), 2, "ffpe"),
+    "ingest-rows_per_curve": (stream, 2, "ingest"),
 }
 # the same for arguments that take one number
 NUMBERS = {
@@ -195,6 +205,7 @@ def test_number_arguments_parse_by_their_rule(tmp_path, argument):
      "make_pm10_analog key 'missing_rate' must be in [0, 1)"),
     (lambda tmp: pm10_files(tmp, missing_rate=-0.5), -0.5,
      "make_pm10_analog key 'missing_rate' must be in [0, 1)"),
+    (lambda tmp: stream(1, tmp), 1, "ingest key 'rows_per_curve' must be >= 2"),
 ])
 def test_out_of_range_arguments_name_their_rule(tmp_path, call, value, message):
     with pytest.raises(ValueError) as err:
@@ -331,6 +342,23 @@ def test_covariate_text_cells_are_named_by_the_covariate_guard():
     for call in (lambda: fit_varx_ols(SCORES, rmat, 1), lambda: select_pd(DATA, 1, 2, rmat)):
         with pytest.raises(IngestError, match="^covariate row 60, column 2 is 'x', not a number$"):
             call()
+
+
+def test_a_shown_value_fits_on_one_short_line():
+    # repr of an int of 40001 digits raised numpy's own ValueError in place of this one, and a
+    # ragged list of arrays put a multi-line array repr in the message
+    with pytest.raises(ValueError, match="^ffpe key 'n' must be one finite int, got a value of "
+                                         "type int too large to show$"):
+        ffpe(10**40000, 1, 1, 1.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape("fit_var_ols key 'scores' must be a 1-D or 2-D "
+                                                   "array of finite numbers, got an array of shape "
+                                                   "(2, 2) at cell 1")):
+        fit_var_ols([np.zeros((2, 2)), np.zeros((2, 3))], 1)
+    with pytest.raises(ValueError) as err:
+        ffpe(list(range(1000)), 1, 1, 1.0, 0.0)
+    assert str(err.value).endswith("got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16...")
+    with pytest.raises(IngestError, match=re.escape(f"is '{'x' * 56}..., not a number")):
+        fit_varx_ols(SCORES, with_last_cell(RMAT, "x" * 200), 1)
 
 
 def test_an_eigenvalue_before_d_is_checked_too():

@@ -577,6 +577,7 @@ def test_method_dict_rejects_unknown_keys_before_running(no_replications):
     ("source", lambda config: config.pop("source")),
     ("path", lambda config: config.update(source={"type": "file"}, reps=1)),
     ("spec", lambda config: config.update(source={"type": "process"})),
+    ("kappa", lambda config: config.update(source={"type": "kappa-far", "D": 3})),
 ])
 def test_missing_required_keys_are_named_before_running(no_replications, key, change):
     config = tiny_config()
@@ -618,6 +619,30 @@ def test_absent_values_do_not_count_as_keys():
 
 
 @pytest.mark.parametrize("source", [
+    {"type": "kappa-far", "kappa": [0.5], "D": 3},
+    {"type": "process", "spec": SPEC_PAYLOAD},
+    {"type": "fma", "D": 3},
+    {"type": "farma", "D": 3},
+    {"type": "file", "path": "curves.csv"},
+])
+def test_covariate_method_needs_a_source_with_covariates(no_replications, tmp_path, monkeypatch,
+                                                          source):
+    # this used to fail inside the first replication, once its curves were simulated
+    monkeypatch.chdir(tmp_path)
+    save_curves_csv(simulate(ProcessSpec.from_json(json.dumps(SPEC_PAYLOAD)), 40, Grid(32),
+                             np.random.default_rng(0)), "curves.csv")
+    methods = [{"name": "fixed-var", "p": 1, "d": 2},
+               {"name": "covariate", "label": "with-x", "p": 1, "d": 2}]
+    config = tiny_config(source=source, methods=methods, reps=1 if source["type"] == "file" else 2)
+    with pytest.raises(ValueError) as err:
+        run_forecast_experiment(config)
+    assert str(err.value) == (f"method 'with-x' needs covariates, which a {source['type']!r} source "
+                              "does not give; a 'covariate-far1' source and a 'file' source with "
+                              "covariates_path do")
+    assert no_replications == []
+
+
+@pytest.mark.parametrize("source", [
     {"type": "process", "spec": SPEC_PAYLOAD},
     {"type": "kappa-far", "kappa": [0.5], "D": 3},
     {"type": "covariate-far1"},
@@ -632,7 +657,7 @@ def test_simulated_source_needs_n_before_running(no_replications, source):
 
 @pytest.mark.parametrize("source, key", [
     ({"type": "kappa-far", "kappa": 0.5, "D": 3}, "kappa"),
-    ({"type": "kappa-far", "D": 3}, "kappa"),
+    ({"type": "kappa-far", "kappa": "0.5", "D": 3}, "kappa"),
     ({"type": "kappa-far", "kappa": [], "D": 3}, "kappa"),
     ({"type": "farma", "theta_scales": 0.5, "D": 3}, "theta_scales"),
     ({"type": "farma", "theta_scales": [0.1, 0.2, 0.3], "D": 3}, "theta_scales"),

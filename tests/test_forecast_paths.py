@@ -34,7 +34,7 @@ from curvecast import (
     select_pd,
 )
 from curvecast.cli import main
-from curvecast import forecast, fpca
+from curvecast import forecast, fpca, multivar, selection
 from curvecast.experiments import _eval_method_fixed, _source_factory
 from curvecast.multivar import (
     fit_var_ols,
@@ -307,6 +307,26 @@ def test_selected_fit_reuses_the_sweeps_training_scores(monkeypatch, method, m):
     # the one projection of every curve at the chosen d rounds differently, and only just
     all_n = scores(data, fit.eig).scores
     assert np.abs(fit.scores - all_n).max() <= 1e-12 * np.abs(all_n).max()
+
+
+@pytest.mark.parametrize("solver", ["ols", "blp"])
+@pytest.mark.parametrize("orders, checks, blocks", [({"p": 1, "d": 2}, 2, 1),
+                                                    ({"p_max": 2, "d_max": 3}, 3, 2)],
+                         ids=["fixed", "selected"])
+def test_covariates_are_checked_once_per_entry_point(monkeypatch, solver, orders, checks, blocks):
+    # covariate_matrix and _fit check the matrix, and select_pd what it is given; _fit builds
+    # one block for every model it fits, and the sweep one of its own
+    calls = []
+    for name in ("_check_covariates", "_covariate_block"):
+        def spy(*args, real=getattr(multivar, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        for module in (forecast, selection, multivar):
+            monkeypatch.setattr(module, name, spy)
+    data, rmat = eval_sample()
+    predict_with_covariates(data, rmat, solver=solver, **orders)
+    assert (calls.count("_check_covariates"), calls.count("_covariate_block")) == (checks, blocks)
 
 
 # ---------------------------------------------------------------------------
