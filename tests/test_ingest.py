@@ -318,6 +318,19 @@ def test_header_only_file_has_no_data_rows(tmp_path, monkeypatch, text, kwargs):
         ingest(path, **kwargs)
 
 
+@pytest.mark.parametrize("rows_per_curve, message", [
+    pytest.param(2.5, "ingest key 'rows_per_curve' must be one finite int, got 2.5",
+                 id="2.5-rows_per_curve must be an integer >= 2"),
+    pytest.param(True, "ingest key 'rows_per_curve' must be one finite int, got True",
+                 id="True-rows_per_curve must be an integer >= 2"),
+])
+def test_rows_per_curve_is_an_integer_of_two_or_more(tmp_path, rows_per_curve, message):
+    # 2.5 used to read as a length that 8 values do not divide into
+    path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ingest(path, rows_per_curve=rows_per_curve)
+
+
 def test_rows_per_curve_takes_a_whole_float(tmp_path):
     # this used to end in a bare TypeError
     path = write_csv(tmp_path / "raw.csv", "1,2,3,4\n5,6,7,8\n")
