@@ -20,12 +20,19 @@ from .simulate import (_NEEDS, _SCALINGS, _SCHEMES, PSI_MATRICES, ProcessSpec, _
 # forecast --method choices in the method vocabulary of run_forecast_experiment
 _FORECAST_METHODS = {"vector": "fixed-var", "bosq": "bosq", "scalar": "scalar",
                     "covariate": "covariate"}
+# simulate's process flags with their defaults; the parser leaves out a flag not given
+_PROCESS = {"kind": "far", "kappa": None, "theta": None, "operator": "psi1", "sigma": "s1",
+            "dim": 3, "burn_in": 200}
 
 
 def _build_spec(args, rng) -> ProcessSpec:
+    given = [key for key in _PROCESS if key in vars(args)]
     if args.spec:
+        if given:
+            raise ValueError(f"--spec fixes the whole process; drop --{given[0].replace('_', '-')}")
         with open(args.spec) as fh:
             return ProcessSpec.from_json(fh.read())
+    args = argparse.Namespace(**{**_PROCESS, **vars(args)})
     sigma = np.ones(args.dim) if args.sigma == "ones" else sigma_scheme(args.sigma, args.dim)
     if args.operator == "random":
         psi = random_operator(args.dim, sigma, rng)
@@ -39,10 +46,6 @@ def _build_spec(args, rng) -> ProcessSpec:
     kappas, thetas = _SCALINGS[args.kind]
     kappas = kappas if args.kappa is None else args.kappa
     thetas = thetas if args.theta is None else dict(enumerate(args.theta, start=1))
-    orders = [len(kappas), max(thetas, default=0)]  # q is the largest moving-average lag
-    if args.orders is not None and args.orders != orders:
-        raise ValueError(f"--orders {args.orders[0]} {args.orders[1]} disagrees with {orders[0]} "
-                         f"autoregressive lags and largest moving-average lag {orders[1]}")
     nonzero = {lag: s for lag, s in thetas.items() if s != 0.0}  # a zero --theta drops its lag
     return _scaled_spec(args.kind, psi, sigma, kappas, nonzero, args.burn_in)
 
@@ -150,24 +153,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate curves from a stochastic recursion")
-    sim.add_argument("--kind", choices=list(_NEEDS), default="far")
-    sim.add_argument("--orders", type=int, nargs=2, metavar=("P", "Q"),
-                     help="cross-check for the implied ar/ma orders")
-    sim.add_argument("--kappa", type=float, nargs="+",
-                     help="autoregressive scalings per lag")
+    sim = sub.add_parser("simulate", help="generate curves from a stochastic recursion",
+                         argument_default=argparse.SUPPRESS)  # a flag not given is left out
+    sim.add_argument("--kind", choices=list(_NEEDS))
+    sim.add_argument("--kappa", type=float, nargs="+", help="autoregressive scalings per lag")
     sim.add_argument("--theta", type=float, nargs="+",
                      help="moving-average scalings per lag (zeros drop the lag)")
-    sim.add_argument("--operator", choices=[*PSI_MATRICES, "random"], default="psi1")
-    sim.add_argument("--sigma", choices=[*_SCHEMES, "ones"], default="s1")
-    sim.add_argument("--dim", type=int, default=3, help="number of basis components")
+    sim.add_argument("--operator", choices=[*PSI_MATRICES, "random"])
+    sim.add_argument("--sigma", choices=[*_SCHEMES, "ones"])
+    sim.add_argument("--dim", type=int, help="number of basis components")
+    sim.add_argument("--burn-in", type=int)
     sim.add_argument("--n", type=int, required=True, help="curves to keep after burn-in")
     sim.add_argument("--grid", type=int, default=256, help="grid points per curve")
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--burn-in", type=int, default=200)
     sim.add_argument("--out", required=True, help="destination curves CSV")
-    sim.add_argument("--spec", help="process spec JSON to use instead of flags")
-    sim.add_argument("--save-spec", help="write the spec used as JSON")
+    sim.add_argument("--spec", default=None, help="process spec JSON to use instead of the flags above")
+    sim.add_argument("--save-spec", default=None, help="write the spec used as JSON")
     sim.set_defaults(func=_cmd_simulate)
 
     ing = sub.add_parser("ingest", help="clean a raw observations CSV into curves")

@@ -134,12 +134,11 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def save_curves_csv(data: FunctionalDataset, path, header: bool = True) -> None:
-    """Write one curve per row of repr'd floats; optional header row t_1,...,t_T."""
+def save_curves_csv(data: FunctionalDataset, path) -> None:
+    """Write a header row t_1,...,t_T, then one curve per row of repr'd floats."""
     # joined here for speed, in the bytes _write_csv would write
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(",".join(f"t_{i + 1}" for i in range(data.T)) + "\r\n")
+        fh.write(",".join(f"t_{i + 1}" for i in range(data.T)) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in data.values.tolist())
 
 

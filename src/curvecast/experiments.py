@@ -166,19 +166,18 @@ _SOURCES = {"process": ({"type": str, "spec": dict}, ("spec",)),
 def _source_factory(source: dict, n: int, grid: Grid):
     """Return draw: draw(rngs) yields (n curves on grid, covariates or None) per rng.
 
-    A simulated source steps the recursions of all rngs together.  Bad
-    values, missing keys and keys the source type does not read raise
-    ValueError naming the key, before anything is drawn.
+    A simulated source steps the recursions of all rngs together; a file source reads its
+    files at the first draw.  Bad values, missing keys and keys the source type does not
+    read raise ValueError naming the key, before anything is drawn or read.
     """
     kind = _argument("source", "type", source.get("type"), _one_of(*_SOURCES))
     rules, needs = _SOURCES[kind]
     args = _checked(source, rules, f"a {kind!r} source", needs)
     burn_in = args.get("burn_in", 200)
     if kind == "file":
-        data = load_curves_csv(args["path"])
-        rmat = load_numeric_csv(args["covariates_path"]) if args.get("covariates_path") else None
-
         def draw(rngs):
+            data = load_curves_csv(args["path"])
+            rmat = load_numeric_csv(args["covariates_path"]) if "covariates_path" in args else None
             return ((data, rmat) for _ in rngs)
 
         return draw
@@ -262,12 +261,12 @@ def run_forecast_experiment(config: dict) -> RunReport:
     """Rolling-origin one-step (or h-step) evaluation over replications.
 
     config holds only keys of _CONFIG, each parsed by its rule there, and needs seed, methods
-    and source; None counts as absent.  n is required unless the source is a file, and fit_mode
-    takes only 'fixed': each method is fitted once, on the training curves.  _source_factory
-    checks the source and forecast._check_method each method dict; a covariate method needs a
-    'covariate-far1' source or a 'file' source with covariates_path.  Every check, the training
-    size included unless the source is a file, raises ValueError naming the key before a
-    replication runs.
+    and source; None counts as absent.  A simulated source needs n; a file source fixes n and
+    grid_T and takes neither.  fit_mode takes only 'fixed': each method fits once, on the
+    training curves.  _source_factory checks the source and forecast._check_method each method
+    dict; a covariate method needs a 'covariate-far1' source or a 'file' source's
+    covariates_path, which only it reads.  Every check, the training size included unless the
+    source is a file, raises ValueError naming the key before a file is read or a replication runs.
 
     Returns
     -------
@@ -289,10 +288,17 @@ def run_forecast_experiment(config: dict) -> RunReport:
     if n is None and kind != "file":
         raise ValueError(f"a {kind!r} source needs n, the number of curves to simulate")
     draw = _source_factory(source, n, Grid(args.get("grid_T", 256)))
+    fixed = [key for key in ("n", "grid_T") if kind == "file" and key in args]
+    if fixed:
+        raise ValueError(f"a 'file' source fixes n and grid_T; drop config key {fixed[0]!r}")
     needy = [key for key, meth in zip(keys, methods) if meth["name"] == "covariate"]
-    if needy and not (kind == "covariate-far1" or source.get("covariates_path")):
+    given = source.get("covariates_path") is not None  # only a file source may hold it
+    if needy and not (kind == "covariate-far1" or given):
         raise ValueError(f"method {needy[0]!r} needs covariates, which a {kind!r} source does not give; "
                          "a 'covariate-far1' source and a 'file' source with covariates_path do")
+    if given and not needy:
+        raise ValueError("a 'file' source key 'covariates_path' is read by a 'covariate' method only, "
+                         "and no method is one")
     if kind != "file":  # a file source's n is known only once the file is read
         _resolve_train(train, n)
 

@@ -114,9 +114,9 @@ def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys and values are valid.
 
     Each key is parsed by its rule in _RULES, so p and p_max come back as ints >= 0, d and
-    d_max as ints >= 1 and pve as a float in (0, 1].  bosq needs p >= 1 (default 1), scalar
-    needs p and d, and every other method exactly one of (p, d) and (p_max, d_max); h, an
-    int >= 1, must be 1 for bosq and covariate.
+    d_max as ints >= 1 and pve as a float in (0, 1].  bosq needs p >= 1 (default 1) and takes
+    d or pve, which fixes d, not both; scalar needs p and d, and every other method exactly one
+    of (p, d) and (p_max, d_max); h, an int >= 1, must be 1 for bosq and covariate.
     """
     owner = f"method {method.get('label', method.get('name'))!r}"
     given = _checked(method, _RULES, owner, needs=("name",))
@@ -127,6 +127,8 @@ def _check_method(method: dict, h: int) -> dict:
     pairs = {"p", "d", "p_max", "d_max"} & given.keys()
     if name == "bosq":
         _checked({"p": given.get("p")}, {"p": _BOSQ_P}, owner)
+        if {"d", "pve"} <= given.keys():
+            raise ValueError(f"{owner} takes d or pve, which fixes d, not both")
     elif name == "scalar" and pairs != {"p", "d"}:
         raise ValueError("scalar forecasting needs p and d")
     elif pairs not in ({"p", "d"}, {"p_max", "d_max"}):
@@ -160,7 +162,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     method holds a name (ffpe-var, fixed-var, scalar, bosq or covariate) and
     p and d, or p_max and d_max to select both by the criterion; None counts
     as absent.  Scalar needs p and d; the benchmark takes p (default 1) and d,
-    or pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
+    or else pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
     'blp' and needs rmat, one row per curve.  h, an int >= 1, is the horizon to predict at.
     :func:`_check_method` checks the method; only the checks that need data run here.
     """
@@ -287,7 +289,8 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     (n,) / (n, q) numeric array or a FunctionalDataset of n curves whose
     score vectors enter.  Functional items are projected onto enough
     components to explain at least pve of their variance unless an
-    explicit entry of dims overrides the dimension.
+    explicit entry of dims overrides the dimension; dims holds one entry
+    per item, or one for all, and a numeric item's entry must be None.
     """
     items = covariates if isinstance(covariates, (list, tuple)) else [covariates]
     if np.ndim(dims) == 0:  # None or one dimension for every item
@@ -297,12 +300,14 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     dims = [_checked({"dims": v}, {"dims": _RULES["d"]}, "covariate_matrix").get("dims") for v in dims]
     pve = _argument("covariate_matrix", "pve", pve, _PVE)
     cols = []
-    for item, dim in zip(items, dims):
+    for k, (item, dim) in enumerate(zip(items, dims), start=1):
         if isinstance(item, FunctionalDataset):
             _check_covariates(item.values, n)
             eig_c = eigensystem(item, min(n - 1, item.T) if dim is None else dim)
             eig_c = eig_c.truncate(_pve_rank(eig_c, pve) if dim is None else dim)
             cols.append(scores(item, eig_c).scores)
+        elif dim is not None:
+            raise ValueError(f"covariate_matrix key 'dims' must be None for numeric item {k}, got {dim}")
         else:
             cols.append(_check_covariates(item, n))
     return np.hstack(cols)

@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 
 import curvecast
 from curvecast import fixed_psi, load_curves_csv, run_forecast_experiment
-from curvecast.cli import main
+from curvecast.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -69,7 +71,7 @@ def test_simulate_spec_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     assert main([
         "simulate", "--kind", "farma", "--kappa", "0.2", "--theta", "0.1", "0.6",
-        "--orders", "1", "2", "--n", "10", "--grid", "32", "--seed", "5",
+        "--n", "10", "--grid", "32", "--seed", "5",
         "--out", str(first), "--save-spec", str(spec_path),
     ]) == 0
     assert main([
@@ -79,21 +81,6 @@ def test_simulate_spec_round_trip(tmp_path):
     assert first.read_bytes() == again.read_bytes()
     payload = json.loads(spec_path.read_text())
     assert payload["kind"] == "farma"
-
-
-def test_simulate_order_cross_check_fails_loud(tmp_path, capsys):
-    code = main([
-        "simulate", "--kind", "far", "--kappa", "0.5", "0.3", "--orders", "1", "0",
-        "--n", "10", "--grid", "32", "--seed", "1", "--out", str(tmp_path / "x.csv"),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err == ("error: --orders 1 0 disagrees with 2 autoregressive lags "
-                                       "and largest moving-average lag 0\n")
-    # the default fma process has one scaling, at moving-average lag 2
-    assert main(["simulate", "--kind", "fma", "--orders", "0", "1", "--n", "10", "--grid", "32",
-                 "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == ("error: --orders 0 1 disagrees with 0 autoregressive lags "
-                                       "and largest moving-average lag 2\n")
 
 
 def test_fma_and_farma_defaults_are_the_same_for_sources_and_simulate(tmp_path, capsys):
@@ -408,6 +395,19 @@ def test_usage_errors_exit_two(capsys):
     assert main(["benchmark", "--preset", "nope", "--seed", "1"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def cli_options():
+    """Every option of every subcommand of the parser, --help aside."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted({option for command in commands.choices.values() for action in command._actions
+                   for option in action.option_strings} - {"-h", "--help"})
+
+
+@pytest.mark.parametrize("option", cli_options())
+def test_readme_names_every_cli_option(option):
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    assert re.search(rf"{re.escape(option)}(?![\w-])", readme), f"README never names {option}"
 
 
 def test_console_script_installed(tmp_path):

@@ -94,8 +94,10 @@ def test_bulk_parse_of_written_doubles_is_exact(tmp_path, read):
     wide = rng.normal(size=(40, 16)) * 10.0 ** rng.integers(-300, 300, size=(40, 16))
     values = np.vstack([np.resize(special, (2, 16)), wide])
     path = tmp_path / "doubles.csv"
+    save_curves_csv(FunctionalDataset(grid=Grid(16), values=values), path)
     for header in (True, False):
-        save_curves_csv(FunctionalDataset(grid=Grid(16), values=values), path, header=header)
+        if not header:  # the same rows without their header line
+            path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
         back, fell_back = read(path)
         assert not fell_back
         assert same_bits(back, values)
@@ -141,25 +143,23 @@ def test_files_without_data_rows_raise_without_a_numpy_warning(tmp_path, read, t
     assert "no data rows found" in str(result)
 
 
-def csv_writer_reference(data, path, header=True):
+def csv_writer_reference(data, path):
     """The writer before it joined lines itself: one csv.writer row per curve."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"t_{i + 1}" for i in range(data.T)])
+        writer.writerow([f"t_{i + 1}" for i in range(data.T)])
         for row in data.values:
             writer.writerow([repr(float(v)) for v in row])
 
 
-@pytest.mark.parametrize("header", [True, False])
-def test_save_writes_the_csv_writer_bytes(tmp_path, header):
+def test_save_writes_the_csv_writer_bytes(tmp_path):
     rng = np.random.default_rng(9)
     values = rng.normal(size=(25, 12)) * 10.0 ** rng.integers(-320, 308, size=(25, 12))
     values[0, :4] = [0.0, -0.0, 5e-324, -1e308]
     values[1] = np.round(values[1])
     data = FunctionalDataset(grid=Grid(12), values=values)
-    save_curves_csv(data, tmp_path / "new.csv", header=header)
-    csv_writer_reference(data, tmp_path / "old.csv", header=header)
+    save_curves_csv(data, tmp_path / "new.csv")
+    csv_writer_reference(data, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

@@ -214,8 +214,8 @@ def test_file_source_reproduces_process_run(tmp_path):
     data = simulate(spec, 40, Grid(32), np.random.default_rng([5, 0]))
     path = tmp_path / "curves.csv"
     save_curves_csv(data, path)
-    file_run = run_forecast_experiment(  # a file source needs no n
-        tiny_config(source={"type": "file", "path": str(path)}, reps=1, seed=5, n=None)
+    file_run = run_forecast_experiment(  # a file source takes no n or grid_T
+        tiny_config(source={"type": "file", "path": str(path)}, reps=1, seed=5, n=None, grid_T=None)
     )
     assert file_run.replications[0]["errors"] == process.replications[0]["errors"]
 
@@ -624,16 +624,20 @@ def test_absent_values_do_not_count_as_keys():
     {"type": "fma", "D": 3},
     {"type": "farma", "D": 3},
     {"type": "file", "path": "curves.csv"},
+    {"type": "file", "path": "missing.csv"},
 ])
 def test_covariate_method_needs_a_source_with_covariates(no_replications, tmp_path, monkeypatch,
                                                           source):
-    # this used to fail inside the first replication, once its curves were simulated
+    # this used to fail inside the first replication, once its curves were simulated, and a
+    # file source read its files first, so a missing one raised FileNotFoundError instead
     monkeypatch.chdir(tmp_path)
     save_curves_csv(simulate(ProcessSpec.from_json(json.dumps(SPEC_PAYLOAD)), 40, Grid(32),
                              np.random.default_rng(0)), "curves.csv")
     methods = [{"name": "fixed-var", "p": 1, "d": 2},
                {"name": "covariate", "label": "with-x", "p": 1, "d": 2}]
-    config = tiny_config(source=source, methods=methods, reps=1 if source["type"] == "file" else 2)
+    config = tiny_config(source=source, methods=methods, reps=2)
+    if source["type"] == "file":  # a file fixes the sample, its size and its grid
+        config.update(reps=1, n=None, grid_T=None)
     with pytest.raises(ValueError) as err:
         run_forecast_experiment(config)
     assert str(err.value) == (f"method 'with-x' needs covariates, which a {source['type']!r} source "
@@ -694,7 +698,7 @@ def test_file_source_takes_a_path_object(tmp_path):
     path = tmp_path / "curves.csv"
     save_curves_csv(simulate(ProcessSpec.from_json(json.dumps(SPEC_PAYLOAD)), 40, Grid(32),
                              np.random.default_rng(0)), path)
-    config = tiny_config(reps=1, n=None)
+    config = tiny_config(reps=1, n=None, grid_T=None)
     by_path = run_forecast_experiment({**config, "source": {"type": "file", "path": path}})
     by_text = run_forecast_experiment({**config, "source": {"type": "file", "path": str(path)}})
     assert by_path.replications == by_text.replications
