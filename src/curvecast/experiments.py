@@ -35,7 +35,8 @@ from .curves import (
     synthesize,
 )
 from .errors import _argument, _at_least, _checked, _is_number, _numbers, _one_of
-from .forecast import _BOSQ_P, _RULES, _check_method, _fit, _head, _predict, _result, equivalence_gap
+from .forecast import (_BOSQ_P, _RULES, _basis, _check_method, _fit, _head, _predict, _result,
+                       equivalence_gap)
 from .ingest import ingest
 from .multivar import _HORIZON
 from .selection import select_pd
@@ -228,9 +229,9 @@ def _psi_source(name: str) -> dict:
 # per-method evaluation
 
 
-def _eval_method_fixed(data, rmat, m, h, method):
-    """Fit once on the first m curves, then predict every later curve from that fit."""
-    fit = _fit(data, m, method, rmat, h)
+def _eval_method_fixed(data, rmat, m, h, method, eig=None):
+    """Fit once on the first m curves, on eig if given, then predict every later curve from that fit."""
+    fit = _fit(data, m, method, rmat, h, eig)
     diff = data.values[m:] - _predict(fit, np.arange(m - h, data.n - h), h)[1]
     return {"errors": (np.einsum("ij,ij->i", diff, diff) / data.T).tolist(),
             "selected": {"p": fit.p, "d": fit.d}, "criterion": fit.criterion}
@@ -305,7 +306,8 @@ def run_forecast_experiment(config: dict) -> RunReport:
     def worker(idx, drawn):
         data, rmat = drawn
         m = _resolve_train(train, data.n)
-        outs = {key: _eval_method_fixed(data, rmat, m, h, meth) for key, meth in zip(keys, methods)}
+        eig = _basis(data, m, methods)  # every method truncates the one solve
+        outs = {key: _eval_method_fixed(data, rmat, m, h, meth, eig) for key, meth in zip(keys, methods)}
         criteria = {key: out["criterion"] for key, out in outs.items()
                     if out["criterion"] is not None}
         return {**_by_method(outs), "criterion": criteria} if criteria else _by_method(outs)
@@ -555,7 +557,8 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
         data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
         rmat = load_numeric_csv(cov_path)
         m = data.n - int(eval_days)
-        return _by_method({mm["name"]: _eval_method_fixed(data, rmat, m, 1, mm) for mm in methods})
+        eig = _basis(data, m, methods)
+        return _by_method({mm["name"]: _eval_method_fixed(data, rmat, m, 1, mm, eig) for mm in methods})
 
     config = {"synthetic_analog": True, "n_days": n_days, "eval_days": eval_days,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": 1,

@@ -25,7 +25,7 @@ from .multivar import (
     sample_acvf,
     solve_blp_with_covariates,
 )
-from .selection import _CORNERS, select_pd
+from .selection import _CORNERS, _sweep
 
 EIGENVALUE_RTOL = 1e-12
 
@@ -156,45 +156,48 @@ class _Fit:
     criterion: float
 
 
-def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -> _Fit:
+def _basis(data: FunctionalDataset, m: int, methods) -> EigenSystem | None:
+    """The first m curves' eigensystem as wide as the widest checked method reads, or None if none does.
+    A method reads d, else min(d_max, m - 1, T), else min(m - 1, T) for bosq's PVE choice, and a bosq
+    fit of p >= 2 stacked blocks at a given d reads none, as its blocks solve their own."""
+    widths = [meth["d"] if "d" in meth else min(meth.get("d_max", m), m - 1, data.T)
+              for meth in methods if "d" not in meth or meth["name"] != "bosq" or meth.get("p", 1) == 1]
+    return eigensystem(_head(data, m), max(widths)) if widths else None
+
+
+def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1, eig=None) -> _Fit:
     """Fit one method on the first m curves of data and project all n curves.
 
-    method holds a name (ffpe-var, fixed-var, scalar, bosq or covariate) and
-    p and d, or p_max and d_max to select both by the criterion; None counts
-    as absent.  Scalar needs p and d; the benchmark takes p (default 1) and d,
-    or else pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
-    'blp' and needs rmat, one row per curve.  h, an int >= 1, is the horizon to predict at.
-    :func:`_check_method` checks the method; only the checks that need data run here.
+    method holds a name (ffpe-var, fixed-var, scalar, bosq or covariate) and p and d, or p_max and
+    d_max to select both by the criterion; None counts as absent.  Scalar needs p and d; the benchmark
+    takes p (default 1) and d, or else pve (default 0.8) to fix d.  Covariate takes solver 'ols'
+    (default) or 'blp' and needs rmat, one row per curve.  h, an int >= 1, is the horizon.  eig, the
+    :func:`_basis` of methods holding this one, spares the fit its own.  :func:`_check_method` checks
+    the method; only the checks that need data run here.
     """
     method = _check_method(method, h)
-    name = method["name"]
-    p, d = method.get("p"), method.get("d")
-    lag, cov, eig, block = 0, None, None, None
-    if name == "bosq":
-        p = method.get("p", 1)
-        if d is None:  # d from the training curves' spectrum, which at p = 1 holds the basis too
-            eig = eigensystem(_head(data, m), min(m - 1, data.T))
-            d = _pve_rank(eig, method.get("pve", 0.8))
+    name, p, d = method["name"], method.get("p"), method.get("d")
+    lag, block, eig = 0, None, eig or _basis(data, m, [method])
+    if name == "bosq":  # without d, d from the training curves' spectrum, at p = 1 the basis too
+        p, d = method.get("p", 1), d or _pve_rank(eig, method.get("pve", 0.8))
         if m - p + 1 < 2:
             raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
         if p > 1:  # the benchmark runs on blocks of p consecutive curves
             blocks = np.hstack([data.values[p - 1 - j : data.n - j] for j in range(p)])
             data = FunctionalDataset(grid=Grid(p * data.T), values=blocks)
-        lag = p - 1
-        m -= lag
+        lag, m = p - 1, m - p + 1
     elif name == "covariate":
         rmat = _check_covariates(rmat, data.n)
-        cov = rmat[:m]
-        block = _covariate_block(cov)
+        block = _covariate_block(rmat[:m])
     train, table = _head(data, m), None
     if "p_max" in method:  # the training rows keep the sweep's scores; only later curves are projected
-        table = select_pd(train, method["p_max"], method["d_max"], cov)
+        table = _sweep(train, eig, method["p_max"], method["d_max"], block)
         (p, d), later = table.best, data.values[m:]
-        eig, s = table.eig.truncate(d), table.scores[:, :d]
+        eig, s = eig.truncate(d), table.scores[:, :d]
         if len(later):
             s = np.vstack([s, scores(FunctionalDataset._own(data.grid, later), eig).scores])
     else:
-        eig = eigensystem(train, d) if eig is None or lag else eig.truncate(d)
+        eig = eigensystem(train, d) if lag else eig.truncate(d)
         s = scores(data, eig).scores
     if name == "bosq":
         model = _bosq_var(s[:m], eig.eigenvalues)
@@ -203,7 +206,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1) -
     elif method.get("solver", "ols") == "ols":
         model = _fit_ols(s[:m], p, block)
     else:
-        model = _blp_var(s[:m], cov, p, block)
+        model = _blp_var(s[:m], rmat[:m], p, block)
     criterion = None if table is None else table.best_cell().value
     return _Fit(_METHODS[name][0], p, d, eig, s, model, rmat, lag, criterion)
 
@@ -281,16 +284,17 @@ def scalar_predict(data: FunctionalDataset, d: int, p: int, h: int = 1) -> Forec
     return _forecast(data, {"name": "scalar", "label": "scalar_predict", "p": p, "d": d}, h=h)
 
 
-def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
+def covariate_matrix(covariates, n: int, dims=None, pve: float = None):
     """Assemble an (n, r) numeric covariate matrix.
 
     covariates may be a single item or a list; each item, checked by the
     one covariate guard that :func:`fit_varx_ols` runs too, is either an
     (n,) / (n, q) numeric array or a FunctionalDataset of n curves whose
     score vectors enter.  Functional items are projected onto enough
-    components to explain at least pve of their variance unless an
-    explicit entry of dims overrides the dimension; dims holds one entry
-    per item, or one for all, and a numeric item's entry must be None.
+    components to explain at least pve (None means 0.9) of their variance
+    unless an explicit entry of dims overrides the dimension; dims holds one
+    entry per item, or one for all, and a numeric item's entry must be None.
+    A pve that no functional item without a dims entry reads is refused.
     """
     items = covariates if isinstance(covariates, (list, tuple)) else [covariates]
     if np.ndim(dims) == 0:  # None or one dimension for every item
@@ -298,7 +302,11 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = 0.9):
     if len(dims) != len(items):
         raise ValueError(f"dims has {len(dims)} entries for {len(items)} covariates")
     dims = [_checked({"dims": v}, {"dims": _RULES["d"]}, "covariate_matrix").get("dims") for v in dims]
-    pve = _argument("covariate_matrix", "pve", pve, _PVE)
+    if pve is not None and not any(isinstance(item, FunctionalDataset) and dim is None
+                                   for item, dim in zip(items, dims)):
+        raise ValueError("covariate_matrix key 'pve' is read by a functional item without a dims "
+                         "entry only, and no item is one")
+    pve = _argument("covariate_matrix", "pve", 0.9 if pve is None else pve, _PVE)
     cols = []
     for k, (item, dim) in enumerate(zip(items, dims), start=1):
         if isinstance(item, FunctionalDataset):
@@ -322,7 +330,7 @@ def predict_with_covariates(
     p_max: int = None,
     d_max: int = None,
     covariate_dims=None,
-    covariate_pve: float = 0.9,
+    covariate_pve: float = None,
     solver: str = "ols",
 ) -> ForecastResult:
     """One-step forecast that also conditions on the last covariate rows.

@@ -120,15 +120,19 @@ def select_pd(data, p_max: int, d_max: int, covariate_scores=None) -> FfpeTable:
     FfpeTable
     """
     p_max, d_max = _checked({"p_max": p_max, "d_max": d_max}, _CORNERS, "select_pd", _CORNERS).values()
+    eig = eigensystem(data, min(d_max, data.n - 1, data.T))
+    rows = None if covariate_scores is None else _check_covariates(covariate_scores, data.n)
+    return _sweep(data, eig, p_max, d_max, None if rows is None else _covariate_block(rows))
+
+
+def _sweep(data, eig: EigenSystem, p_max: int, d_max: int, block) -> FfpeTable:
+    """select_pd on eig and a _covariate_block or None, which it takes as given: no solve, no check."""
     n = data.n
     ceiling = min(n - 1, data.T)
-    eig = eigensystem(data, min(d_max, ceiling))
+    eig = eig.truncate(min(d_max, ceiling))
     smat = scores(data, eig).scores
     c = smat - smat.mean(axis=0)
-    r = extra = block = None
-    if covariate_scores is not None:
-        block = rc, _, keep = _covariate_block(_check_covariates(covariate_scores, n))
-        r, extra = rc.shape[1], rc[:, keep]
+    r, extra = (None, None) if block is None else (block[0].shape[1], block[0][:, block[2]])
     nested = {}
     for p in range(r is None, p_max + 1):  # VAR(0) cells have no design
         x, y = _lag_rows(c, p, extra)

@@ -313,6 +313,19 @@ def test_one_eigensolver():
     assert "fpca.pve_dimension" in where["eigensystem"]
 
 
+def test_one_basis_per_training_sample():
+    # a fit truncates the eigensystem of forecast._basis, whose width rule serves every method of
+    # a replication; beside it only select_pd, the stacked bosq blocks of forecast._fit, each
+    # functional covariate and pve_dimension solve, and the sweep core reads what it is handed
+    where = functions_using_names()
+    assert where["eigensystem"] == {"forecast._basis", "forecast._fit", "selection.select_pd",
+                                    "forecast.covariate_matrix", "fpca.pve_dimension"}
+    assert {"experiments.run_forecast_experiment", "experiments._pm10_analog_preset"} <= where["_basis"]
+    assert where["_sweep"] == {"forecast._fit", "selection.select_pd"}
+    sweep_reads = {name for name, users in where.items() if "selection._sweep" in users}
+    assert not sweep_reads & {"eigensystem", "eigh", "_check_covariates", "_covariate_block"}
+
+
 def test_one_coefficient_recursion():
     # every simulated curve's normals are drawn in simulate._coefficients; random_operator
     # draws the operators

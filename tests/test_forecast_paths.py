@@ -259,22 +259,24 @@ def test_each_fit_makes_one_eigensystem_and_one_projection(monkeypatch, method, 
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append(f"{module.__name__.rpartition('.')[2]}.{name}")
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("eigensystem", "scores", "select_pd"):
+    for name in ("eigensystem", "scores", "_sweep"):
         counted(forecast, name)
+    counted(selection, "eigensystem")
     counted(fpca, "sample_covariance_kernel")
     data, rmat = eval_sample()
     _eval_method_fixed(data, rmat, data.n - h, h, method)
-    # a selected fit truncates the eigensystem that select_pd made, and a bosq fit without d
-    # reads d from the training curves' eigensystem, which at p = 1 is its basis too
-    basis = ["select_pd" if "p_max" in method else "eigensystem"]
+    # a fit truncates the one eigensystem of forecast._basis, which a selected fit's sweep
+    # projects on without solving; a bosq fit without d reads d from it, and at p = 1 its basis
+    basis = ["forecast.eigensystem"]
     if method["name"] == "bosq" and "d" not in method and method.get("p", 1) > 1:
-        basis.append("eigensystem")  # the stacked blocks solve their own
-    kernels = ["sample_covariance_kernel"] * len(basis)
-    assert sorted(calls) == sorted([*basis, *kernels, "scores"])
+        basis.append("forecast.eigensystem")  # the stacked blocks solve their own
+    kernels = ["fpca.sample_covariance_kernel"] * len(basis)
+    sweep = ["forecast._sweep"] if "p_max" in method else []
+    assert sorted(calls) == sorted([*basis, *kernels, *sweep, "forecast.scores"])
 
 
 SELECTED = [{"name": "ffpe-var", "p_max": 2, "d_max": 3},
@@ -288,10 +290,10 @@ def test_selected_fit_reuses_the_sweeps_training_scores(monkeypatch, method, m):
     tables = []
 
     def kept(*args):
-        tables.append(select_pd(*args))
+        tables.append(selection._sweep(*args))
         return tables[-1]
 
-    monkeypatch.setattr(forecast, "select_pd", kept)
+    monkeypatch.setattr(forecast, "_sweep", kept)
     data, rmat = eval_sample()
     fit = forecast._fit(data, m, method, rmat)
     head = FunctionalDataset(grid=data.grid, values=data.values[:m])
@@ -311,11 +313,11 @@ def test_selected_fit_reuses_the_sweeps_training_scores(monkeypatch, method, m):
 
 @pytest.mark.parametrize("solver", ["ols", "blp"])
 @pytest.mark.parametrize("orders, checks, blocks", [({"p": 1, "d": 2}, 2, 1),
-                                                    ({"p_max": 2, "d_max": 3}, 3, 2)],
+                                                    ({"p_max": 2, "d_max": 3}, 2, 1)],
                          ids=["fixed", "selected"])
 def test_covariates_are_checked_once_per_entry_point(monkeypatch, solver, orders, checks, blocks):
-    # covariate_matrix and _fit check the matrix, and select_pd what it is given; _fit builds
-    # one block for every model it fits, and the sweep one of its own
+    # covariate_matrix and _fit check the matrix, and _fit builds the one block that every
+    # model it fits and the sweep of a selected fit read
     calls = []
     for name in ("_check_covariates", "_covariate_block"):
         def spy(*args, real=getattr(multivar, name), name=name):

@@ -225,6 +225,31 @@ def test_a_dims_entry_of_a_numeric_covariate_changes_the_result_or_is_refused(na
     assert got.tobytes() != want.tobytes()
 
 
+# a covariate pve, read only by a functional item without a dims entry, with items that do not
+# read it and, last, one that does
+COVARIATE_PVE = {
+    "predict_with_covariates": lambda data, rmat, pve: predict_with_covariates(
+        data, rmat, p=1, d=2, covariate_pve=pve).curve,
+    "covariate_matrix-dims": lambda data, rmat, pve: covariate_matrix([data, rmat], 40, dims=[2, None],
+                                                                      pve=pve),
+    "covariate_matrix-read": lambda data, rmat, pve: covariate_matrix([data, rmat], 40, pve=pve),
+}
+
+
+@pytest.mark.parametrize("name", COVARIATE_PVE)
+def test_a_covariate_pve_changes_the_result_or_is_refused(name):
+    data = simulate(ProcessSpec.from_json(json.dumps(SPEC)), 40, Grid(32), np.random.default_rng(0))
+    rmat = np.random.default_rng(1).normal(size=(40, 2))
+    want = COVARIATE_PVE[name](data, rmat, None)
+    try:
+        got = COVARIATE_PVE[name](data, rmat, 0.5)
+    except ValueError as err:
+        assert re.search(r"\bpve\b", str(err)) and "\n" not in str(err), str(err)
+        assert name != "covariate_matrix-read", str(err)
+        return
+    assert got.tobytes() != want.tobytes()
+
+
 def test_the_cut_options_are_gone(tmp_path, capsys):
     # --orders restated what --kind, --kappa and --theta fix; every reader takes a header
     out = str(tmp_path / "x.csv")
