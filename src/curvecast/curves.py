@@ -166,16 +166,18 @@ def load_numeric_csv(path) -> np.ndarray:
 
 def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
                 curves: bool = False):
-    """A CSV's (values, labels): the bulk parse, else the per-cell reader.
+    """A CSV's (values, labels): its header, label column and data lines, found once, then
+    the bulk parse of the data lines, else the per-cell reader.
 
-    raw and label are as in :func:`_bulk_parse`; rows count from 1 below the header,
-    which a label requires.  rows_per_curve, a parsed integer >= 2, reshapes the flattened
-    cells into curves of that length.  This is the one place that rejects a bad cell,
-    after either reader: every returned cell is finite, or nan for a missing marker in
-    a raw file.  The first other cell in reading order, text or not, raises an
-    IngestError naming its row and its column as in the file, label column included,
-    or under rows_per_curve its curve and sample.  A byte that is no UTF-8 raises an
-    IngestError naming its line, and with curves so does a file of fewer than two columns.
+    In a raw file blank cells read as nan, and label names the header column whose stripped
+    cells are the labels; rows count from 1 below the header, which a label requires.
+    rows_per_curve, a parsed integer >= 2, reshapes the flattened cells into curves of that
+    length.  This is the one place that rejects a bad cell, after either reader: every
+    returned cell is finite, or nan for a missing marker in a raw file.  The first other
+    cell in reading order, text or not, raises an IngestError naming its row and its column
+    as in the file, label column included, or under rows_per_curve its curve and sample.
+    A byte that is no UTF-8 raises an IngestError naming its line, and with curves so does
+    a file of fewer than two columns.
     """
     # read once, so a pipe or FIFO keeps every row; a bad byte is found by its line
     with open(path, encoding=CSV_ENCODING, errors="surrogateescape") as fh:
@@ -186,9 +188,20 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
             if byte:
                 raise IngestError(f"{path}: line {number} holds byte {ord(byte[0]) - 0xDC00:#04x}, "
                                   f"which is not UTF-8; save the file as UTF-8")
-    # rows_per_curve streams are rare enough to keep to the per-cell reader
-    parsed = rows_per_curve is None and _bulk_parse(lines, raw, label)
-    values, labels, col, text = parsed or _read_cells(path, lines, label, rows_per_curve)
+    # the header, the label column and the data lines, decided once for both readers
+    reader = csv.reader(lines)
+    first = [c.strip() for c in next(filter(None, reader), [])]
+    if label is not None and label not in first:
+        raise IngestError(f"{path}: no column named {label!r} in the header")
+    col = None if label is None else first.index(label)
+    body = lines[reader.line_num if label is not None or _is_header(first) else 0 :]
+    if all(line == "\n" for line in body):  # csv.reader reads only empty rows
+        raise IngestError(f"{path}: no data rows found")
+    # rows_per_curve streams are rare enough to keep to the per-cell reader, and so is a raw file
+    # with a quote anywhere, header included, where a quoted comma would shift the columns
+    parsed = (rows_per_curve is None and not (raw and any('"' in line for line in lines))
+              and _bulk_parse(body, raw, col))
+    values, labels, text = parsed or _read_cells(path, body, label, col, rows_per_curve)
     bad = np.isinf(values) if raw else ~np.isfinite(values)
     bad = np.argwhere(bad if text is None else bad | text)
     if bad.size:
@@ -204,28 +217,21 @@ def _read_table(path, raw: bool = False, label: str = None, rows_per_curve=None,
     return values, labels
 
 
-def _read_cells(path, lines, label, rows_per_curve):
-    """The per-cell reader of a CSV's lines: (values, labels, label column, text mask or None),
-    missing markers and text as nan; text skips the shape checks so that _read_table places it."""
-    rows, has_header = _read_rows(lines)
-    header = [c.strip() for c in rows[0]] if rows else []
-    if label is not None and label not in header:
-        raise IngestError(f"{path}: no column named {label!r} in the header")
-    body = rows[1:] if has_header or label is not None else rows
-    if not body:
-        raise IngestError(f"{path}: no data rows found")
-    labels = col = None
+def _read_cells(path, body, label, col, rows_per_curve):
+    """The per-cell reader of a CSV's data lines: (values, labels, text mask or None), missing
+    markers and text as nan; text skips the shape checks so that _read_table places it."""
+    rows = [row for row in csv.reader(body) if row]
+    labels = None
     if label is not None:
-        col = header.index(label)
-        for i, row in enumerate(body, start=1):
+        for i, row in enumerate(rows, start=1):
             if len(row) <= col:
                 raise IngestError(f"{path}: row {i} ends before the {label!r} column")
-        labels = [row[col].strip() for row in body]
+        labels = [row[col].strip() for row in rows]
         # blank the label cell while parsing so that error columns count as in the file
-        cells = _parse_rows([row[:col] + [""] + row[col + 1 :] for row in body])
+        cells = _parse_rows([row[:col] + [""] + row[col + 1 :] for row in rows])
         cells = [row[:col] + row[col + 1 :] for row in cells]
     else:
-        cells = _parse_rows(body)
+        cells = _parse_rows(rows)
     has_text = any(None in row for row in cells)
     if rows_per_curve is not None:
         flat = [v for row in cells for v in row]
@@ -240,30 +246,23 @@ def _read_cells(path, lines, label, rows_per_curve):
             raise IngestError(f"{path}: inconsistent row lengths {sorted(widths)}")
         cells = [row + [0.0] * (max(widths) - len(row)) for row in cells]
     text = np.array([[c is None for c in row] for row in cells]) if has_text else None
-    return np.array(cells, dtype=float), labels, col, text
+    return np.array(cells, dtype=float), labels, text
 
 
-def _bulk_parse(lines: list, raw: bool = False, label: str = None):
-    """A CSV's lines parsed by numpy's C reader: (values, labels, label column, None), else None.
+def _bulk_parse(body: list, raw: bool = False, col: int = None):
+    """A CSV's data lines parsed by numpy's C reader: (values, labels, None), else None.
 
-    Each line keeps its end.  In a raw file blank cells read as nan, and a label names the
-    header column whose stripped cells are the labels.  None means no data rows, ragged
-    rows, a missing label column, a cell numpy rejects (NA, spaces, text) or a quote in a
-    raw file, where a quoted comma would shift the columns.
+    Each line keeps its end.  In a raw file blank cells read as nan, and the stripped cells
+    of column col are the labels.  None means ragged rows, rows that end before col or a
+    cell numpy rejects (NA, spaces, text).
     """
-    reader = csv.reader(lines)
-    first = [c.strip() for c in next(filter(None, reader), [])]
-    skip = reader.line_num if label is not None or _is_header(first) else 0
-    body = [line for line in lines[skip:] if line != "\n"]  # the data rows, for numpy
-    if not body or raw and any('"' in line for line in lines):
-        return None
-    usecols, labels, col = None, None, None
+    body = [line for line in body if line != "\n"]  # the data rows, for numpy
+    usecols = labels = None
     if raw:
         body = [line.rstrip("\n") for line in body]
         # usecols drops surplus cells without an error, so ragged rows are caught here
         widths = {line.count(",") + 1 for line in body}
-        col = first.index(label) if label in first else None
-        if len(widths) != 1 or label is not None and (col is None or col >= min(widths)):
+        if len(widths) != 1 or col is not None and col >= min(widths):
             return None
         if col is not None:
             labels = [line.split(",", col + 1)[col].strip() for line in body]
@@ -275,13 +274,7 @@ def _bulk_parse(lines: list, raw: bool = False, label: str = None):
         values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=usecols)
     except ValueError:
         return None
-    return values, labels, col, None  # numpy takes numbers only, so no cell is text
-
-
-def _read_rows(lines: list):
-    """The non-empty rows of a CSV's lines and whether the first is a header."""
-    raw = [row for row in csv.reader(lines) if row]
-    return raw, bool(raw) and _is_header(raw[0])
+    return values, labels, None  # numpy takes numbers only, so no cell is text
 
 
 def _is_header(row) -> bool:

@@ -287,7 +287,7 @@ def scalar_predict(data: FunctionalDataset, d: int, p: int, h: int = 1) -> Forec
 def covariate_matrix(covariates, n: int, dims=None, pve: float = None):
     """Assemble an (n, r) numeric covariate matrix.
 
-    covariates may be a single item or a list; each item, checked by the
+    covariates may be a single item or a non-empty list; each item, checked by the
     one covariate guard that :func:`fit_varx_ols` runs too, is either an
     (n,) / (n, q) numeric array or a FunctionalDataset of n curves whose
     score vectors enter.  Functional items are projected onto enough
@@ -297,6 +297,7 @@ def covariate_matrix(covariates, n: int, dims=None, pve: float = None):
     A pve that no functional item without a dims entry reads is refused.
     """
     items = covariates if isinstance(covariates, (list, tuple)) else [covariates]
+    _argument("covariate_matrix", "covariates", items, (object, len, "be one item or a non-empty list"))
     if np.ndim(dims) == 0:  # None or one dimension for every item
         dims = [dims] * len(items)
     if len(dims) != len(items):

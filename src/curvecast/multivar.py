@@ -335,10 +335,6 @@ class InnovationsState:
     def m(self) -> int:
         return len(self.thetas)
 
-    @property
-    def last_row(self) -> tuple:
-        return self.thetas[-1] if self.thetas else ()
-
     def predict_one_step(self, history) -> np.ndarray:
         """One-step prediction from the last m rows of history (a 1-D array is one row)."""
         hist = _argument("InnovationsState.predict_one_step", "history", history,

@@ -135,6 +135,10 @@ def _sweep(data, eig: EigenSystem, p_max: int, d_max: int, block) -> FfpeTable:
     r, extra = (None, None) if block is None else (block[0].shape[1], block[0][:, block[2]])
     nested = {}
     for p in range(r is None, p_max + 1):  # VAR(0) cells have no design
+        try:  # an order too long at d = 1 is too long at every d, and so is every later one
+            _check_rows(n, p, 1, r)
+        except InsufficientDataError:
+            break
         x, y = _lag_rows(c, p, extra)
         xx = x.T @ x
         # Each cell's Gram is a principal submatrix of the full one, so by eigenvalue

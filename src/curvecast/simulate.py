@@ -55,15 +55,16 @@ def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.n
     """Random coefficient operator scaled to unit spectral norm.
 
     Entry (l, l') is drawn with standard deviation sigma_l * sigma_l',
-    then the matrix is divided by its largest singular value.
+    then the matrix is divided by its largest singular value.  sigma's
+    largest entry lies in 1e-150..1e150: no product overflows, and the
+    largest is a normal float, so that one draw gives a nonzero matrix.
     """
     D = _argument("random_operator", "D", D, _BASIS_D)
     sigma = _argument("random_operator", "sigma", sigma, _sigma(D))
-    while True:
-        a = rng.normal(size=(D, D)) * np.outer(sigma, sigma)
-        norm = spectral_norm(a)
-        if norm > 0.0:
-            return a / norm
+    _argument("random_operator", "sigma", sigma.max(),
+              (float, lambda top: 1e-150 <= top <= 1e150, "have its largest entry in 1e-150..1e150"))
+    a = rng.normal(size=(D, D)) * np.outer(sigma, sigma)
+    return a / spectral_norm(a)
 
 
 # each kind with the operators it needs, and every field of a process spec (the keys of a spec

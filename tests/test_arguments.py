@@ -206,6 +206,11 @@ def test_number_arguments_parse_by_their_rule(tmp_path, argument):
     (lambda tmp: pm10_files(tmp, missing_rate=-0.5), -0.5,
      "make_pm10_analog key 'missing_rate' must be in [0, 1)"),
     (lambda tmp: stream(1, tmp), 1, "ingest key 'rows_per_curve' must be >= 2"),
+    # an empty covariate list used to end in numpy's "need at least one array to concatenate"
+    (lambda tmp: covariate_matrix([], 60), [],
+     "covariate_matrix key 'covariates' must be one item or a non-empty list"),
+    (lambda tmp: predict_with_covariates(DATA, (), p=1, d=2), (),
+     "covariate_matrix key 'covariates' must be one item or a non-empty list"),
 ])
 def test_out_of_range_arguments_name_their_rule(tmp_path, call, value, message):
     with pytest.raises(ValueError) as err:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvecast import IngestError, ingest, load_curves_csv, load_numeric_csv
-from curvecast.curves import _read_rows
+from curvecast.curves import _read_cells
 from curvecast.experiments import make_pm10_analog
 
 
@@ -174,7 +174,7 @@ def read_raw(path, label, monkeypatch, per_cell):
     """_read_table's raw (values, labels) and whether the per-cell reader ran."""
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(raw_reader, "_read_rows", lambda p: calls.append(p) or _read_rows(p))
+        patch.setattr(raw_reader, "_read_cells", lambda *args: calls.append(1) or _read_cells(*args))
         if per_cell:
             patch.setattr(raw_reader, "_bulk_parse", lambda *args, **kwargs: None)
         values, labels = raw_reader._read_table(path, True, label)
@@ -252,7 +252,7 @@ def test_pm10_analog_file_reads_without_the_per_cell_reader(tmp_path, monkeypatc
     def refuse(*args):
         raise AssertionError("the per-cell reader ran")
 
-    monkeypatch.setattr(raw_reader, "_read_rows", refuse)
+    monkeypatch.setattr(raw_reader, "_read_cells", refuse)
     monkeypatch.setattr(raw_reader, "_parse_rows", refuse)
     data = ingest(raw, transform="sqrt", weekday_adjust="weekday")
     assert data.values.shape == (60, 48)
@@ -349,7 +349,7 @@ def test_infinite_cell_behind_a_label_opens_the_file_once(tmp_path, monkeypatch)
         opened.append(file)
         return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(raw_reader, "_read_rows", lambda p: pytest.fail("the per-cell reader ran"))
+    monkeypatch.setattr(raw_reader, "_read_cells", lambda *args: pytest.fail("the per-cell reader ran"))
     monkeypatch.setattr(builtins, "open", counting_open)
     with pytest.raises(IngestError, match="row 2, column 2 is infinite"):
         ingest(path, weekday_adjust="day")
@@ -357,8 +357,8 @@ def test_infinite_cell_behind_a_label_opens_the_file_once(tmp_path, monkeypatch)
     # every reader opens a clean file, a clean file that falls back and a raw file that falls
     # back once too, and numpy parses the lines already read, never the path
     fell_back = []
-    monkeypatch.setattr(raw_reader, "_read_rows",
-                        lambda lines: fell_back.append(1) or _read_rows(lines))
+    monkeypatch.setattr(raw_reader, "_read_cells",
+                        lambda *args: fell_back.append(1) or _read_cells(*args))
     loadtxt = np.loadtxt
 
     def lines_only(lines, *args, **kwargs):

@@ -223,7 +223,7 @@ def test_innovations_ma1_convergence():
     assert state.thetas[0][0][0, 0] == pytest.approx(0.4, abs=1e-12)
     # the recursion approaches the innovation variance 1 and loading 0.5
     assert state.v[12][0, 0] == pytest.approx(1.0, abs=1e-6)
-    assert state.last_row[0][0, 0] == pytest.approx(0.5, abs=1e-6)
+    assert state.thetas[-1][0][0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
 @pytest.mark.parametrize("d,m,seed", [(1, 3, 0), (2, 4, 1), (3, 2, 2), (3, 4, 3)])

@@ -17,7 +17,7 @@ from curvecast import IngestError, curves
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 
-_read_rows = curves._read_rows
+_read_cells = curves._read_cells
 
 
 def _params(test):
@@ -44,7 +44,7 @@ def outcome(path, raw, label, monkeypatch):
     reader ran."""
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(curves, "_read_rows", lambda lines: calls.append(1) or _read_rows(lines))
+        patch.setattr(curves, "_read_cells", lambda *args: calls.append(1) or _read_cells(*args))
         try:
             values, labels = curves._read_table(path, raw, label)
         except IngestError as err:
@@ -87,3 +87,16 @@ def test_a_fifo_reads_as_a_file(tmp_path, monkeypatch, name):
     else:
         assert isinstance(got[0], np.ndarray) and test_csv_io.same_bits(got[0], expected[0])
         assert got[1:] == expected[1:]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_header_is_classified_once_per_read(tmp_path, monkeypatch, name):
+    # both readers used to decide the header, so a per-cell file without a label classified it twice
+    text, raw, label = CASES[name]
+    path = tmp_path / "file.csv"
+    path.write_bytes(text.encode("utf-8"))
+    classified = []
+    is_header = curves._is_header
+    monkeypatch.setattr(curves, "_is_header", lambda row: classified.append(row) or is_header(row))
+    outcome(path, raw, label, monkeypatch)
+    assert len(classified) <= 1

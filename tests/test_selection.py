@@ -116,6 +116,22 @@ def test_too_few_rows_are_named_by_the_fit_guard(noise_dataset, r):
     assert table.best_cell().ok
 
 
+@pytest.mark.parametrize("r", [None, 2])
+def test_orders_past_the_sample_are_invalid_cells(noise_dataset, r):
+    # past p = n the lag slices wrapped around, and the sweep ended in a bare numpy ValueError
+    data = noise_dataset(n=12, T=24, seed=0)
+    rmat = None if r is None else np.random.default_rng(1).normal(size=(12, r))
+    table = select_pd(data, 17, 2, covariate_scores=rmat)
+    short = select_pd(data, 10, 2, covariate_scores=rmat)
+    assert [repr(table.cell(c.p, c.d)) for c in short.cells] == list(map(repr, short.cells))
+    assert table.best == short.best
+    suffix = "" if r is None else f", r={r}"
+    for cell in table.cells:
+        if cell.p > 10:
+            assert cell.status == "invalid"
+            assert cell.message == f"n=12 too small to fit p={cell.p}, d={cell.d}{suffix}"
+
+
 def test_table_csv_shape(tmp_path, noise_dataset):
     data = noise_dataset(n=50, T=24, seed=7)
     table = select_pd(data, 1, 3)

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvecast
 from curvecast import (
     Grid,
     NonstationaryError,
@@ -76,6 +81,20 @@ def test_random_operator_unit_norm_and_deterministic():
     for bad in (sig[:7], np.r_[sig[:7], 0.0]):  # one short, or one not positive
         with pytest.raises(ValueError, match=re.escape("random_operator key 'sigma' must")):
             random_operator(8, bad, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("sigma, top", [("[1e-200, 1e-200]", "1e-200"), ("[1e200, 1.0]", "1e+200")])
+def test_random_operator_refuses_a_sigma_whose_products_underflow_or_overflow(sigma, top):
+    # products that all underflow used to redraw forever, and one that overflows ended in a
+    # RuntimeWarning and spectral_norm's error; a subprocess keeps a hang out of the suite
+    root = Path(curvecast.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+    script = ("import numpy as np\nfrom curvecast import random_operator\n"
+              f"random_operator(2, {sigma}, np.random.default_rng(1))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=30)
+    assert proc.stderr.splitlines()[-1] == ("ValueError: random_operator key 'sigma' must have its "
+                                            f"largest entry in 1e-150..1e150, got {top}")
 
 
 def test_spec_validation():
