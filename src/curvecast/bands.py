@@ -35,13 +35,12 @@ def rolling_residuals(data: FunctionalDataset, d: int, p: int, L: int = None) ->
     products, which give every origin's Gram centred on its own mean.  All
     origins are then rank-guarded, solved and reconstructed in one batch.
     """
-    method = {"name": "fixed-var", "label": "rolling_residuals", "p": p, "d": d}
-    L = _warm_up(data.n, method, L)
+    method, L = _warm_up(data.n, {"name": "fixed-var", "label": "rolling_residuals", "p": p, "d": d}, L)
     return _rolling_residuals(data, _fit(data, data.n, method), L)
 
 
-def _warm_up(n: int, method: dict, L) -> int:
-    """The first refit's row count, method checked: the default max(p, 10 d, n/4), or L checked."""
+def _warm_up(n: int, method: dict, L) -> tuple[dict, int]:
+    """method checked and the first refit's row count: the default max(p, 10 d, n/4), or L checked."""
     method = _check_method(method, 1)
     p, d = method["p"], method["d"]
     L = _checked({"L": L}, {"L": int}, "rolling_residuals").get("L", max(p, 10 * d, round(n / 4)))
@@ -51,7 +50,7 @@ def _warm_up(n: int, method: dict, L) -> int:
         raise InsufficientDataError(f"L={L} leaves fewer than two of n={n} curves")
     # the smallest refit has the fewest rows, so only it can be too short
     _check_rows(L, p, d)
-    return L
+    return method, L
 
 
 def _rolling_residuals(data: FunctionalDataset, fit: _Fit, L: int) -> FunctionalDataset:

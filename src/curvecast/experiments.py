@@ -231,7 +231,7 @@ def _psi_source(name: str) -> dict:
 
 def _eval_method_fixed(data, rmat, m, h, method, eig=None):
     """Fit once on the first m curves, on eig if given, then predict every later curve from that fit."""
-    fit = _fit(data, m, method, rmat, h, eig)
+    fit = _fit(data, m, method, rmat, eig)
     diff = data.values[m:] - _predict(fit, np.arange(m - h, data.n - h), h)[1]
     return {"errors": (np.einsum("ij,ij->i", diff, diff) / data.T).tolist(),
             "selected": {"p": fit.p, "d": fit.d}, "criterion": fit.criterion}
@@ -502,8 +502,8 @@ def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, 
 def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
     start = time.perf_counter()
-    grid, method = Grid(grid_T), {"name": "fixed-var", "p": p, "d": d}
-    lookback = _warm_up(n, method, L)
+    grid = Grid(grid_T)
+    method, lookback = _warm_up(n, {"name": "fixed-var", "p": p, "d": d}, L)
 
     def worker(idx, drawn):
         full = drawn[0]

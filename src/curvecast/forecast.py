@@ -110,6 +110,11 @@ _RULES = {"name": _one_of(*_METHODS), "label": str, "p": _ORDER, "d": _at_least(
 _BOSQ_P = _at_least(1)
 
 
+def _owner(method) -> str:
+    """How an error names a method dict: by its label, else its name."""
+    return f"method {method.get('label', method.get('name'))!r}"
+
+
 def _check_method(method: dict, h: int) -> dict:
     """method without its None values, which count as absent, once its keys and values are valid.
 
@@ -118,7 +123,7 @@ def _check_method(method: dict, h: int) -> dict:
     d or pve, which fixes d, not both; scalar needs p and d, and every other method exactly one
     of (p, d) and (p_max, d_max); h, an int >= 1, must be 1 for bosq and covariate.
     """
-    owner = f"method {method.get('label', method.get('name'))!r}"
+    owner = _owner(method)
     given = _checked(method, _RULES, owner, needs=("name",))
     name = given["name"]
     _checked(given, {key: _RULES[key] for key in _METHODS[name][1]}, owner)
@@ -159,23 +164,25 @@ class _Fit:
 def _basis(data: FunctionalDataset, m: int, methods) -> EigenSystem | None:
     """The first m curves' eigensystem as wide as the widest checked method reads, or None if none does.
     A method reads d, else min(d_max, m - 1, T), else min(m - 1, T) for bosq's PVE choice, and a bosq
-    fit of p >= 2 stacked blocks at a given d reads none, as its blocks solve their own."""
-    widths = [meth["d"] if "d" in meth else min(meth.get("d_max", m), m - 1, data.T)
+    fit of p >= 2 stacked blocks at a given d reads none, as its blocks solve their own.  A d above
+    min(m - 1, T) is refused in the widest method's name."""
+    widths = [(meth["d"] if "d" in meth else min(meth.get("d_max", m), m - 1, data.T), _owner(meth))
               for meth in methods if "d" not in meth or meth["name"] != "bosq" or meth.get("p", 1) == 1]
-    return eigensystem(_head(data, m), max(widths)) if widths else None
+    if not widths:
+        return None
+    d, owner = max(widths)
+    return eigensystem(_head(data, m), d, _owner=owner)
 
 
-def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1, eig=None) -> _Fit:
-    """Fit one method on the first m curves of data and project all n curves.
+def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, eig=None) -> _Fit:
+    """Fit one checked method on the first m curves of data and project all n curves.
 
-    method holds a name (ffpe-var, fixed-var, scalar, bosq or covariate) and p and d, or p_max and
-    d_max to select both by the criterion; None counts as absent.  Scalar needs p and d; the benchmark
-    takes p (default 1) and d, or else pve (default 0.8) to fix d.  Covariate takes solver 'ols'
-    (default) or 'blp' and needs rmat, one row per curve.  h, an int >= 1, is the horizon.  eig, the
-    :func:`_basis` of methods holding this one, spares the fit its own.  :func:`_check_method` checks
-    the method; only the checks that need data run here.
+    method, as :func:`_check_method` returned it, holds a name (ffpe-var, fixed-var, scalar, bosq or
+    covariate) and p and d, or p_max and d_max to select both by the criterion.  The benchmark takes p
+    (default 1) and d, or else pve (default 0.8) to fix d.  Covariate takes solver 'ols' (default) or
+    'blp' and needs rmat, one row per curve.  eig, the :func:`_basis` of methods holding this one,
+    spares the fit its own.  Only the checks that need data run here.
     """
-    method = _check_method(method, h)
     name, p, d = method["name"], method.get("p"), method.get("d")
     lag, block, eig = 0, None, eig or _basis(data, m, [method])
     if name == "bosq":  # without d, d from the training curves' spectrum, at p = 1 the basis too
@@ -197,7 +204,7 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, h: int = 1, e
         if len(later):
             s = np.vstack([s, scores(FunctionalDataset._own(data.grid, later), eig).scores])
     else:
-        eig = eigensystem(train, d) if lag else eig.truncate(d)
+        eig = eigensystem(train, d, _owner=_owner(method)) if lag else eig.truncate(d)
         s = scores(data, eig).scores
     if name == "bosq":
         model = _bosq_var(s[:m], eig.eigenvalues)
@@ -241,9 +248,9 @@ def _result(fit: _Fit, h: int = 1) -> ForecastResult:
 
 
 def _forecast(data: FunctionalDataset, method: dict, rmat=None, h: int = 1) -> ForecastResult:
-    """Fit method on every curve of data and predict the curve h steps past the last (h parsed)."""
-    h = _argument(f"method {method.get('label', method.get('name'))!r}", "h", h, _HORIZON)
-    return _result(_fit(data, data.n, method, rmat, h), h)
+    """Check h and method once, fit method on every curve of data and predict h steps past the last."""
+    h = _argument(_owner(method), "h", h, _HORIZON)
+    return _result(_fit(data, data.n, _check_method(method, h), rmat), h)
 
 
 def predict_fts(
@@ -366,7 +373,8 @@ class EquivalenceReport:
 
 def equivalence_gap(data: FunctionalDataset, d: int) -> EquivalenceReport:
     """Compare the first-order score regression against the benchmark."""
-    fit = _fit(data, data.n, {"name": "fixed-var", "label": "equivalence_gap", "p": 1, "d": d})
+    method = _check_method({"name": "fixed-var", "label": "equivalence_gap", "p": 1, "d": d}, 1)
+    fit = _fit(data, data.n, method)
     s, eig = fit.scores, fit.eig
     var_res = _result(fit)
     bosq_res = _result(replace(fit, method="bosq", model=_bosq_var(s, eig.eigenvalues)))

@@ -85,8 +85,8 @@ def _fix_signs(funcs: np.ndarray) -> np.ndarray:
     return funcs
 
 
-def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
-    """Solve the discretized eigenproblem (1/T) K v = lambda v.
+def eigensystem(data: FunctionalDataset, d: int, *, _owner: str = "eigensystem") -> EigenSystem:
+    """Solve the discretized eigenproblem (1/T) K v = lambda v; a refused d is worded in _owner's name.
 
     Parameters
     ----------
@@ -102,7 +102,7 @@ def eigensystem(data: FunctionalDataset, d: int) -> EigenSystem:
         unit grid norm.
     """
     kernel = sample_covariance_kernel(data)  # before d, so one curve is InsufficientDataError
-    d = _argument("eigensystem", "d", d, _in_range(1, min(data.n - 1, data.T), "min(n - 1, T)"))
+    d = _argument(_owner, "d", d, _in_range(1, min(data.n - 1, data.T), "min(n - 1, T)"))
     total = float(np.trace(kernel)) / data.T
     kernel /= data.T
     evals, evecs = np.linalg.eigh(kernel)

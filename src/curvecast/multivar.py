@@ -84,15 +84,17 @@ def _lag_rows(c: np.ndarray, p: int, extra: np.ndarray = None):
 def _check_covariates(covariates, n: int) -> np.ndarray:
     """covariates as an (n, r) float matrix, one row per curve (a 1-D array is one column).
 
-    The one guard on covariate input: another shape is a DimensionMismatchError, and a
-    non-finite cell, which would look constant and be dropped, or a cell that is no number an
-    IngestError naming it from 1.
+    The one guard on covariate input: another shape, or no column, which would fit no covariate
+    at all, is a DimensionMismatchError, and a non-finite cell, which would look constant and be
+    dropped, or a cell that is no number an IngestError naming it from 1.
     """
     cells, bad = _cells(getattr(covariates, "scores", covariates))
     rmat = cells[:, None] if cells.ndim == 1 else cells
     if rmat.ndim != 2 or rmat.shape[0] != n:
         raise DimensionMismatchError(f"covariates must be {n} rows, one per curve, "
                                      f"got shape {rmat.shape}")
+    if rmat.shape[1] == 0:
+        raise DimensionMismatchError(f"covariates must have one or more columns, got shape {rmat.shape}")
     if bad is not None:
         what = "not finite" if isinstance(cells[bad], float) else f"{_shown(cells[bad])}, not a number"
         raise IngestError(f"covariate {_place((*bad, 0)[:2])} is {what}")

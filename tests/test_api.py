@@ -326,6 +326,15 @@ def test_one_basis_per_training_sample():
     assert not sweep_reads & {"eigensystem", "eigh", "_check_covariates", "_covariate_block"}
 
 
+def test_the_fit_core_parses_no_method():
+    # each entry point checks its method once, with the horizon, and hands the checked dict on
+    fit = importlib.import_module("curvecast.forecast")._fit
+    assert "h" not in inspect.signature(fit).parameters
+    assert "forecast._fit" not in functions_using_names()["_check_method"]
+    assert {"forecast._forecast", "forecast.equivalence_gap", "bands._warm_up",
+            "experiments.run_forecast_experiment"} <= functions_using_names()["_check_method"]
+
+
 def test_one_coefficient_recursion():
     # every simulated curve's normals are drawn in simulate._coefficients; random_operator
     # draws the operators

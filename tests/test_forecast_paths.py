@@ -21,12 +21,15 @@ from curvecast import (
     ScoreMatrix,
     bosq_predict,
     eigensystem,
+    equivalence_gap,
     load_curves_csv,
     load_numeric_csv,
     predict_fts,
     predict_with_covariates,
     pve_dimension,
     reconstruct,
+    rolling_residuals,
+    run_benchmark,
     run_forecast_experiment,
     save_curves_csv,
     scalar_predict,
@@ -34,8 +37,9 @@ from curvecast import (
     select_pd,
 )
 from curvecast.cli import main
-from curvecast import forecast, fpca, multivar, selection
+from curvecast import bands, experiments, forecast, fpca, multivar, selection
 from curvecast.experiments import _eval_method_fixed, _source_factory
+from curvecast.forecast import covariate_matrix
 from curvecast.multivar import (
     fit_var_ols,
     fit_varx_ols,
@@ -331,6 +335,60 @@ def test_covariates_are_checked_once_per_entry_point(monkeypatch, solver, orders
     assert (calls.count("_check_covariates"), calls.count("_covariate_block")) == (checks, blocks)
 
 
+def cli_forecast(*argv):
+    def call(data, rmat, paths):
+        assert main(["forecast", "--input", paths[0], "--out", paths[2], *argv]) == 0
+
+    return call
+
+
+TWO_METHODS = [{"name": "fixed-var", "p": 1, "d": 2}, {"name": "covariate", "p_max": 1, "d_max": 2}]
+# entry point -> (its call, the _check_method calls it makes: one per method)
+METHOD_CHECKS = {
+    "predict_fts": (lambda data, rmat, paths: predict_fts(data, p=1, d=2), 1),
+    "predict_fts-selected": (lambda data, rmat, paths: predict_fts(data, h=2, p_max=2, d_max=3), 1),
+    "bosq_predict": (lambda data, rmat, paths: bosq_predict(data, 2, 2), 1),
+    "scalar_predict": (lambda data, rmat, paths: scalar_predict(data, 2, 1), 1),
+    "predict_with_covariates": (lambda data, rmat, paths: predict_with_covariates(data, rmat, p=1, d=2),
+                                1),
+    "equivalence_gap": (lambda data, rmat, paths: equivalence_gap(data, 2), 1),
+    "rolling_residuals": (lambda data, rmat, paths: rolling_residuals(data, 2, 1), 1),
+    "run_forecast_experiment": (lambda data, rmat, paths: run_forecast_experiment(
+        {"source": {"type": "covariate-far1"}, "n": 60, "grid_T": 32, "seed": 0, "reps": 5,
+         "methods": TWO_METHODS}), 2),
+    "bands-coverage": (lambda data, rmat, paths: run_benchmark("bands-coverage", reps=4, seed=0,
+                                                                n=60, grid_T=32), 1),
+    # its preset rules parse p_max and d_max, and the two methods it builds from them go on as they are
+    "pm10-analog": (lambda data, rmat, paths: run_benchmark("pm10-analog", seed=0, n_days=28,
+                                                             eval_days=4, out_dir=paths[3]), 0),
+    "cli-forecast": (cli_forecast("--p", "1", "--d", "2"), 1),
+    "cli-forecast-bosq": (cli_forecast("--method", "bosq", "--pve", "0.9"), 1),
+    "cli-forecast-covariate": (cli_forecast("--method", "covariate", "--pmax", "2", "--dmax", "2",
+                                            "--covariates", "cov.csv"), 1),
+}
+
+
+@pytest.mark.parametrize("call, checks", METHOD_CHECKS.values(), ids=METHOD_CHECKS.keys())
+def test_each_method_is_checked_once_per_entry_point(monkeypatch, tmp_path, capsys, call, checks):
+    # forecast._fit used to check again the method its entry point had checked, once per fit
+    calls = []
+
+    def spy(method, h, real=forecast._check_method):
+        calls.append(method["name"])
+        return real(method, h)
+
+    for module in (forecast, bands, experiments):
+        monkeypatch.setattr(module, "_check_method", spy)
+    monkeypatch.chdir(tmp_path)
+    data, rmat = eval_sample()
+    paths = ["curves.csv", "cov.csv", "forecast.json", str(tmp_path)]
+    save_curves_csv(data, paths[0])
+    np.savetxt(paths[1], rmat, delimiter=",")
+    call(data, rmat, paths)
+    capsys.readouterr()
+    assert len(calls) == checks
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -401,6 +459,29 @@ def test_one_curve_is_insufficient_data(tmp_path, capsys, call):
             call(data, path)
 
 
+# entry point -> (its call, the curves it is given, the most d they hold)
+TOO_WIDE = {
+    "predict_fts": (lambda data: predict_fts(data, p=1, d=3), 3, 2),
+    "bosq_predict": (lambda data: bosq_predict(data, d=3), 3, 2),
+    "scalar_predict": (lambda data: scalar_predict(data, d=3, p=1), 3, 2),
+    "equivalence_gap": (lambda data: equivalence_gap(data, 3), 3, 2),
+    # four stacked blocks of two curves each, on a grid of 32 points
+    "bosq_predict-stacked": (lambda data: bosq_predict(data, d=4, p=2), 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", TOO_WIDE)
+def test_a_d_above_the_sample_is_refused_in_the_entry_points_name(name):
+    # these read "eigensystem key 'd' must be ...", naming a function the user did not call
+    call, n, top = TOO_WIDE[name]
+    data = FunctionalDataset(grid=Grid(16), values=np.random.default_rng(0).normal(size=(n, 16)))
+    with pytest.raises(ValueError) as err:
+        call(data)
+    owner = name.partition("-")[0]
+    want = f"method {owner!r} key 'd' must be in 1..min(n - 1, T) = {top}, got {top + 1}"
+    assert str(err.value) == want
+
+
 COVARIATE_METHOD = {"name": "covariate", "p": 1, "d": 2}
 SHORT_COVARIATES = {
     "select_pd": lambda data, rmat, paths: select_pd(data, 1, 2, covariate_scores=rmat),
@@ -435,6 +516,23 @@ def test_too_few_covariate_rows_read_one_message(tmp_path, capsys, make_far1, ca
         with pytest.raises(DimensionMismatchError) as err:
             call(data, rmat, paths)
         assert str(err.value) == message
+
+
+NO_COLUMN = {
+    "covariate_matrix": lambda data, rmat: covariate_matrix(rmat, data.n),
+    "predict_with_covariates": lambda data, rmat: predict_with_covariates(data, rmat, p=1, d=2),
+    "select_pd": lambda data, rmat: select_pd(data, 1, 2, covariate_scores=rmat),
+    "fit_varx_ols": lambda data, rmat: fit_varx_ols(scores(data, eigensystem(data, 2)), rmat, 1),
+}
+
+
+@pytest.mark.parametrize("call", NO_COLUMN.values(), ids=NO_COLUMN.keys())
+def test_a_covariate_matrix_without_columns_is_refused(make_far1, call):
+    # these fitted a VARX on no covariate at all, and returned a covariate forecast or table
+    data = make_far1(n=40, T=32, seed=25)
+    with pytest.raises(DimensionMismatchError) as err:
+        call(data, np.empty((40, 0)))
+    assert str(err.value) == "covariates must have one or more columns, got shape (40, 0)"
 
 
 def test_too_few_functional_covariate_curves_read_the_same_message(make_far1):
