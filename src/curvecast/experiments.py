@@ -19,7 +19,6 @@ import os
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ def _worker_count() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def _rep_rng(seed: int, idx: int) -> np.random.Generator:
+def _rep_rng(seed: int, idx: int) -> "np.random.Generator":
     return np.random.default_rng([int(seed), int(idx)])
 
 
@@ -63,6 +62,7 @@ def _run_replications(reps: int, worker):
     limit = _worker_count()
     if limit <= 1 or reps <= 1:
         return [worker(i) for i in range(reps)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that starts a pool
     with ThreadPoolExecutor(max_workers=min(limit, reps)) as pool:
         return list(pool.map(worker, range(reps)))
 
@@ -108,17 +108,18 @@ def _keep_heap() -> None:
     mallopt(-3, 32 << 20)
 
 
-def _report(command: str, config: dict, count: int, seed, worker, start: float,
-            draw=iter) -> RunReport:
-    """Run count replications into a report timed from start, aggregates empty.
+def _report(command: str, config: dict, count: int, seed, worker, draw=iter) -> RunReport:
+    """Run count replications into a report timed from this call, aggregates empty.
 
     Pool tasks take consecutive indices in near-equal chunks of at most
     CHUNK, as many as the smallest multiple of the worker count that keeps
     them that small.  draw(generators) turns a chunk's replication generators into
     one input per index, made as they are taken; by default the input is
-    the generator.  Record idx holds idx, [seed, idx] and empty errors and
-    selected, with the fields that worker(idx, input) returns laid over them.
+    the generator.  A run without seed, which draws nothing, gets None for each.
+    Record idx holds idx, [seed, idx] and empty errors and selected, with the
+    fields that worker(idx, input) returns laid over them.
     """
+    start = time.perf_counter()
     _keep_heap()
     workers = _worker_count()
     tasks = workers * -(-count // (workers * CHUNK))
@@ -127,7 +128,7 @@ def _report(command: str, config: dict, count: int, seed, worker, start: float,
 
     def chunk(c):
         idxs = range(firsts[c], min(firsts[c] + size, count))
-        inputs = iter(draw([_rep_rng(seed, idx) for idx in idxs]))
+        inputs = iter(draw([None if seed is None else _rep_rng(seed, idx) for idx in idxs]))
         # an input is dropped once its worker returns, so a chunk holds one at a time
         return [{"idx": idx, "seed": [seed, idx], "errors": {}, "selected": {},
                  **worker(idx, next(inputs))} for idx in idxs]
@@ -168,8 +169,8 @@ def _source_factory(source: dict, n: int, grid: Grid):
     """Return draw: draw(rngs) yields (n curves on grid, covariates or None) per rng.
 
     A simulated source steps the recursions of all rngs together; a file source reads its
-    files at the first draw.  Bad values, missing keys and keys the source type does not
-    read raise ValueError naming the key, before anything is drawn or read.
+    files at the first draw and reads no rng.  Bad values, missing keys and keys the source
+    type does not read raise ValueError naming the key, before anything is drawn or read.
     """
     kind = _argument("source", "type", source.get("type"), _one_of(*_SOURCES))
     rules, needs = _SOURCES[kind]
@@ -237,10 +238,18 @@ def _eval_method_fixed(data, rmat, m, h, method, eig=None):
             "selected": {"p": fit.p, "d": fit.d}, "criterion": fit.criterion}
 
 
-def _by_method(outs: dict) -> dict:
-    """A record's errors and selected fields from each method's evaluation, keyed by method."""
-    return {field: {key: out[field] for key, out in outs.items()}
-            for field in ("errors", "selected")}
+def _evaluate(data, rmat, m, h, methods, keys) -> dict:
+    """One replication's record fields: each checked method of methods scored on one basis.
+
+    Every method fits on the first m curves and truncates the one _basis solve.  errors and
+    selected hold each method's evaluation under its key, criterion each selected method's
+    criterion, and a field no method fills is left out.
+    """
+    eig = _basis(data, m, methods)
+    outs = {key: _eval_method_fixed(data, rmat, m, h, meth, eig) for key, meth in zip(keys, methods)}
+    fields = {field: {key: out[field] for key, out in outs.items() if out[field] is not None}
+              for field in ("errors", "selected", "criterion")}
+    return {field: values for field, values in fields.items() if values}
 
 
 def _plain(value):
@@ -261,13 +270,14 @@ _CONFIG = {"source": dict, "n": _N, "grid_T": _GRID_T,
 def run_forecast_experiment(config: dict) -> RunReport:
     """Rolling-origin one-step (or h-step) evaluation over replications.
 
-    config holds only keys of _CONFIG, each parsed by its rule there, and needs seed, methods
-    and source; None counts as absent.  A simulated source needs n; a file source fixes n and
-    grid_T and takes neither.  fit_mode takes only 'fixed': each method fits once, on the
-    training curves.  _source_factory checks the source and forecast._check_method each method
-    dict; a covariate method needs a 'covariate-far1' source or a 'file' source's
-    covariates_path, which only it reads.  Every check, the training size included unless the
-    source is a file, raises ValueError naming the key before a file is read or a replication runs.
+    config holds only keys of _CONFIG, each parsed by its rule there, and needs methods, source
+    and, unless a file source draws nothing, seed; None counts as absent.  A simulated source
+    needs n; a file source fixes n and grid_T and takes neither.  fit_mode takes only 'fixed':
+    each method fits once, on the training curves.  _source_factory checks the source and
+    forecast._check_method each method dict; a covariate method needs a 'covariate-far1' source
+    or a 'file' source's covariates_path, which only it reads.  Every check, the training size
+    included unless the source is a file, raises ValueError naming the key before a file is read
+    or a replication runs.
 
     Returns
     -------
@@ -275,10 +285,11 @@ def run_forecast_experiment(config: dict) -> RunReport:
         Per-replication squared errors and selections keyed by method,
         with pooled aggregates and selection frequencies.
     """
-    start = time.perf_counter()
-    args = _checked(config, _CONFIG, "config", needs=("seed", "methods", "source"))
+    source = config.get("source") if isinstance(config, dict) else None  # a file draws nothing
+    seeded = not (isinstance(source, dict) and source.get("type") == "file")
+    args = _checked(config, _CONFIG, "config", needs=("seed",) * seeded + ("methods", "source"))
     echo = json.loads(json.dumps(config, sort_keys=True, default=_plain))
-    seed, source, h, reps = args["seed"], args["source"], args.get("horizon", 1), args.get("reps", 1)
+    seed, source, h, reps = args.get("seed"), args["source"], args.get("horizon", 1), args.get("reps", 1)
     methods = [_check_method(meth, h) for meth in args["methods"]]
     keys = [meth.get("label", meth["name"]) for meth in methods]
     if len(set(keys)) != len(keys):
@@ -305,14 +316,9 @@ def run_forecast_experiment(config: dict) -> RunReport:
 
     def worker(idx, drawn):
         data, rmat = drawn
-        m = _resolve_train(train, data.n)
-        eig = _basis(data, m, methods)  # every method truncates the one solve
-        outs = {key: _eval_method_fixed(data, rmat, m, h, meth, eig) for key, meth in zip(keys, methods)}
-        criteria = {key: out["criterion"] for key, out in outs.items()
-                    if out["criterion"] is not None}
-        return {**_by_method(outs), "criterion": criteria} if criteria else _by_method(outs)
+        return _evaluate(data, rmat, _resolve_train(train, data.n), h, methods, keys)
 
-    report = _report("run_forecast_experiment", echo, reps, seed, worker, start, draw)
+    report = _report("run_forecast_experiment", echo, reps, seed, worker, draw)
     report.aggregates, report.frequencies = _aggregate(report.replications, keys)
     return report
 
@@ -432,7 +438,6 @@ def _ratio_preset(psi_name: str):
 
 def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n=200,
                             D=21, grid_T=256, p_max=3, d_max=10):
-    start = time.perf_counter()
     source = {"type": "kappa-far", "kappa": kappa, "sigma_scheme": sigma, "D": D}
     draw = _source_factory(source, n, Grid(grid_T))
 
@@ -442,7 +447,7 @@ def _order_selection_preset(reps=100, seed=None, kappa=(0.8, 0.0), sigma="s1", n
 
     config = {"kappa": list(kappa), "sigma": sigma, "n": n, "D": D, "grid_T": grid_T,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": reps}
-    report = _report("benchmark:order-selection", config, reps, seed, worker, start, draw)
+    report = _report("benchmark:order-selection", config, reps, seed, worker, draw)
     _, report.frequencies = _aggregate(report.replications, ["ffpe-var"])
     return report
 
@@ -475,7 +480,6 @@ def _fma_farma_preset(reps=50, seed=None, kind="farma", sigma="s1", n=1000, D=21
 
 
 def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, grid_T=256):
-    start = time.perf_counter()
     # a VAR(1) fit on d scores needs d + 2 curves
     rule = (object, lambda v: min(v) >= d + 2, f"hold integers >= d + 2 = {d + 2}")
     _checked({"ns": ns}, {"ns": rule}, "preset 'equivalence-rate'")
@@ -489,7 +493,7 @@ def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, 
         return {"n": n, "errors": {"gap": [gap]}}
 
     config = {"ns": ns, "d": d, "grid_T": grid_T, "seed": seed, "reps": reps}
-    report = _report("benchmark:equivalence-rate", config, reps * len(ns), seed, worker, start)
+    report = _report("benchmark:equivalence-rate", config, reps * len(ns), seed, worker)
     records = report.replications
     medians = {}
     for j, n in enumerate(ns):
@@ -501,7 +505,6 @@ def _equivalence_rate_preset(reps=100, seed=None, ns=(100, 200, 400, 800), d=3, 
 
 def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
                            L=None, grid_T=256):
-    start = time.perf_counter()
     grid = Grid(grid_T)
     method, lookback = _warm_up(n, {"name": "fixed-var", "p": p, "d": d}, L)
 
@@ -518,7 +521,7 @@ def _bands_coverage_preset(reps=100, seed=None, n=400, alpha=0.8, p=1, d=3,
 
     config = {"n": n, "alpha": alpha, "p": p, "d": d, "L": L, "grid_T": grid_T,
               "seed": seed, "reps": reps}
-    report = _report("benchmark:bands-coverage", config, reps, seed, worker, start,
+    report = _report("benchmark:bands-coverage", config, reps, seed, worker,
                      _source_factory(_psi_source("psi1"), n + 1, grid))
     records = report.replications
     report.aggregates = {
@@ -541,7 +544,8 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
                         p_max=2, d_max=4):
     if reps != 1:
         raise ValueError("the ingestion demo runs a single replication")
-    methods = [{"name": name, "p_max": p_max, "d_max": d_max} for name in ("ffpe-var", "covariate")]
+    keys = ("ffpe-var", "covariate")
+    methods = [{"name": name, "p_max": p_max, "d_max": d_max} for name in keys]
     # a covariate fit on the analog's two covariate columns needs four training days
     rule = (int, lambda v: 1 <= v <= n_days - 4, f"be in 1..n_days - 4 = {n_days - 4}")
     _checked({"eval_days": eval_days}, {"eval_days": rule}, "preset 'pm10-analog'")
@@ -550,22 +554,17 @@ def _pm10_analog_preset(reps=1, seed=None, n_days=175, eval_days=20, out_dir=Non
             report = _pm10_analog_preset(reps, seed, n_days, eval_days, tmp, p_max, d_max)
         report.config.update(curves_csv=None, covariates_csv=None)  # the files are gone
         return report
-    start = time.perf_counter()
     curves_path, cov_path = make_pm10_analog(out_dir, n_days=n_days, seed=seed)
 
     def worker(idx, rng):
         data = ingest(curves_path, transform="sqrt", weekday_adjust="weekday")
-        rmat = load_numeric_csv(cov_path)
-        m = data.n - int(eval_days)
-        eig = _basis(data, m, methods)
-        return _by_method({mm["name"]: _eval_method_fixed(data, rmat, m, 1, mm, eig) for mm in methods})
+        return _evaluate(data, load_numeric_csv(cov_path), data.n - int(eval_days), 1, methods, keys)
 
     config = {"synthetic_analog": True, "n_days": n_days, "eval_days": eval_days,
               "p_max": p_max, "d_max": d_max, "seed": seed, "reps": 1,
               "curves_csv": curves_path, "covariates_csv": cov_path}
-    report = _report("benchmark:pm10-analog", config, 1, seed, worker, start)
-    report.aggregates, report.frequencies = _aggregate(report.replications,
-                                                       ["ffpe-var", "covariate"])
+    report = _report("benchmark:pm10-analog", config, 1, seed, worker)
+    report.aggregates, report.frequencies = _aggregate(report.replications, keys)
     return report
 
 

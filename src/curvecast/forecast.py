@@ -186,9 +186,13 @@ def _fit(data: FunctionalDataset, m: int, method: dict, rmat=None, eig=None) -> 
     name, p, d = method["name"], method.get("p"), method.get("d")
     lag, block, eig = 0, None, eig or _basis(data, m, [method])
     if name == "bosq":  # without d, d from the training curves' spectrum, at p = 1 the basis too
-        p, d = method.get("p", 1), d or _pve_rank(eig, method.get("pve", 0.8))
+        p, pve = method.get("p", 1), method.get("pve", 0.8)
+        d, top = d or _pve_rank(eig, pve), min(m - p, p * data.T)  # top: the stacked blocks' widest d
         if m - p + 1 < 2:
             raise InsufficientDataError(f"n={m} too small for p={p} stacked blocks")
+        if d > top and "d" not in method:
+            raise ValueError(f"{_owner(method)} key 'pve' = {pve} picks d = {d} from the training "
+                             f"curves, above min(m - p, pT) = {top} for its p = {p} stacked blocks")
         if p > 1:  # the benchmark runs on blocks of p consecutive curves
             blocks = np.hstack([data.values[p - 1 - j : data.n - j] for j in range(p)])
             data = FunctionalDataset(grid=Grid(p * data.T), values=blocks)

@@ -51,7 +51,7 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(_argument("spectral_norm", "a", a, _array(2)), 2))
 
 
-def random_operator(D: int, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def random_operator(D: int, sigma: np.ndarray, rng: "np.random.Generator") -> np.ndarray:
     """Random coefficient operator scaled to unit spectral norm.
 
     Entry (l, l') is drawn with standard deviation sigma_l * sigma_l',
@@ -165,7 +165,7 @@ def _companion_spectral_radius(ar) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def simulate(spec: ProcessSpec, n: int, grid: Grid, rng: np.random.Generator) -> FunctionalDataset:
+def simulate(spec: ProcessSpec, n: int, grid: Grid, rng: "np.random.Generator") -> FunctionalDataset:
     """Draw n curves from the recursion after discarding the burn-in.
 
     Coefficient vectors follow

@@ -9,7 +9,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 import tokenize
 from pathlib import Path
@@ -320,7 +323,7 @@ def test_one_basis_per_training_sample():
     where = functions_using_names()
     assert where["eigensystem"] == {"forecast._basis", "forecast._fit", "selection.select_pd",
                                     "forecast.covariate_matrix", "fpca.pve_dimension"}
-    assert {"experiments.run_forecast_experiment", "experiments._pm10_analog_preset"} <= where["_basis"]
+    assert where["_basis"] == {"forecast._fit", "experiments._evaluate"}
     assert where["_sweep"] == {"forecast._fit", "selection.select_pd"}
     sweep_reads = {name for name, users in where.items() if "selection._sweep" in users}
     assert not sweep_reads & {"eigensystem", "eigh", "_check_covariates", "_covariate_block"}
@@ -341,6 +344,29 @@ def test_one_coefficient_recursion():
     where = functions_using_names()
     assert where["normal"] == {"simulate._coefficients", "simulate.random_operator"}
     assert "_coupled_far1_coeffs" not in defined_names(source_tree("experiments.py"))
+
+
+def test_every_study_scores_its_methods_through_one_loop():
+    # run_forecast_experiment and pm10-analog each score a replication with experiments._evaluate,
+    # and _report alone starts a run's clock
+    where = functions_using_names()
+    studies = {"experiments.run_forecast_experiment", "experiments._pm10_analog_preset"}
+    assert studies <= where["_evaluate"]
+    assert where["_eval_method_fixed"] == {"experiments._evaluate"}
+    assert where["perf_counter"] == {"experiments._report"}
+    report = importlib.import_module("curvecast.experiments")._report
+    assert "start" not in inspect.signature(report).parameters
+
+
+def test_importing_the_package_loads_neither_numpy_random_nor_the_pool():
+    # numpy.random loads with the first generator and concurrent.futures with the first pool
+    code = ("import sys, curvecast, curvecast.cli; "
+            "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_one_helper_keeps_the_heap():

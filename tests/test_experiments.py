@@ -233,6 +233,27 @@ def test_file_source_rejects_multiple_reps(tmp_path):
         )
 
 
+def test_a_file_source_runs_without_seed(tmp_path, monkeypatch):
+    # a file source draws nothing, so it needs no seed, and without one no generator is made; a
+    # given seed is echoed in the config and the records as before
+    path = tmp_path / "curves.csv"
+    save_curves_csv(simulate(ProcessSpec.from_json(json.dumps(SPEC_PAYLOAD)), 40, Grid(32),
+                             np.random.default_rng(5)), path)
+    made = []
+    monkeypatch.setattr(experiments, "_rep_rng", lambda *args: made.append(args) or _rep_rng(*args))
+    config = tiny_config(source={"type": "file", "path": str(path)}, reps=1, n=None, grid_T=None)
+    unseeded = run_forecast_experiment({**config, "seed": None})
+    assert made == []
+    seeded = run_forecast_experiment(config)
+    assert unseeded.replications[0]["errors"] == seeded.replications[0]["errors"]
+    assert unseeded.config["seed"] is None and seeded.config["seed"] == 11
+    assert [unseeded.replications[0]["seed"], seeded.replications[0]["seed"]] == [[None, 0], [11, 0]]
+    simulated = tiny_config()
+    del simulated["seed"]
+    with pytest.raises(ValueError, match="^config needs key 'seed'$"):
+        run_forecast_experiment(simulated)
+
+
 def test_pm10_analog_files(tmp_path):
     curves_path, cov_path = make_pm10_analog(tmp_path, n_days=42, seed=3)
     lines = Path(curves_path).read_text().splitlines()

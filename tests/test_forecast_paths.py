@@ -18,6 +18,7 @@ from curvecast import (
     IllConditionedError,
     IngestError,
     InsufficientDataError,
+    ProcessSpec,
     ScoreMatrix,
     bosq_predict,
     eigensystem,
@@ -35,6 +36,7 @@ from curvecast import (
     scalar_predict,
     scores,
     select_pd,
+    simulate,
 )
 from curvecast.cli import main
 from curvecast import bands, experiments, forecast, fpca, multivar, selection
@@ -480,6 +482,26 @@ def test_a_d_above_the_sample_is_refused_in_the_entry_points_name(name):
     owner = name.partition("-")[0]
     want = f"method {owner!r} key 'd' must be in 1..min(n - 1, T) = {top}, got {top + 1}"
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize("entry", ["_forecast", "cli-forecast"])
+def test_a_stacked_bosq_fit_refuses_a_pve_d_above_its_blocks_by_pve(tmp_path, capsys, entry):
+    # a bosq fit without d reads d from the unstacked spectrum, which holds more pairs than its
+    # p = 2 stacked blocks; this read "method 'bosq' key 'd' must be in 1..min(n - 1, T) = 3,
+    # got 4", naming a d the caller never passed
+    spec = ProcessSpec(kind="far", D=5, sigma=np.ones(5), ar=(0.5 * np.eye(5),), burn_in=50)
+    data = simulate(spec, 5, Grid(64), np.random.default_rng(0))
+    want = ("method 'bosq' key 'pve' = 0.99 picks d = 4 from the training curves, above "
+            "min(m - p, pT) = 3 for its p = 2 stacked blocks")
+    if entry == "_forecast":
+        with pytest.raises(ValueError) as err:
+            forecast._forecast(data, {"name": "bosq", "p": 2, "pve": 0.99})
+        assert str(err.value) == want
+    else:
+        save_curves_csv(data, tmp_path / "five.csv")
+        run = ["forecast", "--input", str(tmp_path / "five.csv"), "--method", "bosq", "--p", "2"]
+        assert main([*run, "--pve", "0.99"]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 COVARIATE_METHOD = {"name": "covariate", "p": 1, "d": 2}
